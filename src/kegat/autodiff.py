@@ -4,6 +4,24 @@ Every tensor op used by the model records a backward closure; calling
 ``backward()`` on a scalar loss accumulates gradients into every reachable
 tensor with ``requires_grad``. Double precision throughout so finite-difference
 gradient checks stay tight.
+
+The op set:
+
+- arithmetic with numpy broadcasting: ``+ - * / **`` and unary ``-``
+- ``@`` for 1-D and 2-D operands, and for stacks of matrices with equal
+  batch shapes
+- elementwise ``exp log sqrt tanh elu leaky_relu``
+- shape ops ``reshape``, ``transpose(*axes)`` (``.T`` reverses all axes),
+  ``sum`` and ``mean``
+- indexing ``t[idx]`` with any numpy index: an int, a slice, an int array
+  (repeats allowed) or a tuple of them
+- module-level ``concat``, ``masked_softmax``, ``log_softmax`` and
+  ``dropout``
+
+Broadcast operands get their gradient summed back to their own shape. The
+backward of ``t[idx]`` scatter-adds into a zero array of ``t``'s shape with
+``np.add.at``, so an element gathered k times receives the sum of its k
+output gradients.
 """
 
 from __future__ import annotations
@@ -171,7 +189,7 @@ class Tensor:
             elif a.ndim == 1 and b.ndim == 1:
                 ga, gb = g * b, g * a
             else:
-                ga, gb = g @ b.T, a.T @ g
+                ga, gb = g @ b.swapaxes(-1, -2), a.swapaxes(-1, -2) @ g
             return ((self, ga), (other, gb))
 
         return _node(out_data, (self, other), bw)
@@ -221,9 +239,16 @@ class Tensor:
         out_data = self.data.reshape(*shape)
         return _node(out_data, (self,), lambda g: ((self, g.reshape(old)),))
 
+    def transpose(self, *axes):
+        """Permute axes like ``np.transpose``; no axes reverses them all."""
+        out_data = self.data.transpose(*axes)
+        inverse = tuple(np.argsort(axes)) if axes else ()
+        return _node(out_data, (self,),
+                     lambda g: ((self, g.transpose(*inverse)),))
+
     @property
     def T(self):
-        return _node(self.data.T, (self,), lambda g: ((self, g.T),))
+        return self.transpose()
 
     def sum(self, axis=None, keepdims: bool = False):
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
@@ -240,49 +265,13 @@ class Tensor:
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
-    def rows(self, idx):
-        """Gather rows (embedding lookup); gradients scatter-add."""
-        idx = np.asarray(idx, dtype=np.int64)
+    def __getitem__(self, idx):
+        """Numpy indexing; the backward scatter-adds into a zero array."""
         out_data = self.data[idx]
 
         def bw(g):
             gg = np.zeros_like(self.data)
             np.add.at(gg, idx, g)
-            return ((self, gg),)
-
-        return _node(out_data, (self,), bw)
-
-    def cols(self, a: int, b: int):
-        """Contiguous column slice of a 2-D tensor."""
-        out_data = self.data[:, a:b]
-
-        def bw(g):
-            gg = np.zeros_like(self.data)
-            gg[:, a:b] = g
-            return ((self, gg),)
-
-        return _node(out_data, (self,), bw)
-
-    def pick_row(self, index: int):
-        """Row `index` of a 2-D tensor, as a 1-D tensor."""
-        i = int(index)
-        out_data = self.data[i]
-
-        def bw(g):
-            gg = np.zeros_like(self.data)
-            gg[i] = g
-            return ((self, gg),)
-
-        return _node(out_data, (self,), bw)
-
-    def pick(self, index: int):
-        """Scalar element of a 1-D tensor."""
-        i = int(index)
-        out_data = self.data[i]
-
-        def bw(g):
-            gg = np.zeros_like(self.data)
-            gg[i] = g
             return ((self, gg),)
 
         return _node(out_data, (self,), bw)
@@ -313,11 +302,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         return tuple(outs)
 
     return _node(out_data, ts, bw)
-
-
-def stack_scalars(scalars: Sequence[Tensor]) -> Tensor:
-    """Stack scalar tensors into a 1-D vector."""
-    return concat([s.reshape(1) for s in scalars], axis=0)
 
 
 def masked_softmax(logits: Tensor, mask: Optional[np.ndarray] = None,

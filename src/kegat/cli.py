@@ -88,7 +88,15 @@ def link(kb_path, input_path, max_ngram):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataFormatError(
+                    f"{input_path}:{lineno}: invalid JSON: {exc}") from None
+            if not isinstance(rec, dict) or not isinstance(rec.get("text"), str):
+                raise DataFormatError(
+                    f"{input_path}:{lineno}: expected an object with a "
+                    f"string 'text' field")
             tokens = tokenize(rec["text"])
             spans = extract_entities(tokens, graph, max_ngram)
             click.echo(json.dumps({
@@ -226,6 +234,8 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
     cfg["no_kemb"] = no_kemb or cfg.get("no_kemb", False)
     cfg["no_kegat"] = no_kegat or cfg.get("no_kegat", False)
     cfg["no_lm_loss"] = no_lm_loss or cfg.get("no_lm_loss", False)
+    out = Path(output_path)
+    out.parent.mkdir(parents=True, exist_ok=True)
     train_set = harness.load_comve(train_data, subtask)
     dev_set = harness.load_comve(dev_data, subtask)
     model = _build_model(cfg, kb_path, vectors_path, templates_path,
@@ -233,7 +243,6 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
     schedule = trainkit.Schedule.from_config(cfg)
     seed = cfg.get("seed", 0)
     result = trainkit.two_phase_train(model, train_set, dev_set, schedule, seed)
-    out = Path(output_path)
     trainkit.save_checkpoint(out, model.store,
                              rng=np.random.default_rng(seed),
                              best_metric=result.best_metric)

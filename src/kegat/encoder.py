@@ -79,7 +79,7 @@ def embed(seq: InjectedSequence, params: EncoderParams) -> Tensor:
     if soft.size and soft.max() >= params.max_positions:
         raise ValueError(
             f"soft position {soft.max()} exceeds table size {params.max_positions}")
-    return params.tok_emb.rows(tokens) + params.pos_emb.rows(soft)
+    return params.tok_emb[tokens] + params.pos_emb[soft]
 
 
 def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -91,20 +91,19 @@ def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def _attention(x: Tensor, visibility: np.ndarray, lp: LayerParams,
                n_heads: int) -> Tensor:
-    d = x.shape[1]
+    """All heads at once: (T, d) projections viewed as (H, T, d_h) stacks."""
+    T, d = x.shape
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
-    q = x @ lp.wq + lp.bq
-    k = x @ lp.wk + lp.bk
-    v = x @ lp.wv + lp.bv
-    heads = []
-    for m in range(n_heads):
-        qm = q.cols(m * dh, (m + 1) * dh)
-        km = k.cols(m * dh, (m + 1) * dh)
-        vm = v.cols(m * dh, (m + 1) * dh)
-        att = ad.masked_softmax(qm @ km.T * scale, visibility, axis=-1)
-        heads.append(att @ vm)
-    return ad.concat(heads, axis=1) @ lp.wo + lp.bo
+
+    def heads(w: Tensor, b: Tensor) -> Tensor:
+        return (x @ w + b).reshape(T, n_heads, dh).transpose(1, 0, 2)
+
+    q, k, v = heads(lp.wq, lp.bq), heads(lp.wk, lp.bk), heads(lp.wv, lp.bv)
+    att = ad.masked_softmax(q @ k.transpose(0, 2, 1) * scale, visibility,
+                            axis=-1)
+    merged = (att @ v).transpose(1, 0, 2).reshape(T, d)
+    return merged @ lp.wo + lp.bo
 
 
 def encode(E: Tensor, visibility: np.ndarray, params: EncoderParams,
@@ -123,7 +122,7 @@ def encode(E: Tensor, visibility: np.ndarray, params: EncoderParams,
         ffn = ((h @ lp.ffn_w1 + lp.ffn_b1).elu() @ lp.ffn_w2) + lp.ffn_b2
         ffn = ad.dropout(ffn, dropout_rate, dropout_rng)
         h = _layer_norm(h + ffn, lp.ln2_g, lp.ln2_b)
-    pooled = (h.pick_row(0) @ params.pooler_w + params.pooler_b).tanh()
+    pooled = (h[0] @ params.pooler_w + params.pooler_b).tanh()
     return EncoderOutput(hidden=h, pooled=pooled)
 
 

@@ -138,15 +138,11 @@ def attention_coeffs(h: Tensor, sub: Subgraph, layer: int, head: int,
     dg = params.node_dim
     wh = h @ params.w[layer][head]
     a = params.a[layer][head]
-    src = wh @ _head_part(a, dg, 0)
-    dst = wh @ _head_part(a, dg, 1)
+    src = wh @ a[:dg]
+    dst = wh @ a[dg:]
     n = h.shape[0]
     scores = (src.reshape(n, 1) + dst.reshape(1, n)).leaky_relu(params.leaky_slope)
     return ad.masked_softmax(scores, sub.adjacency, axis=-1)
-
-
-def _head_part(a: Tensor, dg: int, half: int) -> Tensor:
-    return a.reshape(1, 2 * dg).cols(half * dg, (half + 1) * dg).reshape(dg)
 
 
 def gat_layer(h: Tensor, sub: Subgraph, params: GatParams, layer: int) -> Tensor:

@@ -51,15 +51,15 @@ class LossState:
 
 
 def option_score(repr_vec: Tensor, params: HeadParams) -> Tensor:
-    """Scalar MLP score for one option representation."""
+    """MLP score for one option representation, as a 1-vector."""
     hidden = (repr_vec @ params.w1 + params.b1).elu()
-    return (hidden @ params.w2 + params.b2).pick(0)
+    return hidden @ params.w2 + params.b2
 
 
 def predict(reprs: Sequence[Tensor], params: HeadParams) -> OptionScores:
     if len(reprs) < 2:
         raise ValueError("predict needs at least 2 options")
-    raw = ad.stack_scalars([option_score(r, params) for r in reprs])
+    raw = ad.concat([option_score(r, params) for r in reprs])
     probs = ad.masked_softmax(raw, None, axis=-1)
     return OptionScores(raw=raw, probs=probs,
                         predicted=int(np.argmax(probs.data)))
@@ -69,7 +69,7 @@ def classification_loss(probs: Tensor, true_index: int) -> Tensor:
     """Negative log-likelihood of the true option, floored away from log 0."""
     if not (0 <= true_index < probs.shape[0]):
         raise ValueError("true index out of range")
-    p = probs.pick(true_index)
+    p = probs[true_index]
     if p.data <= PROB_FLOOR:
         return -Tensor(np.asarray(PROB_FLOOR)).log() + (p - p.data)
     return -p.log()
@@ -87,11 +87,8 @@ def lm_loss(logits: Tensor, token_ids: Sequence[int],
     keep = np.asarray(trunk_mask, dtype=bool)
     if pad_mask is not None:
         keep = keep & ~np.asarray(pad_mask, dtype=bool)
-    logp = ad.log_softmax(logits, axis=-1)
-    total = Tensor(0.0)
-    for t in np.nonzero(keep)[0]:
-        total = total - logp.pick_row(int(t)).pick(int(tokens[t]))
-    return total
+    rows = np.nonzero(keep)[0]
+    return -ad.log_softmax(logits, axis=-1)[rows, tokens[rows]].sum()
 
 
 def combined_loss(l1: Tensor, l2: Tensor, params: LossParams) -> Tensor:

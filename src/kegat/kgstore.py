@@ -35,15 +35,6 @@ def normalize_concept(raw: str) -> str:
 
 
 @dataclass(frozen=True)
-class Concept:
-    id: str
-
-    @property
-    def surface(self) -> List[str]:
-        return self.id.split("_")
-
-
-@dataclass(frozen=True)
 class Edge:
     head: str
     relation: str
@@ -185,7 +176,14 @@ def load_binary(path) -> KnowledgeGraph:
         version = fh.read(1)
         if version != bytes([FORMAT_VERSION]):
             raise DataFormatError(f"{path}: unsupported format version {version!r}")
-        payload = json.loads(fh.read().decode("utf-8"))
-    edges = [Edge(h, r, t, float(w)) for h, r, t, w in payload["edges"]]
-    stats = GraphStats(**payload["stats"])
-    return _build_graph(edges, frozenset(payload["blocklist"]), stats)
+        blob = fh.read()
+    try:
+        payload = json.loads(blob.decode("utf-8"))
+        edges = [Edge(h, r, t, float(w)) for h, r, t, w in payload["edges"]]
+        stats = GraphStats(**payload["stats"])
+        blocklist = frozenset(payload["blocklist"])
+    except (ValueError, KeyError, TypeError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise DataFormatError(
+            f"{path}: not a knowledge-graph file ({type(exc).__name__})") from None
+    return _build_graph(edges, blocklist, stats)

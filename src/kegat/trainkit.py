@@ -137,19 +137,30 @@ def _write_record(fh, name: str, arr: np.ndarray) -> None:
     fh.write(data.astype(data.dtype.newbyteorder("<")).tobytes())
 
 
+def _read_exact(fh, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise NumericError(f"{fh.name}: checkpoint truncated")
+    return data
+
+
 def _read_records(fh) -> Dict[str, np.ndarray]:
     out: Dict[str, np.ndarray] = {}
     while True:
         raw = fh.read(2)
         if not raw:
             return out
+        if len(raw) != 2:
+            raise NumericError(f"{fh.name}: checkpoint truncated")
         (nlen,) = struct.unpack("<H", raw)
-        name = fh.read(nlen).decode("utf-8")
-        tag, rank = struct.unpack("<BB", fh.read(2))
-        dims = [struct.unpack("<Q", fh.read(8))[0] for _ in range(rank)]
+        name = _read_exact(fh, nlen).decode("utf-8")
+        tag, rank = struct.unpack("<BB", _read_exact(fh, 2))
+        if tag not in _DTYPES:
+            raise NumericError(f"{fh.name}: unknown dtype tag {tag} in {name!r}")
+        dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank))
         dtype = np.dtype(_DTYPES[tag]).newbyteorder("<")
         count = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(fh.read(count * dtype.itemsize), dtype=dtype)
+        arr = np.frombuffer(_read_exact(fh, count * dtype.itemsize), dtype=dtype)
         out[name] = arr.astype(_DTYPES[tag]).reshape(dims)
 
 

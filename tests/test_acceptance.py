@@ -131,6 +131,26 @@ def test_gradient_fidelity_every_parameter():
                f"{n_elems} elements, worst rel err {worst:.2e}, {elapsed:.0f}s")
 
 
+def test_loss_graph_node_count(monkeypatch):
+    """One instance's loss builds at most 243 tensors on the small model.
+
+    Guards the batched attention heads and single-op indexing: the per-head
+    loop and per-token LM loss built 309.
+    """
+    model, instances = _small_model()
+    count = 0
+    real_init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    model.loss(instances[0])
+    assert 0 < count <= 243, count
+
+
 def test_mask_locality_is_exact():
     """An invisible position cannot change a layer's output, bit for bit."""
     rng = np.random.default_rng(0)
@@ -170,7 +190,7 @@ def test_all_normalizations_sum_to_one(monkeypatch):
 
     def check_rows(rows):
         nonlocal prob_rows, max_err
-        for row in np.atleast_2d(rows):
+        for row in rows.reshape(-1, rows.shape[-1]):
             prob_rows += 1
             max_err = max(max_err, abs(float(row.sum()) - 1.0))
 

@@ -31,6 +31,11 @@ def test_matmul_grads_all_shapes():
     _check_grad(lambda t: (Tensor(A) @ t).sum(), v)             # 2D @ 1D (rhs)
     _check_grad(lambda t: (t @ Tensor(A.T)).sum(), A)           # 2D @ 2D
     _check_grad(lambda t: (t @ Tensor(v)).sum(), v)             # 1D @ 1D
+    B = rng.normal(size=(2, 4, 5))
+    W = rng.normal(size=(2, 3, 5))
+    S = rng.normal(size=(2, 3, 4))
+    _check_grad(lambda t: ((t @ Tensor(B)) * Tensor(W)).sum(), S)  # 3D @ 3D
+    _check_grad(lambda t: ((Tensor(S) @ t) * Tensor(W)).sum(), B)  # 3D @ 3D (rhs)
 
 
 def test_nonlinearity_grads():
@@ -45,18 +50,39 @@ def test_nonlinearity_grads():
 
 def test_gather_grads():
     x0 = np.arange(12.0).reshape(4, 3) / 7.0
-    _check_grad(lambda t: t.rows([1, 1, 3]).sum(), x0)
-    _check_grad(lambda t: t.cols(1, 3).sum(), x0)
-    _check_grad(lambda t: t.pick_row(2).sum(), x0)
-    _check_grad(lambda t: t.pick_row(0).pick(1), x0)
+    w = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+    _check_grad(lambda t: (t[2] * Tensor(w[0])).sum(), x0)            # int
+    _check_grad(lambda t: t[0][1], x0)                                # int, int
+    _check_grad(lambda t: (t[1:3] * Tensor(w[:2])).sum(), x0)         # slice
+    _check_grad(lambda t: (t[:, 1:3] * Tensor(w[:, :2])).sum(), x0)   # column slice
+    _check_grad(lambda t: (t[[1, 1, 3]] * Tensor(w[:3])).sum(), x0)   # repeats
+    rows, cols = np.array([0, 2, 2, 3]), np.array([1, 0, 0, 2])
+    u = np.array([0.5, -1.0, 2.0, 1.5])
+    _check_grad(lambda t: (t[rows, cols] * Tensor(u)).sum(), x0)      # (rows, cols)
     _check_grad(lambda t: t.T.reshape(12).mean(), x0)
+
+
+def test_gather_repeats_scatter_add():
+    t = Tensor(np.zeros((3, 2)), requires_grad=True)
+    t[np.array([2, 0, 2, 2])].sum().backward()
+    np.testing.assert_array_equal(t.grad, [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]])
+
+
+def test_transpose_grads():
+    x0 = np.arange(24.0).reshape(2, 3, 4) / 11.0
+    w = np.linspace(-2.0, 2.0, 24).reshape(3, 2, 4)
+    _check_grad(lambda t: (t.transpose(1, 0, 2) * Tensor(w)).sum(), x0)
+    _check_grad(lambda t: (t.transpose(2, 0, 1).transpose(1, 2, 0)
+                           * Tensor(x0)).sum(), x0)
+    assert Tensor(x0).transpose(1, 0, 2).shape == (3, 2, 4)
+    assert Tensor(x0).T.shape == (4, 3, 2)
 
 
 def test_concat_and_softmax_grads():
     x0 = np.array([0.1, 0.9, -0.4])
     _check_grad(lambda t: ad.concat([t, t * 2.0]).sum(), x0)
-    _check_grad(lambda t: ad.masked_softmax(t).pick(0), x0)
-    _check_grad(lambda t: ad.log_softmax(t).pick(1), x0)
+    _check_grad(lambda t: ad.masked_softmax(t)[0], x0)
+    _check_grad(lambda t: ad.log_softmax(t)[1], x0)
 
 
 def test_scalar_fanout_accumulation():

@@ -2,11 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from kegat.cli import main
 from kegat.kgstore import load_binary
+from kegat.trainkit import ParamStore, save_checkpoint
 
 from conftest import SUGAR_KB_ROWS, write_kb
 
@@ -147,7 +149,7 @@ def trained(runner, tmp_path):
                          "--n-edges", "120"], catch_exceptions=False)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TINY_TRAIN_CFG), encoding="utf-8")
-    ckpt = tmp_path / "model.ckpt"
+    ckpt = tmp_path / "run" / "model.ckpt"     # train creates run/
     result = runner.invoke(main, [
         "train", "--subtask", "a", "--config", str(cfg),
         "--kb", str(bench / "kb.tsv"), "--vectors", str(bench / "concepts.vec"),
@@ -235,3 +237,65 @@ def test_train_bad_data_exits_2(runner, tmp_path):
                                   "--output", str(tmp_path / "m.ckpt")])
     assert result.exit_code == 2
     assert "data error" in result.output
+
+
+def _link_line(tmp_path, line):
+    kb = write_kb(tmp_path / "kb.tsv", SUGAR_KB_ROWS)
+    inp = tmp_path / "in.jsonl"
+    inp.write_text(line + "\n", encoding="utf-8")
+    return ["link", "--kb", str(kb), "--input", str(inp)], f"{inp}:1"
+
+
+def _link_no_text(tmp_path, request):
+    return _link_line(tmp_path, json.dumps({"id": "x"}))
+
+
+def _link_not_json(tmp_path, request):
+    return _link_line(tmp_path, "{not json")
+
+
+def _checkpoint_as_kb(tmp_path, request):
+    store = ParamStore()
+    store.add("w", np.ones(3))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, store)
+    args, _ = _link_line(tmp_path, json.dumps({"text": "sugar"}))
+    args[args.index("--kb") + 1] = str(ckpt)
+    return args, str(ckpt)
+
+
+def _eval_corrupted(request, corrupt):
+    bench, ckpt, _ = request.getfixturevalue("trained")
+    ckpt.write_bytes(bytes(corrupt(bytearray(ckpt.read_bytes()))))
+    return ["eval", "--checkpoint", str(ckpt), "--data",
+            str(bench / "dev.jsonl"), "--subtask", "a"]
+
+
+def _truncated_checkpoint(tmp_path, request):
+    return _eval_corrupted(request, lambda raw: raw[:len(raw) // 2]), "truncated"
+
+
+def _bad_dtype_tag(tmp_path, request):
+    def corrupt(raw):
+        name_len = int.from_bytes(raw[5:7], "little")   # first record's name
+        raw[7 + name_len] = 99
+        return raw
+    return _eval_corrupted(request, corrupt), "dtype tag 99"
+
+
+@pytest.mark.parametrize("make, code, prefix", [
+    (_link_no_text, 2, "data error: "),
+    (_link_not_json, 2, "data error: "),
+    (_checkpoint_as_kb, 2, "data error: "),
+    (_truncated_checkpoint, 3, "numeric failure: "),
+    (_bad_dtype_tag, 3, "numeric failure: "),
+], ids=["link-no-text", "link-not-json", "checkpoint-as-kb",
+        "truncated-checkpoint", "bad-dtype-tag"])
+def test_malformed_input_exits_with_message(runner, tmp_path, request, make,
+                                            code, prefix):
+    args, fragment = make(tmp_path, request)
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == code
+    (line,) = result.output.strip().splitlines()
+    assert line.startswith(prefix) and fragment in line
