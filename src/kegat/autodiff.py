@@ -5,6 +5,14 @@ Every tensor op used by the model records a backward closure; calling
 tensor with ``requires_grad``. Double precision throughout so finite-difference
 gradient checks stay tight.
 
+An op records a graph edge only when one of its inputs is tracked: it has
+``requires_grad`` or was itself recorded. A tensor with
+``requires_grad=False`` is therefore a constant, and so is everything computed
+from constants alone. This is how freezing works: a frozen parameter is one
+whose ``requires_grad`` is off, so no op records a path back to it. Inside a
+``with no_grad():`` block no op records anything; the forward values are the
+same, only the graph is gone.
+
 The op set:
 
 - arithmetic with numpy broadcasting: ``+ - * / **`` and unary ``-``
@@ -26,6 +34,8 @@ output gradients.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -281,8 +291,24 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# a context variable, not a global: a no_grad() block in one thread or
+# asyncio task leaves tracking on in the others
+_tracking = contextvars.ContextVar("autodiff_tracking", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording a graph; tracking resumes on exit."""
+    token = _tracking.set(False)
+    try:
+        yield
+    finally:
+        _tracking.reset(token)
+
+
 def _node(data, parents, backward) -> Tensor:
-    track = any(p.requires_grad or p._backward is not None for p in parents)
+    track = _tracking.get() and any(
+        p.requires_grad or p._backward is not None for p in parents)
     return Tensor(data, parents=parents if track else (),
                   backward=backward if track else None)
 

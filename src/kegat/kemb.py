@@ -77,10 +77,18 @@ def default_templates() -> Dict[str, Template]:
 
 def load_templates(path) -> Dict[str, Template]:
     """Load a JSON map relation -> pattern string with {head}/{tail} slots."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+        raise DataFormatError(f"{path}: not a JSON file ({exc})") from None
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: template file must be a JSON object")
+    for rel, pat in raw.items():
+        if not isinstance(pat, str):
+            raise DataFormatError(
+                f"{path}: template for {rel!r} must be a string, "
+                f"got {type(pat).__name__}")
     return {rel: _parse_pattern(rel, pat) for rel, pat in raw.items()}
 
 

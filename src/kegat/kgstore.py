@@ -7,6 +7,7 @@ queries are read-only and safe to run concurrently.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
@@ -98,43 +99,54 @@ def _build_graph(edges: List[Edge], blocklist: FrozenSet[str],
                           _adjacency=frozen_adj)
 
 
+def _text_lines(path):
+    """The lines of a UTF-8 text file; undecodable bytes are a data error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path}: not a UTF-8 text file") from None
+
+
 def load_graph(path, blocklist=DEFAULT_BLOCKLIST) -> KnowledgeGraph:
     """Load a TSV edge list (head\\trelation\\ttail\\tweight per line).
 
     '#'-prefixed lines are comments. Rows carrying a blocklisted relation are
-    skipped and counted; malformed rows and nonpositive weights are hard
-    errors with the offending line number.
+    skipped and counted; malformed rows and non-finite or nonpositive weights
+    are hard errors with the offending line number, and so is a file that is
+    not UTF-8 text.
     """
     blockset = frozenset(blocklist)
     edges: List[Edge] = []
     skipped_block = 0
     skipped_comment = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.lstrip().startswith("#"):
-                skipped_comment += 1
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 4 tab-separated columns, "
-                    f"got {len(cols)}")
-            head, relation, tail, weight_s = cols
-            try:
-                weight = float(weight_s)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric weight {weight_s!r}") from None
-            if weight <= 0:
-                raise DataFormatError(f"{path}:{lineno}: nonpositive weight {weight}")
-            if relation in blockset:
-                skipped_block += 1
-                continue
-            edges.append(Edge(normalize_concept(head), relation,
-                              normalize_concept(tail), weight))
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.lstrip().startswith("#"):
+            skipped_comment += 1
+            continue
+        cols = line.split("\t")
+        if len(cols) != 4:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected 4 tab-separated columns, "
+                f"got {len(cols)}")
+        head, relation, tail, weight_s = cols
+        try:
+            weight = float(weight_s)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{lineno}: non-numeric weight {weight_s!r}") from None
+        if not math.isfinite(weight):
+            raise DataFormatError(f"{path}:{lineno}: non-finite weight {weight_s!r}")
+        if weight <= 0:
+            raise DataFormatError(f"{path}:{lineno}: nonpositive weight {weight}")
+        if relation in blockset:
+            skipped_block += 1
+            continue
+        edges.append(Edge(normalize_concept(head), relation,
+                          normalize_concept(tail), weight))
     stats = GraphStats(loaded=len(edges), skipped_blocklist=skipped_block,
                        skipped_comments=skipped_comment)
     return _build_graph(edges, blockset, stats)

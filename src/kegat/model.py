@@ -4,7 +4,9 @@ Per option: the converted token sequence is knowledge-injected (unless
 disabled), encoded by the masked transformer, and fused with the pooled GAT
 state of a sampled concept subgraph. A shared scalar MLP scores every option;
 softmax over options gives the prediction. The training loss optionally adds
-the token-reconstruction objective under learnable uncertainty weights.
+the token-reconstruction objective under learnable uncertainty weights; only
+the loss computes it, so prediction runs the encoder, graph and head alone,
+without recording a graph.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import gat as gatmod
 from . import harness
 from . import head as headmod
 from . import kemb
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .kgstore import KnowledgeGraph
 from .linker import extract_entities
 from .trainkit import ParamStore
@@ -224,32 +226,34 @@ class KegatModel:
 
     def forward(self, instance: harness.ComveInstance,
                 dropout_rng: Optional[np.random.Generator] = None
-                ) -> Tuple[headmod.OptionScores, Optional[Tensor]]:
-        feats = self._features(instance)
-        reprs = []
-        lm_total: Optional[Tensor] = None
-        for feat in feats:
+                ) -> Tuple[headmod.OptionScores, List[Tensor]]:
+        """Option scores, and each option's per-token encoder states."""
+        reprs, hidden = [], []
+        for feat in self._features(instance):
             e_final, out = self._option_forward(feat, dropout_rng)
             reprs.append(e_final)
-            if self.config.use_lm:
-                logits = enc.lm_logits(out.hidden, self.enc_params)
-                term = headmod.lm_loss(logits, feat.seq.tokens,
-                                       feat.seq.trunk_mask)
-                lm_total = term if lm_total is None else lm_total + term
-        return headmod.predict(reprs, self.head_params), lm_total
+            hidden.append(out.hidden)
+        return headmod.predict(reprs, self.head_params), hidden
 
     def loss(self, instance: harness.ComveInstance,
              dropout_rng: Optional[np.random.Generator] = None) -> Tensor:
-        scores, lm_total = self.forward(instance, dropout_rng)
+        scores, hidden = self.forward(instance, dropout_rng)
         l2 = headmod.classification_loss(scores.probs, instance.label)
-        if self.config.use_lm:
-            return headmod.combined_loss(lm_total, l2, self.loss_params)
-        return l2
+        if not self.config.use_lm:
+            return l2
+        lm_total: Optional[Tensor] = None
+        for feat, h in zip(self._features(instance), hidden):
+            logits = enc.lm_logits(h, self.enc_params)
+            term = headmod.lm_loss(logits, feat.seq.tokens, feat.seq.trunk_mask)
+            lm_total = term if lm_total is None else lm_total + term
+        return headmod.combined_loss(lm_total, l2, self.loss_params)
 
     def predict_instance(self, instance: harness.ComveInstance) -> int:
-        scores, _ = self.forward(instance)
+        with no_grad():
+            scores, _ = self.forward(instance)
         return scores.predicted
 
     def predict_probs(self, instance: harness.ComveInstance) -> np.ndarray:
-        scores, _ = self.forward(instance)
+        with no_grad():
+            scores, _ = self.forward(instance)
         return scores.prob_values.copy()

@@ -25,11 +25,14 @@ _DTYPE_TAGS = {np.dtype(np.float64): 0, np.dtype(np.int64): 1,
 
 
 class ParamStore:
-    """Named float64 tensors with gradient buffers and freeze flags."""
+    """Named float64 tensors with gradient buffers and freeze flags.
+
+    A parameter is frozen exactly when its ``requires_grad`` is off, so the
+    autodiff ops treat it as a constant and record no graph back to it.
+    """
 
     def __init__(self):
         self._params: Dict[str, Tensor] = {}
-        self._frozen: set[str] = set()
 
     def add(self, name: str, values: np.ndarray) -> Tensor:
         if name in self._params:
@@ -57,19 +60,19 @@ class ParamStore:
             p.zero_grad()
 
     def set_frozen(self, name: str, frozen: bool) -> None:
-        if name not in self._params:
-            raise KeyError(name)
-        (self._frozen.add if frozen else self._frozen.discard)(name)
+        self._params[name].requires_grad = not frozen
 
     def freeze_all_except(self, keep: Iterable[str]) -> None:
         keep = set(keep)
-        self._frozen = set(self._params) - keep
+        for name, p in self._params.items():
+            p.requires_grad = name in keep
 
     def unfreeze_all(self) -> None:
-        self._frozen = set()
+        for p in self._params.values():
+            p.requires_grad = True
 
     def is_frozen(self, name: str) -> bool:
-        return name in self._frozen
+        return not self._params[name].requires_grad
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.items()}
@@ -80,15 +83,17 @@ class ParamStore:
 
 
 def compute_gradients(loss: Tensor, store: ParamStore) -> None:
-    """Populate gradients for all unfrozen parameters; frozen ones stay zero."""
+    """Populate gradients for all unfrozen parameters; frozen ones stay zero.
+
+    Frozen parameters are constants in the loss graph, so ``backward`` never
+    reaches them and their zeroed buffers stay zero.
+    """
     if not np.isfinite(loss.data):
         raise NumericError("non-finite loss")
     store.zero_grad()
     loss.backward()
     for name, p in store.items():
-        if store.is_frozen(name):
-            p.grad[...] = 0.0
-        elif not np.isfinite(p.grad).all():
+        if p.requires_grad and not np.isfinite(p.grad).all():
             raise GradientError(f"non-finite gradient in parameter {name!r}")
 
 

@@ -131,6 +131,23 @@ def test_gradient_fidelity_every_parameter():
                f"{n_elems} elements, worst rel err {worst:.2e}, {elapsed:.0f}s")
 
 
+def _record_tensors(monkeypatch) -> list:
+    """From now on, list every tensor built."""
+    built = []
+    real_init = Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    return built
+
+
+def _tracked(tensors) -> list:
+    return [t for t in tensors if t._backward is not None]
+
+
 def test_loss_graph_node_count(monkeypatch):
     """One instance's loss builds at most 243 tensors on the small model.
 
@@ -138,17 +155,56 @@ def test_loss_graph_node_count(monkeypatch):
     loop and per-token LM loss built 309.
     """
     model, instances = _small_model()
-    count = 0
-    real_init = Tensor.__init__
-
-    def counting_init(self, *args, **kwargs):
-        nonlocal count
-        count += 1
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    built = _record_tensors(monkeypatch)
     model.loss(instances[0])
-    assert 0 < count <= 243, count
+    assert 0 < len(built) <= 243, len(built)
+
+
+def test_phase1_loss_differentiates_only_the_head(monkeypatch):
+    """With all but the head frozen, one loss records at most 20 tensors.
+
+    Frozen parameters are constants, so only the head path is recorded (it
+    was 220 of 243 tensors while frozen parameters stayed in the graph).
+    Frozen gradients are exactly zero, and the head's gradients are
+    bit-equal to those of the same loss with every parameter trainable.
+    """
+    model, instances = _small_model()
+    store, head = model.store, model.head_param_names()
+    compute_gradients(model.loss(instances[0]), store)
+    unfrozen = {name: store[name].grad.copy() for name in head}
+    store.freeze_all_except(head)
+    built = _record_tensors(monkeypatch)
+    loss = model.loss(instances[0])
+    assert 0 < len(_tracked(built)) <= 20, len(_tracked(built))
+    compute_gradients(loss, store)
+    for name, p in store.items():
+        if name in head:
+            np.testing.assert_array_equal(p.grad, unfrozen[name], err_msg=name)
+        else:
+            np.testing.assert_array_equal(p.grad, 0.0, err_msg=name)
+
+
+def test_prediction_records_no_graph_and_skips_lm(monkeypatch):
+    """predict_probs builds no tracked tensor and no LM logits, same values."""
+    model, instances = _small_model()
+    scores, _ = model.forward(instances[0])
+    assert scores.probs._backward is not None
+    calls = 0
+    real_lm_logits = enc.lm_logits
+
+    def counting_lm_logits(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_lm_logits(*args, **kwargs)
+
+    monkeypatch.setattr(enc, "lm_logits", counting_lm_logits)
+    built = _record_tensors(monkeypatch)
+    probs = model.predict_probs(instances[0])
+    assert model.predict_instance(instances[0]) == scores.predicted
+    assert built and _tracked(built) == [] and calls == 0
+    np.testing.assert_array_equal(probs, scores.prob_values)
+    model.loss(instances[0])   # the counter sees the loss's LM term
+    assert calls == instances[0].option_count
 
 
 def test_mask_locality_is_exact():

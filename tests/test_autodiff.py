@@ -160,3 +160,35 @@ def test_dropout_scales_kept_entries():
     kept = out.data[out.data > 0]
     np.testing.assert_allclose(kept, 1.0 / 0.75)
     assert abs(out.data.mean() - 1.0) < 0.05
+
+
+def _is_tracked(t):
+    return t._backward is not None or bool(t._parents)
+
+
+def test_no_grad_records_nothing_and_restores_tracking():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with ad.no_grad():
+        y = ((x * 2.0).exp() @ x + x[0]).sum()
+    assert not _is_tracked(y)
+    np.testing.assert_array_equal(y.data, (np.exp(x.data * 2.0) @ x.data
+                                           + x.data[0]).sum())
+    assert _is_tracked(x * 2.0)
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside the block")
+    z = (x * x).sum()
+    assert _is_tracked(z)
+    z.backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
+
+def test_constant_inputs_record_nothing():
+    """A tensor without requires_grad is a constant: ops on it are untracked."""
+    frozen = Tensor(np.array([1.0, 2.0]))
+    live = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    assert not _is_tracked((frozen * 2.0).exp().sum())
+    mixed = frozen * live
+    assert mixed._parents == (frozen, live)
+    mixed.sum().backward()
+    np.testing.assert_array_equal(live.grad, frozen.data)

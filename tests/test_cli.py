@@ -283,14 +283,62 @@ def _bad_dtype_tag(tmp_path, request):
     return _eval_corrupted(request, corrupt), "dtype tag 99"
 
 
+def _ingest_weight(tmp_path, weight):
+    kb = write_kb(tmp_path / "kb.tsv",
+                  SUGAR_KB_ROWS + [("sugar", "/r/IsA", "food", weight)])
+    return (["kb", "ingest", "--input", str(kb),
+             "--output", str(tmp_path / "kb.bin")],
+            f"{kb}:{len(SUGAR_KB_ROWS) + 1}")
+
+
+def _nan_weight(tmp_path, request):
+    return _ingest_weight(tmp_path, float("nan"))
+
+
+def _inf_weight(tmp_path, request):
+    return _ingest_weight(tmp_path, float("inf"))
+
+
+def _binary_kb(tmp_path, request):
+    args, _ = _link_line(tmp_path, json.dumps({"text": "sugar"}))
+    kb = tmp_path / "kb.dat"
+    kb.write_bytes(b"\xff\xfe\x00\x81" * 3)
+    args[args.index("--kb") + 1] = str(kb)
+    return args, str(kb)
+
+
+def _inject_templates(tmp_path, text):
+    args, _ = _link_line(tmp_path, json.dumps({
+        "id": "x", "sent0": "sugar is sweet", "sent1": "sugar is sour",
+        "label": 1}))
+    templates = tmp_path / "templates.json"
+    templates.write_text(text, encoding="utf-8")
+    return ["preprocess", "inject", "--templates", str(templates)] + args[1:]
+
+
+def _template_not_string(tmp_path, request):
+    return (_inject_templates(tmp_path, json.dumps({"/r/IsA": 5})),
+            "'/r/IsA' must be a string")
+
+
+def _templates_not_json(tmp_path, request):
+    return _inject_templates(tmp_path, "{not json"), "templates.json"
+
+
 @pytest.mark.parametrize("make, code, prefix", [
     (_link_no_text, 2, "data error: "),
     (_link_not_json, 2, "data error: "),
     (_checkpoint_as_kb, 2, "data error: "),
     (_truncated_checkpoint, 3, "numeric failure: "),
     (_bad_dtype_tag, 3, "numeric failure: "),
+    (_nan_weight, 2, "data error: "),
+    (_inf_weight, 2, "data error: "),
+    (_binary_kb, 2, "data error: "),
+    (_template_not_string, 2, "data error: "),
+    (_templates_not_json, 2, "data error: "),
 ], ids=["link-no-text", "link-not-json", "checkpoint-as-kb",
-        "truncated-checkpoint", "bad-dtype-tag"])
+        "truncated-checkpoint", "bad-dtype-tag", "nan-weight", "inf-weight",
+        "binary-kb", "template-not-string", "templates-not-json"])
 def test_malformed_input_exits_with_message(runner, tmp_path, request, make,
                                             code, prefix):
     args, fragment = make(tmp_path, request)
