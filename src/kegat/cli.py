@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -18,6 +19,7 @@ from . import harness, kemb, kgstore, trainkit
 from .errors import DataFormatError, NumericError
 from .linker import extract_entities, tokenize
 from .model import KegatModel, ModelConfig
+from .vocab import Vocab
 
 click.UsageError.exit_code = 1
 
@@ -186,28 +188,10 @@ def synth(seed, out_dir, sizes, n_concepts, n_edges, subtask):
 
 # -- train / eval / predict / ensemble ---------------------------------------
 
-_MODEL_CFG_KEYS = ("dim", "n_layers", "n_heads", "ffn_mult", "max_len",
-                   "max_positions", "gat_layers", "gat_heads", "sample_k",
-                   "node_dim", "fuse_hidden", "fuse_dim", "gate_hidden",
-                   "head_hidden", "per_entity_limit", "max_ngram", "dropout",
-                   "seed")
-
-
-def _build_model(cfg: dict, kb_path, vectors_path, templates_path,
-                 instances) -> KegatModel:
-    graph = _load_kb(kb_path)
-    templates = (kemb.load_templates(templates_path) if templates_path
-                 else kemb.default_templates())
-    model_cfg = ModelConfig(
-        **{k: cfg[k] for k in _MODEL_CFG_KEYS if k in cfg},
-        use_kemb=not cfg.get("no_kemb", False),
-        use_kegat=not cfg.get("no_kegat", False),
-        use_lm=not cfg.get("no_lm_loss", False))
-    table = {}
-    if vectors_path and model_cfg.use_kegat:
-        table = gatmod.load_concept_table(vectors_path, model_cfg.node_dim, seed=0)
-    vocab = harness.build_vocab(graph, templates, instances)
-    return KegatModel(model_cfg, vocab, graph, table, templates)
+def _concept_table(config: ModelConfig, vectors_path) -> dict:
+    if vectors_path and config.use_kegat:
+        return gatmod.load_concept_table(vectors_path, config.node_dim, seed=0)
+    return {}
 
 
 @main.command()
@@ -219,7 +203,7 @@ def _build_model(cfg: dict, kb_path, vectors_path, templates_path,
 @click.option("--train-data", required=True, type=click.Path(exists=True))
 @click.option("--dev-data", required=True, type=click.Path(exists=True))
 @click.option("--output", "output_path", required=True, type=click.Path(),
-              help="Checkpoint path; config/vocab/log written alongside.")
+              help="Checkpoint path; the training log is written alongside.")
 @click.option("--no-kemb", is_flag=True, help="Disable knowledge injection.")
 @click.option("--no-kegat", is_flag=True, help="Disable graph reasoning.")
 @click.option("--no-lm-loss", is_flag=True, help="Disable the reconstruction loss.")
@@ -231,28 +215,32 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    cfg["no_kemb"] = no_kemb or cfg.get("no_kemb", False)
-    cfg["no_kegat"] = no_kegat or cfg.get("no_kegat", False)
-    cfg["no_lm_loss"] = no_lm_loss or cfg.get("no_lm_loss", False)
+    flags = {"use_kemb": not (no_kemb or cfg.get("no_kemb", False)),
+             "use_kegat": not (no_kegat or cfg.get("no_kegat", False)),
+             "use_lm": not (no_lm_loss or cfg.get("no_lm_loss", False))}
+    fields = {f.name for f in dataclasses.fields(ModelConfig)} - flags.keys()
+    config = ModelConfig(**{k: cfg[k] for k in fields & cfg.keys()}, **flags)
     out = Path(output_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     train_set = harness.load_comve(train_data, subtask)
     dev_set = harness.load_comve(dev_data, subtask)
-    model = _build_model(cfg, kb_path, vectors_path, templates_path,
-                         train_set + dev_set)
+    graph = _load_kb(kb_path)
+    templates = (kemb.load_templates(templates_path) if templates_path
+                 else kemb.default_templates())
+    vocab = harness.build_vocab(graph, templates, train_set + dev_set)
+    model = KegatModel(config, vocab, graph,
+                       _concept_table(config, vectors_path), templates)
     schedule = trainkit.Schedule.from_config(cfg)
-    seed = cfg.get("seed", 0)
-    result = trainkit.two_phase_train(model, train_set, dev_set, schedule, seed)
-    trainkit.save_checkpoint(out, model.store,
-                             rng=np.random.default_rng(seed),
-                             best_metric=result.best_metric)
-    model.vocab.save(out.with_suffix(".vocab.txt"))
-    sidecar = {"subtask": subtask, "kb": str(kb_path),
-               "vectors": str(vectors_path) if vectors_path else None,
-               "templates": str(templates_path) if templates_path else None,
-               "config": {**cfg, "subtask": subtask}}
-    out.with_suffix(".config.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    result = trainkit.two_phase_train(model, train_set, dev_set, schedule,
+                                      cfg.get("seed", 0))
+    # everything eval needs to rebuild this model, beside its parameters
+    model_meta = {
+        "config": config.as_dict(), "vocab": vocab.tokens,
+        "templates": {rel: " ".join(t.pattern) for rel, t in templates.items()},
+        "kb": str(Path(kb_path).resolve()), "kb_sha256": kgstore.fingerprint(graph),
+        "vectors": str(Path(vectors_path).resolve()) if vectors_path else None}
+    trainkit.save_checkpoint(out, model.store, best_metric=result.best_metric,
+                             model_meta=model_meta)
     with open(out.with_suffix(".log.jsonl"), "w", encoding="utf-8") as fh:
         for entry in result.log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -263,14 +251,31 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
         sys.exit(3)
 
 
-def _load_model(checkpoint_path, data_instances) -> tuple:
-    out = Path(checkpoint_path)
-    sidecar = json.loads(out.with_suffix(".config.json").read_text())
-    cfg = sidecar["config"]
-    model = _build_model(cfg, sidecar["kb"], sidecar["vectors"],
-                         sidecar["templates"], data_instances)
-    trainkit.load_checkpoint(out, model.store)
-    return model, sidecar["subtask"]
+def _load_model(checkpoint_path) -> KegatModel:
+    """Rebuild a trained model from its checkpoint, reading the KB and vectors
+    at the absolute paths recorded when it was trained."""
+    meta = trainkit.read_model_meta(checkpoint_path)
+    try:
+        config = ModelConfig(**meta["config"])
+        vocab = Vocab(meta["vocab"])
+        templates = {rel: kemb.Template(rel, tuple(pattern.split()))
+                     for rel, pattern in meta["templates"].items()}
+        kb_path, kb_sha256, vectors = meta["kb"], meta["kb_sha256"], meta["vectors"]
+    except (KeyError, TypeError, ValueError, AttributeError, DataFormatError) as exc:
+        raise NumericError(f"{checkpoint_path}: malformed model description "
+                           f"({type(exc).__name__}: {exc})") from None
+    try:
+        graph = _load_kb(kb_path)
+        table = _concept_table(config, vectors)
+    except FileNotFoundError as exc:
+        raise DataFormatError(
+            f"{exc.filename}: missing; the model was trained with it") from None
+    if kgstore.fingerprint(graph) != kb_sha256:
+        raise DataFormatError(
+            f"{kb_path}: knowledge base changed since the model was trained")
+    model = KegatModel(config, vocab, graph, table, templates)
+    trainkit.load_checkpoint(checkpoint_path, model.store)
+    return model
 
 
 @main.command("eval")
@@ -281,7 +286,7 @@ def _load_model(checkpoint_path, data_instances) -> tuple:
 def eval_cmd(checkpoint, data_path, subtask):
     """Accuracy of a trained checkpoint on a dataset."""
     instances = harness.load_comve(data_path, subtask)
-    model, _ = _load_model(checkpoint, instances)
+    model = _load_model(checkpoint)
     metrics = harness.evaluate(model, instances)
     click.echo(json.dumps({"accuracy": metrics.accuracy,
                            "count": len(instances)}))
@@ -296,7 +301,7 @@ def eval_cmd(checkpoint, data_path, subtask):
 def predict(checkpoint, data_path, subtask, output_path):
     """Per-instance probabilities and predictions."""
     instances = harness.load_comve(data_path, subtask)
-    model, _ = _load_model(checkpoint, instances)
+    model = _load_model(checkpoint)
     metrics = harness.evaluate(model, instances)
     lines = [json.dumps(p, sort_keys=True) for p in metrics.predictions]
     if output_path:
@@ -316,7 +321,7 @@ def ensemble(checkpoints, data_path, subtask):
     """Probability-averaged ensemble accuracy."""
     from .head import ensemble_average
     instances = harness.load_comve(data_path, subtask)
-    models = [_load_model(p.strip(), instances)[0]
+    models = [_load_model(p.strip())
               for p in checkpoints.split(",") if p.strip()]
     if not models:
         raise click.UsageError("--checkpoints must name at least one checkpoint")

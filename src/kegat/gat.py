@@ -124,14 +124,6 @@ class GateParams:
     w2: Tensor   # hidden x d_all
 
 
-@dataclass
-class FusedRepr:
-    e_gnn: Tensor
-    e_all: Tensor
-    g: Tensor
-    e_final: Tensor
-
-
 def attention_coeffs(h: Tensor, sub: Subgraph, layer: int, head: int,
                      params: GatParams) -> Tensor:
     """Attention rows alpha_ij over each node's neighbors (self-loop incl.)."""

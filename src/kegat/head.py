@@ -43,13 +43,6 @@ class LossParams:
         return float(np.exp(0.5 * s.data))
 
 
-@dataclass
-class LossState:
-    lm: Optional[Tensor]
-    classification: Tensor
-    combined: Tensor
-
-
 def option_score(repr_vec: Tensor, params: HeadParams) -> Tensor:
     """MLP score for one option representation, as a 1-vector."""
     hidden = (repr_vec @ params.w1 + params.b1).elu()

@@ -6,6 +6,7 @@ queries are read-only and safe to run concurrently.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -166,10 +167,20 @@ def top_neighbors(graph: KnowledgeGraph, concept_id: str, limit: int) -> List[Ed
     return neighbors(graph, concept_id)[:limit]
 
 
+def _edge_rows(graph: KnowledgeGraph) -> list:
+    return [[e.head, e.relation, e.tail, e.weight] for e in graph.edges]
+
+
+def fingerprint(graph: KnowledgeGraph) -> str:
+    """sha256 of the canonical edge list, the same for TSV and binary forms."""
+    rows = json.dumps(_edge_rows(graph), separators=(",", ":"))
+    return hashlib.sha256(rows.encode("utf-8")).hexdigest()
+
+
 def save_binary(graph: KnowledgeGraph, path) -> None:
     """Write the graph as magic + version byte + canonical JSON payload."""
     payload = {
-        "edges": [[e.head, e.relation, e.tail, e.weight] for e in graph.edges],
+        "edges": _edge_rows(graph),
         "blocklist": sorted(graph.blocklist),
         "stats": graph.stats.as_dict(),
     }

@@ -7,8 +7,11 @@ and checkpoint files round-trip byte-exactly.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -16,8 +19,8 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import GradientError, NumericError
 
-MAGIC = b"KGAT"
-FORMAT_VERSION = 1
+MAGIC = b"KGCK"   # distinct from the knowledge-graph binary's b"KGAT"
+FORMAT_VERSION = 2
 
 _DTYPES = {0: np.float64, 1: np.int64, 2: np.uint8}
 _DTYPE_TAGS = {np.dtype(np.float64): 0, np.dtype(np.int64): 1,
@@ -142,71 +145,91 @@ def _write_record(fh, name: str, arr: np.ndarray) -> None:
     fh.write(data.astype(data.dtype.newbyteorder("<")).tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise NumericError(f"{fh.name}: checkpoint truncated")
-    return data
-
-
-def _read_records(fh) -> Dict[str, np.ndarray]:
+def _read_records(path) -> Dict[str, np.ndarray]:
+    """The records of checkpoint `path`; a malformed file raises NumericError."""
     out: Dict[str, np.ndarray] = {}
-    while True:
-        raw = fh.read(2)
-        if not raw:
-            return out
-        if len(raw) != 2:
-            raise NumericError(f"{fh.name}: checkpoint truncated")
-        (nlen,) = struct.unpack("<H", raw)
-        name = _read_exact(fh, nlen).decode("utf-8")
-        tag, rank = struct.unpack("<BB", _read_exact(fh, 2))
-        if tag not in _DTYPES:
-            raise NumericError(f"{fh.name}: unknown dtype tag {tag} in {name!r}")
-        dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank))
-        dtype = np.dtype(_DTYPES[tag]).newbyteorder("<")
-        count = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(_read_exact(fh, count * dtype.itemsize), dtype=dtype)
-        out[name] = arr.astype(_DTYPES[tag]).reshape(dims)
+    with open(path, "rb") as fh:
+        if fh.read(4) != MAGIC:
+            raise NumericError(f"{path}: bad checkpoint magic")
+        if fh.read(1) != bytes([FORMAT_VERSION]):
+            raise NumericError(f"{path}: unsupported checkpoint version")
+        left = os.fstat(fh.fileno()).st_size - 5
+
+        def take(n: int) -> bytes:
+            nonlocal left
+            data = fh.read(n) if n <= left else b""   # never allocate past the end
+            if len(data) != n:
+                raise NumericError(f"{path}: checkpoint truncated")
+            left -= n
+            return data
+
+        while left > 0:
+            (nlen,) = struct.unpack("<H", take(2))
+            try:
+                name = take(nlen).decode("utf-8")
+            except UnicodeDecodeError:
+                raise NumericError(f"{path}: record name is not UTF-8") from None
+            tag, rank = struct.unpack("<BB", take(2))
+            if tag not in _DTYPES:
+                raise NumericError(f"{path}: unknown dtype tag {tag} in {name!r}")
+            dims = struct.unpack(f"<{rank}Q", take(8 * rank))
+            dtype = np.dtype(_DTYPES[tag]).newbyteorder("<")
+            arr = np.frombuffer(take(math.prod(dims) * dtype.itemsize), dtype=dtype)
+            try:
+                out[name] = arr.astype(_DTYPES[tag]).reshape(dims)
+            except ValueError:   # more dimensions, or a larger one, than numpy allows
+                raise NumericError(f"{path}: bad shape {dims} for {name!r}") from None
+    return out
 
 
-def save_checkpoint(path, store: ParamStore, opt: Optional[OptimizerState] = None,
+def _json_record(path, records: Dict[str, np.ndarray], name: str):
+    if name not in records:
+        raise NumericError(f"{path}: no {name!r} record")
+    try:
+        return json.loads(records[name].tobytes().decode("utf-8"))
+    except ValueError as exc:   # UnicodeDecodeError and JSONDecodeError too
+        raise NumericError(f"{path}: malformed {name!r} record ({exc})") from None
+
+
+def save_checkpoint(path, store: ParamStore,
                     rng: Optional[np.random.Generator] = None,
-                    best_metric: Optional[float] = None) -> None:
-    records: Dict[str, np.ndarray] = {}
-    for name, p in store.items():
-        records[f"p/{name}"] = p.data
-    if opt is not None:
-        for name, m in opt.m.items():
-            records[f"opt/m/{name}"] = m
-        for name, v in opt.v.items():
-            records[f"opt/v/{name}"] = v
-        records["opt/meta"] = np.array(
-            [opt.lr, opt.beta1, opt.beta2, opt.eps, float(opt.step)])
+                    best_metric: Optional[float] = None,
+                    model_meta: Optional[dict] = None) -> None:
+    """Write the parameters and any rng state, best metric and JSON model
+    description; a failed write leaves the previous file at `path` intact."""
+    records = {f"p/{name}": p.data for name, p in store.items()}
     if rng is not None:
         blob = json.dumps(rng.bit_generator.state, sort_keys=True).encode("utf-8")
         records["rng/state"] = np.frombuffer(blob, dtype=np.uint8)
     if best_metric is not None:
         records["meta/best_metric"] = np.array([best_metric])
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(bytes([FORMAT_VERSION]))
-        for name in sorted(records):
-            _write_record(fh, name, records[name])
+    if model_meta is not None:
+        blob = json.dumps(model_meta, sort_keys=True).encode("utf-8")
+        records["meta/model"] = np.frombuffer(blob, dtype=np.uint8)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + bytes([FORMAT_VERSION]))
+            for name in sorted(records):
+                _write_record(fh, name, records[name])
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def load_checkpoint(path, store: ParamStore,
-                    opt: Optional[OptimizerState] = None) -> dict:
-    """Restore parameters (and optionally optimizer) in place.
+def read_model_meta(path) -> dict:
+    """The JSON model description `save_checkpoint` stored in `path`."""
+    return _json_record(path, _read_records(path), "meta/model")
 
-    Returns a dict with any stored rng state and best metric.
-    """
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise NumericError(f"{path}: bad checkpoint magic")
-        version = fh.read(1)
-        if version != bytes([FORMAT_VERSION]):
-            raise NumericError(f"{path}: unsupported checkpoint version")
-        records = _read_records(fh)
+
+def load_checkpoint(path, store: ParamStore) -> dict:
+    """Restore parameters in place; return any stored rng state and best
+    metric."""
+    records = _read_records(path)
     for name, p in store.items():
         key = f"p/{name}"
         if key not in records:
@@ -214,18 +237,12 @@ def load_checkpoint(path, store: ParamStore,
         if records[key].shape != p.data.shape:
             raise NumericError(f"{path}: shape mismatch for {name!r}")
         p.data[...] = records[key]
-    if opt is not None and "opt/meta" in records:
-        lr, b1, b2, eps, step = records["opt/meta"]
-        opt.lr, opt.beta1, opt.beta2, opt.eps = lr, b1, b2, eps
-        opt.step = int(step)
-        opt.m = {k[len("opt/m/"):]: v.copy() for k, v in records.items()
-                 if k.startswith("opt/m/")}
-        opt.v = {k[len("opt/v/"):]: v.copy() for k, v in records.items()
-                 if k.startswith("opt/v/")}
     meta = {}
     if "rng/state" in records:
-        meta["rng_state"] = json.loads(records["rng/state"].tobytes().decode())
+        meta["rng_state"] = _json_record(path, records, "rng/state")
     if "meta/best_metric" in records:
+        if records["meta/best_metric"].shape != (1,):
+            raise NumericError(f"{path}: malformed 'meta/best_metric' record")
         meta["best_metric"] = float(records["meta/best_metric"][0])
     return meta
 
@@ -281,7 +298,8 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
 
     The best dev-accuracy snapshot of phase 1 is restored before phase 2, and
     the best snapshot overall is returned. Divergence aborts with the last
-    good snapshot. Deterministic given the seed.
+    good snapshot restored and every parameter unfrozen. Deterministic given
+    the seed.
     """
     if not train_data or not dev_data:
         raise ValueError("train and dev splits must be non-empty")
@@ -322,6 +340,8 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
             except NumericError:
                 log.append({"phase": phase_idx, "epoch": epoch,
                             "event": "aborted: numeric failure"})
+                store.restore(best_snapshot)
+                store.unfreeze_all()
                 return TrainResult(best_metric, best_snapshot, log, aborted=True)
             dev_acc = _accuracy(model, dev_data)
             log.append({"phase": phase_idx, "epoch": epoch,

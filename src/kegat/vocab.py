@@ -14,9 +14,9 @@ class Vocab:
     def __init__(self, tokens: List[str]):
         if list(tokens[:4]) != list(RESERVED):
             raise ValueError("first four vocab entries must be the reserved tokens")
-        self._tokens = list(tokens)
-        self._ids = {t: i for i, t in enumerate(self._tokens)}
-        if len(self._ids) != len(self._tokens):
+        self.tokens = list(tokens)
+        self._ids = {t: i for i, t in enumerate(self.tokens)}
+        if len(self._ids) != len(self.tokens):
             raise ValueError("duplicate token in vocab")
 
     @classmethod
@@ -25,7 +25,7 @@ class Vocab:
         return cls(list(RESERVED) + extra)
 
     def __len__(self) -> int:
-        return len(self._tokens)
+        return len(self.tokens)
 
     def lookup(self, token: str) -> int:
         return self._ids.get(token, self._ids[UNK])
@@ -34,30 +34,8 @@ class Vocab:
         return [self.lookup(t) for t in tokens]
 
     def token(self, idx: int) -> str:
-        return self._tokens[idx]
-
-    @property
-    def cls_id(self) -> int:
-        return self._ids[CLS]
-
-    @property
-    def sep_id(self) -> int:
-        return self._ids[SEP]
-
-    @property
-    def pad_id(self) -> int:
-        return self._ids[PAD]
+        return self.tokens[idx]
 
     @property
     def unk_id(self) -> int:
         return self._ids[UNK]
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for t in self._tokens:
-                fh.write(t + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line.rstrip("\n")])

@@ -1,13 +1,14 @@
 """End-to-end command-line tests with the click runner."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from kegat.cli import main
-from kegat.kgstore import load_binary
+from kegat.kgstore import load_binary, load_graph, save_binary
 from kegat.trainkit import ParamStore, save_checkpoint
 
 from conftest import SUGAR_KB_ROWS, write_kb
@@ -160,18 +161,50 @@ def trained(runner, tmp_path):
     return bench, ckpt, result
 
 
-def test_train_writes_sidecars(trained, tmp_path):
+def test_train_writes_only_checkpoint_and_log(trained, tmp_path):
     bench, ckpt, result = trained
     payload = json.loads(result.output)
     assert 0.0 <= payload["best_dev_accuracy"] <= 1.0
     assert not payload["aborted"]
-    assert ckpt.exists()
-    assert ckpt.with_suffix(".vocab.txt").exists()
-    sidecar = json.loads(ckpt.with_suffix(".config.json").read_text())
-    assert sidecar["subtask"] == "a"
+    assert sorted(f.name for f in ckpt.parent.iterdir()) == [
+        "model.ckpt", "model.log.jsonl"]
     log = [json.loads(line) for line in
            ckpt.with_suffix(".log.jsonl").read_text().splitlines()]
     assert [e["phase"] for e in log] == [1, 2]
+
+
+def test_eval_on_words_outside_training_vocabulary(runner, trained, tmp_path):
+    bench, ckpt, _ = trained
+    data = tmp_path / "unseen.jsonl"
+    data.write_text(json.dumps({"id": "z", "sent0": "a zebra sleeps quietly",
+                                "sent1": "a zebra eats mountains",
+                                "label": 1}) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt),
+                                  "--data", str(data), "--subtask", "a"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["count"] == 1
+
+
+def test_eval_from_another_directory(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runner.invoke(main, ["synth", "--seed", "3", "--out-dir", "bench",
+                         "--sizes", "8,4,4", "--n-concepts", "60",
+                         "--n-edges", "120"], catch_exceptions=False)
+    Path("cfg.json").write_text(json.dumps(TINY_TRAIN_CFG), encoding="utf-8")
+    result = runner.invoke(main, [
+        "train", "--subtask", "a", "--config", "cfg.json",
+        "--kb", "bench/kb.tsv", "--vectors", "bench/concepts.vec",
+        "--train-data", "bench/train.jsonl", "--dev-data", "bench/dev.jsonl",
+        "--output", "run/model.ckpt"], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    result = runner.invoke(main, ["eval", "--checkpoint", "../run/model.ckpt",
+                                  "--data", "../bench/dev.jsonl",
+                                  "--subtask", "a"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["count"] == 4
 
 
 def test_eval_and_predict(runner, trained, tmp_path):
@@ -283,6 +316,54 @@ def _bad_dtype_tag(tmp_path, request):
     return _eval_corrupted(request, corrupt), "dtype tag 99"
 
 
+def _kb_as_checkpoint(tmp_path, request):
+    bench, ckpt, _ = request.getfixturevalue("trained")
+    save_binary(load_graph(bench / "kb.tsv"), ckpt)
+    return (["eval", "--checkpoint", str(ckpt), "--data",
+             str(bench / "dev.jsonl"), "--subtask", "a"],
+            "bad checkpoint magic")
+
+
+def _record_name_not_utf8(tmp_path, request):
+    def corrupt(raw):
+        raw[7] = 0xFF   # first byte of the first record's name
+        return raw
+    return _eval_corrupted(request, corrupt), "not UTF-8"
+
+
+def _dimension_too_large(tmp_path, request):
+    def corrupt(raw):
+        name_len = int.from_bytes(raw[5:7], "little")
+        dim = 7 + name_len + 2   # first record's first dimension
+        raw[dim:dim + 8] = b"\xff" * 8
+        return raw
+    return _eval_corrupted(request, corrupt), "truncated"
+
+
+def _model_record_not_json(tmp_path, request):
+    def corrupt(raw):
+        raw[raw.index(b'{"config"')] = ord("!")
+        return raw
+    return _eval_corrupted(request, corrupt), "'meta/model'"
+
+
+def _kb_edited(tmp_path, request):
+    bench, ckpt, _ = request.getfixturevalue("trained")
+    kb = bench / "kb.tsv"
+    kb.write_text(kb.read_text() + "zebra\t/r/IsA\tanimal\t1.0\n",
+                  encoding="utf-8")
+    return (["eval", "--checkpoint", str(ckpt), "--data",
+             str(bench / "dev.jsonl"), "--subtask", "a"], str(kb))
+
+
+def _kb_deleted(tmp_path, request):
+    bench, ckpt, _ = request.getfixturevalue("trained")
+    (bench / "kb.tsv").unlink()
+    return (["predict", "--checkpoint", str(ckpt), "--data",
+             str(bench / "dev.jsonl"), "--subtask", "a"],
+            str(bench / "kb.tsv"))
+
+
 def _ingest_weight(tmp_path, weight):
     kb = write_kb(tmp_path / "kb.tsv",
                   SUGAR_KB_ROWS + [("sugar", "/r/IsA", "food", weight)])
@@ -336,9 +417,17 @@ def _templates_not_json(tmp_path, request):
     (_binary_kb, 2, "data error: "),
     (_template_not_string, 2, "data error: "),
     (_templates_not_json, 2, "data error: "),
+    (_kb_as_checkpoint, 3, "numeric failure: "),
+    (_record_name_not_utf8, 3, "numeric failure: "),
+    (_dimension_too_large, 3, "numeric failure: "),
+    (_model_record_not_json, 3, "numeric failure: "),
+    (_kb_edited, 2, "data error: "),
+    (_kb_deleted, 2, "data error: "),
 ], ids=["link-no-text", "link-not-json", "checkpoint-as-kb",
         "truncated-checkpoint", "bad-dtype-tag", "nan-weight", "inf-weight",
-        "binary-kb", "template-not-string", "templates-not-json"])
+        "binary-kb", "template-not-string", "templates-not-json",
+        "kb-as-checkpoint", "record-name-not-utf8", "dimension-too-large",
+        "model-record-not-json", "kb-edited", "kb-deleted"])
 def test_malformed_input_exits_with_message(runner, tmp_path, request, make,
                                             code, prefix):
     args, fragment = make(tmp_path, request)

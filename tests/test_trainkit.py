@@ -1,10 +1,14 @@
 """Parameter store, Adam, checkpointing, and two-phase training tests."""
 
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kegat import trainkit
 from kegat.autodiff import Tensor
 from kegat.errors import GradientError, NumericError
 from kegat.harness import build_vocab, generate_augmented
@@ -12,13 +16,16 @@ from kegat.kemb import default_templates
 from kegat.model import KegatModel, ModelConfig
 from kegat.trainkit import (OptimizerState, ParamStore, Phase, Schedule,
                             adam_step, compute_gradients, load_checkpoint,
-                            save_checkpoint, two_phase_train)
+                            read_model_meta, save_checkpoint, two_phase_train)
 
 TINY_CONFIG = ModelConfig(dim=16, n_layers=1, n_heads=2, ffn_mult=2,
                           max_len=48, max_positions=64, gat_layers=1,
                           gat_heads=1, sample_k=2, node_dim=8, fuse_hidden=8,
                           fuse_dim=8, gate_hidden=4, head_hidden=4,
                           per_entity_limit=1, dropout=0.0, seed=3)
+
+MODEL_META = {"config": {"dim": 16}, "vocab": ["[CLS]", "sugar"],
+              "kb": "/data/kb.tsv", "vectors": None}
 
 
 def tiny_model(graph, n_instances=6, seed=11):
@@ -111,18 +118,17 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     adam_step(store, opt)
     p1, p2 = tmp_path / "c1.ckpt", tmp_path / "c2.ckpt"
     rng = np.random.default_rng(42)
-    save_checkpoint(p1, store, opt, rng=rng, best_metric=0.75)
+    save_checkpoint(p1, store, rng=rng, best_metric=0.75, model_meta=MODEL_META)
     store2 = ParamStore()
     store2.add("b/w", np.zeros((3, 2)))
     store2.add("a/s", np.zeros(()))
-    opt2 = OptimizerState(lr=0.0)
-    meta = load_checkpoint(p1, store2, opt2)
+    meta = load_checkpoint(p1, store2)
     np.testing.assert_array_equal(store2["b/w"].data, store["b/w"].data)
-    assert opt2.step == opt.step and opt2.lr == opt.lr
     assert meta["best_metric"] == 0.75
     assert meta["rng_state"] == np.random.default_rng(42).bit_generator.state
-    save_checkpoint(p2, store2, opt2, rng=np.random.default_rng(42),
-                    best_metric=0.75)
+    assert read_model_meta(p1) == MODEL_META
+    save_checkpoint(p2, store2, rng=np.random.default_rng(42),
+                    best_metric=0.75, model_meta=MODEL_META)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -135,10 +141,77 @@ def test_checkpoint_errors(tmp_path):
     other.add("missing", np.zeros(2))
     with pytest.raises(NumericError, match="missing"):
         load_checkpoint(p, other)
+    with pytest.raises(NumericError, match="meta/model"):
+        read_model_meta(p)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"NOPE")
     with pytest.raises(NumericError, match="magic"):
         load_checkpoint(bad, store)
+    with open(bad, "wb") as fh:   # well-formed records, an empty best metric
+        fh.write(trainkit.MAGIC + bytes([trainkit.FORMAT_VERSION]))
+        trainkit._write_record(fh, "meta/best_metric", np.zeros(0))
+    with pytest.raises(NumericError, match="best_metric"):
+        load_checkpoint(bad, ParamStore())
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    store = ParamStore()
+    store.add("a", np.zeros(2))
+    store.add("b", np.ones(2))
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, store)
+    before = path.read_bytes()
+    calls = []
+    write_record = trainkit._write_record
+
+    def fail_on_second(fh, name, arr):
+        calls.append(name)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write_record(fh, name, arr)
+
+    monkeypatch.setattr(trainkit, "_write_record", fail_on_second)
+    store["a"].data[...] = 5.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, store)
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["c.ckpt"]
+
+
+def _saved_checkpoint_bytes() -> bytes:
+    store = ParamStore()
+    store.add("enc/w", np.random.default_rng(1).normal(size=(2, 3)))
+    store.add("head/b", np.array(0.5))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ckpt"
+        save_checkpoint(path, store, rng=np.random.default_rng(3),
+                        best_metric=0.5, model_meta=MODEL_META)
+        return path.read_bytes()
+
+
+CHECKPOINT_BYTES = _saved_checkpoint_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=st.integers(0, len(CHECKPOINT_BYTES)),
+       flips=st.lists(st.tuples(st.integers(0, len(CHECKPOINT_BYTES) - 1),
+                                st.integers(1, 255)), max_size=4))
+def test_corrupted_checkpoint_raises_only_numeric_error(cut, flips):
+    raw = bytearray(CHECKPOINT_BYTES)
+    for pos, mask in flips:
+        raw[pos] ^= mask
+    store = ParamStore()
+    store.add("enc/w", np.zeros((2, 3)))
+    store.add("head/b", np.zeros(()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ckpt"
+        path.write_bytes(bytes(raw[:cut]))
+        for read in (lambda: load_checkpoint(path, store),
+                     lambda: read_model_meta(path)):
+            try:
+                read()
+            except NumericError:
+                pass
 
 
 def test_schedule_from_config():
@@ -168,6 +241,19 @@ def test_phase1_touches_only_head(sugar_graph):
             np.testing.assert_array_equal(values, init[name], err_msg=name)
     assert 0.0 <= result.best_metric <= 1.0
     assert all(e["phase"] == 1 for e in result.log)
+
+
+def test_abort_restores_best_snapshot_and_unfreezes(sugar_graph):
+    model, instances = tiny_model(sugar_graph)
+    sched = Schedule(phase1=Phase(lr=float("inf"), epochs=1),
+                     phase2=Phase(lr=1e-5, epochs=1))
+    with np.errstate(all="ignore"):
+        result = two_phase_train(model, instances[:4], instances[4:], sched, 0)
+    assert result.aborted
+    for name, values in model.store.snapshot().items():
+        np.testing.assert_array_equal(values, result.best_snapshot[name],
+                                      err_msg=name)
+    assert not any(model.store.is_frozen(n) for n in model.store.names())
 
 
 def test_zero_epoch_phase2_equals_phase1_best(sugar_graph):
