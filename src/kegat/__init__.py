@@ -4,8 +4,7 @@ validation/explanation, with a synthetic desk-scale benchmark."""
 from .kgstore import (DEFAULT_BLOCKLIST, Edge, KnowledgeGraph, load_graph,
                       neighbors, top_neighbors)
 from .linker import TokenSpan, extract_entities, tokenize
-from .kemb import (InjectedSequence, InjectedTree, Template,
-                   assign_soft_positions, build_tree, build_visibility,
+from .kemb import (InjectedSequence, InjectedTree, Template, build_tree,
                    default_templates, flatten, realize_triple)
 from .vocab import Vocab
 from .model import KegatModel, ModelConfig

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -67,8 +68,8 @@ def kb_ingest(input_path, blocklist_path, output_path):
     """Load a TSV edge list, apply the relation blocklist, write binary."""
     blocklist = set(kgstore.DEFAULT_BLOCKLIST)
     if blocklist_path:
-        with open(blocklist_path, encoding="utf-8") as fh:
-            blocklist.update(line.strip() for line in fh if line.strip())
+        blocklist.update(line.strip() for line in
+                         kgstore.text_lines(blocklist_path) if line.strip())
     graph = kgstore.load_graph(input_path, frozenset(blocklist))
     kgstore.save_binary(graph, output_path)
     click.echo(json.dumps({"stats": graph.stats.as_dict(),
@@ -86,25 +87,24 @@ def kb_ingest(input_path, blocklist_path, output_path):
 def link(kb_path, input_path, max_ngram):
     """Emit entity spans found in each input line."""
     graph = _load_kb(kb_path)
-    with open(input_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(
-                    f"{input_path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(rec, dict) or not isinstance(rec.get("text"), str):
-                raise DataFormatError(
-                    f"{input_path}:{lineno}: expected an object with a "
-                    f"string 'text' field")
-            tokens = tokenize(rec["text"])
-            spans = extract_entities(tokens, graph, max_ngram)
-            click.echo(json.dumps({
-                "id": rec.get("id", lineno), "tokens": tokens,
-                "spans": [{"start": s.start, "end": s.end, "concept": s.concept}
-                          for s in spans]}))
+    for lineno, line in enumerate(kgstore.text_lines(input_path), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise DataFormatError(
+                f"{input_path}:{lineno}: invalid JSON: {exc}") from None
+        if not isinstance(rec, dict) or not isinstance(rec.get("text"), str):
+            raise DataFormatError(
+                f"{input_path}:{lineno}: expected an object with a "
+                f"string 'text' field")
+        tokens = tokenize(rec["text"])
+        spans = extract_entities(tokens, graph, max_ngram)
+        click.echo(json.dumps({
+            "id": rec.get("id", lineno), "tokens": tokens,
+            "spans": [{"start": s.start, "end": s.end, "concept": s.concept}
+                      for s in spans]}))
 
 
 # -- preprocess --------------------------------------------------------------
@@ -188,6 +188,14 @@ def synth(seed, out_dir, sizes, n_concepts, n_edges, subtask):
 
 # -- train / eval / predict / ensemble ---------------------------------------
 
+def _file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _concept_table(config: ModelConfig, vectors_path) -> dict:
     if vectors_path and config.use_kegat:
         return gatmod.load_concept_table(vectors_path, config.node_dim, seed=0)
@@ -238,7 +246,8 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
         "config": config.as_dict(), "vocab": vocab.tokens,
         "templates": {rel: " ".join(t.pattern) for rel, t in templates.items()},
         "kb": str(Path(kb_path).resolve()), "kb_sha256": kgstore.fingerprint(graph),
-        "vectors": str(Path(vectors_path).resolve()) if vectors_path else None}
+        "vectors": str(Path(vectors_path).resolve()) if vectors_path else None,
+        "vectors_sha256": _file_sha256(vectors_path) if vectors_path else None}
     trainkit.save_checkpoint(out, model.store, best_metric=result.best_metric,
                              model_meta=model_meta)
     with open(out.with_suffix(".log.jsonl"), "w", encoding="utf-8") as fh:
@@ -261,11 +270,16 @@ def _load_model(checkpoint_path) -> KegatModel:
         templates = {rel: kemb.Template(rel, tuple(pattern.split()))
                      for rel, pattern in meta["templates"].items()}
         kb_path, kb_sha256, vectors = meta["kb"], meta["kb_sha256"], meta["vectors"]
+        vectors_sha256 = meta["vectors_sha256"]
     except (KeyError, TypeError, ValueError, AttributeError, DataFormatError) as exc:
         raise NumericError(f"{checkpoint_path}: malformed model description "
                            f"({type(exc).__name__}: {exc})") from None
     try:
         graph = _load_kb(kb_path)
+        if (vectors and config.use_kegat
+                and _file_sha256(vectors) != vectors_sha256):
+            raise DataFormatError(
+                f"{vectors}: vectors file changed since the model was trained")
         table = _concept_table(config, vectors)
     except FileNotFoundError as exc:
         raise DataFormatError(

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataFormatError
-from .kgstore import KnowledgeGraph, neighbors
+from .kgstore import KnowledgeGraph, neighbors, text_lines
 from .linker import extract_entities
 
 
@@ -191,29 +191,32 @@ def load_concept_table(path, dim: int, seed: int = 0) -> Dict[str, np.ndarray]:
     """
     raw: Dict[str, np.ndarray] = {}
     src_dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue   # header
-                except ValueError:
-                    pass
-            concept, values = parts[0], parts[1:]
+    for lineno, line in enumerate(text_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2:
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                int(parts[0]), int(parts[1])
+                continue   # header
             except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric vector component") from None
-            if src_dim is None:
-                src_dim = vec.size
-            elif vec.size != src_dim:
-                raise DataFormatError(
-                    f"{path}:{lineno}: vector dim {vec.size} != {src_dim}")
-            raw[concept] = vec
+                pass
+        concept, values = parts[0], parts[1:]
+        if not values:
+            raise DataFormatError(f"{path}:{lineno}: no vector components")
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{lineno}: non-numeric vector component") from None
+        if not np.isfinite(vec).all():
+            raise DataFormatError(f"{path}:{lineno}: non-finite vector component")
+        if src_dim is None:
+            src_dim = vec.size
+        elif vec.size != src_dim:
+            raise DataFormatError(
+                f"{path}:{lineno}: vector dim {vec.size} != {src_dim}")
+        raw[concept] = vec
     if src_dim is None or src_dim == dim:
         return raw
     proj = np.random.default_rng(seed).normal(size=(src_dim, dim)) / np.sqrt(src_dim)

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DataFormatError
-from .kgstore import Edge, KnowledgeGraph, load_graph, neighbors
+from .kgstore import Edge, KnowledgeGraph, load_graph, neighbors, text_lines
 from .kemb import Template, default_templates, realize_triple
 from .linker import STOPWORDS, tokenize
 from .vocab import CLS, SEP, Vocab
@@ -80,19 +80,34 @@ _FIELDS_A = ("id", "sent0", "sent1", "label")
 _FIELDS_B = ("id", "false_sent", "optionA", "optionB", "optionC", "label")
 
 
-def _instance_from_record(rec: dict, subtask: str, where: str) -> ComveInstance:
+def _instance_from_record(rec, subtask: str, where: str) -> ComveInstance:
+    if not isinstance(rec, dict):
+        raise DataFormatError(f"{where}: expected an object")
     required = _FIELDS_A if subtask == "a" else _FIELDS_B
     for key in required:
         if key not in rec:
             raise DataFormatError(f"{where}: missing field {key!r}")
-    if subtask == "a":
-        return ComveInstance(id=str(rec["id"]), subtask="a",
-                             label=int(rec["label"]),
-                             statements=(rec["sent0"], rec["sent1"]))
-    return ComveInstance(id=str(rec["id"]), subtask="b",
-                         label=int(rec["label"]),
-                         false_sent=rec["false_sent"],
-                         reasons=(rec["optionA"], rec["optionB"], rec["optionC"]))
+    for key in required[1:-1]:   # the text fields, between id and label
+        if not isinstance(rec[key], str):
+            raise DataFormatError(f"{where}: field {key!r} is not a string")
+    label = rec["label"]
+    try:
+        if isinstance(label, float) and not label.is_integer():
+            raise ValueError
+        label = int(label)
+    except (TypeError, ValueError):
+        raise DataFormatError(
+            f"{where}: label {rec['label']!r} is not an integer") from None
+    try:
+        if subtask == "a":
+            return ComveInstance(id=str(rec["id"]), subtask="a", label=label,
+                                 statements=(rec["sent0"], rec["sent1"]))
+        return ComveInstance(id=str(rec["id"]), subtask="b", label=label,
+                             false_sent=rec["false_sent"],
+                             reasons=(rec["optionA"], rec["optionB"],
+                                      rec["optionC"]))
+    except DataFormatError as exc:
+        raise DataFormatError(f"{where}: {exc}") from None
 
 
 def load_comve(path, subtask: str) -> List[ComveInstance]:
@@ -100,15 +115,14 @@ def load_comve(path, subtask: str) -> List[ComveInstance]:
     if subtask not in SUBTASKS:
         raise DataFormatError(f"unknown subtask {subtask!r}")
     instances: List[ComveInstance] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            instances.append(_instance_from_record(rec, subtask, f"{path}:{lineno}"))
+    for lineno, line in enumerate(text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        instances.append(_instance_from_record(rec, subtask, f"{path}:{lineno}"))
     if not instances:
         logger.warning("no instances loaded from %s", path)
     return instances
@@ -135,14 +149,18 @@ def load_comve_csv(path, subtask: str,
     if columns:
         mapping.update(columns)
     instances = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
+    reader = csv.DictReader(text_lines(path, newline=""))
+    try:
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
             rec = {}
             for canonical, header in mapping.items():
                 if header not in row:
-                    raise DataFormatError(f"{path}:{lineno}: missing column {header!r}")
+                    raise DataFormatError(f"{where}: missing column {header!r}")
                 rec[canonical] = row[header]
-            instances.append(_instance_from_record(rec, subtask, f"{path}:{lineno}"))
+            instances.append(_instance_from_record(rec, subtask, where))
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     return instances
 
 

@@ -1,9 +1,13 @@
 """Knowledge-injected tree inputs.
 
 Linked entities pull their strongest KB edges in as natural-language branches
-attached to the entity token. Branches keep the trunk's position numbering
-(soft positions measured from the anchor) and are isolated from each other by
-a visibility matrix, so injected text cannot cross-talk.
+attached to the entity token. `flatten` lays a tree out in one walk: each
+trunk token is followed by its branches, strongest first. Trunk token p keeps
+soft position p, and a branch anchored at p numbers its tokens p+1, p+2, ...,
+so parallel branches repeat positions. The visibility matrix keeps injected
+text local: trunk tokens see each other, a branch token sees its own branch,
+and a trunk token and the branches anchored at it see each other. Nothing
+else is visible.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ def load_templates(path) -> Dict[str, Template]:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:   # ValueError: JSON or UTF-8
         raise DataFormatError(f"{path}: not a JSON file ({exc})") from None
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: template file must be a JSON object")
@@ -144,60 +148,6 @@ def build_tree(tokens: Sequence[str], spans: Sequence[TokenSpan],
     return InjectedTree(trunk=tuple(tokens), branches=tuple(branches))
 
 
-def _flatten_order(tree: InjectedTree) -> List[Tuple[str, int, int]]:
-    """Positions in flatten order: ('trunk', idx, -1) or ('branch', bi, ti).
-
-    Branch tokens sit immediately after their anchor; branches sharing an
-    anchor are ordered by descending weight (stable).
-    """
-    by_anchor: Dict[int, List[int]] = {}
-    for bi, b in enumerate(tree.branches):
-        by_anchor.setdefault(b.anchor, []).append(bi)
-    for lst in by_anchor.values():
-        lst.sort(key=lambda bi: -tree.branches[bi].weight)
-    order: List[Tuple[str, int, int]] = []
-    for p in range(len(tree.trunk)):
-        order.append(("trunk", p, -1))
-        for bi in by_anchor.get(p, ()):
-            for ti in range(len(tree.branches[bi].tokens)):
-                order.append(("branch", bi, ti))
-    return order
-
-
-def assign_soft_positions(tree: InjectedTree) -> List[int]:
-    """Soft positions in flatten order.
-
-    Trunk token p keeps position p; a branch anchored at p numbers its tokens
-    p+1, p+2, ... — the distance from the root token along that branch.
-    Parallel branches may repeat positions; visibility disambiguates.
-    """
-    out = []
-    for kind, a, ti in _flatten_order(tree):
-        out.append(a if kind == "trunk" else tree.branches[a].anchor + 1 + ti)
-    return out
-
-
-def build_visibility(tree: InjectedTree) -> np.ndarray:
-    """Boolean visibility matrix in flatten order.
-
-    Trunk tokens all see each other; a branch token sees its own branch and
-    its anchor trunk token, nothing else. Symmetric with a true diagonal.
-    """
-    order = _flatten_order(tree)
-    n = len(order)
-    vis = np.zeros((n, n), dtype=bool)
-    for i, (ki, ai, _) in enumerate(order):
-        for j, (kj, aj, _) in enumerate(order):
-            if ki == "trunk" and kj == "trunk":
-                vis[i, j] = True
-            elif ki == "branch" and kj == "branch":
-                vis[i, j] = ai == aj
-            else:
-                bi, ti = (ai, aj) if ki == "branch" else (aj, ai)
-                vis[i, j] = tree.branches[bi].anchor == ti
-    return vis
-
-
 @dataclass(frozen=True)
 class InjectedSequence:
     tokens: Tuple[int, ...]
@@ -210,10 +160,11 @@ class InjectedSequence:
 
 
 def flatten(tree: InjectedTree, vocab: Vocab, max_len: int) -> InjectedSequence:
-    """Flatten a tree into model input, truncating to `max_len`.
+    """Lay a tree out as model input in one walk, truncating to `max_len`.
 
-    Over-long inputs first drop whole branches lowest-weight-first, then
-    truncate the trunk tail. A `max_len` below the trunk floor is an error.
+    Over-long inputs first drop whole branches lowest-weight-first (ties drop
+    the later branch), then truncate the trunk tail. A `max_len` below the
+    trunk floor is an error.
     """
     if max_len < MIN_TRUNK_LEN:
         raise DataFormatError(
@@ -225,21 +176,32 @@ def flatten(tree: InjectedTree, vocab: Vocab, max_len: int) -> InjectedSequence:
                    key=lambda i: (branches[i].weight, -i))
         total -= len(branches[drop].tokens)
         del branches[drop]
-    trunk = tree.trunk
-    if total > max_len:
-        trunk = trunk[:max_len]
-    pruned = InjectedTree(trunk=trunk, branches=tuple(branches))
-    order = _flatten_order(pruned)
-    tokens = []
-    trunk_mask = []
-    for kind, a, ti in order:
-        if kind == "trunk":
-            tokens.append(pruned.trunk[a])
-            trunk_mask.append(True)
-        else:
-            tokens.append(pruned.branches[a].tokens[ti])
-            trunk_mask.append(False)
+    trunk = tree.trunk if total <= max_len else tree.trunk[:max_len]
+    branches.sort(key=lambda b: (b.anchor, -b.weight))   # stable
+    tokens: List[str] = []
+    soft_pos: List[int] = []
+    branch_id: List[int] = []   # -1 on the trunk
+    anchor: List[int] = []
+    k = 0
+    for p, tok in enumerate(trunk):
+        tokens.append(tok)
+        soft_pos.append(p)
+        branch_id.append(-1)
+        anchor.append(p)
+        while k < len(branches) and branches[k].anchor == p:
+            n = len(branches[k].tokens)
+            tokens.extend(branches[k].tokens)
+            soft_pos.extend(range(p + 1, p + 1 + n))
+            branch_id.extend([k] * n)
+            anchor.extend([p] * n)
+            k += 1
+    bid = np.array(branch_id)
+    at = np.array(anchor)
+    in_trunk = bid < 0
+    # trunk x trunk and same-branch pairs share a branch id (-1 on the trunk)
+    vis = bid[:, None] == bid[None, :]
+    own = in_trunk[:, None] & (at[:, None] == at[None, :])
+    vis |= own | own.T
     return InjectedSequence(tokens=tuple(vocab.encode(tokens)),
-                            soft_pos=tuple(assign_soft_positions(pruned)),
-                            visibility=build_visibility(pruned),
-                            trunk_mask=tuple(trunk_mask))
+                            soft_pos=tuple(soft_pos), visibility=vis,
+                            trunk_mask=tuple(in_trunk.tolist()))

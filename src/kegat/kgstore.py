@@ -100,13 +100,21 @@ def _build_graph(edges: List[Edge], blocklist: FrozenSet[str],
                           _adjacency=frozen_adj)
 
 
-def _text_lines(path):
-    """The lines of a UTF-8 text file; undecodable bytes are a data error."""
-    with open(path, encoding="utf-8") as fh:
+def text_lines(path, newline=None):
+    """The lines of a UTF-8 text file (`newline` as for `open`); undecodable
+    bytes are a data error."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield from fh
         except UnicodeDecodeError:
             raise DataFormatError(f"{path}: not a UTF-8 text file") from None
+
+
+def _check_weight(weight: float, where: str) -> None:
+    if not math.isfinite(weight):
+        raise DataFormatError(f"{where}: non-finite weight {weight}")
+    if weight <= 0:
+        raise DataFormatError(f"{where}: nonpositive weight {weight}")
 
 
 def load_graph(path, blocklist=DEFAULT_BLOCKLIST) -> KnowledgeGraph:
@@ -121,7 +129,7 @@ def load_graph(path, blocklist=DEFAULT_BLOCKLIST) -> KnowledgeGraph:
     edges: List[Edge] = []
     skipped_block = 0
     skipped_comment = 0
-    for lineno, line in enumerate(_text_lines(path), start=1):
+    for lineno, line in enumerate(text_lines(path), start=1):
         line = line.rstrip("\n")
         if not line.strip():
             continue
@@ -139,10 +147,7 @@ def load_graph(path, blocklist=DEFAULT_BLOCKLIST) -> KnowledgeGraph:
         except ValueError:
             raise DataFormatError(
                 f"{path}:{lineno}: non-numeric weight {weight_s!r}") from None
-        if not math.isfinite(weight):
-            raise DataFormatError(f"{path}:{lineno}: non-finite weight {weight_s!r}")
-        if weight <= 0:
-            raise DataFormatError(f"{path}:{lineno}: nonpositive weight {weight}")
+        _check_weight(weight, f"{path}:{lineno}")
         if relation in blockset:
             skipped_block += 1
             continue
@@ -205,8 +210,13 @@ def load_binary(path) -> KnowledgeGraph:
         edges = [Edge(h, r, t, float(w)) for h, r, t, w in payload["edges"]]
         stats = GraphStats(**payload["stats"])
         blocklist = frozenset(payload["blocklist"])
-    except (ValueError, KeyError, TypeError) as exc:
+        if not all(isinstance(s, str) for e in edges
+                   for s in (e.head, e.relation, e.tail)):
+            raise TypeError("concept or relation is not a string")
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise DataFormatError(
             f"{path}: not a knowledge-graph file ({type(exc).__name__})") from None
+    for i, e in enumerate(edges):
+        _check_weight(e.weight, f"{path}: edge {i}")
     return _build_graph(edges, blocklist, stats)

@@ -187,7 +187,7 @@ def _json_record(path, records: Dict[str, np.ndarray], name: str):
         raise NumericError(f"{path}: no {name!r} record")
     try:
         return json.loads(records[name].tobytes().decode("utf-8"))
-    except ValueError as exc:   # UnicodeDecodeError and JSONDecodeError too
+    except (ValueError, RecursionError) as exc:   # ValueError: JSON or UTF-8
         raise NumericError(f"{path}: malformed {name!r} record ({exc})") from None
 
 

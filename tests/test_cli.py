@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from kegat.cli import main
-from kegat.kgstore import load_binary, load_graph, save_binary
+from kegat.kgstore import MAGIC, load_binary, load_graph, save_binary
 from kegat.trainkit import ParamStore, save_checkpoint
 
 from conftest import SUGAR_KB_ROWS, write_kb
@@ -406,6 +406,111 @@ def _templates_not_json(tmp_path, request):
     return _inject_templates(tmp_path, "{not json"), "templates.json"
 
 
+NOT_UTF8 = b"\xff\xfe\x00\x81" * 3
+
+
+def _inject_input(tmp_path, line):
+    args, _ = _link_line(tmp_path, json.dumps({"text": "sugar"}))
+    data = tmp_path / "a.jsonl"
+    data.write_text(line + "\n", encoding="utf-8")
+    args[args.index("--input") + 1] = str(data)
+    return ["preprocess", "inject"] + args[1:], f"{data}:1"
+
+
+def _comve_not_utf8(tmp_path, request):
+    args, _ = _inject_input(tmp_path, "")
+    data = Path(args[args.index("--input") + 1])
+    data.write_bytes(NOT_UTF8)
+    return args, f"{data}: not a UTF-8 text file"
+
+
+def _comve_not_object(tmp_path, request):
+    return _inject_input(tmp_path, "5")
+
+
+def _comve_label_not_integer(tmp_path, request):
+    return _inject_input(tmp_path, json.dumps({
+        "id": "x", "sent0": "sugar is sweet", "sent1": "sugar is sour",
+        "label": "x"}))
+
+
+def _comve_statement_not_string(tmp_path, request):
+    return _inject_input(tmp_path, json.dumps({
+        "id": "x", "sent0": 5, "sent1": "sugar is sour", "label": 1}))
+
+
+def _link_not_utf8(tmp_path, request):
+    args, where = _link_line(tmp_path, "")
+    Path(where[:-2]).write_bytes(NOT_UTF8)
+    return args, where[:-2]
+
+
+def _train_vectors(tmp_path, content):
+    bench = tmp_path / "bench"
+    CliRunner().invoke(main, ["synth", "--seed", "3", "--out-dir", str(bench),
+                              "--sizes", "8,4,4", "--n-concepts", "60",
+                              "--n-edges", "120"], catch_exceptions=False)
+    vectors = tmp_path / "bad.vec"
+    vectors.write_bytes(content)
+    return ["train", "--subtask", "a", "--kb", str(bench / "kb.tsv"),
+            "--vectors", str(vectors), "--train-data",
+            str(bench / "train.jsonl"), "--dev-data", str(bench / "dev.jsonl"),
+            "--output", str(tmp_path / "m.ckpt")], str(vectors)
+
+
+def _vectors_not_utf8(tmp_path, request):
+    return _train_vectors(tmp_path, NOT_UTF8)
+
+
+def _vectors_nan(tmp_path, request):
+    args, vectors = _train_vectors(tmp_path, b"sugar 0.5 1.0\ncoffee nan 1.0\n")
+    return args, f"{vectors}:2"
+
+
+def _blocklist_not_utf8(tmp_path, request):
+    kb = write_kb(tmp_path / "kb.tsv", SUGAR_KB_ROWS)
+    block = tmp_path / "block.txt"
+    block.write_bytes(NOT_UTF8)
+    return (["kb", "ingest", "--input", str(kb), "--blocklist", str(block),
+             "--output", str(tmp_path / "kb.bin")], str(block))
+
+
+def _binary_kb_weight(tmp_path, weight):
+    args, _ = _link_line(tmp_path, json.dumps({"text": "sugar"}))
+    payload = {"edges": [["sugar", "/r/IsA", "food", weight]], "blocklist": [],
+               "stats": {"loaded": 1, "skipped_blocklist": 0,
+                         "skipped_comments": 0}}
+    kb = tmp_path / "kb.bin"
+    kb.write_bytes(MAGIC + b"\x01" + json.dumps(payload).encode("utf-8"))
+    args[args.index("--kb") + 1] = str(kb)
+    return args, f"{kb}: edge 0"
+
+
+def _binary_kb_nan_weight(tmp_path, request):
+    return _binary_kb_weight(tmp_path, float("nan"))
+
+
+def _binary_kb_zero_weight(tmp_path, request):
+    return _binary_kb_weight(tmp_path, 0.0)
+
+
+def _vectors_edited(tmp_path, request):
+    bench, ckpt, _ = request.getfixturevalue("trained")
+    vectors = bench / "concepts.vec"
+    vectors.write_text(vectors.read_text() + "zebra" + " 0.9" * 64 + "\n",
+                       encoding="utf-8")
+    return (["eval", "--checkpoint", str(ckpt), "--data",
+             str(bench / "dev.jsonl"), "--subtask", "a"], str(vectors))
+
+
+def _model_record_without_vectors_sha256(tmp_path, request):
+    def corrupt(raw):
+        at = raw.index(b'"vectors_sha256"')
+        raw[at:at + 16] = b'"vectors_sha257"'
+        return raw
+    return _eval_corrupted(request, corrupt), "'vectors_sha256'"
+
+
 @pytest.mark.parametrize("make, code, prefix", [
     (_link_no_text, 2, "data error: "),
     (_link_not_json, 2, "data error: "),
@@ -423,11 +528,28 @@ def _templates_not_json(tmp_path, request):
     (_model_record_not_json, 3, "numeric failure: "),
     (_kb_edited, 2, "data error: "),
     (_kb_deleted, 2, "data error: "),
+    (_comve_not_utf8, 2, "data error: "),
+    (_comve_not_object, 2, "data error: "),
+    (_comve_label_not_integer, 2, "data error: "),
+    (_comve_statement_not_string, 2, "data error: "),
+    (_link_not_utf8, 2, "data error: "),
+    (_vectors_not_utf8, 2, "data error: "),
+    (_vectors_nan, 2, "data error: "),
+    (_blocklist_not_utf8, 2, "data error: "),
+    (_binary_kb_nan_weight, 2, "data error: "),
+    (_binary_kb_zero_weight, 2, "data error: "),
+    (_vectors_edited, 2, "data error: "),
+    (_model_record_without_vectors_sha256, 3, "numeric failure: "),
 ], ids=["link-no-text", "link-not-json", "checkpoint-as-kb",
         "truncated-checkpoint", "bad-dtype-tag", "nan-weight", "inf-weight",
         "binary-kb", "template-not-string", "templates-not-json",
         "kb-as-checkpoint", "record-name-not-utf8", "dimension-too-large",
-        "model-record-not-json", "kb-edited", "kb-deleted"])
+        "model-record-not-json", "kb-edited", "kb-deleted", "comve-not-utf8",
+        "comve-not-object", "comve-label-not-integer",
+        "comve-statement-not-string", "link-not-utf8", "vectors-not-utf8",
+        "vectors-nan", "blocklist-not-utf8", "binary-kb-nan-weight",
+        "binary-kb-zero-weight", "vectors-edited",
+        "model-record-without-vectors-sha256"])
 def test_malformed_input_exits_with_message(runner, tmp_path, request, make,
                                             code, prefix):
     args, fragment = make(tmp_path, request)

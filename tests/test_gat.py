@@ -323,3 +323,6 @@ def test_load_concept_table_errors(tmp_path):
     p.write_text("foo 1 2\nbar 3\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="dim"):
         load_concept_table(p, 2)
+    p.write_text("foo 1 2\nbar\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=":2: no vector components"):
+        load_concept_table(p, 2)

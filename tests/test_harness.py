@@ -1,6 +1,7 @@
 """Dataset I/O, conversion, augmentation, synthetic benchmark, evaluation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,19 @@ def test_load_comve_missing_field_names_line(tmp_path):
     path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="optionC"):
         load_comve(path, "b")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"label": 1.5}, ":1: label 1.5 is not an integer"),
+    ({"label": [0]}, ":1: label [0] is not an integer"),
+    ({"sent1": ""}, ":1: 1: subtask a needs 2 non-empty statements"),
+])
+def test_load_comve_bad_record_names_line(tmp_path, change, message):
+    path = tmp_path / "bad.jsonl"
+    rec = {"id": "1", "sent0": "a b", "sent1": "c d", "label": 0, **change}
+    path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        load_comve(path, "a")
 
 
 def test_load_comve_bad_json_names_line(tmp_path):

@@ -1,5 +1,6 @@
 """Knowledge-injection tests: templates, trees, positions, visibility, flatten."""
 
+import importlib.util
 import json
 import logging
 from pathlib import Path
@@ -11,16 +12,20 @@ from hypothesis import given, settings, strategies as st
 from kegat.errors import DataFormatError
 from kegat.kgstore import Edge, load_graph
 from kegat.kemb import (HEAD_SLOT, TAIL_SLOT, Branch, InjectedTree, Template,
-                        assign_soft_positions, build_tree, build_visibility,
-                        default_templates, flatten, load_templates,
+                        build_tree, default_templates, flatten, load_templates,
                         realize_triple)
 from kegat.linker import extract_entities
 from kegat.vocab import Vocab
 
 from conftest import write_kb
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "kemb_golden.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "kemb_golden.json").read_text())
+
+_spec = importlib.util.spec_from_file_location(
+    "make_kemb_golden", DATA / "make_kemb_golden.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 
 def _vocab_for(*token_lists):
@@ -28,6 +33,12 @@ def _vocab_for(*token_lists):
     for lst in token_lists:
         tokens.update(lst)
     return Vocab.build(tokens)
+
+
+def _flat(tree):
+    """Flatten a tree without truncation."""
+    vocab = _vocab_for(tree.trunk, *(b.tokens for b in tree.branches))
+    return flatten(tree, vocab, 128)
 
 
 def test_realize_used_for():
@@ -106,30 +117,30 @@ def test_soft_positions_manual_trace():
     trunk = ("he", "put", "sugar", "in", "coffee")
     tree = InjectedTree(trunk, (Branch(2, ("w", "x", "y", "z"), 1.0),))
     # flatten order: he put sugar [w x y z] in coffee
-    assert assign_soft_positions(tree) == [0, 1, 2, 3, 4, 5, 6, 3, 4]
+    assert list(_flat(tree).soft_pos) == [0, 1, 2, 3, 4, 5, 6, 3, 4]
 
 
 def test_soft_positions_no_branches():
     tree = InjectedTree(("a", "b", "c"), ())
-    assert assign_soft_positions(tree) == [0, 1, 2]
+    assert list(_flat(tree).soft_pos) == [0, 1, 2]
 
 
 def test_parallel_branches_share_positions():
     tree = InjectedTree(("a", "b"), (Branch(0, ("x", "y"), 2.0),
                                      Branch(0, ("p", "q"), 1.0)))
     # order: a x y p q b; both branches restart at anchor+1
-    assert assign_soft_positions(tree) == [0, 1, 2, 1, 2, 1]
+    assert list(_flat(tree).soft_pos) == [0, 1, 2, 1, 2, 1]
 
 
 def test_visibility_no_branches_all_true():
-    vis = build_visibility(InjectedTree(("a", "b", "c"), ()))
+    vis = _flat(InjectedTree(("a", "b", "c"), ())).visibility
     assert vis.all() and vis.shape == (3, 3)
 
 
 def test_visibility_isolates_branches():
     tree = InjectedTree(("a", "b", "c"),
                         (Branch(0, ("x", "y"), 1.0), Branch(2, ("z",), 1.0)))
-    vis = build_visibility(tree)
+    vis = _flat(tree).visibility
     order = ["a", "x", "y", "b", "c", "z"]
     ix = {t: i for i, t in enumerate(order)}
     assert vis[ix["x"], ix["y"]] and vis[ix["x"], ix["a"]]
@@ -195,6 +206,38 @@ def test_golden_case(sugar_graph):
     assert [int(m) for m in seq.trunk_mask] == GOLDEN["trunk_mask"]
     np.testing.assert_array_equal(seq.visibility.astype(int),
                                   np.array(GOLDEN["visibility"]))
+
+
+def test_golden_file_is_the_oracles_output():
+    assert (DATA / "kemb_golden.json").read_text(encoding="utf-8") == \
+        oracle.golden_text()
+
+
+_trees = st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 4),
+                       st.sampled_from([0.5, 1.0, 2.0, 3.5])), max_size=6)))
+
+
+@given(_trees)
+@settings(max_examples=150, deadline=None)
+def test_flatten_matches_oracle(spec):
+    """Untruncated layouts equal the oracle's pairwise rules, ties included."""
+    n, branch_specs = spec
+    trunk = [f"t{i}" for i in range(n)]
+    branches = [(a, [f"b{bi}x{j}" for j in range(ln)], w)
+                for bi, (a, ln, w) in enumerate(branch_specs)]
+    tree = InjectedTree(tuple(trunk), tuple(Branch(a, tuple(toks), w)
+                                            for a, toks, w in branches))
+    vocab = _vocab_for(trunk, *(toks for _, toks, _ in branches))
+    seq = flatten(tree, vocab, max(8, n + sum(len(t) for _, t, _ in branches)))
+    want = oracle.layout(trunk, branches)
+    assert [vocab.token(t) for t in seq.tokens] == want["tokens"]
+    assert list(seq.soft_pos) == want["soft_pos"]
+    assert [int(m) for m in seq.trunk_mask] == want["trunk_mask"]
+    assert seq.visibility.dtype == bool
+    np.testing.assert_array_equal(seq.visibility.astype(int),
+                                  np.array(want["visibility"]))
 
 
 _branches = st.lists(

@@ -1,11 +1,13 @@
 """Knowledge-graph loading, querying, and serialization tests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kegat.errors import DataFormatError
-from kegat.kgstore import (DEFAULT_BLOCKLIST, load_binary, load_graph,
+from kegat.kgstore import (DEFAULT_BLOCKLIST, MAGIC, load_binary, load_graph,
                            neighbors, normalize_concept, save_binary,
                            top_neighbors)
 
@@ -113,6 +115,16 @@ def test_binary_bad_magic(tmp_path):
     p = tmp_path / "kb.bin"
     p.write_bytes(b"NOPE" + b"\x01{}")
     with pytest.raises(DataFormatError, match="bad magic"):
+        load_binary(p)
+
+
+def test_binary_rejects_non_string_concepts(tmp_path):
+    p = tmp_path / "kb.bin"
+    payload = {"edges": [[5, "/r/IsA", "food", 1.0]], "blocklist": [],
+               "stats": {"loaded": 1, "skipped_blocklist": 0,
+                         "skipped_comments": 0}}
+    p.write_bytes(MAGIC + b"\x01" + json.dumps(payload).encode("utf-8"))
+    with pytest.raises(DataFormatError, match="not a knowledge-graph file"):
         load_binary(p)
 
 

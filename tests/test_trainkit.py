@@ -152,6 +152,12 @@ def test_checkpoint_errors(tmp_path):
         trainkit._write_record(fh, "meta/best_metric", np.zeros(0))
     with pytest.raises(NumericError, match="best_metric"):
         load_checkpoint(bad, ParamStore())
+    with open(bad, "wb") as fh:   # a model description nested too deeply
+        fh.write(trainkit.MAGIC + bytes([trainkit.FORMAT_VERSION]))
+        trainkit._write_record(fh, "meta/model",
+                               np.frombuffer(b"[" * 100_000, dtype=np.uint8))
+    with pytest.raises(NumericError, match="meta/model"):
+        read_model_meta(bad)
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
