@@ -202,6 +202,18 @@ def _concept_table(config: ModelConfig, vectors_path) -> dict:
     return {}
 
 
+def _read_config(path) -> dict:
+    """The JSON object in training config file `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (ValueError, RecursionError) as exc:   # ValueError: JSON or UTF-8
+        raise DataFormatError(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(cfg, dict):
+        raise DataFormatError(f"{path}: config must be a JSON object")
+    return cfg
+
+
 @main.command()
 @click.option("--subtask", type=click.Choice(["a", "b"]), required=True)
 @click.option("--config", "config_path", type=click.Path(exists=True))
@@ -219,10 +231,7 @@ def _concept_table(config: ModelConfig, vectors_path) -> dict:
 def train(subtask, config_path, kb_path, vectors_path, templates_path,
           train_data, dev_data, output_path, no_kemb, no_kegat, no_lm_loss):
     """Two-phase training with dev-accuracy model selection."""
-    cfg = {}
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+    cfg = _read_config(config_path) if config_path else {}
     flags = {"use_kemb": not (no_kemb or cfg.get("no_kemb", False)),
              "use_kegat": not (no_kegat or cfg.get("no_kegat", False)),
              "use_lm": not (no_lm_loss or cfg.get("no_lm_loss", False))}

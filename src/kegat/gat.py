@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataFormatError
 from .kgstore import KnowledgeGraph, neighbors, text_lines
-from .linker import extract_entities
+from .linker import TokenSpan, extract_entities
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,6 @@ class Subgraph:
     nodes: tuple            # concept ids, entities first, deduplicated
     adjacency: np.ndarray   # n x n bool, self-loops included
     entity_count: int
-    sample_cap: int
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -47,12 +46,18 @@ def weighted_sample(edges: Sequence, k: int, rng: np.random.Generator) -> List:
 
 
 def build_subgraph(tokens: Sequence[str], graph: KnowledgeGraph, k: int,
-                   rng_seed: int, max_ngram: int = 4) -> Subgraph:
-    """Sample the neighborhood union of all entities linked in `tokens`."""
+                   rng_seed: int, max_ngram: int = 4,
+                   spans: Optional[Sequence[TokenSpan]] = None) -> Subgraph:
+    """Sample the neighborhood union of all entities linked in `tokens`.
+
+    `spans` are the entity spans of `tokens` when the caller has linked them
+    already; without them the tokens are linked here.
+    """
     if k < 0:
         raise ValueError("sample cap k must be >= 0")
     rng = np.random.default_rng(rng_seed)
-    spans = extract_entities(tokens, graph, max_ngram)
+    if spans is None:
+        spans = extract_entities(tokens, graph, max_ngram)
     entities = []
     for s in spans:
         if s.concept not in entities:
@@ -73,7 +78,7 @@ def build_subgraph(tokens: Sequence[str], graph: KnowledgeGraph, k: int,
                 adjacency[index[c], j] = True
                 adjacency[j, index[c]] = True
     return Subgraph(nodes=tuple(nodes), adjacency=adjacency,
-                    entity_count=len(entities), sample_cap=k)
+                    entity_count=len(entities))
 
 
 def init_node_embeddings(sub: Subgraph, table: Dict[str, np.ndarray],

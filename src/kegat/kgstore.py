@@ -71,9 +71,6 @@ class KnowledgeGraph:
     def __contains__(self, concept_id: str) -> bool:
         return concept_id in self.concepts
 
-    def degree(self, concept_id: str) -> int:
-        return len(self._adjacency.get(concept_id, ()))
-
 
 def _sort_key(concept_id: str):
     def key(edge: Edge):

@@ -11,6 +11,7 @@ without recording a graph.
 
 from __future__ import annotations
 
+import contextlib
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -82,7 +83,11 @@ class KegatModel:
         self.concept_table = concept_table or {}
         self.templates = templates if templates is not None else kemb.default_templates()
         self.store = ParamStore()
-        self._cache: Dict[Tuple[str, int], List[_OptionFeatures]] = {}
+        self._cache: Dict[harness.ComveInstance, List[_OptionFeatures]] = {}
+        # open only inside `frozen_trunk`: per instance, each option's final
+        # representation and the LM term (None without use_lm), as constants
+        self._trunk_out: Optional[Dict[harness.ComveInstance,
+                                       Tuple[List[Tensor], Optional[Tensor]]]] = None
         self._init_params(np.random.default_rng(config.seed))
 
     # -- parameter construction ----------------------------------------------
@@ -176,15 +181,15 @@ class KegatModel:
             f"{instance_id}:{option_idx}".encode("utf-8"))
 
     def _features(self, instance: harness.ComveInstance) -> List[_OptionFeatures]:
-        key = (instance.id, instance.label)
-        cached = self._cache.get(key)
+        cached = self._cache.get(instance)
         if cached is not None:
             return cached
         c = self.config
         feats: List[_OptionFeatures] = []
         for idx, tokens in enumerate(harness.convert(instance).options):
-            if c.use_kemb:
+            if c.use_kemb or c.use_kegat:
                 spans = extract_entities(tokens, self.graph, c.max_ngram)
+            if c.use_kemb:
                 tree = kemb.build_tree(tokens, spans, self.graph,
                                        c.per_entity_limit, self.templates)
             else:
@@ -195,26 +200,27 @@ class KegatModel:
             if c.use_kegat:
                 subgraph = gatmod.build_subgraph(
                     tokens, self.graph, c.sample_k,
-                    self._option_seed(instance.id, idx), c.max_ngram)
+                    self._option_seed(instance.id, idx), c.max_ngram, spans)
                 node_init = gatmod.init_node_embeddings(
                     subgraph, self.concept_table, c.node_dim)
             feats.append(_OptionFeatures(seq=seq, subgraph=subgraph,
                                          node_init=node_init))
-        self._cache[key] = feats
+        self._cache[instance] = feats
         return feats
 
     # -- forward passes ------------------------------------------------------
 
     def _option_forward(self, feat: _OptionFeatures,
                         dropout_rng: Optional[np.random.Generator]
-                        ) -> Tuple[Tensor, enc.EncoderOutput]:
+                        ) -> Tuple[Tensor, Tensor]:
+        """One option's final representation and per-token encoder states."""
         c = self.config
         E = enc.embed(feat.seq, self.enc_params)
         out = enc.encode(E, feat.seq.visibility, self.enc_params,
                          dropout_rate=c.dropout if dropout_rng is not None else 0.0,
                          dropout_rng=dropout_rng)
         if not c.use_kegat:
-            return out.pooled, out
+            return out.pooled, out.hidden
         if feat.subgraph is not None and len(feat.subgraph) > 0:
             h = gatmod.run_gat(feat.node_init, feat.subgraph, self.gat_params)
         else:
@@ -222,38 +228,77 @@ class KegatModel:
         e_gnn = gatmod.pool_subgraph(h, c.node_dim)
         e_all = gatmod.fuse(out.pooled, e_gnn, self.fuse_params)
         g = gatmod.self_refine(e_all, self.gate_params)
-        return gatmod.concat_final(g, out.pooled), out
+        return gatmod.concat_final(g, out.pooled), out.hidden
 
     def forward(self, instance: harness.ComveInstance,
                 dropout_rng: Optional[np.random.Generator] = None
-                ) -> Tuple[headmod.OptionScores, List[Tensor]]:
-        """Option scores, and each option's per-token encoder states."""
-        reprs, hidden = [], []
-        for feat in self._features(instance):
-            e_final, out = self._option_forward(feat, dropout_rng)
-            reprs.append(e_final)
-            hidden.append(out.hidden)
-        return headmod.predict(reprs, self.head_params), hidden
+                ) -> Tuple[headmod.OptionScores, List[Tuple[Tensor, Tensor]]]:
+        """Option scores, and per option its final representation and
+        per-token encoder states. Always runs the whole trunk."""
+        outs = [self._option_forward(feat, dropout_rng)
+                for feat in self._features(instance)]
+        return headmod.predict([r for r, _ in outs], self.head_params), outs
 
-    def loss(self, instance: harness.ComveInstance,
-             dropout_rng: Optional[np.random.Generator] = None) -> Tensor:
-        scores, hidden = self.forward(instance, dropout_rng)
-        l2 = headmod.classification_loss(scores.probs, instance.label)
-        if not self.config.use_lm:
-            return l2
+    def _lm_term(self, instance: harness.ComveInstance,
+                 outs: List[Tuple[Tensor, Tensor]]) -> Tensor:
         lm_total: Optional[Tensor] = None
-        for feat, h in zip(self._features(instance), hidden):
+        for feat, (_, h) in zip(self._features(instance), outs):
             logits = enc.lm_logits(h, self.enc_params)
             term = headmod.lm_loss(logits, feat.seq.tokens, feat.seq.trunk_mask)
             lm_total = term if lm_total is None else lm_total + term
-        return headmod.combined_loss(lm_total, l2, self.loss_params)
+        return lm_total
+
+    # -- the frozen-trunk scope ----------------------------------------------
+
+    @contextlib.contextmanager
+    def frozen_trunk(self):
+        """Freeze every parameter but the head's, and run the trunk once per
+        instance while the scope is open.
+
+        Inside, predictions run only the head, on each option's final
+        representation computed by the instance's first call under
+        `no_grad()` and without dropout; the LM term is kept beside it as a
+        constant. Every parameter is trainable again on exit, and the cached
+        outputs are dropped, however the scope ends.
+        """
+        self.store.freeze_all_except(self.head_param_names())
+        self._trunk_out = {}
+        try:
+            yield
+        finally:
+            self._trunk_out = None
+            self.store.unfreeze_all()
+
+    def _trunk_output(self, instance: harness.ComveInstance
+                      ) -> Tuple[List[Tensor], Optional[Tensor]]:
+        out = self._trunk_out.get(instance)
+        if out is None:
+            with no_grad():
+                _, outs = self.forward(instance)
+                lm = self._lm_term(instance, outs) if self.config.use_lm else None
+            out = self._trunk_out[instance] = ([r for r, _ in outs], lm)
+        return out
+
+    # -- public entry points -------------------------------------------------
+
+    def loss(self, instance: harness.ComveInstance,
+             dropout_rng: Optional[np.random.Generator] = None) -> Tensor:
+        scores, outs = self.forward(instance, dropout_rng)
+        l2 = headmod.classification_loss(scores.probs, instance.label)
+        if not self.config.use_lm:
+            return l2
+        return headmod.combined_loss(self._lm_term(instance, outs), l2,
+                                     self.loss_params)
+
+    def _scores(self, instance: harness.ComveInstance) -> headmod.OptionScores:
+        with no_grad():
+            if self._trunk_out is None:
+                return self.forward(instance)[0]
+            return headmod.predict(self._trunk_output(instance)[0],
+                                   self.head_params)
 
     def predict_instance(self, instance: harness.ComveInstance) -> int:
-        with no_grad():
-            scores, _ = self.forward(instance)
-        return scores.predicted
+        return self._scores(instance).predicted
 
     def predict_probs(self, instance: harness.ComveInstance) -> np.ndarray:
-        with no_grad():
-            scores, _ = self.forward(instance)
-        return scores.prob_values.copy()
+        return self._scores(instance).prob_values.copy()

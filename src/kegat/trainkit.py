@@ -6,6 +6,7 @@ and checkpoint files round-trip byte-exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -297,9 +298,10 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
     """Head-only training at a high rate, then full fine-tuning at a low rate.
 
     The best dev-accuracy snapshot of phase 1 is restored before phase 2, and
-    the best snapshot overall is returned. Divergence aborts with the last
-    good snapshot restored and every parameter unfrozen. Deterministic given
-    the seed.
+    the best snapshot overall is returned. Phase 1 runs inside
+    `model.frozen_trunk()`, which freezes all but the head and unfreezes
+    every parameter on exit. Divergence aborts with the last good snapshot
+    restored and every parameter unfrozen. Deterministic given the seed.
     """
     if not train_data or not dev_data:
         raise ValueError("train and dev splits must be non-empty")
@@ -309,46 +311,46 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
     best_snapshot = store.snapshot()
 
     for phase_idx, phase in ((1, schedule.phase1), (2, schedule.phase2)):
-        if phase_idx == 1:
-            store.freeze_all_except(model.head_param_names())
-        else:
+        if phase_idx == 2:
             store.restore(best_snapshot)
-            store.unfreeze_all()
-        opt = OptimizerState(lr=phase.lr, eps=schedule.adam_eps)
-        for epoch in range(1, phase.epochs + 1):
-            order_rng = np.random.default_rng(
-                (seed * 1_000_003 + phase_idx * 1009 + epoch) % (2 ** 63))
-            order = order_rng.permutation(len(train_data))
-            epoch_loss = 0.0
-            step = 0
-            try:
-                for start in range(0, len(order), schedule.batch_size):
-                    batch = [train_data[i] for i in order[start:start + schedule.batch_size]]
-                    drop_rng = np.random.default_rng(
-                        (seed * 7_368_787 + phase_idx * 65537
-                         + epoch * 8191 + step) % (2 ** 63))
-                    losses = [model.loss(inst, dropout_rng=drop_rng)
-                              for inst in batch]
-                    total = losses[0]
-                    for extra in losses[1:]:
-                        total = total + extra
-                    total = total * (1.0 / len(batch))
-                    compute_gradients(total, store)
-                    adam_step(store, opt)
-                    epoch_loss += float(total.data) * len(batch)
-                    step += 1
-            except NumericError:
+        with (model.frozen_trunk() if phase_idx == 1
+              else contextlib.nullcontext()):
+            opt = OptimizerState(lr=phase.lr, eps=schedule.adam_eps)
+            for epoch in range(1, phase.epochs + 1):
+                order_rng = np.random.default_rng(
+                    (seed * 1_000_003 + phase_idx * 1009 + epoch) % (2 ** 63))
+                order = order_rng.permutation(len(train_data))
+                epoch_loss = 0.0
+                step = 0
+                try:
+                    for start in range(0, len(order), schedule.batch_size):
+                        batch = [train_data[i]
+                                 for i in order[start:start + schedule.batch_size]]
+                        drop_rng = np.random.default_rng(
+                            (seed * 7_368_787 + phase_idx * 65537
+                             + epoch * 8191 + step) % (2 ** 63))
+                        losses = [model.loss(inst, dropout_rng=drop_rng)
+                                  for inst in batch]
+                        total = losses[0]
+                        for extra in losses[1:]:
+                            total = total + extra
+                        total = total * (1.0 / len(batch))
+                        compute_gradients(total, store)
+                        adam_step(store, opt)
+                        epoch_loss += float(total.data) * len(batch)
+                        step += 1
+                except NumericError:
+                    log.append({"phase": phase_idx, "epoch": epoch,
+                                "event": "aborted: numeric failure"})
+                    store.restore(best_snapshot)
+                    return TrainResult(best_metric, best_snapshot, log,
+                                       aborted=True)
+                dev_acc = _accuracy(model, dev_data)
                 log.append({"phase": phase_idx, "epoch": epoch,
-                            "event": "aborted: numeric failure"})
-                store.restore(best_snapshot)
-                store.unfreeze_all()
-                return TrainResult(best_metric, best_snapshot, log, aborted=True)
-            dev_acc = _accuracy(model, dev_data)
-            log.append({"phase": phase_idx, "epoch": epoch,
-                        "train_loss": round(epoch_loss / len(train_data), 12),
-                        "dev_acc": round(dev_acc, 12)})
-            if dev_acc > best_metric:
-                best_metric = dev_acc
-                best_snapshot = store.snapshot()
+                            "train_loss": round(epoch_loss / len(train_data), 12),
+                            "dev_acc": round(dev_acc, 12)})
+                if dev_acc > best_metric:
+                    best_metric = dev_acc
+                    best_snapshot = store.snapshot()
     store.restore(best_snapshot)
     return TrainResult(best_metric, best_snapshot, log)

@@ -445,17 +445,36 @@ def _link_not_utf8(tmp_path, request):
     return args, where[:-2]
 
 
-def _train_vectors(tmp_path, content):
+def _train_args(tmp_path):
     bench = tmp_path / "bench"
     CliRunner().invoke(main, ["synth", "--seed", "3", "--out-dir", str(bench),
                               "--sizes", "8,4,4", "--n-concepts", "60",
                               "--n-edges", "120"], catch_exceptions=False)
+    return ["train", "--subtask", "a", "--kb", str(bench / "kb.tsv"),
+            "--train-data", str(bench / "train.jsonl"),
+            "--dev-data", str(bench / "dev.jsonl"),
+            "--output", str(tmp_path / "m.ckpt")]
+
+
+def _train_vectors(tmp_path, content):
     vectors = tmp_path / "bad.vec"
     vectors.write_bytes(content)
-    return ["train", "--subtask", "a", "--kb", str(bench / "kb.tsv"),
-            "--vectors", str(vectors), "--train-data",
-            str(bench / "train.jsonl"), "--dev-data", str(bench / "dev.jsonl"),
-            "--output", str(tmp_path / "m.ckpt")], str(vectors)
+    return _train_args(tmp_path) + ["--vectors", str(vectors)], str(vectors)
+
+
+def _train_config(tmp_path, text):
+    config = tmp_path / "cfg.json"
+    config.write_text(text, encoding="utf-8")
+    return _train_args(tmp_path) + ["--config", str(config)], str(config)
+
+
+def _config_not_json(tmp_path, request):
+    return _train_config(tmp_path, "{bad")
+
+
+def _config_not_object(tmp_path, request):
+    args, config = _train_config(tmp_path, "[1]")
+    return args, f"{config}: config must be a JSON object"
 
 
 def _vectors_not_utf8(tmp_path, request):
@@ -540,6 +559,8 @@ def _model_record_without_vectors_sha256(tmp_path, request):
     (_binary_kb_zero_weight, 2, "data error: "),
     (_vectors_edited, 2, "data error: "),
     (_model_record_without_vectors_sha256, 3, "numeric failure: "),
+    (_config_not_json, 2, "data error: "),
+    (_config_not_object, 2, "data error: "),
 ], ids=["link-no-text", "link-not-json", "checkpoint-as-kb",
         "truncated-checkpoint", "bad-dtype-tag", "nan-weight", "inf-weight",
         "binary-kb", "template-not-string", "templates-not-json",
@@ -549,7 +570,8 @@ def _model_record_without_vectors_sha256(tmp_path, request):
         "comve-statement-not-string", "link-not-utf8", "vectors-not-utf8",
         "vectors-nan", "blocklist-not-utf8", "binary-kb-nan-weight",
         "binary-kb-zero-weight", "vectors-edited",
-        "model-record-without-vectors-sha256"])
+        "model-record-without-vectors-sha256", "config-not-json",
+        "config-not-object"])
 def test_malformed_input_exits_with_message(runner, tmp_path, request, make,
                                             code, prefix):
     args, fragment = make(tmp_path, request)

@@ -16,12 +16,11 @@ from kegat.gat import (FuseParams, GatParams, GateParams, Subgraph,
 from conftest import numeric_grad, write_kb
 
 
-def _subgraph(n, adjacency=None, entity_count=1, k=4):
+def _subgraph(n, adjacency=None, entity_count=1):
     if adjacency is None:
         adjacency = np.ones((n, n), dtype=bool)
     return Subgraph(nodes=tuple(f"c{i}" for i in range(n)),
-                    adjacency=adjacency, entity_count=entity_count,
-                    sample_cap=k)
+                    adjacency=adjacency, entity_count=entity_count)
 
 
 def _gat_params(dg, layers=1, heads=1, seed=0):
