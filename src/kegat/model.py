@@ -6,7 +6,8 @@ state of a sampled concept subgraph. A shared scalar MLP scores every option;
 softmax over options gives the prediction. The training loss optionally adds
 the token-reconstruction objective under learnable uncertainty weights; only
 the loss computes it, so prediction runs the encoder, graph and head alone,
-without recording a graph.
+without recording a graph. While only the head trains (`frozen_trunk`), the
+trunk runs once per instance and the loss and predictions reuse its output.
 """
 
 from __future__ import annotations
@@ -255,11 +256,12 @@ class KegatModel:
         """Freeze every parameter but the head's, and run the trunk once per
         instance while the scope is open.
 
-        Inside, predictions run only the head, on each option's final
-        representation computed by the instance's first call under
-        `no_grad()` and without dropout; the LM term is kept beside it as a
-        constant. Every parameter is trainable again on exit, and the cached
-        outputs are dropped, however the scope ends.
+        Inside, `loss` and the predictions run only the head, on each
+        option's final representation computed by the instance's first call
+        under `no_grad()` and without dropout; the LM term is kept beside it
+        as a constant, so the loss keeps its formula. Every parameter is
+        trainable again on exit, and the cached outputs are dropped, however
+        the scope ends.
         """
         self.store.freeze_all_except(self.head_param_names())
         self._trunk_out = {}
@@ -283,12 +285,18 @@ class KegatModel:
 
     def loss(self, instance: harness.ComveInstance,
              dropout_rng: Optional[np.random.Generator] = None) -> Tensor:
-        scores, outs = self.forward(instance, dropout_rng)
+        """The training loss; inside `frozen_trunk` the head's alone, with
+        no dropout and the LM term a constant."""
+        if self._trunk_out is None:
+            scores, outs = self.forward(instance, dropout_rng)
+            lm = self._lm_term(instance, outs) if self.config.use_lm else None
+        else:
+            reprs, lm = self._trunk_output(instance)
+            scores = headmod.predict(reprs, self.head_params)
         l2 = headmod.classification_loss(scores.probs, instance.label)
-        if not self.config.use_lm:
+        if lm is None:
             return l2
-        return headmod.combined_loss(self._lm_term(instance, outs), l2,
-                                     self.loss_params)
+        return headmod.combined_loss(lm, l2, self.loss_params)
 
     def _scores(self, instance: harness.ComveInstance) -> headmod.OptionScores:
         with no_grad():

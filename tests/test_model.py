@@ -6,10 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from kegat import encoder as enc
 from kegat import gat as gatmod
 from kegat.harness import build_vocab, load_comve, synth_benchmark
 from kegat.kemb import default_templates
 from kegat.model import KegatModel, ModelConfig
+from kegat.trainkit import Phase, Schedule, compute_gradients, two_phase_train
 
 CONFIG = ModelConfig(dim=16, n_layers=1, n_heads=2, ffn_mult=2, max_len=48,
                      max_positions=64, gat_layers=1, gat_heads=1, sample_k=2,
@@ -70,6 +72,32 @@ def test_train_and_dev_numbered_alike(bench):
 
 # -- the frozen-trunk scope ---------------------------------------------------
 
+def _count_encodes(monkeypatch) -> list:
+    calls = []
+    real = enc.encode
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enc, "encode", counting)
+    return calls
+
+
+def test_trunk_runs_once_per_instance_in_phase1(bench, monkeypatch):
+    model = _model(bench, bench.train + bench.dev)
+    options = sum(inst.option_count for inst in bench.train + bench.dev)
+    calls = _count_encodes(monkeypatch)
+    sched = Schedule(phase1=Phase(lr=1e-3, epochs=3),
+                     phase2=Phase(lr=1e-5, epochs=1))
+    result = two_phase_train(model, bench.train, bench.dev, sched, 0)
+    # phase 1: each instance once; phase 2: every loss and dev prediction
+    assert len(calls) == 2 * options
+    assert [e["phase"] for e in result.log] == [1, 1, 1, 2]
+    assert model._trunk_out is None
+    assert not any(model.store.is_frozen(n) for n in model.store.names())
+
+
 def test_scoped_predictions_equal_unscoped(bench):
     model = _model(bench, bench.train + bench.dev)
     head = model.head_param_names()
@@ -84,6 +112,28 @@ def test_scoped_predictions_equal_unscoped(bench):
     for inst, probs, pick in zip(bench.dev, scoped, picks):
         np.testing.assert_array_equal(probs, model.predict_probs(inst))
         assert pick == model.predict_instance(inst)
+
+
+def test_scoped_loss_gradients_equal_unscoped_without_dropout(bench):
+    model = _model(bench, bench.train)
+    store, head = model.store, model.head_param_names()
+    expected = []
+    store.freeze_all_except(head)
+    for inst in bench.train[:3]:
+        loss = model.loss(inst)
+        compute_gradients(loss, store)
+        expected.append((loss.data.copy(),
+                         {name: store[name].grad.copy() for name in head}))
+    store.unfreeze_all()
+    with model.frozen_trunk():
+        for repeat in range(2):   # the call that fills the cache, then a hit
+            for inst, (value, grads) in zip(bench.train[:3], expected):
+                loss = model.loss(inst, dropout_rng=np.random.default_rng(repeat))
+                compute_gradients(loss, store)
+                np.testing.assert_array_equal(loss.data, value)
+                for name, p in store.items():
+                    want = grads[name] if name in head else 0.0
+                    np.testing.assert_array_equal(p.grad, want, err_msg=name)
 
 
 def test_scope_is_dropped_on_exit_and_sees_the_new_trunk(bench):
