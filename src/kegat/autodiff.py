@@ -16,8 +16,8 @@ same, only the graph is gone.
 The op set:
 
 - arithmetic with numpy broadcasting: ``+ - * / **`` and unary ``-``
-- ``@`` for 1-D and 2-D operands, and for stacks of matrices with equal
-  batch shapes
+- ``@`` for 1-D and 2-D operands, and for stacks of matrices whose batch
+  dims broadcast, e.g. ``(n, d) @ (H, d, e)``
 - elementwise ``exp log sqrt tanh elu leaky_relu``
 - shape ops ``reshape``, ``transpose(*axes)`` (``.T`` reverses all axes),
   ``sum`` and ``mean``
@@ -196,7 +196,8 @@ class Tensor:
             elif a.ndim == 1 and b.ndim == 1:
                 ga, gb = g * b, g * a
             else:
-                ga, gb = g @ b.swapaxes(-1, -2), a.swapaxes(-1, -2) @ g
+                ga = _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)
+                gb = _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
             return ((self, ga), (other, gb))
 
         return _node(out_data, (self, other), bw)

@@ -132,7 +132,7 @@ def preprocess_inject(kb_path, templates_path, input_path, subtask, max_len,
     instances = harness.load_comve(input_path, subtask)
     vocab = harness.build_vocab(graph, templates, instances)
     for inst in instances:
-        for idx, tokens in enumerate(harness.convert(inst).options):
+        for idx, tokens in enumerate(harness.convert(inst)):
             spans = extract_entities(tokens, graph, max_ngram)
             tree = kemb.build_tree(tokens, spans, graph, per_entity_limit, templates)
             seq = kemb.flatten(tree, vocab, max_len)

@@ -4,13 +4,14 @@ For each linked entity, up to k neighbors are drawn without replacement with
 probability proportional to edge weight. The union of entities and sampled
 neighbors forms one subgraph (all KB edges among included nodes are kept,
 plus self-loops), refined by multi-head attention layers and mean-pooled into
-a single vector that is fused with the sequence encoder's pooled state.
+a single vector that is fused with the sequence encoder's pooled state. The
+heads of a layer run as one op over stacked weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .autodiff import Tensor
 from .errors import DataFormatError
 from .kgstore import KnowledgeGraph, neighbors, text_lines
 from .linker import TokenSpan, extract_entities
+
+LEAKY_SLOPE = 0.2   # of the LeakyReLU on attention scores, as in GAT
 
 
 @dataclass(frozen=True)
@@ -98,21 +101,8 @@ def init_node_embeddings(sub: Subgraph, table: Dict[str, np.ndarray],
 
 @dataclass
 class GatParams:
-    w: List[List[Tensor]]   # [layer][head] node transform, d_g x d_g
-    a: List[List[Tensor]]   # [layer][head] attention vector, 2*d_g
-    leaky_slope: float = 0.2
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.w)
-
-    @property
-    def n_heads(self) -> int:
-        return len(self.w[0])
-
-    @property
-    def node_dim(self) -> int:
-        return self.w[0][0].shape[0]
+    w: List[Tensor]   # per layer: H x d_g x d_g, one node transform per head
+    a: List[Tensor]   # per layer: H x 2*d_g, one attention vector per head
 
 
 @dataclass
@@ -129,32 +119,34 @@ class GateParams:
     w2: Tensor   # hidden x d_all
 
 
-def attention_coeffs(h: Tensor, sub: Subgraph, layer: int, head: int,
+def _attend(h: Tensor, sub: Subgraph, layer: int,
+            params: GatParams) -> Tuple[Tensor, Tensor]:
+    """Every head's transformed states (H, n, d_g) and attention (H, n, n)."""
+    a = params.a[layer]
+    dg = a.shape[1] // 2
+    wh = h @ params.w[layer]
+    src = wh @ a[:, :dg, None]
+    dst = wh @ a[:, dg:, None]
+    scores = (src + dst.transpose(0, 2, 1)).leaky_relu(LEAKY_SLOPE)
+    return wh, ad.masked_softmax(scores, sub.adjacency, axis=-1)
+
+
+def attention_coeffs(h: Tensor, sub: Subgraph, layer: int,
                      params: GatParams) -> Tensor:
-    """Attention rows alpha_ij over each node's neighbors (self-loop incl.)."""
-    dg = params.node_dim
-    wh = h @ params.w[layer][head]
-    a = params.a[layer][head]
-    src = wh @ a[:dg]
-    dst = wh @ a[dg:]
-    n = h.shape[0]
-    scores = (src.reshape(n, 1) + dst.reshape(1, n)).leaky_relu(params.leaky_slope)
-    return ad.masked_softmax(scores, sub.adjacency, axis=-1)
+    """Each head's attention rows alpha_ij over each node's neighbors
+    (self-loop included), stacked to (H, n, n)."""
+    return _attend(h, sub, layer, params)[1]
 
 
 def gat_layer(h: Tensor, sub: Subgraph, params: GatParams, layer: int) -> Tensor:
     """One refinement step: mean over heads of attention-weighted sums, ELU."""
-    acc = None
-    for m in range(params.n_heads):
-        alpha = attention_coeffs(h, sub, layer, m, params)
-        contrib = alpha @ (h @ params.w[layer][m])
-        acc = contrib if acc is None else acc + contrib
-    return (acc * (1.0 / params.n_heads)).elu()
+    wh, alpha = _attend(h, sub, layer, params)
+    return (alpha @ wh).mean(axis=0).elu()
 
 
 def run_gat(node_init: np.ndarray, sub: Subgraph, params: GatParams) -> Tensor:
     h = Tensor(node_init)
-    for layer in range(params.n_layers):
+    for layer in range(len(params.w)):
         h = gat_layer(h, sub, params, layer)
     return h
 

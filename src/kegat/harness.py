@@ -58,22 +58,14 @@ class ComveInstance:
         return 2 if self.subtask == "a" else 3
 
 
-@dataclass(frozen=True)
-class ConvertedInput:
-    subtask: str
-    options: Tuple[Tuple[str, ...], ...]
-
-
-def convert(instance: ComveInstance) -> ConvertedInput:
+def convert(instance: ComveInstance) -> Tuple[Tuple[str, ...], ...]:
     """Marker-delimited token sequences, one per option."""
     if instance.subtask == "a":
-        options = tuple(tuple([CLS] + tokenize(s) + [SEP])
-                        for s in instance.statements)
-    else:
-        stem = tokenize(instance.false_sent)
-        options = tuple(tuple([CLS] + stem + [SEP] + tokenize(r) + [SEP])
-                        for r in instance.reasons)
-    return ConvertedInput(subtask=instance.subtask, options=options)
+        return tuple(tuple([CLS] + tokenize(s) + [SEP])
+                     for s in instance.statements)
+    stem = tokenize(instance.false_sent)
+    return tuple(tuple([CLS] + stem + [SEP] + tokenize(r) + [SEP])
+                 for r in instance.reasons)
 
 
 _FIELDS_A = ("id", "sent0", "sent1", "label")
@@ -404,7 +396,7 @@ def build_vocab(graph: KnowledgeGraph, templates: Dict[str, Template],
     for t in templates.values():
         tokens.update(tok for tok in t.pattern if not tok.startswith("{"))
     for inst in instances:
-        for opt in convert(inst).options:
+        for opt in convert(inst):
             tokens.update(opt)
     return Vocab.build(tokens)
 

@@ -93,9 +93,12 @@ class KegatModel:
 
     # -- parameter construction ----------------------------------------------
 
-    def _mat(self, rng, name: str, fan_in: int, fan_out: int) -> Tensor:
+    def _mat(self, rng, name: str, fan_in: int, fan_out: int,
+             *stack: int) -> Tensor:
+        """Glorot-normal matrix, or a stack of them with leading dims `stack`."""
         scale = np.sqrt(2.0 / (fan_in + fan_out))
-        return self.store.add(name, rng.normal(0.0, scale, size=(fan_in, fan_out)))
+        return self.store.add(
+            name, rng.normal(0.0, scale, size=(*stack, fan_in, fan_out)))
 
     def _vec(self, name: str, size: int, value: float = 0.0) -> Tensor:
         return self.store.add(name, np.full(size, value))
@@ -132,11 +135,11 @@ class KegatModel:
             n_heads=c.n_heads)
         if c.use_kegat:
             dg = c.node_dim
-            w = [[self._mat(rng, f"gat/l{l}/h{m}/w", dg, dg)
-                  for m in range(c.gat_heads)] for l in range(c.gat_layers)]
-            a = [[self.store.add(f"gat/l{l}/h{m}/a",
-                                 rng.normal(0.0, 0.3, size=2 * dg))
-                  for m in range(c.gat_heads)] for l in range(c.gat_layers)]
+            H, L = c.gat_heads, c.gat_layers
+            w = [self._mat(rng, f"gat/l{l}/w", dg, dg, H) for l in range(L)]
+            a = [self.store.add(f"gat/l{l}/a",
+                                rng.normal(0.0, 0.3, size=(H, 2 * dg)))
+                 for l in range(L)]
             self.gat_params = gatmod.GatParams(w=w, a=a)
             self.fuse_params = gatmod.FuseParams(
                 w1=self._mat(rng, "fuse/w1", c.dim + dg, c.fuse_hidden),
@@ -187,7 +190,7 @@ class KegatModel:
             return cached
         c = self.config
         feats: List[_OptionFeatures] = []
-        for idx, tokens in enumerate(harness.convert(instance).options):
+        for idx, tokens in enumerate(harness.convert(instance)):
             if c.use_kemb or c.use_kegat:
                 spans = extract_entities(tokens, self.graph, c.max_ngram)
             if c.use_kemb:

@@ -60,16 +60,22 @@ class ParamStore:
             yield name, self._params[name]
 
     def zero_grad(self) -> None:
+        """Zero the trainable parameters' gradients; a frozen parameter's
+        gradient was zeroed when it was frozen and nothing writes it since."""
         for p in self._params.values():
-            p.zero_grad()
+            if p.requires_grad:
+                p.zero_grad()
 
     def set_frozen(self, name: str, frozen: bool) -> None:
-        self._params[name].requires_grad = not frozen
+        p = self._params[name]
+        if frozen:
+            p.zero_grad()
+        p.requires_grad = not frozen
 
     def freeze_all_except(self, keep: Iterable[str]) -> None:
         keep = set(keep)
-        for name, p in self._params.items():
-            p.requires_grad = name in keep
+        for name in self._params:
+            self.set_frozen(name, name not in keep)
 
     def unfreeze_all(self) -> None:
         for p in self._params.values():
@@ -90,7 +96,7 @@ def compute_gradients(loss: Tensor, store: ParamStore) -> None:
     """Populate gradients for all unfrozen parameters; frozen ones stay zero.
 
     Frozen parameters are constants in the loss graph, so ``backward`` never
-    reaches them and their zeroed buffers stay zero.
+    reaches them, and their buffers, zeroed when they were frozen, stay zero.
     """
     if not np.isfinite(loss.data):
         raise NumericError("non-finite loss")
@@ -119,7 +125,7 @@ def adam_step(store: ParamStore, opt: OptimizerState) -> None:
     bc1 = 1.0 - b1 ** opt.step
     bc2 = 1.0 - b2 ** opt.step
     for name, p in store.items():
-        if store.is_frozen(name):
+        if not p.requires_grad:
             continue
         g = p.grad
         m = opt.m.setdefault(name, np.zeros_like(p.data))

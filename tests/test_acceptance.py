@@ -148,16 +148,28 @@ def _tracked(tensors) -> list:
     return [t for t in tensors if t._backward is not None]
 
 
-def test_loss_graph_node_count(monkeypatch):
-    """One instance's loss builds at most 243 tensors on the small model.
+def test_loss_graph_node_count(monkeypatch, tmp_path):
+    """One instance's loss builds at most 243 tensors on the small model, and
+    at most 391 on the default model over a seed-7 synth instance.
 
     Guards the batched attention heads and single-op indexing: the per-head
-    loop and per-token LM loss built 309.
+    encoder loop and per-token LM loss built 309 on the small model. The
+    second bound guards the stacked GAT heads: the per-head GAT loop built
+    447 there.
     """
     model, instances = _small_model()
     built = _record_tensors(monkeypatch)
     model.loss(instances[0])
     assert 0 < len(built) <= 243, len(built)
+
+    bench = synth_benchmark(7, tmp_path / "bench")
+    templates = default_templates()
+    table = gatmod.load_concept_table(bench.paths["vectors"], 32, seed=0)
+    vocab = build_vocab(bench.graph, templates, bench.train + bench.dev)
+    model = KegatModel(ModelConfig(seed=7), vocab, bench.graph, table, templates)
+    built.clear()
+    model.loss(bench.train[0])
+    assert 0 < len(built) <= 391, len(built)
 
 
 def test_phase1_loss_differentiates_only_the_head(monkeypatch):
@@ -266,7 +278,7 @@ def test_all_normalizations_sum_to_one(monkeypatch):
             adj[i, j] = adj[j, i] = True
         sub = _subgraph(n, adjacency=adj)
         params = _gat_params(4, seed=1000 + case)
-        gatmod.attention_coeffs(Tensor(rng.normal(size=(n, 4))), sub, 0, 0, params)
+        gatmod.attention_coeffs(Tensor(rng.normal(size=(n, 4))), sub, 0, params)
     for rows in recorded:
         check_rows(rows)
     for case in range(300):     # option probability vectors

@@ -36,6 +36,9 @@ def test_matmul_grads_all_shapes():
     S = rng.normal(size=(2, 3, 4))
     _check_grad(lambda t: ((t @ Tensor(B)) * Tensor(W)).sum(), S)  # 3D @ 3D
     _check_grad(lambda t: ((Tensor(S) @ t) * Tensor(W)).sum(), B)  # 3D @ 3D (rhs)
+    X = rng.normal(size=(3, 4))
+    _check_grad(lambda t: ((t @ Tensor(B)) * Tensor(W)).sum(), X)  # 2D @ 3D
+    _check_grad(lambda t: ((Tensor(X) @ t) * Tensor(W)).sum(), B)  # 2D @ 3D (rhs)
 
 
 def test_nonlinearity_grads():

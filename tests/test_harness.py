@@ -38,8 +38,7 @@ def test_instance_validation():
 
 
 def test_convert_subtask_a_exact_tokens():
-    out = convert(ELEPHANT)
-    assert out.options == (
+    assert convert(ELEPHANT) == (
         ("[CLS]", "he", "put", "an", "elephant", "into", "the", "fridge", "[SEP]"),
         ("[CLS]", "he", "put", "a", "turkey", "into", "the", "fridge", "[SEP]"),
     )
@@ -51,12 +50,12 @@ def test_convert_subtask_b_stem_plus_reason():
                          reasons=("Apple juice are very tasty",
                                   "Apple can not be drunk",
                                   "Apple cannot eat a human"))
-    out = convert(inst)
-    assert len(out.options) == 3
+    options = convert(inst)
+    assert len(options) == 3
     stem = ("[CLS]", "he", "drinks", "apple", "[SEP]")
-    for opt in out.options:
+    for opt in options:
         assert opt[:5] == stem
-    assert out.options[1][5:] == ("apple", "can", "not", "be", "drunk", "[SEP]")
+    assert options[1][5:] == ("apple", "can", "not", "be", "drunk", "[SEP]")
 
 
 def test_load_comve_round_trip(tmp_path):
@@ -238,7 +237,7 @@ def test_build_vocab_covers_everything(sugar_graph):
     assert vocab.lookup("sugar") != vocab.unk_id
     assert vocab.lookup("sweetening") != vocab.unk_id
     for inst in instances:
-        for opt in convert(inst).options:
+        for opt in convert(inst):
             for tok in opt:
                 assert vocab.lookup(tok) != vocab.unk_id
 

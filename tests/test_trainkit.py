@@ -72,6 +72,22 @@ def test_frozen_gradients_zeroed():
     np.testing.assert_array_equal(w.grad, 0.0)
 
 
+def test_freezing_zeroes_gradients_left_by_a_trainable_step(sugar_graph):
+    """zero_grad skips frozen parameters, so freezing zeroes their
+    gradients: after an all-trainable step, a phase-1 step (whose scope
+    calls `freeze_all_except(head)`) leaves every frozen gradient exactly 0."""
+    model, instances = tiny_model(sugar_graph)
+    store, head = model.store, model.head_param_names()
+    compute_gradients(model.loss(instances[0]), store)
+    assert all(store[n].grad.any() for n in ("enc/tok_emb", "gat/l0/w"))
+    with model.frozen_trunk():
+        compute_gradients(model.loss(instances[1]), store)
+    for name, p in store.items():
+        if name not in head:
+            np.testing.assert_array_equal(p.grad, 0.0, err_msg=name)
+    assert all(store[n].grad.any() for n in head)
+
+
 def test_nonfinite_loss_and_gradient_errors():
     store = ParamStore()
     w = store.add("w", np.array(0.0))
