@@ -124,11 +124,14 @@ class Tensor:
                 node._accumulate(g)
             if node._backward is not None:
                 for parent, pg in node._backward(g):
-                    if parent.requires_grad or parent._backward is not None:
+                    if _tracked(parent):
                         pg = np.asarray(pg, dtype=np.float64)
                         acc = grads.get(id(parent))
                         if acc is None:
-                            grads[id(parent)] = pg.copy()
+                            # a strided view is copied: summing it later would
+                            # run in another order and change the rounding
+                            grads[id(parent)] = (pg if pg.flags.c_contiguous
+                                                 else pg.copy())
                         else:
                             # rebind: 0-d results may not support in-place +=
                             grads[id(parent)] = acc + pg
@@ -140,8 +143,8 @@ class Tensor:
         out_data = self.data + other.data
 
         def bw(g):
-            return ((self, _unbroadcast(g, self.shape)),
-                    (other, _unbroadcast(g, other.shape)))
+            return tuple((t, _unbroadcast(g, t.shape))
+                         for t in (self, other) if _tracked(t))
 
         return _node(out_data, (self, other), bw)
 
@@ -161,8 +164,12 @@ class Tensor:
         out_data = self.data * other.data
 
         def bw(g):
-            return ((self, _unbroadcast(g * other.data, self.shape)),
-                    (other, _unbroadcast(g * self.data, other.shape)))
+            out = []
+            if _tracked(self):
+                out.append((self, _unbroadcast(g * other.data, self.shape)))
+            if _tracked(other):
+                out.append((other, _unbroadcast(g * self.data, other.shape)))
+            return out
 
         return _node(out_data, (self, other), bw)
 
@@ -190,15 +197,17 @@ class Tensor:
 
         def bw(g):
             if a.ndim == 1 and b.ndim == 2:
-                ga, gb = g @ b.T, np.outer(a, g)
-            elif a.ndim == 2 and b.ndim == 1:
-                ga, gb = np.outer(g, b), a.T @ g
-            elif a.ndim == 1 and b.ndim == 1:
-                ga, gb = g * b, g * a
-            else:
-                ga = _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)
-                gb = _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
-            return ((self, ga), (other, gb))
+                return ((self, g @ b.T), (other, np.outer(a, g)))
+            if a.ndim == 2 and b.ndim == 1:
+                return ((self, np.outer(g, b)), (other, a.T @ g))
+            if a.ndim == 1 and b.ndim == 1:
+                return ((self, g * b), (other, g * a))
+            out = []
+            if _tracked(self):
+                out.append((self, _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)))
+            if _tracked(other):
+                out.append((other, _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)))
+            return out
 
         return _node(out_data, (self, other), bw)
 
@@ -250,7 +259,7 @@ class Tensor:
     def transpose(self, *axes):
         """Permute axes like ``np.transpose``; no axes reverses them all."""
         out_data = self.data.transpose(*axes)
-        inverse = tuple(np.argsort(axes)) if axes else ()
+        inverse = sorted(range(len(axes)), key=axes.__getitem__)
         return _node(out_data, (self,),
                      lambda g: ((self, g.transpose(*inverse)),))
 
@@ -289,6 +298,11 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _tracked(t: Tensor) -> bool:
+    """Whether a gradient for `t` is kept: a leaf to fill or a node to pass on."""
+    return t.requires_grad or t._backward is not None
+
+
 # a context variable, not a global: a no_grad() block in one thread or
 # asyncio task leaves tracking on in the others
 _tracking = contextvars.ContextVar("autodiff_tracking", default=True)
@@ -305,8 +319,7 @@ def no_grad():
 
 
 def _node(data, parents, backward) -> Tensor:
-    track = _tracking.get() and any(
-        p.requires_grad or p._backward is not None for p in parents)
+    track = _tracking.get() and any(_tracked(p) for p in parents)
     return Tensor(data, parents=parents if track else (),
                   backward=backward if track else None)
 
@@ -337,15 +350,21 @@ def masked_softmax(logits: Tensor, mask: Optional[np.ndarray] = None,
     """
     x = logits.data
     if mask is None:
-        m = np.ones(x.shape, dtype=bool)
+        out_data = x - x.max(axis=axis, keepdims=True)
     else:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not m.any(axis=axis).all():
+        mask = np.asarray(mask, dtype=bool)
+        # along the last axis, broadcasting only repeats whole slices of the
+        # mask, so the un-broadcast mask answers the same question
+        last = mask.ndim >= 1 and axis in (-1, x.ndim - 1)
+        visible = mask if last else np.broadcast_to(mask, x.shape)
+        if not visible.any(axis=axis).all():
             raise AssertionError("softmax slice with no visible entries")
-    shifted = np.where(m, x, -np.inf)
-    shifted = shifted - shifted.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+        out_data = np.where(mask, x, -np.inf)
+        if out_data.shape != x.shape:
+            raise ValueError(f"mask {mask.shape} does not broadcast to {x.shape}")
+        out_data -= out_data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def bw(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)

@@ -128,8 +128,11 @@ def adam_step(store: ParamStore, opt: OptimizerState) -> None:
         if not p.requires_grad:
             continue
         g = p.grad
-        m = opt.m.setdefault(name, np.zeros_like(p.data))
-        v = opt.v.setdefault(name, np.zeros_like(p.data))
+        m, v = opt.m.get(name), opt.v.get(name)
+        if m is None:
+            m = opt.m[name] = np.zeros_like(p.data)
+        if v is None:
+            v = opt.v[name] = np.zeros_like(p.data)
         m *= b1
         m += (1.0 - b1) * g
         v *= b2

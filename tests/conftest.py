@@ -1,10 +1,17 @@
 """Shared fixtures and the acceptance-criteria report hook."""
 
 import functools
+import os
 import tempfile
 from pathlib import Path
 
-import numpy as np
+# one BLAS/OpenMP thread, set before numpy loads, as perfbench/run.py does:
+# wall-time bounds then depend less on what else the machine is running
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from kegat.kgstore import load_graph

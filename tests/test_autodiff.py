@@ -139,6 +139,42 @@ def test_masked_softmax_empty_slice_asserts():
     with pytest.raises(AssertionError):
         ad.masked_softmax(Tensor(np.zeros((2, 2))),
                           np.zeros((2, 2), dtype=bool))
+    # a (T, T) mask broadcast over heads, with one row all invisible
+    mask = np.ones((3, 3), dtype=bool)
+    mask[1] = False
+    with pytest.raises(AssertionError):
+        ad.masked_softmax(Tensor(np.zeros((2, 3, 3))), mask, axis=-1)
+    # along a non-last axis: column 2 is all invisible
+    mask = np.ones((3, 3), dtype=bool)
+    mask[:, 2] = False
+    with pytest.raises(AssertionError):
+        ad.masked_softmax(Tensor(np.zeros((2, 3, 3))), mask, axis=1)
+    ad.masked_softmax(Tensor(np.zeros((2, 3, 3))), mask, axis=-1)
+    with pytest.raises(ValueError):
+        ad.masked_softmax(Tensor(np.zeros((3, 3))), np.ones((2, 3, 3), bool))
+
+
+def test_masked_softmax_broadcast_mask_matches_full_mask():
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(2, 4, 4))
+    mask = rng.random((4, 4)) < 0.5
+    np.fill_diagonal(mask, True)
+    full = np.broadcast_to(mask, x.shape).copy()
+    for axis in (-1, 1):
+        np.testing.assert_array_equal(
+            ad.masked_softmax(Tensor(x), mask, axis=axis).data,
+            ad.masked_softmax(Tensor(x), full, axis=axis).data)
+
+
+def test_backward_skips_constant_operands():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    c = rng.normal(size=(3, 4))
+    for out, kept in ((x * Tensor(c), x), (Tensor(c) * x, x),
+                      (x + Tensor(c), x), (Tensor(c) @ w, w)):
+        grads = out._backward(np.ones(out.shape))
+        assert [p for p, _ in grads] == [kept]
 
 
 @given(st.integers(0, 2 ** 31 - 1))
