@@ -23,8 +23,8 @@ The op set:
   ``sum`` and ``mean``
 - indexing ``t[idx]`` with any numpy index: an int, a slice, an int array
   (repeats allowed) or a tuple of them
-- module-level ``concat``, ``masked_softmax``, ``log_softmax`` and
-  ``dropout``
+- module-level ``concat``, ``masked_softmax``, ``log_softmax``,
+  ``layer_norm`` and ``dropout``
 
 Broadcast operands get their gradient summed back to their own shape. The
 backward of ``t[idx]`` scatter-adds into a zero array of ``t``'s shape with
@@ -384,6 +384,39 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
         return ((logits, g - soft * g.sum(axis=axis, keepdims=True)),)
 
     return _node(out_data, (logits,), bw)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Normalise the last axis to zero mean and unit variance, then scale by
+    `gain` and shift by `bias` (Ba et al., arXiv 1607.06450), as one node.
+
+    The forward is the arithmetic of the composed ops, in their order, so it
+    is bit-equal to ``c = x - x.mean(-1)``, ``var = (c ** 2).mean(-1)``,
+    ``c / (var + eps).sqrt() * gain + bias`` (each mean a sum times 1/n). The
+    backward is analytic: for ``d = g * gain``, the input gradient is
+    ``r * (d - mean(d) - xhat * mean(d * xhat))`` with ``r = 1/sqrt(var+eps)``.
+    """
+    inv_n = 1.0 / x.shape[-1]
+    c = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    var = (c ** 2.0).sum(axis=-1, keepdims=True) * inv_n
+    r = np.sqrt(var + eps) ** -1.0
+    xhat = c * r
+    out_data = xhat * gain.data + bias.data
+
+    def bw(g):
+        out = []
+        if _tracked(x):
+            d = g * gain.data
+            mean_d = d.sum(axis=-1, keepdims=True) * inv_n
+            mean_dx = (d * xhat).sum(axis=-1, keepdims=True) * inv_n
+            out.append((x, r * (d - mean_d - xhat * mean_dx)))
+        if _tracked(gain):
+            out.append((gain, _unbroadcast(g * xhat, gain.shape)))
+        if _tracked(bias):
+            out.append((bias, _unbroadcast(g, bias.shape)))
+        return out
+
+    return _node(out_data, (x, gain, bias), bw)
 
 
 def dropout(t: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:

@@ -82,13 +82,6 @@ def embed(seq: InjectedSequence, params: EncoderParams) -> Tensor:
     return params.tok_emb[tokens] + params.pos_emb[soft]
 
 
-def _layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered ** 2.0).mean(axis=-1, keepdims=True)
-    return centered / (var + LN_EPS).sqrt() * gain + bias
-
-
 def _attention(x: Tensor, visibility: np.ndarray, lp: LayerParams,
                n_heads: int) -> Tensor:
     """All heads at once: (T, d) projections viewed as (H, T, d_h) stacks."""
@@ -118,10 +111,10 @@ def encode(E: Tensor, visibility: np.ndarray, params: EncoderParams,
     for lp in params.layers:
         att = _attention(h, vis, lp, params.n_heads)
         att = ad.dropout(att, dropout_rate, dropout_rng)
-        h = _layer_norm(h + att, lp.ln1_g, lp.ln1_b)
+        h = ad.layer_norm(h + att, lp.ln1_g, lp.ln1_b, LN_EPS)
         ffn = ((h @ lp.ffn_w1 + lp.ffn_b1).elu() @ lp.ffn_w2) + lp.ffn_b2
         ffn = ad.dropout(ffn, dropout_rate, dropout_rng)
-        h = _layer_norm(h + ffn, lp.ln2_g, lp.ln2_b)
+        h = ad.layer_norm(h + ffn, lp.ln2_g, lp.ln2_b, LN_EPS)
     pooled = (h[0] @ params.pooler_w + params.pooler_b).tanh()
     return EncoderOutput(hidden=h, pooled=pooled)
 

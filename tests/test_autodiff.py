@@ -88,6 +88,31 @@ def test_concat_and_softmax_grads():
     _check_grad(lambda t: ad.log_softmax(t)[1], x0)
 
 
+def _layer_norm_chain(x, gain, bias, eps):
+    """The composed-op layer norm that `ad.layer_norm` must equal bit for bit."""
+    c = x - x.mean(axis=-1, keepdims=True)
+    var = (c ** 2.0).mean(axis=-1, keepdims=True)
+    return c / (var + eps).sqrt() * gain + bias
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+def test_layer_norm_matches_chain_and_differences(shape):
+    rng = np.random.default_rng(4)
+    x0, w = rng.normal(size=shape), rng.normal(size=shape)
+    gain0, bias0 = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    eps = 1e-5
+    np.testing.assert_array_equal(
+        ad.layer_norm(Tensor(x0), Tensor(gain0), Tensor(bias0), eps).data,
+        _layer_norm_chain(Tensor(x0), Tensor(gain0), Tensor(bias0), eps).data)
+
+    def loss(x, gain, bias):
+        return (ad.layer_norm(x, gain, bias, eps) * Tensor(w)).sum()
+
+    _check_grad(lambda t: loss(t, Tensor(gain0), Tensor(bias0)), x0)
+    _check_grad(lambda t: loss(Tensor(x0), t, Tensor(bias0)), gain0)
+    _check_grad(lambda t: loss(Tensor(x0), Tensor(gain0), t), bias0)
+
+
 def test_scalar_fanout_accumulation():
     # A 0-d parameter consumed by several downstream products must accumulate
     # every contribution (numpy 0-d products are immutable scalars, which once
