@@ -353,15 +353,14 @@ def masked_softmax(logits: Tensor, mask: Optional[np.ndarray] = None,
         out_data = x - x.max(axis=axis, keepdims=True)
     else:
         mask = np.asarray(mask, dtype=bool)
-        # along the last axis, broadcasting only repeats whole slices of the
-        # mask, so the un-broadcast mask answers the same question
-        last = mask.ndim >= 1 and axis in (-1, x.ndim - 1)
-        visible = mask if last else np.broadcast_to(mask, x.shape)
-        if not visible.any(axis=axis).all():
-            raise AssertionError("softmax slice with no visible entries")
         out_data = np.where(mask, x, -np.inf)
         if out_data.shape != x.shape:
             raise ValueError(f"mask {mask.shape} does not broadcast to {x.shape}")
+        # broadcasting only repeats mask values along its missing or size-1
+        # axes, so the un-broadcast mask answers the same question
+        visible = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
+        if not visible.any(axis=axis).all():
+            raise AssertionError("softmax slice with no visible entries")
         out_data -= out_data.max(axis=axis, keepdims=True)
     np.exp(out_data, out=out_data)
     out_data /= out_data.sum(axis=axis, keepdims=True)
