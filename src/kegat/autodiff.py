@@ -1,17 +1,25 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-Every tensor op used by the model records a backward closure; calling
-``backward()`` on a scalar loss accumulates gradients into every reachable
-tensor with ``requires_grad``. Double precision throughout so finite-difference
-gradient checks stay tight.
+Every tensor op used by the model returns a tensor that records its graph
+edges: one ``(operand, g -> gradient)`` pair per operand that is tracked,
+listed in operand order. Calling ``backward()`` on a scalar loss walks those
+edges. Double precision throughout so finite-difference gradient checks stay
+tight.
 
-An op records a graph edge only when one of its inputs is tracked: it has
-``requires_grad`` or was itself recorded. A tensor with
+One rule, applied in ``_node`` and nowhere else, decides what is recorded: an
+operand is tracked when it has ``requires_grad`` or has edges of its own, and
+no op records an edge to an operand that is not. A tensor with
 ``requires_grad=False`` is therefore a constant, and so is everything computed
-from constants alone. This is how freezing works: a frozen parameter is one
-whose ``requires_grad`` is off, so no op records a path back to it. Inside a
+from constants alone; dropout masks and wrapped scalars never enter the
+graph. This is how freezing works: a frozen parameter is one whose
+``requires_grad`` is off, so no op records a path back to it. Inside a
 ``with no_grad():`` block no op records anything; the forward values are the
 same, only the graph is gone.
+
+A tensor with ``requires_grad`` is a leaf (a parameter): ``backward()`` adds
+each gradient that reaches it into its ``.grad`` in place, in arrival order.
+An interior tensor sums its arrivals into a fresh array and passes the total
+on along its own edges.
 
 The op set:
 
@@ -36,7 +44,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,20 +63,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-class Tensor:
-    """A numpy array plus gradient buffer and backward graph edge."""
+# one graph edge: an operand, and how the output's gradient maps to its own
+Edge = Tuple["Tensor", Callable[[np.ndarray], np.ndarray]]
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+
+class Tensor:
+    """A numpy array plus gradient buffer and the graph edges to its operands."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_edges", "name")
 
     def __init__(self, data, requires_grad: bool = False,
-                 parents: Sequence["Tensor"] = (),
-                 backward: Optional[Callable[[np.ndarray], None]] = None,
-                 name: Optional[str] = None):
+                 edges: Sequence[Edge] = (), name: Optional[str] = None):
         self.data = _as_array(data)
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self.requires_grad = requires_grad
-        self._parents = tuple(parents)
-        self._backward = backward
+        self._edges = edges
         self.name = name
 
     # -- basic introspection -------------------------------------------------
@@ -91,11 +100,6 @@ class Tensor:
 
     # -- graph machinery -----------------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
-
     def backward(self) -> None:
         """Reverse-accumulate gradients from this scalar tensor."""
         if self.data.size != 1:
@@ -112,46 +116,43 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+            for operand, _ in node._edges:
+                if operand._edges and id(operand) not in seen:
+                    stack.append((operand, False))
+        # the walk holds only interior nodes (and the root); a leaf's gradient
+        # goes straight into its .grad
+        if self.requires_grad:
+            self.grad += 1.0
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad:
-                node._accumulate(g)
-            if node._backward is not None:
-                for parent, pg in node._backward(g):
-                    if _tracked(parent):
-                        pg = np.asarray(pg, dtype=np.float64)
-                        acc = grads.get(id(parent))
-                        if acc is None:
-                            # a strided view is copied: summing it later would
-                            # run in another order and change the rounding
-                            grads[id(parent)] = (pg if pg.flags.c_contiguous
-                                                 else pg.copy())
-                        else:
-                            # rebind: 0-d results may not support in-place +=
-                            grads[id(parent)] = acc + pg
+            g = grads.pop(id(node))
+            for operand, grad_fn in node._edges:
+                pg = np.asarray(grad_fn(g), dtype=np.float64)
+                if operand.requires_grad:
+                    # a parameter sums its arrivals in place, in arrival order
+                    operand.grad += pg
+                    continue
+                acc = grads.get(id(operand))
+                if acc is None:
+                    # a strided view is copied: summing it later would run in
+                    # another order and change the rounding
+                    grads[id(operand)] = (pg if pg.flags.c_contiguous
+                                          else pg.copy())
+                else:
+                    grads[id(operand)] = acc + pg
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         other = _wrap(other)
-        out_data = self.data + other.data
-
-        def bw(g):
-            return tuple((t, _unbroadcast(g, t.shape))
-                         for t in (self, other) if _tracked(t))
-
-        return _node(out_data, (self, other), bw)
+        return _node(self.data + other.data,
+                     (self, lambda g: _unbroadcast(g, self.shape)),
+                     (other, lambda g: _unbroadcast(g, other.shape)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _node(-self.data, (self,), lambda g: ((self, -g),))
+        return _node(-self.data, (self, np.negative))
 
     def __sub__(self, other):
         return self + (-_wrap(other))
@@ -161,17 +162,10 @@ class Tensor:
 
     def __mul__(self, other):
         other = _wrap(other)
-        out_data = self.data * other.data
-
-        def bw(g):
-            out = []
-            if _tracked(self):
-                out.append((self, _unbroadcast(g * other.data, self.shape)))
-            if _tracked(other):
-                out.append((other, _unbroadcast(g * self.data, other.shape)))
-            return out
-
-        return _node(out_data, (self, other), bw)
+        a, b = self.data, other.data
+        return _node(a * b,
+                     (self, lambda g: _unbroadcast(g * b, a.shape)),
+                     (other, lambda g: _unbroadcast(g * a, b.shape)))
 
     __rmul__ = __mul__
 
@@ -183,100 +177,77 @@ class Tensor:
 
     def __pow__(self, exponent: float):
         n = float(exponent)
-        out_data = self.data ** n
-
-        def bw(g):
-            return ((self, g * n * self.data ** (n - 1.0)),)
-
-        return _node(out_data, (self,), bw)
+        return _node(self.data ** n,
+                     (self, lambda g: g * n * self.data ** (n - 1.0)))
 
     def __matmul__(self, other):
         other = _wrap(other)
         a, b = self.data, other.data
-        out_data = a @ b
+        if a.ndim == 1 and b.ndim == 2:
+            da, db = (lambda g: g @ b.T), (lambda g: np.outer(a, g))
+        elif a.ndim == 2 and b.ndim == 1:
+            da, db = (lambda g: np.outer(g, b)), (lambda g: a.T @ g)
+        elif a.ndim == 1 and b.ndim == 1:
+            da, db = (lambda g: g * b), (lambda g: g * a)
+        else:
+            def da(g):
+                return _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)
 
-        def bw(g):
-            if a.ndim == 1 and b.ndim == 2:
-                return ((self, g @ b.T), (other, np.outer(a, g)))
-            if a.ndim == 2 and b.ndim == 1:
-                return ((self, np.outer(g, b)), (other, a.T @ g))
-            if a.ndim == 1 and b.ndim == 1:
-                return ((self, g * b), (other, g * a))
-            out = []
-            if _tracked(self):
-                out.append((self, _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)))
-            if _tracked(other):
-                out.append((other, _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)))
-            return out
-
-        return _node(out_data, (self, other), bw)
+            def db(g):
+                return _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
+        return _node(a @ b, (self, da), (other, db))
 
     # -- elementwise nonlinearities ------------------------------------------
 
     def exp(self):
         out_data = np.exp(self.data)
-        return _node(out_data, (self,), lambda g: ((self, g * out_data),))
+        return _node(out_data, (self, lambda g: g * out_data))
 
     def log(self):
-        return _node(np.log(self.data), (self,),
-                     lambda g: ((self, g / self.data),))
+        return _node(np.log(self.data), (self, lambda g: g / self.data))
 
     def sqrt(self):
         out_data = np.sqrt(self.data)
-        return _node(out_data, (self,),
-                     lambda g: ((self, g * 0.5 / out_data),))
+        return _node(out_data, (self, lambda g: g * 0.5 / out_data))
 
     def tanh(self):
         out_data = np.tanh(self.data)
-        return _node(out_data, (self,),
-                     lambda g: ((self, g * (1.0 - out_data ** 2)),))
+        return _node(out_data, (self, lambda g: g * (1.0 - out_data ** 2)))
 
     def elu(self, alpha: float = 1.0):
         pos = self.data > 0
         out_data = np.where(pos, self.data, alpha * np.expm1(self.data))
-
-        def bw(g):
-            return ((self, g * np.where(pos, 1.0, out_data + alpha)),)
-
-        return _node(out_data, (self,), bw)
+        return _node(out_data,
+                     (self, lambda g: g * np.where(pos, 1.0, out_data + alpha)))
 
     def leaky_relu(self, slope: float = 0.2):
         pos = self.data > 0
-        out_data = np.where(pos, self.data, slope * self.data)
-
-        def bw(g):
-            return ((self, g * np.where(pos, 1.0, slope)),)
-
-        return _node(out_data, (self,), bw)
+        return _node(np.where(pos, self.data, slope * self.data),
+                     (self, lambda g: g * np.where(pos, 1.0, slope)))
 
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape):
         old = self.shape
-        out_data = self.data.reshape(*shape)
-        return _node(out_data, (self,), lambda g: ((self, g.reshape(old)),))
+        return _node(self.data.reshape(*shape), (self, lambda g: g.reshape(old)))
 
     def transpose(self, *axes):
         """Permute axes like ``np.transpose``; no axes reverses them all."""
-        out_data = self.data.transpose(*axes)
         inverse = sorted(range(len(axes)), key=axes.__getitem__)
-        return _node(out_data, (self,),
-                     lambda g: ((self, g.transpose(*inverse)),))
+        return _node(self.data.transpose(*axes),
+                     (self, lambda g: g.transpose(*inverse)))
 
     @property
     def T(self):
         return self.transpose()
 
     def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
         def bw(g):
-            if axis is None:
-                return ((self, np.broadcast_to(g, self.shape).copy()),)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            return ((self, np.broadcast_to(gg, self.shape).copy()),)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, self.shape).copy()
 
-        return _node(out_data, (self,), bw)
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self, bw))
 
     def mean(self, axis=None, keepdims: bool = False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -284,14 +255,12 @@ class Tensor:
 
     def __getitem__(self, idx):
         """Numpy indexing; the backward scatter-adds into a zero array."""
-        out_data = self.data[idx]
-
         def bw(g):
             gg = np.zeros_like(self.data)
             np.add.at(gg, idx, g)
-            return ((self, gg),)
+            return gg
 
-        return _node(out_data, (self,), bw)
+        return _node(self.data[idx], (self, bw))
 
 
 def _wrap(x) -> Tensor:
@@ -300,7 +269,7 @@ def _wrap(x) -> Tensor:
 
 def _tracked(t: Tensor) -> bool:
     """Whether a gradient for `t` is kept: a leaf to fill or a node to pass on."""
-    return t.requires_grad or t._backward is not None
+    return t.requires_grad or bool(t._edges)
 
 
 # a context variable, not a global: a no_grad() block in one thread or
@@ -318,27 +287,27 @@ def no_grad():
         _tracking.reset(token)
 
 
-def _node(data, parents, backward) -> Tensor:
-    track = _tracking.get() and any(_tracked(p) for p in parents)
-    return Tensor(data, parents=parents if track else (),
-                  backward=backward if track else None)
+def _node(data, *edges: Edge) -> Tensor:
+    """A new tensor holding `data`, with one edge per tracked operand.
+
+    This is the one place that decides what the graph records: an edge to a
+    constant operand is dropped, and under ``no_grad()`` every edge is.
+    """
+    if not _tracking.get():
+        return Tensor(data)
+    return Tensor(data, edges=[e for e in edges if _tracked(e[0])])
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = [_wrap(t) for t in tensors]
     out_data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        outs = []
-        for t, a, b in zip(ts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(a, b)
-            outs.append((t, g[tuple(sl)]))
-        return tuple(outs)
-
-    return _node(out_data, ts, bw)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts])
+    edges = []
+    for t, a, b in zip(ts, offsets[:-1], offsets[1:]):
+        sl = [slice(None)] * out_data.ndim
+        sl[axis] = slice(a, b)
+        edges.append((t, lambda g, sl=tuple(sl): g[sl]))
+    return _node(out_data, *edges)
 
 
 def masked_softmax(logits: Tensor, mask: Optional[np.ndarray] = None,
@@ -366,10 +335,9 @@ def masked_softmax(logits: Tensor, mask: Optional[np.ndarray] = None,
     out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def bw(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return ((logits, out_data * (g - dot)),)
+        return out_data * (g - (g * out_data).sum(axis=axis, keepdims=True))
 
-    return _node(out_data, (logits,), bw)
+    return _node(out_data, (logits, bw))
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -378,11 +346,8 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - lse
     soft = np.exp(out_data)
-
-    def bw(g):
-        return ((logits, g - soft * g.sum(axis=axis, keepdims=True)),)
-
-    return _node(out_data, (logits,), bw)
+    return _node(out_data,
+                 (logits, lambda g: g - soft * g.sum(axis=axis, keepdims=True)))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -402,20 +367,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     xhat = c * r
     out_data = xhat * gain.data + bias.data
 
-    def bw(g):
-        out = []
-        if _tracked(x):
-            d = g * gain.data
-            mean_d = d.sum(axis=-1, keepdims=True) * inv_n
-            mean_dx = (d * xhat).sum(axis=-1, keepdims=True) * inv_n
-            out.append((x, r * (d - mean_d - xhat * mean_dx)))
-        if _tracked(gain):
-            out.append((gain, _unbroadcast(g * xhat, gain.shape)))
-        if _tracked(bias):
-            out.append((bias, _unbroadcast(g, bias.shape)))
-        return out
+    def dx(g):
+        d = g * gain.data
+        mean_d = d.sum(axis=-1, keepdims=True) * inv_n
+        mean_dx = (d * xhat).sum(axis=-1, keepdims=True) * inv_n
+        return r * (d - mean_d - xhat * mean_dx)
 
-    return _node(out_data, (x, gain, bias), bw)
+    return _node(out_data, (x, dx),
+                 (gain, lambda g: _unbroadcast(g * xhat, gain.shape)),
+                 (bias, lambda g: _unbroadcast(g, bias.shape)))
 
 
 def dropout(t: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:

@@ -11,13 +11,14 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
-import numpy as np
 
 from . import gat as gatmod
 from . import harness, kemb, kgstore, trainkit
 from .errors import DataFormatError, NumericError
+from .head import ensemble_average
 from .linker import extract_entities, tokenize
 from .model import KegatModel, ModelConfig
 from .vocab import Vocab
@@ -232,22 +233,30 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
           train_data, dev_data, output_path, no_kemb, no_kegat, no_lm_loss):
     """Two-phase training with dev-accuracy model selection."""
     cfg = _read_config(config_path) if config_path else {}
-    flags = {"use_kemb": not (no_kemb or cfg.get("no_kemb", False)),
-             "use_kegat": not (no_kegat or cfg.get("no_kegat", False)),
-             "use_lm": not (no_lm_loss or cfg.get("no_lm_loss", False))}
-    fields = {f.name for f in dataclasses.fields(ModelConfig)} - flags.keys()
-    config = ModelConfig(**{k: cfg[k] for k in fields & cfg.keys()}, **flags)
-    out = Path(output_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        for key in ("no_kemb", "no_kegat", "no_lm_loss"):
+            trainkit.check_type(key, cfg.get(key, False), bool)
+        flags = {"use_kemb": not (no_kemb or cfg.get("no_kemb", False)),
+                 "use_kegat": not (no_kegat or cfg.get("no_kegat", False)),
+                 "use_lm": not (no_lm_loss or cfg.get("no_lm_loss", False))}
+        fields = {f.name for f in dataclasses.fields(ModelConfig)} - flags.keys()
+        config = ModelConfig(**{k: cfg[k] for k in fields & cfg.keys()}, **flags)
+        schedule = trainkit.Schedule.from_config(cfg)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{config_path}: {exc}") from None
     train_set = harness.load_comve(train_data, subtask)
     dev_set = harness.load_comve(dev_data, subtask)
+    for path, split in ((train_data, train_set), (dev_data, dev_set)):
+        if not split:
+            raise DataFormatError(f"{path}: no instances")
+    out = Path(output_path)
+    out.parent.mkdir(parents=True, exist_ok=True)
     graph = _load_kb(kb_path)
     templates = (kemb.load_templates(templates_path) if templates_path
                  else kemb.default_templates())
     vocab = harness.build_vocab(graph, templates, train_set + dev_set)
     model = KegatModel(config, vocab, graph,
                        _concept_table(config, vectors_path), templates)
-    schedule = trainkit.Schedule.from_config(cfg)
     result = trainkit.two_phase_train(model, train_set, dev_set, schedule,
                                       cfg.get("seed", 0))
     # everything eval needs to rebuild this model, beside its parameters
@@ -342,17 +351,15 @@ def predict(checkpoint, data_path, subtask, output_path):
 @_handle_errors
 def ensemble(checkpoints, data_path, subtask):
     """Probability-averaged ensemble accuracy."""
-    from .head import ensemble_average
     instances = harness.load_comve(data_path, subtask)
     models = [_load_model(p.strip())
               for p in checkpoints.split(",") if p.strip()]
     if not models:
         raise click.UsageError("--checkpoints must name at least one checkpoint")
-    correct = 0
-    for inst in instances:
-        avg = ensemble_average([m.predict_probs(inst) for m in models])
-        correct += int(np.argmax(avg)) == inst.label
-    click.echo(json.dumps({"accuracy": correct / len(instances),
+    averaged = SimpleNamespace(predict_probs=lambda inst: ensemble_average(
+        [m.predict_probs(inst) for m in models]))
+    metrics = harness.evaluate(averaged, instances)
+    click.echo(json.dumps({"accuracy": metrics.accuracy,
                            "models": len(models)}))
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -69,18 +69,14 @@ def classification_loss(probs: Tensor, true_index: int) -> Tensor:
 
 
 def lm_loss(logits: Tensor, token_ids: Sequence[int],
-            trunk_mask: Sequence[bool],
-            pad_mask: Optional[Sequence[bool]] = None) -> Tensor:
-    """Summed reconstruction cross-entropy over original non-pad tokens.
+            trunk_mask: Sequence[bool]) -> Tensor:
+    """Summed reconstruction cross-entropy over the original (trunk) tokens.
 
-    Injected branch positions and padding are excluded: the auxiliary
-    objective reconstructs the input, not the injected text.
+    Injected branch positions are excluded: the auxiliary objective
+    reconstructs the input, not the injected text.
     """
     tokens = np.asarray(token_ids, dtype=np.int64)
-    keep = np.asarray(trunk_mask, dtype=bool)
-    if pad_mask is not None:
-        keep = keep & ~np.asarray(pad_mask, dtype=bool)
-    rows = np.nonzero(keep)[0]
+    rows = np.nonzero(np.asarray(trunk_mask, dtype=bool))[0]
     return -ad.log_softmax(logits, axis=-1)[rows, tokens[rows]].sum()
 
 

@@ -13,8 +13,9 @@ trunk runs once per instance and the loss and predictions reuse its output.
 from __future__ import annotations
 
 import contextlib
+import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -27,8 +28,12 @@ from . import kemb
 from .autodiff import Tensor, no_grad
 from .kgstore import KnowledgeGraph
 from .linker import extract_entities
-from .trainkit import ParamStore
+from .trainkit import ParamStore, check_type
 from .vocab import Vocab
+
+
+# the integer config fields that may be 0; every other one must be >= 1
+_MAY_BE_ZERO = ("sample_k", "per_entity_limit", "seed")
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,22 @@ class ModelConfig:
     use_kegat: bool = True
     use_lm: bool = True
     seed: int = 0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            check_type(f.name, value, kind)
+            low = 0 if f.name in _MAY_BE_ZERO else 1
+            if kind is int and value < low:
+                raise ValueError(f"{f.name} must be >= {low}, got {value!r}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        if not math.isfinite(self.fuse_skip_gain):
+            raise ValueError(f"fuse_skip_gain must be finite, got "
+                             f"{self.fuse_skip_gain!r}")
+        if self.dim % self.n_heads:
+            raise ValueError(f"dim {self.dim} is not a multiple of n_heads "
+                             f"{self.n_heads}")
 
     @property
     def repr_dim(self) -> int:

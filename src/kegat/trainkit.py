@@ -259,14 +259,25 @@ def load_checkpoint(path, store: ParamStore) -> dict:
 
 # -- two-phase schedule ------------------------------------------------------
 
+def check_type(name: str, value, kind: type) -> None:
+    """Raise TypeError unless `value` is a `kind`. A bool counts only as a
+    bool, and an int also counts as a float."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
+        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Phase:
     lr: float
     epochs: int
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lr <= 0:
-            raise ValueError("phase needs lr > 0 and epochs >= 0")
+        check_type("lr", self.lr, float)
+        check_type("epochs", self.epochs, int)
+        if self.epochs < 0 or not self.lr > 0:
+            raise ValueError(f"phase needs lr > 0 and epochs >= 0, got "
+                             f"lr={self.lr!r}, epochs={self.epochs!r}")
 
 
 @dataclass(frozen=True)
@@ -275,6 +286,14 @@ class Schedule:
     phase2: Phase = Phase(lr=0.000005, epochs=8)
     batch_size: int = 2
     adam_eps: float = 1e-6
+
+    def __post_init__(self):
+        check_type("batch_size", self.batch_size, int)
+        check_type("adam_eps", self.adam_eps, float)
+        if self.batch_size < 1 or not self.adam_eps > 0:
+            raise ValueError(f"schedule needs batch_size >= 1 and adam_eps > 0, "
+                             f"got batch_size={self.batch_size!r}, "
+                             f"adam_eps={self.adam_eps!r}")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Schedule":

@@ -145,7 +145,7 @@ def _record_tensors(monkeypatch) -> list:
 
 
 def _tracked(tensors) -> list:
-    return [t for t in tensors if t._backward is not None]
+    return [t for t in tensors if ad._tracked(t)]
 
 
 def test_loss_graph_node_count(monkeypatch, tmp_path):
@@ -201,7 +201,7 @@ def test_prediction_records_no_graph_and_skips_lm(monkeypatch):
     """predict_probs builds no tracked tensor and no LM logits, same values."""
     model, instances = _small_model()
     scores, _ = model.forward(instances[0])
-    assert scores.probs._backward is not None
+    assert ad._tracked(scores.probs)
     calls = 0
     real_lm_logits = enc.lm_logits
 

@@ -148,6 +148,9 @@ def test_broadcasting_unbroadcast():
 def test_backward_requires_scalar():
     with pytest.raises(ValueError):
         Tensor(np.zeros(3), requires_grad=True).backward()
+    leaf = Tensor(2.0, requires_grad=True)   # a scalar leaf is its own root
+    leaf.backward()
+    assert leaf.grad.shape == () and leaf.grad == 1.0
 
 
 def test_masked_softmax_rows_sum_to_one():
@@ -191,15 +194,61 @@ def test_masked_softmax_broadcast_mask_matches_full_mask():
             ad.masked_softmax(Tensor(x), full, axis=axis).data)
 
 
+def _mask_dropout(t, c):
+    return ad.dropout(t, 0.5, np.random.default_rng(0))
+
+
+_R = np.random.default_rng(3)
+_M, _N = _R.normal(size=(3, 4)), _R.normal(size=(4, 2))
+_S = _R.normal(size=(2, 3, 4))
+_U, _V = _R.normal(size=3), _R.normal(size=4)
+# (live operand, constant operand, op): every op that takes a second input
+_CONSTANT_OPERAND_CASES = {
+    "x*c": (_M, _M + 1.0, lambda t, c: t * c),
+    "c*x": (_M, _M + 1.0, lambda t, c: c * t),
+    "x+c": (_M, _M + 1.0, lambda t, c: t + c),
+    "c+x": (_M, _M + 1.0, lambda t, c: c + t),
+    "x-c": (_M, _M + 1.0, lambda t, c: t - c),
+    "c-x": (_M, _M + 1.0, lambda t, c: c - t),
+    "x/c": (_M, _M + 5.0, lambda t, c: t / c),
+    "c/x": (_M + 5.0, _M, lambda t, c: c / t),
+    "x@c 2-D": (_M, _N, lambda t, c: t @ c),
+    "c@x 2-D": (_N, _M, lambda t, c: c @ t),
+    "c@x stack": (_N, _S, lambda t, c: c @ t),
+    "x@c stack": (_S, _N, lambda t, c: t @ c),
+    "x@c 1-D@2-D": (_U, _M, lambda t, c: t @ c),
+    "c@x 1-D@2-D": (_M, _U, lambda t, c: c @ t),
+    "x@c 2-D@1-D": (_M, _V, lambda t, c: t @ c),
+    "c@x 2-D@1-D": (_V, _M, lambda t, c: c @ t),
+    "x@c 1-D@1-D": (_V, _V + 1.0, lambda t, c: t @ c),
+    "c@x 1-D@1-D": (_V + 1.0, _V, lambda t, c: c @ t),
+    "concat [x, c]": (_M, _M + 1.0, lambda t, c: ad.concat([t, c], axis=1)),
+    "concat [c, x]": (_M, _M + 1.0, lambda t, c: ad.concat([c, t])),
+    "layer_norm const gain, bias": (
+        _M, _V, lambda t, c: ad.layer_norm(t, c, c * 0.5, 1e-5)),
+    "layer_norm const x, bias": (
+        _V, _M, lambda t, c: ad.layer_norm(c, t, c[0], 1e-5)),
+    "layer_norm const x, gain": (
+        _V, _M, lambda t, c: ad.layer_norm(c, c[1], t, 1e-5)),
+    "dropout mask": (_M, _M, _mask_dropout),
+    "mean's 1/n": (_M, _M, lambda t, c: t.mean(axis=0)),
+}
+
+
 def test_backward_skips_constant_operands():
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    c = rng.normal(size=(3, 4))
-    for out, kept in ((x * Tensor(c), x), (Tensor(c) * x, x),
-                      (x + Tensor(c), x), (Tensor(c) @ w, w)):
-        grads = out._backward(np.ones(out.shape))
-        assert [p for p, _ in grads] == [kept]
+    """Each op records one edge, to its tracked input, and none to a
+    constant; the live gradient is bit-equal to that of the same expression
+    with the constant tracked."""
+    for case, (live0, const0, op) in _CONSTANT_OPERAND_CASES.items():
+        live, const = Tensor(live0, requires_grad=True), Tensor(const0)
+        out = op(live, const)
+        recorded = [operand for operand, _ in out._edges]
+        assert len(recorded) == 1 and recorded[0] is not const, case
+        assert ad._tracked(recorded[0]) and not ad._tracked(const), case
+        out.sum().backward()
+        twin = Tensor(live0, requires_grad=True)
+        op(twin, Tensor(const0, requires_grad=True)).sum().backward()
+        np.testing.assert_array_equal(live.grad, twin.grad, err_msg=case)
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -226,23 +275,19 @@ def test_dropout_scales_kept_entries():
     assert abs(out.data.mean() - 1.0) < 0.05
 
 
-def _is_tracked(t):
-    return t._backward is not None or bool(t._parents)
-
-
 def test_no_grad_records_nothing_and_restores_tracking():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with ad.no_grad():
         y = ((x * 2.0).exp() @ x + x[0]).sum()
-    assert not _is_tracked(y)
+    assert not ad._tracked(y)
     np.testing.assert_array_equal(y.data, (np.exp(x.data * 2.0) @ x.data
                                            + x.data[0]).sum())
-    assert _is_tracked(x * 2.0)
+    assert ad._tracked(x * 2.0)
     with pytest.raises(RuntimeError):
         with ad.no_grad():
             raise RuntimeError("inside the block")
     z = (x * x).sum()
-    assert _is_tracked(z)
+    assert ad._tracked(z)
     z.backward()
     np.testing.assert_array_equal(x.grad, 2.0 * x.data)
 
@@ -251,8 +296,8 @@ def test_constant_inputs_record_nothing():
     """A tensor without requires_grad is a constant: ops on it are untracked."""
     frozen = Tensor(np.array([1.0, 2.0]))
     live = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-    assert not _is_tracked((frozen * 2.0).exp().sum())
+    assert not ad._tracked((frozen * 2.0).exp().sum())
     mixed = frozen * live
-    assert mixed._parents == (frozen, live)
+    assert [operand for operand, _ in mixed._edges] == [live]
     mixed.sum().backward()
     np.testing.assert_array_equal(live.grad, frozen.data)

@@ -248,6 +248,20 @@ def test_ensemble_single_model_matches_eval(runner, trained):
     assert result.exit_code == 1
 
 
+def test_ensemble_on_empty_file_matches_eval(runner, trained, tmp_path):
+    _, ckpt, _ = trained
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    data = ["--data", str(empty), "--subtask", "a"]
+    ev = runner.invoke(main, ["eval", "--checkpoint", str(ckpt)] + data)
+    assert ev.exit_code == 0 and json.loads(ev.output) == {"accuracy": 0.0,
+                                                           "count": 0}
+    result = runner.invoke(main, ["ensemble", "--checkpoints",
+                                  f"{ckpt},{ckpt}"] + data)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output) == {"accuracy": 0.0, "models": 2}
+
+
 def test_corrupted_checkpoint_exits_3(runner, trained):
     bench, ckpt, _ = trained
     raw = bytearray(ckpt.read_bytes())
@@ -477,6 +491,46 @@ def _config_not_object(tmp_path, request):
     return args, f"{config}: config must be a JSON object"
 
 
+def _config_batch_size_zero(tmp_path, request):
+    args, config = _train_config(tmp_path, '{"batch_size": 0}')
+    return args, f"{config}: schedule needs batch_size >= 1"
+
+
+def _config_epochs_not_integer(tmp_path, request):
+    args, config = _train_config(tmp_path, '{"epochs_phase1": "x"}')
+    return args, f"{config}: epochs must be int, got 'x'"
+
+
+def _config_lr_negative(tmp_path, request):
+    args, config = _train_config(tmp_path, '{"lr_phase1": -1}')
+    return args, f"{config}: phase needs lr > 0"
+
+
+def _config_dim_not_integer(tmp_path, request):
+    args, config = _train_config(tmp_path, '{"dim": "x"}')
+    return args, f"{config}: dim must be int, got 'x'"
+
+
+def _config_flag_not_bool(tmp_path, request):
+    args, config = _train_config(tmp_path, '{"no_kemb": "false"}')
+    return args, f"{config}: no_kemb must be bool, got 'false'"
+
+
+def _split_empty(tmp_path, option):
+    args = _train_args(tmp_path)
+    split = args[args.index(option) + 1]
+    Path(split).write_text("", encoding="utf-8")
+    return args, f"{split}: no instances"
+
+
+def _train_data_empty(tmp_path, request):
+    return _split_empty(tmp_path, "--train-data")
+
+
+def _dev_data_empty(tmp_path, request):
+    return _split_empty(tmp_path, "--dev-data")
+
+
 def _vectors_not_utf8(tmp_path, request):
     return _train_vectors(tmp_path, NOT_UTF8)
 
@@ -561,6 +615,13 @@ def _model_record_without_vectors_sha256(tmp_path, request):
     (_model_record_without_vectors_sha256, 3, "numeric failure: "),
     (_config_not_json, 2, "data error: "),
     (_config_not_object, 2, "data error: "),
+    (_config_batch_size_zero, 2, "data error: "),
+    (_config_epochs_not_integer, 2, "data error: "),
+    (_config_lr_negative, 2, "data error: "),
+    (_config_dim_not_integer, 2, "data error: "),
+    (_config_flag_not_bool, 2, "data error: "),
+    (_train_data_empty, 2, "data error: "),
+    (_dev_data_empty, 2, "data error: "),
 ], ids=["link-no-text", "link-not-json", "checkpoint-as-kb",
         "truncated-checkpoint", "bad-dtype-tag", "nan-weight", "inf-weight",
         "binary-kb", "template-not-string", "templates-not-json",
@@ -571,7 +632,10 @@ def _model_record_without_vectors_sha256(tmp_path, request):
         "vectors-nan", "blocklist-not-utf8", "binary-kb-nan-weight",
         "binary-kb-zero-weight", "vectors-edited",
         "model-record-without-vectors-sha256", "config-not-json",
-        "config-not-object"])
+        "config-not-object", "config-batch-size-zero",
+        "config-epochs-not-integer", "config-lr-negative",
+        "config-dim-not-integer", "config-flag-not-bool", "train-data-empty",
+        "dev-data-empty"])
 def test_malformed_input_exits_with_message(runner, tmp_path, request, make,
                                             code, prefix):
     args, fragment = make(tmp_path, request)

@@ -106,12 +106,6 @@ def test_lm_loss_mask_additivity():
     np.testing.assert_allclose(full - partial, term, atol=1e-12)
 
 
-def test_lm_loss_excludes_pad():
-    logits = Tensor(np.zeros((3, 4)))
-    loss = lm_loss(logits, [0, 1, 2], [True] * 3, pad_mask=[False, False, True])
-    np.testing.assert_allclose(loss.data, 2 * np.log(4.0), atol=1e-12)
-
-
 def test_combined_loss_unit_sigmas():
     lp = _loss_params(0.0, 0.0)    # sigma1 = sigma2 = 1
     out = combined_loss(Tensor(1.0), Tensor(1.0), lp)

@@ -151,3 +151,21 @@ def test_scope_is_dropped_on_exit_and_sees_the_new_trunk(bench):
             raise RuntimeError("abort")
     assert model._trunk_out is None
     assert not any(model.store.is_frozen(n) for n in model.store.names())
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("dim", "x", TypeError), ("dim", 8.0, TypeError), ("dim", 0, ValueError),
+    ("use_kemb", 1, TypeError), ("n_layers", True, TypeError),
+    ("dropout", 1.0, ValueError), ("dropout", -0.1, ValueError),
+    ("fuse_skip_gain", float("nan"), ValueError), ("seed", -1, ValueError),
+    ("n_heads", 3, ValueError),   # 64 is not a multiple of 3
+])
+def test_model_config_rejects_bad_values(field, value, error):
+    with pytest.raises(error, match=field):
+        ModelConfig(**{field: value})
+
+
+def test_model_config_accepts_zero_where_meaningful():
+    cfg = ModelConfig(sample_k=0, per_entity_limit=0, seed=0, dropout=0,
+                      fuse_skip_gain=1)
+    assert cfg.as_dict()["dropout"] == 0

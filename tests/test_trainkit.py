@@ -243,6 +243,17 @@ def test_schedule_from_config():
     assert sched.batch_size == 2 and sched.adam_eps == 1e-6
     with pytest.raises(ValueError):
         Phase(lr=0.0, epochs=1)
+    with pytest.raises(ValueError):
+        Phase(lr=float("nan"), epochs=1)
+    with pytest.raises(TypeError):
+        Phase(lr=0.1, epochs=True)
+    with pytest.raises(ValueError):
+        Schedule(batch_size=0)
+    with pytest.raises(ValueError):
+        Schedule(adam_eps=0.0)
+    with pytest.raises(TypeError):
+        Schedule.from_config({"batch_size": 2.0})
+    assert Schedule(adam_eps=1).adam_eps == 1   # an int is a valid float
 
 
 def test_two_phase_requires_data(sugar_graph):
