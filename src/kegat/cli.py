@@ -233,13 +233,19 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
           train_data, dev_data, output_path, no_kemb, no_kegat, no_lm_loss):
     """Two-phase training with dev-accuracy model selection."""
     cfg = _read_config(config_path) if config_path else {}
+    flag_keys = ("no_kemb", "no_kegat", "no_lm_loss")
+    fields = ({f.name for f in dataclasses.fields(ModelConfig)}
+              - {"use_kemb", "use_kegat", "use_lm"})
+    unknown = sorted(cfg.keys() - fields - set(flag_keys)
+                     - trainkit.Schedule.CONFIG_KEYS)
+    if unknown:
+        raise DataFormatError(f"{config_path}: unknown key {unknown[0]!r}")
     try:
-        for key in ("no_kemb", "no_kegat", "no_lm_loss"):
+        for key in flag_keys:
             trainkit.check_type(key, cfg.get(key, False), bool)
         flags = {"use_kemb": not (no_kemb or cfg.get("no_kemb", False)),
                  "use_kegat": not (no_kegat or cfg.get("no_kegat", False)),
                  "use_lm": not (no_lm_loss or cfg.get("no_lm_loss", False))}
-        fields = {f.name for f in dataclasses.fields(ModelConfig)} - flags.keys()
         config = ModelConfig(**{k: cfg[k] for k in fields & cfg.keys()}, **flags)
         schedule = trainkit.Schedule.from_config(cfg)
     except (TypeError, ValueError) as exc:

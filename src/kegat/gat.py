@@ -5,7 +5,8 @@ probability proportional to edge weight. The union of entities and sampled
 neighbors forms one subgraph (all KB edges among included nodes are kept,
 plus self-loops), refined by multi-head attention layers and mean-pooled into
 a single vector that is fused with the sequence encoder's pooled state. The
-heads of a layer run as one op over stacked weights.
+heads of a layer run as one op over stacked weights, and a batch's subgraphs
+run as one block-diagonal graph.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ LEAKY_SLOPE = 0.2   # of the LeakyReLU on attention scores, as in GAT
 
 @dataclass(frozen=True)
 class Subgraph:
-    nodes: tuple            # concept ids, entities first, deduplicated
+    nodes: tuple            # concept ids, entities first, unique per sample
     adjacency: np.ndarray   # n x n bool, self-loops included
     entity_count: int
 
@@ -151,33 +152,58 @@ def run_gat(node_init: np.ndarray, sub: Subgraph, params: GatParams) -> Tensor:
     return h
 
 
-def pool_subgraph(h: Optional[Tensor], node_dim: int) -> Tensor:
-    """Arithmetic mean over node states; zero vector for an empty subgraph."""
-    if h is None or h.shape[0] == 0:
-        return Tensor(np.zeros(node_dim))
-    return h.mean(axis=0)
+def block_diagonal(subs: Sequence[Subgraph]) -> Subgraph:
+    """The disjoint union of `subs` as one subgraph: their nodes in order and
+    a block-diagonal adjacency, so no attention crosses between them."""
+    n = sum(len(s) for s in subs)
+    adjacency = np.zeros((n, n), dtype=bool)
+    start = 0
+    for s in subs:
+        end = start + len(s)
+        adjacency[start:end, start:end] = s.adjacency
+        start = end
+    return Subgraph(nodes=tuple(c for s in subs for c in s.nodes),
+                    adjacency=adjacency,
+                    entity_count=sum(s.entity_count for s in subs))
+
+
+def pool_subgraph(h: Optional[Tensor], sizes: Sequence[int],
+                  node_dim: int) -> Tensor:
+    """Segment means: row i is the arithmetic mean of the `sizes[i]` node
+    states after the first sum(sizes[:i]) rows of `h`, as one op. An empty
+    segment, or every segment when `h` is None, pools to a zero vector."""
+    if h is None:
+        return Tensor(np.zeros((len(sizes), node_dim)))
+    weights = np.zeros((len(sizes), h.shape[0]))
+    start = 0
+    for i, n in enumerate(sizes):
+        if n:
+            weights[i, start:start + n] = 1.0 / n
+        start += n
+    return Tensor(weights) @ h
 
 
 def fuse(e_base: Tensor, e_gnn: Tensor, params: FuseParams) -> Tensor:
-    """One-hidden-layer ELU MLP over the concatenated representations."""
-    x = ad.concat([e_base, e_gnn], axis=0)
+    """One-hidden-layer ELU MLP over the concatenated representations, one
+    row (or vector) per option."""
+    x = ad.concat([e_base, e_gnn], axis=-1)
     return (x @ params.w1 + params.b1).elu() @ params.w2 + params.b2
 
 
 def self_refine(e_all: Tensor, params: GateParams) -> Tensor:
-    """Dimension-wise attention gate.
+    """Dimension-wise attention gate over the last axis.
 
     Scores pass through a tanh bottleneck; softmax weights are rescaled by the
     dimension count so uniform scores leave the vector unchanged (up to ELU).
     """
-    dim = e_all.shape[0]
+    dim = e_all.shape[-1]
     scores = (e_all @ params.w1).tanh() @ params.w2
     gate = ad.masked_softmax(scores, None, axis=-1) * float(dim)
     return (gate * e_all).elu()
 
 
 def concat_final(g: Tensor, e_base: Tensor) -> Tensor:
-    return ad.concat([g, e_base], axis=0)
+    return ad.concat([g, e_base], axis=-1)
 
 
 def load_concept_table(path, dim: int, seed: int = 0) -> Dict[str, np.ndarray]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,9 +23,9 @@ class HeadParams:
 
 @dataclass
 class OptionScores:
-    raw: Tensor          # A raw scores
-    probs: Tensor        # softmax probabilities
-    predicted: int       # argmax, lowest index on ties
+    raw: Tensor          # n_instances x A raw scores
+    probs: Tensor        # softmax probabilities over each row's options
+    predicted: Tuple[int, ...]   # per row, argmax, lowest index on ties
 
     @property
     def prob_values(self) -> np.ndarray:
@@ -43,41 +43,52 @@ class LossParams:
         return float(np.exp(0.5 * s.data))
 
 
-def option_score(repr_vec: Tensor, params: HeadParams) -> Tensor:
-    """MLP score for one option representation, as a 1-vector."""
-    hidden = (repr_vec @ params.w1 + params.b1).elu()
+def option_score(reprs: Tensor, params: HeadParams) -> Tensor:
+    """MLP score per option representation: (N, 1) for (N, repr_dim) rows."""
+    hidden = (reprs @ params.w1 + params.b1).elu()
     return hidden @ params.w2 + params.b2
 
 
-def predict(reprs: Sequence[Tensor], params: HeadParams) -> OptionScores:
-    if len(reprs) < 2:
+def predict(reprs: Tensor, params: HeadParams, n_options: int) -> OptionScores:
+    """Score the (n_instances·A, repr_dim) option rows, instance-major, as
+    one MLP, and take a softmax over each instance's A = `n_options`."""
+    if n_options < 2:
         raise ValueError("predict needs at least 2 options")
-    raw = ad.concat([option_score(r, params) for r in reprs])
+    raw = option_score(reprs, params).reshape(-1, n_options)
     probs = ad.masked_softmax(raw, None, axis=-1)
-    return OptionScores(raw=raw, probs=probs,
-                        predicted=int(np.argmax(probs.data)))
+    predicted = tuple(np.argmax(probs.data, axis=-1).tolist())
+    return OptionScores(raw=raw, probs=probs, predicted=predicted)
 
 
-def classification_loss(probs: Tensor, true_index: int) -> Tensor:
-    """Negative log-likelihood of the true option, floored away from log 0."""
-    if not (0 <= true_index < probs.shape[0]):
+def classification_loss(probs: Tensor, labels: Sequence[int]) -> Tensor:
+    """Mean over rows of the negative log-likelihood of each row's true
+    option. A probability at or below PROB_FLOOR counts as PROB_FLOOR, with
+    the gradient of p itself, so the loss stays finite."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != probs.shape[:1] or not (
+            (0 <= labels) & (labels < probs.shape[1])).all():
         raise ValueError("true index out of range")
-    p = probs[true_index]
-    if p.data <= PROB_FLOOR:
-        return -Tensor(np.asarray(PROB_FLOOR)).log() + (p - p.data)
-    return -p.log()
+    p = probs[np.arange(len(labels)), labels]
+    low = p.data <= PROB_FLOOR
+    if not low.any():
+        return -p.log().mean()
+    # a floored row takes log 1 = 0 from the log and -log(floor) + (p - p)
+    # beside it
+    mask = Tensor(low.astype(np.float64))
+    kept = p * Tensor(~low) + mask
+    floored = Tensor(np.where(low, -np.log(PROB_FLOOR), 0.0))
+    return (-kept.log() + (p - p.data) * mask + floored).mean()
 
 
-def lm_loss(logits: Tensor, token_ids: Sequence[int],
-            trunk_mask: Sequence[bool]) -> Tensor:
-    """Summed reconstruction cross-entropy over the original (trunk) tokens.
+def lm_loss(logits: Tensor, token_ids: Sequence[int]) -> Tensor:
+    """Summed reconstruction cross-entropy of `token_ids`, one per row.
 
-    Injected branch positions are excluded: the auxiliary objective
-    reconstructs the input, not the injected text.
+    The caller passes the original (trunk) tokens' rows only: the auxiliary
+    objective reconstructs the input, not the injected text or padding.
     """
     tokens = np.asarray(token_ids, dtype=np.int64)
-    rows = np.nonzero(np.asarray(trunk_mask, dtype=bool))[0]
-    return -ad.log_softmax(logits, axis=-1)[rows, tokens[rows]].sum()
+    return -ad.log_softmax(logits, axis=-1)[np.arange(len(tokens)),
+                                            tokens].sum()
 
 
 def combined_loss(l1: Tensor, l2: Tensor, params: LossParams) -> Tensor:

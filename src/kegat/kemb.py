@@ -7,7 +7,8 @@ soft position p, and a branch anchored at p numbers its tokens p+1, p+2, ...,
 so parallel branches repeat positions. The visibility matrix keeps injected
 text local: trunk tokens see each other, a branch token sees its own branch,
 and a trunk token and the branches anchored at it see each other. Nothing
-else is visible.
+else is visible. `pad_batch` stacks sequences for one encoder pass, padding
+with positions that see only themselves.
 """
 
 from __future__ import annotations
@@ -205,3 +206,38 @@ def flatten(tree: InjectedTree, vocab: Vocab, max_len: int) -> InjectedSequence:
     return InjectedSequence(tokens=tuple(vocab.encode(tokens)),
                             soft_pos=tuple(soft_pos), visibility=vis,
                             trunk_mask=tuple(in_trunk.tolist()))
+
+
+@dataclass(frozen=True)
+class PaddedBatch:
+    """B sequences padded to the longest one's length T.
+
+    `tokens`, `soft_pos` and `trunk_mask` are (B, T) arrays and `visibility`
+    is (B, T, T). A padding position holds the pad token at soft position 0,
+    is off the trunk, and sees only itself; no real position sees it.
+    """
+    tokens: np.ndarray
+    soft_pos: np.ndarray
+    visibility: np.ndarray
+    trunk_mask: np.ndarray
+
+    def __len__(self) -> int:
+        return self.tokens.shape[0]
+
+
+def pad_batch(seqs: Sequence[InjectedSequence], pad_id: int) -> PaddedBatch:
+    """Stack `seqs` into one padded batch, in order."""
+    B, T = len(seqs), max(len(s) for s in seqs)
+    tokens = np.full((B, T), pad_id, dtype=np.int64)
+    soft_pos = np.zeros((B, T), dtype=np.int64)
+    trunk_mask = np.zeros((B, T), dtype=bool)
+    visibility = np.zeros((B, T, T), dtype=bool)
+    visibility[:, np.arange(T), np.arange(T)] = True
+    for b, s in enumerate(seqs):
+        n = len(s)
+        tokens[b, :n] = s.tokens
+        soft_pos[b, :n] = s.soft_pos
+        trunk_mask[b, :n] = s.trunk_mask
+        visibility[b, :n, :n] = s.visibility
+    return PaddedBatch(tokens=tokens, soft_pos=soft_pos,
+                       visibility=visibility, trunk_mask=trunk_mask)

@@ -3,11 +3,14 @@
 Per option: the converted token sequence is knowledge-injected (unless
 disabled), encoded by the masked transformer, and fused with the pooled GAT
 state of a sampled concept subgraph. A shared scalar MLP scores every option;
-softmax over options gives the prediction. The training loss optionally adds
-the token-reconstruction objective under learnable uncertainty weights; only
-the loss computes it, so prediction runs the encoder, graph and head alone,
-without recording a graph. While only the head trains (`frozen_trunk`), the
-trunk runs once per instance and the loss and predictions reuse its output.
+softmax over options gives the prediction. A batch of instances runs as one
+pass: its B·A option sequences padded to one length, its subgraphs as one
+block-diagonal graph, and fusion, gate and head on B·A rows. The training
+loss is the batch mean and optionally adds the token-reconstruction
+objective under learnable uncertainty weights; only the loss computes it, so
+prediction runs the encoder, graph and head alone, without recording a
+graph. While only the head trains (`frozen_trunk`), the trunk runs once per
+instance and the loss and predictions reuse its output.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import contextlib
 import math
 import zlib
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .autodiff import Tensor, no_grad
 from .kgstore import KnowledgeGraph
 from .linker import extract_entities
 from .trainkit import ParamStore, check_type
-from .vocab import Vocab
+from .vocab import PAD, Vocab
 
 
 # the integer config fields that may be 0; every other one must be >= 1
@@ -85,6 +88,23 @@ class ModelConfig:
         return dict(self.__dict__)
 
 
+def _option_count(instances: Sequence[harness.ComveInstance]) -> int:
+    """The options per instance of a batch, which must all have as many."""
+    counts = {inst.option_count for inst in instances}
+    if len(counts) != 1:
+        raise ValueError(
+            f"a batch needs one option count, got {sorted(counts)}")
+    return counts.pop()
+
+
+class BatchOutput(NamedTuple):
+    """One padded pass over a batch: B instances of A options each."""
+    scores: headmod.OptionScores
+    reprs: Tensor            # B·A x repr_dim final option representations
+    hidden: Tensor           # B·A·T x dim per-token encoder states
+    batch: kemb.PaddedBatch  # the B·A padded input sequences
+
+
 @dataclass
 class _OptionFeatures:
     seq: kemb.InjectedSequence
@@ -93,7 +113,7 @@ class _OptionFeatures:
 
 
 class KegatModel:
-    """Holds the parameter store and runs per-instance forward passes."""
+    """Holds the parameter store and runs batched forward passes."""
 
     def __init__(self, config: ModelConfig, vocab: Vocab,
                  graph: KnowledgeGraph,
@@ -106,10 +126,10 @@ class KegatModel:
         self.templates = templates if templates is not None else kemb.default_templates()
         self.store = ParamStore()
         self._cache: Dict[harness.ComveInstance, List[_OptionFeatures]] = {}
-        # open only inside `frozen_trunk`: per instance, each option's final
-        # representation and the LM term (None without use_lm), as constants
+        # open only inside `frozen_trunk`: per instance, its options' final
+        # representations (A, repr_dim) and its LM term (None without use_lm)
         self._trunk_out: Optional[Dict[harness.ComveInstance,
-                                       Tuple[List[Tensor], Optional[Tensor]]]] = None
+                                       Tuple[np.ndarray, Optional[float]]]] = None
         self._init_params(np.random.default_rng(config.seed))
 
     # -- parameter construction ----------------------------------------------
@@ -235,43 +255,44 @@ class KegatModel:
 
     # -- forward passes ------------------------------------------------------
 
-    def _option_forward(self, feat: _OptionFeatures,
-                        dropout_rng: Optional[np.random.Generator]
-                        ) -> Tuple[Tensor, Tensor]:
-        """One option's final representation and per-token encoder states."""
+    def forward(self, instances: Sequence[harness.ComveInstance],
+                dropout_rng: Optional[np.random.Generator] = None
+                ) -> BatchOutput:
+        """One padded pass over every option of `instances`: the encoder over
+        their (B·A, T) sequences, the GAT over one block-diagonal graph of
+        their subgraphs, and fusion, gate and head on the B·A option rows.
+        Always runs the whole trunk."""
         c = self.config
-        E = enc.embed(feat.seq, self.enc_params)
-        out = enc.encode(E, feat.seq.visibility, self.enc_params,
+        n_options = _option_count(instances)
+        feats = [f for inst in instances for f in self._features(inst)]
+        batch = kemb.pad_batch([f.seq for f in feats], self.vocab.lookup(PAD))
+        out = enc.encode(enc.embed(batch, self.enc_params), batch.visibility,
+                         self.enc_params,
                          dropout_rate=c.dropout if dropout_rng is not None else 0.0,
                          dropout_rng=dropout_rng)
-        if not c.use_kegat:
-            return out.pooled, out.hidden
-        if feat.subgraph is not None and len(feat.subgraph) > 0:
-            h = gatmod.run_gat(feat.node_init, feat.subgraph, self.gat_params)
-        else:
+        reprs = out.pooled
+        if c.use_kegat:
+            sub = gatmod.block_diagonal([f.subgraph for f in feats])
             h = None
-        e_gnn = gatmod.pool_subgraph(h, c.node_dim)
-        e_all = gatmod.fuse(out.pooled, e_gnn, self.fuse_params)
-        g = gatmod.self_refine(e_all, self.gate_params)
-        return gatmod.concat_final(g, out.pooled), out.hidden
+            if len(sub):
+                node_init = np.concatenate([f.node_init for f in feats])
+                h = gatmod.run_gat(node_init, sub, self.gat_params)
+            e_gnn = gatmod.pool_subgraph(h, [len(f.subgraph) for f in feats],
+                                         c.node_dim)
+            e_all = gatmod.fuse(out.pooled, e_gnn, self.fuse_params)
+            g = gatmod.self_refine(e_all, self.gate_params)
+            reprs = gatmod.concat_final(g, out.pooled)
+        return BatchOutput(
+            scores=headmod.predict(reprs, self.head_params, n_options),
+            reprs=reprs, hidden=out.hidden, batch=batch)
 
-    def forward(self, instance: harness.ComveInstance,
-                dropout_rng: Optional[np.random.Generator] = None
-                ) -> Tuple[headmod.OptionScores, List[Tuple[Tensor, Tensor]]]:
-        """Option scores, and per option its final representation and
-        per-token encoder states. Always runs the whole trunk."""
-        outs = [self._option_forward(feat, dropout_rng)
-                for feat in self._features(instance)]
-        return headmod.predict([r for r, _ in outs], self.head_params), outs
-
-    def _lm_term(self, instance: harness.ComveInstance,
-                 outs: List[Tuple[Tensor, Tensor]]) -> Tensor:
-        lm_total: Optional[Tensor] = None
-        for feat, (_, h) in zip(self._features(instance), outs):
-            logits = enc.lm_logits(h, self.enc_params)
-            term = headmod.lm_loss(logits, feat.seq.tokens, feat.seq.trunk_mask)
-            lm_total = term if lm_total is None else lm_total + term
-        return lm_total
+    def _lm_inputs(self, fw: BatchOutput
+                   ) -> Tuple[Tensor, np.ndarray, np.ndarray]:
+        """Reconstruction logits of a pass's trunk rows, computed on those
+        rows only, with their token ids and their row indices."""
+        rows = np.flatnonzero(fw.batch.trunk_mask)
+        logits = enc.lm_logits(fw.hidden[rows], self.enc_params)
+        return logits, fw.batch.tokens.ravel()[rows], rows
 
     # -- the frozen-trunk scope ----------------------------------------------
 
@@ -280,12 +301,13 @@ class KegatModel:
         """Freeze every parameter but the head's, and run the trunk once per
         instance while the scope is open.
 
-        Inside, `loss` and the predictions run only the head, on each
-        option's final representation computed by the instance's first call
-        under `no_grad()` and without dropout; the LM term is kept beside it
-        as a constant, so the loss keeps its formula. Every parameter is
-        trainable again on exit, and the cached outputs are dropped, however
-        the scope ends.
+        Inside, `loss` and the predictions run only the head, as one
+        (B·A, repr_dim) MLP, on option representations kept per instance:
+        a call's instances not kept yet run the trunk in one pass under
+        `no_grad()` and without dropout. Each instance's LM term is kept
+        beside them as a constant, so the loss keeps its formula. Every
+        parameter is trainable again on exit, and the cached outputs are
+        dropped, however the scope ends.
         """
         self.store.freeze_all_except(self.head_param_names())
         self._trunk_out = {}
@@ -295,29 +317,56 @@ class KegatModel:
             self._trunk_out = None
             self.store.unfreeze_all()
 
-    def _trunk_output(self, instance: harness.ComveInstance
-                      ) -> Tuple[List[Tensor], Optional[Tensor]]:
-        out = self._trunk_out.get(instance)
-        if out is None:
+    def _trunk_output(self, instances: Sequence[harness.ComveInstance]
+                      ) -> Tuple[Tensor, Optional[Tensor]]:
+        """The batch's option representations (B·A, repr_dim) and mean LM
+        term, as constants; uncached instances run the trunk in one pass."""
+        missing = [inst for inst in dict.fromkeys(instances)
+                   if inst not in self._trunk_out]
+        if missing:
+            n = len(missing)
             with no_grad():
-                _, outs = self.forward(instance)
-                lm = self._lm_term(instance, outs) if self.config.use_lm else None
-            out = self._trunk_out[instance] = ([r for r, _ in outs], lm)
-        return out
+                fw = self.forward(missing)
+                lms = [None] * n
+                if self.config.use_lm:
+                    logits, tokens, rows = self._lm_inputs(fw)
+                    # the rows are instance-major, so each instance's trunk
+                    # rows are one run of them
+                    owner = rows // (fw.batch.tokens.size // n)
+                    ends = np.searchsorted(owner, np.arange(n + 1))
+                    lms = [float(headmod.lm_loss(logits[a:b], tokens[a:b]).data)
+                           for a, b in zip(ends[:-1], ends[1:])]
+            A = _option_count(missing)
+            for i, inst in enumerate(missing):
+                self._trunk_out[inst] = (fw.reprs.data[i * A:(i + 1) * A],
+                                         lms[i])
+        outs = [self._trunk_out[inst] for inst in instances]
+        reprs = Tensor(np.concatenate([r for r, _ in outs]))
+        if not self.config.use_lm:
+            return reprs, None
+        return reprs, Tensor(sum(lm for _, lm in outs) * (1.0 / len(outs)))
 
     # -- public entry points -------------------------------------------------
 
-    def loss(self, instance: harness.ComveInstance,
+    def loss(self, instances: Sequence[harness.ComveInstance],
              dropout_rng: Optional[np.random.Generator] = None) -> Tensor:
-        """The training loss; inside `frozen_trunk` the head's alone, with
-        no dropout and the LM term a constant."""
+        """The mean training loss over a batch of instances; inside
+        `frozen_trunk` the head's alone, with no dropout and the LM term a
+        constant. The uncertainty-weighted sum is linear in both terms, so
+        it applies to their batch means."""
+        n = len(instances)
         if self._trunk_out is None:
-            scores, outs = self.forward(instance, dropout_rng)
-            lm = self._lm_term(instance, outs) if self.config.use_lm else None
+            fw = self.forward(instances, dropout_rng)
+            scores, lm = fw.scores, None
+            if self.config.use_lm:
+                logits, tokens, _ = self._lm_inputs(fw)
+                lm = headmod.lm_loss(logits, tokens) * (1.0 / n)
         else:
-            reprs, lm = self._trunk_output(instance)
-            scores = headmod.predict(reprs, self.head_params)
-        l2 = headmod.classification_loss(scores.probs, instance.label)
+            reprs, lm = self._trunk_output(instances)
+            scores = headmod.predict(reprs, self.head_params,
+                                     _option_count(instances))
+        l2 = headmod.classification_loss(scores.probs,
+                                         [inst.label for inst in instances])
         if lm is None:
             return l2
         return headmod.combined_loss(lm, l2, self.loss_params)
@@ -325,12 +374,12 @@ class KegatModel:
     def _scores(self, instance: harness.ComveInstance) -> headmod.OptionScores:
         with no_grad():
             if self._trunk_out is None:
-                return self.forward(instance)[0]
-            return headmod.predict(self._trunk_output(instance)[0],
-                                   self.head_params)
+                return self.forward([instance]).scores
+            return headmod.predict(self._trunk_output([instance])[0],
+                                   self.head_params, instance.option_count)
 
     def predict_instance(self, instance: harness.ComveInstance) -> int:
-        return self._scores(instance).predicted
+        return self._scores(instance).predicted[0]
 
     def predict_probs(self, instance: harness.ComveInstance) -> np.ndarray:
-        return self._scores(instance).prob_values.copy()
+        return self._scores(instance).prob_values[0].copy()

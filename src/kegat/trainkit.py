@@ -295,6 +295,10 @@ class Schedule:
                              f"got batch_size={self.batch_size!r}, "
                              f"adam_eps={self.adam_eps!r}")
 
+    # the training-config keys `from_config` reads
+    CONFIG_KEYS = frozenset({"lr_phase1", "epochs_phase1", "lr_phase2",
+                             "epochs_phase2", "batch_size", "adam_eps"})
+
     @classmethod
     def from_config(cls, cfg: dict) -> "Schedule":
         return cls(
@@ -326,10 +330,12 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
     """Head-only training at a high rate, then full fine-tuning at a low rate.
 
     The best dev-accuracy snapshot of phase 1 is restored before phase 2, and
-    the best snapshot overall is returned. Phase 1 runs inside
-    `model.frozen_trunk()`, which freezes all but the head and unfreezes
-    every parameter on exit. Divergence aborts with the last good snapshot
-    restored and every parameter unfrozen. Deterministic given the seed.
+    the best snapshot overall is returned. Each step is one `model.loss`
+    call on the whole batch, which returns the batch-mean loss. Phase 1
+    runs inside `model.frozen_trunk()`, which freezes all but the head and
+    unfreezes every parameter on exit. Divergence aborts with the last good
+    snapshot restored and every parameter unfrozen. Deterministic given the
+    seed.
     """
     if not train_data or not dev_data:
         raise ValueError("train and dev splits must be non-empty")
@@ -357,12 +363,7 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
                         drop_rng = np.random.default_rng(
                             (seed * 7_368_787 + phase_idx * 65537
                              + epoch * 8191 + step) % (2 ** 63))
-                        losses = [model.loss(inst, dropout_rng=drop_rng)
-                                  for inst in batch]
-                        total = losses[0]
-                        for extra in losses[1:]:
-                            total = total + extra
-                        total = total * (1.0 / len(batch))
+                        total = model.loss(batch, dropout_rng=drop_rng)
                         compute_gradients(total, store)
                         adam_step(store, opt)
                         epoch_loss += float(total.data) * len(batch)

@@ -46,10 +46,10 @@ def _criterion(name, ok, detail=""):
     assert ok, line
 
 
-def _small_model():
+def _small_model(n_instances=2):
     graph = conftest.sugar_graph_cached()
     templates = default_templates()
-    instances = generate_augmented(graph, templates, 2,
+    instances = generate_augmented(graph, templates, n_instances,
                                    "uniform-nonneighbor", 0)
     vocab = build_vocab(graph, templates, instances)
     table = {c: np.random.default_rng(zlib.crc32(c.encode())).normal(size=4) * 0.3
@@ -92,14 +92,17 @@ def test_knowledge_effect_on_synthetic_benchmark(tmp_path):
 
 
 def test_gradient_fidelity_every_parameter():
-    """Analytic gradients match central differences for every element."""
+    """Analytic gradients match central differences for every element, on
+    one padded batch of 2 instances whose 4 options differ in length."""
     start = time.monotonic()
-    model, instances = _small_model()
+    model, instances = _small_model(6)
     store = model.store
+    batch = [instances[3], instances[5]]
+    lengths = [len(f.seq) for inst in batch for f in model._features(inst)]
+    assert len(set(lengths)) == len(lengths), lengths   # padding in every row
 
     def batch_loss():
-        total = model.loss(instances[0]) + model.loss(instances[1])
-        return total * 0.5
+        return model.loss(batch)
 
     compute_gradients(batch_loss(), store)
     analytic = {name: p.grad.copy() for name, p in store.items()}
@@ -128,7 +131,8 @@ def test_gradient_fidelity_every_parameter():
     ok = elapsed < 120
     _criterion("gradient fidelity (analytic vs central differences, "
                "every parameter)", ok,
-               f"{n_elems} elements, worst rel err {worst:.2e}, {elapsed:.0f}s")
+               f"{n_elems} elements, worst rel err {worst:.2e}, option "
+               f"lengths {lengths}, {elapsed:.0f}s")
 
 
 def _record_tensors(monkeypatch) -> list:
@@ -149,19 +153,20 @@ def _tracked(tensors) -> list:
 
 
 def test_loss_graph_node_count(monkeypatch, tmp_path):
-    """One instance's loss builds at most 181 tensors on the small model, and
-    at most 271 on the default model over a seed-7 synth instance.
+    """One 2-instance batch's loss builds at most 103 tensors on the small
+    model, and at most 148 on the default model over seed-7 synth instances.
 
-    Guards the batched attention heads, single-op indexing, the stacked GAT
-    heads and the one-node layer norm. The per-head encoder loop and
-    per-token LM loss built 309 on the small model; the per-head GAT loop
-    built 447 on the default model; a layer norm composed of 12 ops built
-    241 and 391.
+    Guards the one padded pass per batch, the batched attention heads,
+    single-op indexing, the stacked GAT heads and the one-node layer norm.
+    A pass per option built 181 and 271 per instance, so 362 and 542 per
+    batch; before that, the per-head encoder loop and per-token LM loss
+    built 309 per instance on the small model, the per-head GAT loop 447 on
+    the default model, and a layer norm composed of 12 ops 241 and 391.
     """
     model, instances = _small_model()
     built = _record_tensors(monkeypatch)
-    model.loss(instances[0])
-    assert 0 < len(built) <= 181, len(built)
+    model.loss(instances[:2])
+    assert 0 < len(built) <= 103, len(built)
 
     bench = synth_benchmark(7, tmp_path / "bench")
     templates = default_templates()
@@ -169,8 +174,8 @@ def test_loss_graph_node_count(monkeypatch, tmp_path):
     vocab = build_vocab(bench.graph, templates, bench.train + bench.dev)
     model = KegatModel(ModelConfig(seed=7), vocab, bench.graph, table, templates)
     built.clear()
-    model.loss(bench.train[0])
-    assert 0 < len(built) <= 271, len(built)
+    model.loss(bench.train[:2])
+    assert 0 < len(built) <= 148, len(built)
 
 
 def test_phase1_loss_differentiates_only_the_head(monkeypatch):
@@ -183,11 +188,11 @@ def test_phase1_loss_differentiates_only_the_head(monkeypatch):
     """
     model, instances = _small_model()
     store, head = model.store, model.head_param_names()
-    compute_gradients(model.loss(instances[0]), store)
+    compute_gradients(model.loss(instances[:1]), store)
     unfrozen = {name: store[name].grad.copy() for name in head}
     store.freeze_all_except(head)
     built = _record_tensors(monkeypatch)
-    loss = model.loss(instances[0])
+    loss = model.loss(instances[:1])
     assert 0 < len(_tracked(built)) <= 20, len(_tracked(built))
     compute_gradients(loss, store)
     for name, p in store.items():
@@ -200,7 +205,7 @@ def test_phase1_loss_differentiates_only_the_head(monkeypatch):
 def test_prediction_records_no_graph_and_skips_lm(monkeypatch):
     """predict_probs builds no tracked tensor and no LM logits, same values."""
     model, instances = _small_model()
-    scores, _ = model.forward(instances[0])
+    scores = model.forward([instances[0]]).scores
     assert ad._tracked(scores.probs)
     calls = 0
     real_lm_logits = enc.lm_logits
@@ -213,11 +218,11 @@ def test_prediction_records_no_graph_and_skips_lm(monkeypatch):
     monkeypatch.setattr(enc, "lm_logits", counting_lm_logits)
     built = _record_tensors(monkeypatch)
     probs = model.predict_probs(instances[0])
-    assert model.predict_instance(instances[0]) == scores.predicted
+    assert model.predict_instance(instances[0]) == scores.predicted[0]
     assert built and _tracked(built) == [] and calls == 0
-    np.testing.assert_array_equal(probs, scores.prob_values)
-    model.loss(instances[0])   # the counter sees the loss's LM term
-    assert calls == instances[0].option_count
+    np.testing.assert_array_equal(probs, scores.prob_values[0])
+    model.loss(instances[:2])   # one LM logits call per loss, for the batch
+    assert calls == 1
 
 
 def test_mask_locality_is_exact():
@@ -289,8 +294,9 @@ def test_all_normalizations_sum_to_one(monkeypatch):
                                 b1=Tensor(rng.normal(size=3)),
                                 w2=Tensor(rng.normal(size=(3, 1))),
                                 b2=Tensor(rng.normal(size=1)))
-        scores = headmod.predict([Tensor(rng.normal(size=d) * 3)
-                                  for _ in range(n_opt)], hp)
+        scores = headmod.predict(
+            Tensor(np.stack([rng.normal(size=d) * 3 for _ in range(n_opt)])),
+            hp, n_opt)
         check_rows(scores.prob_values)
     ok = max_err <= 1e-9 and prob_rows > 1000
     _criterion("attention rows and option probabilities sum to 1 within 1e-9",
@@ -359,8 +365,8 @@ def test_gat_permutation_equivariance():
         sub_p = _subgraph(n, adjacency=adj[np.ix_(perm, perm)])
         h_p = gatmod.run_gat(init[perm], sub_p, params)
         worst = max(worst, float(np.abs(h_p.data - h.data[perm]).max()))
-        pooled = gatmod.pool_subgraph(h, 4).data
-        pooled_p = gatmod.pool_subgraph(h_p, 4).data
+        pooled = gatmod.pool_subgraph(h, [n], 4).data
+        pooled_p = gatmod.pool_subgraph(h_p, [n], 4).data
         worst = max(worst, float(np.abs(pooled - pooled_p).max()))
     ok = worst <= 1e-12
     _criterion("graph attention permutation equivariance",
@@ -369,8 +375,9 @@ def test_gat_permutation_equivariance():
 
 def test_analytic_loss_values():
     """Uniform-probability losses and the unit-sigma combined loss."""
-    two = headmod.classification_loss(Tensor(np.array([0.5, 0.5])), 0).data
-    three = headmod.classification_loss(Tensor(np.full(3, 1 / 3)), 1).data
+    two = headmod.classification_loss(Tensor(np.array([[0.5, 0.5]])), [0]).data
+    three = headmod.classification_loss(Tensor(np.full((1, 3), 1 / 3)),
+                                        [1]).data
     lp = headmod.LossParams(s1=Tensor(0.0), s2=Tensor(0.0))
     combined = headmod.combined_loss(Tensor(1.0), Tensor(1.0), lp).data
     ok = (abs(two - np.log(2)) <= 1e-9 and abs(three - np.log(3)) <= 1e-9

@@ -511,6 +511,16 @@ def _config_dim_not_integer(tmp_path, request):
     return args, f"{config}: dim must be int, got 'x'"
 
 
+def _config_schedule_key_misspelled(tmp_path, request):
+    args, config = _train_config(tmp_path, '{"batch-size": 0}')
+    return args, f"{config}: unknown key 'batch-size'"
+
+
+def _config_model_key_misspelled(tmp_path, request):
+    args, config = _train_config(tmp_path, '{"dim": 16, "n_layer": 1}')
+    return args, f"{config}: unknown key 'n_layer'"
+
+
 def _config_flag_not_bool(tmp_path, request):
     args, config = _train_config(tmp_path, '{"no_kemb": "false"}')
     return args, f"{config}: no_kemb must be bool, got 'false'"
@@ -620,6 +630,8 @@ def _model_record_without_vectors_sha256(tmp_path, request):
     (_config_lr_negative, 2, "data error: "),
     (_config_dim_not_integer, 2, "data error: "),
     (_config_flag_not_bool, 2, "data error: "),
+    (_config_schedule_key_misspelled, 2, "data error: "),
+    (_config_model_key_misspelled, 2, "data error: "),
     (_train_data_empty, 2, "data error: "),
     (_dev_data_empty, 2, "data error: "),
 ], ids=["link-no-text", "link-not-json", "checkpoint-as-kb",
@@ -634,7 +646,9 @@ def _model_record_without_vectors_sha256(tmp_path, request):
         "model-record-without-vectors-sha256", "config-not-json",
         "config-not-object", "config-batch-size-zero",
         "config-epochs-not-integer", "config-lr-negative",
-        "config-dim-not-integer", "config-flag-not-bool", "train-data-empty",
+        "config-dim-not-integer", "config-flag-not-bool",
+        "config-schedule-key-misspelled", "config-model-key-misspelled",
+        "train-data-empty",
         "dev-data-empty"])
 def test_malformed_input_exits_with_message(runner, tmp_path, request, make,
                                             code, prefix):

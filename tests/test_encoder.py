@@ -6,7 +6,7 @@ import pytest
 from kegat.autodiff import Tensor
 from kegat.encoder import (EncoderOutput, EncoderParams, LayerParams, embed,
                            encode, lm_logits)
-from kegat.kemb import InjectedSequence
+from kegat.kemb import InjectedSequence, pad_batch
 
 
 def _seq(tokens, soft_pos=None, visibility=None):
@@ -89,7 +89,7 @@ def test_encode_single_token():
     p = _params()
     out = encode(embed(_seq([5]), p), np.ones((1, 1), dtype=bool), p)
     assert out.hidden.shape == (1, 8)
-    assert out.pooled.shape == (8,)
+    assert out.pooled.shape == (1, 8)   # one pooled row per sequence
     assert np.isfinite(out.hidden.data).all()
 
 
@@ -147,3 +147,21 @@ def test_lm_logits_scores_own_token_highest():
     out = lm_logits(H, p).data
     assert out[0].argmax() == 2 and out[1].argmax() == 5
     assert out.shape == (2, 8)
+
+
+def test_padded_batch_rows_match_each_sequence_alone():
+    p = _params(n_layers=2)
+    vis = np.ones((4, 4), dtype=bool)
+    vis[0, 3] = vis[3, 0] = False
+    seqs = [_seq([1, 2, 3, 4], soft_pos=[0, 1, 1, 2], visibility=vis),
+            _seq([5, 6]), _seq([7, 8, 9])]
+    batch = pad_batch(seqs, pad_id=0)
+    out = encode(embed(batch, p), batch.visibility, p)
+    assert out.hidden.shape == (12, 8) and out.pooled.shape == (3, 8)
+    for b, seq in enumerate(seqs):
+        alone = encode(embed(seq, p), seq.visibility, p)
+        n = len(seq)
+        np.testing.assert_allclose(out.hidden.data[4 * b:4 * b + n],
+                                   alone.hidden.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.pooled.data[b], alone.pooled.data[0],
+                                   rtol=0, atol=1e-12)

@@ -9,9 +9,10 @@ from kegat.autodiff import Tensor
 from kegat.errors import DataFormatError
 from kegat.kgstore import Edge, load_graph
 from kegat.gat import (FuseParams, GatParams, GateParams, Subgraph,
-                       attention_coeffs, build_subgraph, concat_final, fuse,
-                       gat_layer, init_node_embeddings, load_concept_table,
-                       pool_subgraph, run_gat, self_refine, weighted_sample)
+                       attention_coeffs, block_diagonal, build_subgraph,
+                       concat_final, fuse, gat_layer, init_node_embeddings,
+                       load_concept_table, pool_subgraph, run_gat, self_refine,
+                       weighted_sample)
 
 from conftest import numeric_grad, write_kb
 
@@ -90,8 +91,8 @@ def test_sampling_matches_enumeration_quick():
 def test_build_subgraph_empty_without_entities(sugar_graph):
     sub = build_subgraph(["nothing", "matches"], sugar_graph, 4, 0)
     assert len(sub) == 0
-    pooled = pool_subgraph(None, 5)
-    np.testing.assert_array_equal(pooled.data, np.zeros(5))
+    pooled = pool_subgraph(None, [0], 5)
+    np.testing.assert_array_equal(pooled.data, np.zeros((1, 5)))
 
 
 def test_build_subgraph_structure(sugar_graph):
@@ -258,19 +259,79 @@ def test_run_gat_gradients_two_layers_two_heads():
 def test_pool_identical_rows_and_permutation_invariance():
     v = np.array([0.2, -0.4])
     h = Tensor(np.tile(v, (4, 1)))
-    np.testing.assert_allclose(pool_subgraph(h, 2).data, v, atol=1e-15)
+    np.testing.assert_allclose(pool_subgraph(h, [4], 2).data[0], v, atol=1e-15)
     rng = np.random.default_rng(3)
     m = rng.normal(size=(6, 2))
-    a = pool_subgraph(Tensor(m), 2).data
-    b = pool_subgraph(Tensor(m[rng.permutation(6)]), 2).data
+    a = pool_subgraph(Tensor(m), [6], 2).data
+    b = pool_subgraph(Tensor(m[rng.permutation(6)]), [6], 2).data
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def test_pool_segments_are_means_of_their_own_rows():
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=(7, 3))
+    pooled = pool_subgraph(Tensor(m), [2, 0, 5], 3).data
+    np.testing.assert_allclose(pooled[0], m[:2].mean(axis=0), atol=1e-15)
+    np.testing.assert_array_equal(pooled[1], np.zeros(3))
+    np.testing.assert_allclose(pooled[2], m[2:].mean(axis=0), atol=1e-15)
+    np.testing.assert_array_equal(pool_subgraph(None, [0, 0], 3).data,
+                                  np.zeros((2, 3)))
+
+
+def test_block_diagonal_union_runs_each_subgraph_alone():
+    """No attention crosses blocks: each block's states, and its pooled
+    vector, match the subgraph run alone; an empty block pools to zeros."""
+    rng = np.random.default_rng(11)
+    subs = []
+    for n in (3, 0, 5, 1):
+        adj = np.eye(n, dtype=bool)
+        for _ in range(n):
+            i, j = rng.integers(n, size=2) if n else (0, 0)
+            if n:
+                adj[i, j] = adj[j, i] = True
+        subs.append(_subgraph(n, adjacency=adj, entity_count=min(n, 1)))
+    union = block_diagonal(subs)
+    assert len(union) == 9 and union.entity_count == 3
+    assert union.nodes == tuple(c for s in subs for c in s.nodes)
+    params = _gat_params(4, layers=2, heads=2, seed=3)
+    inits = [rng.normal(size=(len(s), 4)) for s in subs]
+    h = run_gat(np.concatenate(inits), union, params)
+    pooled = pool_subgraph(h, [len(s) for s in subs], 4).data
+    start = 0
+    for k, (sub, init) in enumerate(zip(subs, inits)):
+        end = start + len(sub)
+        if len(sub):
+            alone = run_gat(init, sub, params).data
+            np.testing.assert_allclose(h.data[start:end], alone, atol=1e-12)
+            np.testing.assert_allclose(pooled[k], alone.mean(axis=0),
+                                       atol=1e-12)
+        else:
+            np.testing.assert_array_equal(pooled[k], np.zeros(4))
+        start = end
+
+
+def test_fuse_gate_and_concat_on_rows_match_each_row_alone():
+    rng = np.random.default_rng(12)
+    fuse_p = _fuse_params(3, 2, 4, 4, seed=13)
+    gate_p = GateParams(w1=Tensor(rng.normal(size=(4, 2))),
+                        w2=Tensor(rng.normal(size=(2, 4))))
+    base, gnn = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+    rows = concat_final(self_refine(fuse(Tensor(base), Tensor(gnn), fuse_p),
+                                    gate_p), Tensor(base)).data
+    assert rows.shape == (5, 7)
+    for i in range(5):
+        alone = concat_final(
+            self_refine(fuse(Tensor(base[i]), Tensor(gnn[i]), fuse_p), gate_p),
+            Tensor(base[i])).data
+        np.testing.assert_allclose(rows[i], alone, atol=1e-12)
 
 
 def test_zero_layer_gat_pool_is_mean_of_init():
     params = GatParams(w=[], a=[])
     init = np.random.default_rng(0).normal(size=(4, 3))
     h = run_gat(init, _subgraph(4), params)
-    np.testing.assert_allclose(pool_subgraph(h, 3).data, init.mean(axis=0))
+    np.testing.assert_allclose(pool_subgraph(h, [4], 3).data[0],
+                               init.mean(axis=0))
 
 
 # -- fusion, gate, concat -----------------------------------------------------
@@ -345,7 +406,7 @@ def test_empty_subgraph_chain_is_finite():
     fuse_p = _fuse_params(3, 2, 4, 4, seed=8)
     gate_p = GateParams(w1=Tensor(np.random.default_rng(9).normal(size=(4, 2))),
                         w2=Tensor(np.random.default_rng(10).normal(size=(2, 4))))
-    e_gnn = pool_subgraph(None, 2)
+    e_gnn = pool_subgraph(None, [0], 2)[0]
     e_all = fuse(Tensor(np.ones(3)), e_gnn, fuse_p)
     final = concat_final(self_refine(e_all, gate_p), Tensor(np.ones(3)))
     assert np.isfinite(final.data).all()

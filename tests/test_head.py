@@ -28,9 +28,9 @@ def test_predict_tie_breaks_to_lowest_index():
     p = _head_params(2)
     p.w1.data[...] = 0.0    # all options score b2 = 0 -> exact tie
     p.w2.data[...] = 0.0
-    scores = predict([Tensor(np.ones(2)), Tensor(np.zeros(2))], p)
-    np.testing.assert_allclose(scores.prob_values, [0.5, 0.5])
-    assert scores.predicted == 0
+    scores = predict(Tensor(np.array([np.ones(2), np.zeros(2)])), p, 2)
+    np.testing.assert_allclose(scores.prob_values, [[0.5, 0.5]])
+    assert scores.predicted == (0,)
 
 
 def test_predict_dominant_option():
@@ -38,42 +38,68 @@ def test_predict_dominant_option():
     p.w1.data[...] = 1.0
     p.b1.data[...] = 0.0
     p.w2.data[...] = 1.0
-    scores = predict([Tensor(np.array([0.0])), Tensor(np.array([10.0])),
-                      Tensor(np.array([0.0]))], p)
-    assert scores.predicted == 1
-    assert scores.prob_values[1] > 0.9999
+    scores = predict(Tensor(np.array([[0.0], [10.0], [0.0]])), p, 3)
+    assert scores.predicted == (1,)
+    assert scores.prob_values[0, 1] > 0.9999
     np.testing.assert_allclose(scores.prob_values.sum(), 1.0, atol=1e-9)
+
+
+def test_predict_scores_each_row_of_options():
+    p = _head_params(1, hidden=1)
+    p.w1.data[...] = 1.0
+    p.b1.data[...] = 0.0
+    p.w2.data[...] = 1.0
+    reprs = Tensor(np.array([[0.0], [10.0], [3.0], [0.0]]))
+    scores = predict(reprs, p, 2)
+    assert scores.predicted == (1, 0)
+    for row in range(2):
+        one = predict(Tensor(reprs.data[2 * row:2 * row + 2]), p, 2)
+        np.testing.assert_array_equal(scores.prob_values[row],
+                                      one.prob_values[0])
 
 
 def test_predict_needs_two_options():
     with pytest.raises(ValueError):
-        predict([Tensor(np.ones(2))], _head_params(2))
+        predict(Tensor(np.ones((1, 2))), _head_params(2), 1)
 
 
 def test_predict_shift_invariance():
     p = _head_params(3, seed=2)
-    reprs = [Tensor(np.random.default_rng(i).normal(size=3)) for i in range(3)]
-    base = predict(reprs, p).prob_values
+    reprs = Tensor(np.array([np.random.default_rng(i).normal(size=3)
+                             for i in range(3)]))
+    base = predict(reprs, p, 3).prob_values
     p.b2.data[...] += 17.0   # constant added to every option's score
-    shifted = predict(reprs, p).prob_values
+    shifted = predict(reprs, p, 3).prob_values
     np.testing.assert_allclose(base, shifted, atol=1e-12)
 
 
 def test_classification_loss_values():
-    assert classification_loss(Tensor(np.array([1.0, 0.0])), 0).data == 0.0
+    assert classification_loss(Tensor(np.array([[1.0, 0.0]])), [0]).data == 0.0
     np.testing.assert_allclose(
-        classification_loss(Tensor(np.array([0.5, 0.5])), 1).data,
+        classification_loss(Tensor(np.array([[0.5, 0.5]])), [1]).data,
         np.log(2.0), atol=1e-9)
     np.testing.assert_allclose(
-        classification_loss(Tensor(np.array([1 / 3] * 3)), 2).data,
+        classification_loss(Tensor(np.array([[1 / 3] * 3])), [2]).data,
         np.log(3.0), atol=1e-9)
+    # a batch: the mean of its rows' losses
+    np.testing.assert_allclose(
+        classification_loss(Tensor(np.array([[0.5, 0.5], [0.2, 0.8]])),
+                            [0, 1]).data,
+        (np.log(2.0) - np.log(0.8)) / 2, atol=1e-12)
 
 
 def test_classification_loss_floors_zero_probability():
-    loss = classification_loss(Tensor(np.array([1.0, 0.0])), 1)
+    loss = classification_loss(Tensor(np.array([[1.0, 0.0]])), [1])
     np.testing.assert_allclose(loss.data, -np.log(1e-12))
     with pytest.raises(ValueError):
-        classification_loss(Tensor(np.array([1.0, 0.0])), 2)
+        classification_loss(Tensor(np.array([[1.0, 0.0]])), [2])
+    # a floored row beside an ordinary one: each keeps its own value and
+    # gradient (+1 through the floor, -1/p through the log)
+    probs = Tensor(np.array([[1.0, 0.0], [0.25, 0.75]]), requires_grad=True)
+    loss = classification_loss(probs, [1, 0])
+    np.testing.assert_allclose(loss.data, (-np.log(1e-12) - np.log(0.25)) / 2)
+    loss.backward()
+    np.testing.assert_allclose(probs.grad, [[0.0, 0.5], [-2.0, 0.0]])
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 3))
@@ -81,18 +107,18 @@ def test_classification_loss_floors_zero_probability():
 def test_classification_loss_nonnegative(seed, n):
     x = np.random.default_rng(seed).normal(size=n)
     probs = np.exp(x) / np.exp(x).sum()
-    assert classification_loss(Tensor(probs), 0).data >= 0.0
+    assert classification_loss(Tensor(probs[None]), [0]).data >= 0.0
 
 
 def test_lm_loss_perfect_logits_near_zero():
     tokens = [2, 0, 1]
     logits = Tensor(np.eye(3)[tokens] * 1000.0)
-    loss = lm_loss(logits, tokens, [True] * 3)
+    loss = lm_loss(logits, tokens)
     assert loss.data < 1e-9
 
 
 def test_lm_loss_uniform_analytic():
-    loss = lm_loss(Tensor(np.zeros((5, 4))), [0, 1, 2, 3, 0], [True] * 5)
+    loss = lm_loss(Tensor(np.zeros((5, 4))), [0, 1, 2, 3, 0])
     np.testing.assert_allclose(loss.data, 5 * np.log(4.0), atol=1e-9)
 
 
@@ -100,8 +126,10 @@ def test_lm_loss_mask_additivity():
     rng = np.random.default_rng(0)
     logits = Tensor(rng.normal(size=(4, 6)))
     tokens = [1, 2, 3, 4]
-    full = lm_loss(logits, tokens, [True, True, True, True]).data
-    partial = lm_loss(logits, tokens, [True, True, False, True]).data
+    full = lm_loss(logits, tokens).data
+    keep = [0, 1, 3]   # the rows a caller passes when row 2 is not trunk
+    partial = lm_loss(Tensor(logits.data[keep]),
+                      [tokens[i] for i in keep]).data
     term = -log_softmax(logits).data[2, tokens[2]]
     np.testing.assert_allclose(full - partial, term, atol=1e-12)
 

@@ -13,7 +13,7 @@ from kegat.errors import DataFormatError
 from kegat.kgstore import Edge, load_graph
 from kegat.kemb import (HEAD_SLOT, TAIL_SLOT, Branch, InjectedTree, Template,
                         build_tree, default_templates, flatten, load_templates,
-                        realize_triple)
+                        pad_batch, realize_triple)
 from kegat.linker import extract_entities
 from kegat.vocab import Vocab
 
@@ -268,3 +268,27 @@ def test_flatten_invariants(branch_specs, max_len):
     assert tuple(seq.tokens[i] for i in trunk_idx) == bare.tokens
     np.testing.assert_array_equal(vis[np.ix_(trunk_idx, trunk_idx)],
                                   bare.visibility)
+
+
+def test_pad_batch_keeps_each_sequence_and_isolates_padding():
+    vocab = Vocab.build(["sugar", "is", "sweet", "coffee"])
+    tree = InjectedTree(trunk=("[CLS]", "sugar", "[SEP]"),
+                        branches=(Branch(1, ("sugar", "is", "sweet"), 1.0),))
+    long_seq = flatten(tree, vocab, 64)
+    short_seq = flatten(InjectedTree(trunk=("[CLS]", "coffee", "[SEP]"),
+                                     branches=()), vocab, 64)
+    batch = pad_batch([short_seq, long_seq], pad_id=2)
+    assert len(batch) == 2 and batch.tokens.shape == (2, 6)
+    assert batch.visibility.shape == (2, 6, 6)
+    assert list(batch.tokens[1]) == list(long_seq.tokens)
+    assert list(batch.tokens[0]) == list(short_seq.tokens) + [2, 2, 2]
+    assert list(batch.soft_pos[0]) == list(short_seq.soft_pos) + [0, 0, 0]
+    assert list(batch.trunk_mask[0]) == (list(short_seq.trunk_mask)
+                                         + [False] * 3)
+    np.testing.assert_array_equal(batch.visibility[1], long_seq.visibility)
+    np.testing.assert_array_equal(batch.visibility[0, :3, :3],
+                                  short_seq.visibility)
+    # a padding position sees itself only, and no real position sees it
+    np.testing.assert_array_equal(batch.visibility[0, 3:],
+                                  np.eye(6, dtype=bool)[3:])
+    assert not batch.visibility[0, :3, 3:].any()

@@ -78,10 +78,10 @@ def test_freezing_zeroes_gradients_left_by_a_trainable_step(sugar_graph):
     calls `freeze_all_except(head)`) leaves every frozen gradient exactly 0."""
     model, instances = tiny_model(sugar_graph)
     store, head = model.store, model.head_param_names()
-    compute_gradients(model.loss(instances[0]), store)
+    compute_gradients(model.loss([instances[0]]), store)
     assert all(store[n].grad.any() for n in ("enc/tok_emb", "gat/l0/w"))
     with model.frozen_trunk():
-        compute_gradients(model.loss(instances[1]), store)
+        compute_gradients(model.loss([instances[1]]), store)
     for name, p in store.items():
         if name not in head:
             np.testing.assert_array_equal(p.grad, 0.0, err_msg=name)
