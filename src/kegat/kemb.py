@@ -221,9 +221,6 @@ class PaddedBatch:
     visibility: np.ndarray
     trunk_mask: np.ndarray
 
-    def __len__(self) -> int:
-        return self.tokens.shape[0]
-
 
 def pad_batch(seqs: Sequence[InjectedSequence], pad_id: int) -> PaddedBatch:
     """Stack `seqs` into one padded batch, in order."""

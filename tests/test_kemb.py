@@ -278,7 +278,7 @@ def test_pad_batch_keeps_each_sequence_and_isolates_padding():
     short_seq = flatten(InjectedTree(trunk=("[CLS]", "coffee", "[SEP]"),
                                      branches=()), vocab, 64)
     batch = pad_batch([short_seq, long_seq], pad_id=2)
-    assert len(batch) == 2 and batch.tokens.shape == (2, 6)
+    assert batch.tokens.shape == (2, 6)
     assert batch.visibility.shape == (2, 6, 6)
     assert list(batch.tokens[1]) == list(long_seq.tokens)
     assert list(batch.tokens[0]) == list(short_seq.tokens) + [2, 2, 2]
