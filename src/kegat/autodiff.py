@@ -27,7 +27,7 @@ The op set:
 - ``@`` for 1-D and 2-D operands, and for stacks of matrices whose batch
   dims broadcast, e.g. ``(n, d) @ (H, d, e)``
 - elementwise ``exp log sqrt tanh elu leaky_relu``
-- shape ops ``reshape``, ``transpose(*axes)`` (``.T`` reverses all axes),
+- shape ops ``reshape``, ``transpose(*axes)`` (no axes reverses them all),
   ``sum`` and ``mean``
 - indexing ``t[idx]`` with any numpy index: an int, a slice, an int array
   (repeats allowed) or a tuple of them
@@ -157,9 +157,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-_wrap(other))
 
-    def __rsub__(self, other):
-        return _wrap(other) + (-self)
-
     def __mul__(self, other):
         other = _wrap(other)
         a, b = self.data, other.data
@@ -171,9 +168,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return self * _wrap(other) ** -1.0
-
-    def __rtruediv__(self, other):
-        return _wrap(other) * self ** -1.0
 
     def __pow__(self, exponent: float):
         n = float(exponent)
@@ -236,10 +230,6 @@ class Tensor:
         inverse = sorted(range(len(axes)), key=axes.__getitem__)
         return _node(self.data.transpose(*axes),
                      (self, lambda g: g.transpose(*inverse)))
-
-    @property
-    def T(self):
-        return self.transpose()
 
     def sum(self, axis=None, keepdims: bool = False):
         def bw(g):

@@ -152,18 +152,16 @@ def preprocess_inject(kb_path, templates_path, input_path, subtask, max_len,
 @click.option("--templates", "templates_path", type=click.Path(exists=True))
 @click.option("--count", default=100, show_default=True)
 @click.option("--subtask", type=click.Choice(["a", "b"]), default="a", show_default=True)
-@click.option("--corrupt-policy", default="uniform-nonneighbor", show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--output", "output_path", required=True, type=click.Path())
 @_handle_errors
-def augment(kb_path, templates_path, count, subtask, corrupt_policy, seed,
-            output_path):
+def augment(kb_path, templates_path, count, subtask, seed, output_path):
     """Generate template-realized instances from the KB."""
     graph = _load_kb(kb_path)
     templates = (kemb.load_templates(templates_path) if templates_path
                  else kemb.default_templates())
-    instances = harness.generate_augmented(graph, templates, count,
-                                           corrupt_policy, seed, subtask)
+    instances = harness.generate_augmented(graph, templates, count, seed,
+                                           subtask)
     harness.save_comve(instances, output_path)
     click.echo(f"wrote {len(instances)} instances to {output_path}")
 
@@ -267,7 +265,7 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
                                       cfg.get("seed", 0))
     # everything eval needs to rebuild this model, beside its parameters
     model_meta = {
-        "config": config.as_dict(), "vocab": vocab.tokens,
+        "config": config.as_dict(), "subtask": subtask, "vocab": vocab.tokens,
         "templates": {rel: " ".join(t.pattern) for rel, t in templates.items()},
         "kb": str(Path(kb_path).resolve()), "kb_sha256": kgstore.fingerprint(graph),
         "vectors": str(Path(vectors_path).resolve()) if vectors_path else None,
@@ -284,12 +282,15 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
         sys.exit(3)
 
 
-def _load_model(checkpoint_path) -> KegatModel:
-    """Rebuild a trained model from its checkpoint, reading the KB and vectors
-    at the absolute paths recorded when it was trained."""
+def _load_model(checkpoint_path, subtask: str) -> KegatModel:
+    """Rebuild a model trained for `subtask` from its checkpoint, reading the
+    KB and vectors at the absolute paths recorded when it was trained."""
     meta = trainkit.read_model_meta(checkpoint_path)
     try:
         config = ModelConfig(**meta["config"])
+        trained_for = meta["subtask"]
+        if trained_for not in harness.SUBTASKS:
+            raise ValueError(f"unknown subtask {trained_for!r}")
         vocab = Vocab(meta["vocab"])
         templates = {rel: kemb.Template(rel, tuple(pattern.split()))
                      for rel, pattern in meta["templates"].items()}
@@ -298,6 +299,9 @@ def _load_model(checkpoint_path) -> KegatModel:
     except (KeyError, TypeError, ValueError, AttributeError, DataFormatError) as exc:
         raise NumericError(f"{checkpoint_path}: malformed model description "
                            f"({type(exc).__name__}: {exc})") from None
+    if trained_for != subtask:
+        raise DataFormatError(f"{checkpoint_path}: the model was trained for "
+                              f"subtask {trained_for!r}, not {subtask!r}")
     try:
         graph = _load_kb(kb_path)
         if (vectors and config.use_kegat
@@ -324,7 +328,7 @@ def _load_model(checkpoint_path) -> KegatModel:
 def eval_cmd(checkpoint, data_path, subtask):
     """Accuracy of a trained checkpoint on a dataset."""
     instances = harness.load_comve(data_path, subtask)
-    model = _load_model(checkpoint)
+    model = _load_model(checkpoint, subtask)
     metrics = harness.evaluate(model, instances)
     click.echo(json.dumps({"accuracy": metrics.accuracy,
                            "count": len(instances)}))
@@ -339,7 +343,7 @@ def eval_cmd(checkpoint, data_path, subtask):
 def predict(checkpoint, data_path, subtask, output_path):
     """Per-instance probabilities and predictions."""
     instances = harness.load_comve(data_path, subtask)
-    model = _load_model(checkpoint)
+    model = _load_model(checkpoint, subtask)
     metrics = harness.evaluate(model, instances)
     lines = [json.dumps(p, sort_keys=True) for p in metrics.predictions]
     if output_path:
@@ -358,7 +362,8 @@ def predict(checkpoint, data_path, subtask, output_path):
 def ensemble(checkpoints, data_path, subtask):
     """Probability-averaged ensemble accuracy."""
     instances = harness.load_comve(data_path, subtask)
-    models = [_load_model(p.strip())
+    # each model must match --subtask, so models that disagree exit 2 too
+    models = [_load_model(p.strip(), subtask)
               for p in checkpoints.split(",") if p.strip()]
     if not models:
         raise click.UsageError("--checkpoints must name at least one checkpoint")

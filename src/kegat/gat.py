@@ -29,7 +29,6 @@ LEAKY_SLOPE = 0.2   # of the LeakyReLU on attention scores, as in GAT
 class Subgraph:
     nodes: tuple            # concept ids, entities first, unique per sample
     adjacency: np.ndarray   # n x n bool, self-loops included
-    entity_count: int
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -81,8 +80,7 @@ def build_subgraph(tokens: Sequence[str], graph: KnowledgeGraph, k: int,
             if j is not None:
                 adjacency[index[c], j] = True
                 adjacency[j, index[c]] = True
-    return Subgraph(nodes=tuple(nodes), adjacency=adjacency,
-                    entity_count=len(entities))
+    return Subgraph(nodes=tuple(nodes), adjacency=adjacency)
 
 
 def init_node_embeddings(sub: Subgraph, table: Dict[str, np.ndarray],
@@ -163,8 +161,7 @@ def block_diagonal(subs: Sequence[Subgraph]) -> Subgraph:
         adjacency[start:end, start:end] = s.adjacency
         start = end
     return Subgraph(nodes=tuple(c for s in subs for c in s.nodes),
-                    adjacency=adjacency,
-                    entity_count=sum(s.entity_count for s in subs))
+                    adjacency=adjacency)
 
 
 def pool_subgraph(h: Optional[Tensor], sizes: Sequence[int],

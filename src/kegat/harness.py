@@ -8,7 +8,6 @@ resolve held-out instances by consulting the graph.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field
@@ -133,33 +132,7 @@ def save_comve(instances: Sequence[ComveInstance], path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_comve_csv(path, subtask: str,
-                   columns: Optional[Dict[str, str]] = None) -> List[ComveInstance]:
-    """CSV import with a configurable column mapping (canonical -> header)."""
-    required = _FIELDS_A if subtask == "a" else _FIELDS_B
-    mapping = {k: k for k in required}
-    if columns:
-        mapping.update(columns)
-    instances = []
-    reader = csv.DictReader(text_lines(path, newline=""))
-    try:
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            rec = {}
-            for canonical, header in mapping.items():
-                if header not in row:
-                    raise DataFormatError(f"{where}: missing column {header!r}")
-                rec[canonical] = row[header]
-            instances.append(_instance_from_record(rec, subtask, where))
-    except csv.Error as exc:
-        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
-    return instances
-
-
 # -- augmentation ------------------------------------------------------------
-
-CORRUPT_POLICIES = ("uniform-nonneighbor",)
-
 
 def _non_neighbor(graph: KnowledgeGraph, head: str,
                   concepts: Sequence[str], rng: np.random.Generator) -> str:
@@ -173,7 +146,7 @@ def _non_neighbor(graph: KnowledgeGraph, head: str,
 
 
 def generate_augmented(graph: KnowledgeGraph, templates: Dict[str, Template],
-                       count: int, corrupt_policy: str, seed: int,
+                       count: int, seed: int,
                        subtask: str = "a",
                        head_pool: Optional[Sequence[str]] = None,
                        id_prefix: str = "aug") -> List[ComveInstance]:
@@ -183,8 +156,6 @@ def generate_augmented(graph: KnowledgeGraph, templates: Dict[str, Template],
     neighbors of the head, so nonsense statements never correspond to an
     edge. Option order is shuffled by seed with exact label balance.
     """
-    if corrupt_policy not in CORRUPT_POLICIES:
-        raise DataFormatError(f"unknown corrupt policy {corrupt_policy!r}")
     if count == 0:
         return []
     edges_by_head: Dict[str, List[Edge]] = {}
@@ -249,6 +220,10 @@ def _distractor_reasons(graph: KnowledgeGraph, edge: Edge,
 
 # -- synthetic benchmark -----------------------------------------------------
 
+COMMUNITY_SIZE = 12   # mean concepts per latent topical community
+P_WITHIN = 0.93       # share of edges drawn inside one community
+VECTOR_NOISE = 0.45   # per-concept spread around its community centroid
+
 _CONSONANTS = "bcdfghjklmnprstvwz"
 _VOWELS = "aeiou"
 
@@ -283,8 +258,7 @@ class SynthBenchmark:
 def synth_benchmark(seed: int, out_dir,
                     sizes: Tuple[int, int, int] = (400, 120, 120),
                     n_concepts: int = 500, n_edges: int = 1000,
-                    embed_dim: int = 64, community_size: int = 12,
-                    p_within: float = 0.93, vector_noise: float = 0.45,
+                    embed_dim: int = 64,
                     subtask: str = "a") -> SynthBenchmark:
     """Generate a toy KB, concept vectors, and head-disjoint instance splits.
 
@@ -315,7 +289,7 @@ def synth_benchmark(seed: int, out_dir,
             seen.add(c)
             concepts.append(c)
 
-    n_comm = max(2, n_concepts // community_size)
+    n_comm = max(2, n_concepts // COMMUNITY_SIZE)
     community = {c: int(rng.integers(n_comm)) for c in concepts}
     by_community: Dict[int, List[str]] = {}
     for c in concepts:
@@ -325,7 +299,7 @@ def synth_benchmark(seed: int, out_dir,
     edge_keys = set()
     lines = []
     while len(lines) < n_edges:
-        if rng.random() < p_within:
+        if rng.random() < P_WITHIN:
             pool = by_community.get(int(rng.integers(n_comm)), [])
             if len(pool) < 2:
                 continue
@@ -354,7 +328,7 @@ def synth_benchmark(seed: int, out_dir,
     vecs = np.empty((n_concepts, embed_dim))
     for c in concepts:
         v = (centroids[community[c]]
-             + vector_noise * rng.normal(size=embed_dim) / np.sqrt(embed_dim))
+             + VECTOR_NOISE * rng.normal(size=embed_dim) / np.sqrt(embed_dim))
         vecs[index[c]] = v / np.linalg.norm(v)
     vec_path = out_dir / "concepts.vec"
     with open(vec_path, "w", encoding="utf-8") as fh:
@@ -376,9 +350,8 @@ def synth_benchmark(seed: int, out_dir,
     splits = {}
     for (name, pool), size, sub_seed in zip(pools.items(), sizes, (1, 2, 3)):
         splits[name] = generate_augmented(
-            graph, templates, size, "uniform-nonneighbor",
-            seed * 10 + sub_seed, subtask=subtask, head_pool=pool,
-            id_prefix=f"synth-{name}")
+            graph, templates, size, seed * 10 + sub_seed, subtask=subtask,
+            head_pool=pool, id_prefix=f"synth-{name}")
         save_comve(splits[name], out_dir / f"{name}.jsonl")
     paths = {"kb": kb_path, "vectors": vec_path,
              **{name: out_dir / f"{name}.jsonl" for name in splits}}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -19,17 +19,6 @@ class HeadParams:
     b1: Tensor
     w2: Tensor   # hidden -> 1
     b2: Tensor
-
-
-@dataclass
-class OptionScores:
-    raw: Tensor          # n_instances x A raw scores
-    probs: Tensor        # softmax probabilities over each row's options
-    predicted: Tuple[int, ...]   # per row, argmax, lowest index on ties
-
-    @property
-    def prob_values(self) -> np.ndarray:
-        return self.probs.data
 
 
 @dataclass
@@ -49,15 +38,14 @@ def option_score(reprs: Tensor, params: HeadParams) -> Tensor:
     return hidden @ params.w2 + params.b2
 
 
-def predict(reprs: Tensor, params: HeadParams, n_options: int) -> OptionScores:
+def predict(reprs: Tensor, params: HeadParams, n_options: int) -> Tensor:
     """Score the (n_instances·A, repr_dim) option rows, instance-major, as
-    one MLP, and take a softmax over each instance's A = `n_options`."""
+    one MLP, and take a softmax over each instance's A = `n_options`: the
+    (n_instances, A) option probabilities."""
     if n_options < 2:
         raise ValueError("predict needs at least 2 options")
     raw = option_score(reprs, params).reshape(-1, n_options)
-    probs = ad.masked_softmax(raw, None, axis=-1)
-    predicted = tuple(np.argmax(probs.data, axis=-1).tolist())
-    return OptionScores(raw=raw, probs=probs, predicted=predicted)
+    return ad.masked_softmax(raw, None, axis=-1)
 
 
 def classification_loss(probs: Tensor, labels: Sequence[int]) -> Tensor:

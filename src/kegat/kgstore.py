@@ -97,10 +97,9 @@ def _build_graph(edges: List[Edge], blocklist: FrozenSet[str],
                           _adjacency=frozen_adj)
 
 
-def text_lines(path, newline=None):
-    """The lines of a UTF-8 text file (`newline` as for `open`); undecodable
-    bytes are a data error."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+def text_lines(path):
+    """The lines of a UTF-8 text file; undecodable bytes are a data error."""
+    with open(path, encoding="utf-8") as fh:
         try:
             yield from fh
         except UnicodeDecodeError:

@@ -79,6 +79,9 @@ class ModelConfig:
         if self.dim % self.n_heads:
             raise ValueError(f"dim {self.dim} is not a multiple of n_heads "
                              f"{self.n_heads}")
+        if self.max_len > self.max_positions:   # a soft position needs a row
+            raise ValueError(f"max_len {self.max_len} exceeds max_positions "
+                             f"{self.max_positions}")
 
     @property
     def repr_dim(self) -> int:
@@ -99,7 +102,7 @@ def _option_count(instances: Sequence[harness.ComveInstance]) -> int:
 
 class BatchOutput(NamedTuple):
     """One padded pass over a batch: B instances of A options each."""
-    scores: headmod.OptionScores
+    probs: Tensor            # B x A option probabilities
     reprs: Tensor            # B·A x repr_dim final option representations
     hidden: Tensor           # B·A·T x dim per-token encoder states
     batch: kemb.PaddedBatch  # the B·A padded input sequences
@@ -283,7 +286,7 @@ class KegatModel:
             g = gatmod.self_refine(e_all, self.gate_params)
             reprs = gatmod.concat_final(g, out.pooled)
         return BatchOutput(
-            scores=headmod.predict(reprs, self.head_params, n_options),
+            probs=headmod.predict(reprs, self.head_params, n_options),
             reprs=reprs, hidden=out.hidden, batch=batch)
 
     def _lm_inputs(self, fw: BatchOutput
@@ -357,29 +360,30 @@ class KegatModel:
         n = len(instances)
         if self._trunk_out is None:
             fw = self.forward(instances, dropout_rng)
-            scores, lm = fw.scores, None
+            probs, lm = fw.probs, None
             if self.config.use_lm:
                 logits, tokens, _ = self._lm_inputs(fw)
                 lm = headmod.lm_loss(logits, tokens) * (1.0 / n)
         else:
             reprs, lm = self._trunk_output(instances)
-            scores = headmod.predict(reprs, self.head_params,
-                                     _option_count(instances))
-        l2 = headmod.classification_loss(scores.probs,
+            probs = headmod.predict(reprs, self.head_params,
+                                    _option_count(instances))
+        l2 = headmod.classification_loss(probs,
                                          [inst.label for inst in instances])
         if lm is None:
             return l2
         return headmod.combined_loss(lm, l2, self.loss_params)
 
-    def _scores(self, instance: harness.ComveInstance) -> headmod.OptionScores:
+    def predict_probs(self, instance: harness.ComveInstance) -> np.ndarray:
+        """One instance's option probabilities, recording no graph."""
         with no_grad():
             if self._trunk_out is None:
-                return self.forward([instance]).scores
-            return headmod.predict(self._trunk_output([instance])[0],
-                                   self.head_params, instance.option_count)
+                probs = self.forward([instance]).probs
+            else:
+                probs = headmod.predict(self._trunk_output([instance])[0],
+                                        self.head_params, instance.option_count)
+        return probs.data[0].copy()
 
     def predict_instance(self, instance: harness.ComveInstance) -> int:
-        return self._scores(instance).predicted[0]
-
-    def predict_probs(self, instance: harness.ComveInstance) -> np.ndarray:
-        return self._scores(instance).prob_values[0].copy()
+        """The most probable option, the lowest index on ties."""
+        return int(np.argmax(self.predict_probs(instance)))

@@ -49,9 +49,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> List[str]:
         return sorted(self._params)
 
@@ -110,8 +107,6 @@ def compute_gradients(loss: Tensor, store: ParamStore) -> None:
 @dataclass
 class OptimizerState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
     eps: float = 1e-6
     step: int = 0
     m: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -121,7 +116,7 @@ class OptimizerState:
 def adam_step(store: ParamStore, opt: OptimizerState) -> None:
     """Standard Adam with bias correction; frozen parameters are untouched."""
     opt.step += 1
-    b1, b2 = opt.beta1, opt.beta2
+    b1, b2 = 0.9, 0.999   # decay rates of the first and second moments
     bc1 = 1.0 - b1 ** opt.step
     bc2 = 1.0 - b2 ** opt.step
     for name, p in store.items():
@@ -301,14 +296,15 @@ class Schedule:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Schedule":
+        """The schedule `cfg` sets; a key it lacks keeps the default."""
+        d = cls()
         return cls(
-            phase1=Phase(lr=cfg.get("lr_phase1", 0.001),
-                         epochs=cfg.get("epochs_phase1", 4)),
-            phase2=Phase(lr=cfg.get("lr_phase2", 0.000005),
-                         epochs=cfg.get("epochs_phase2", 8)),
-            batch_size=cfg.get("batch_size", 2),
-            adam_eps=cfg.get("adam_eps", 1e-6),
-        )
+            phase1=Phase(lr=cfg.get("lr_phase1", d.phase1.lr),
+                         epochs=cfg.get("epochs_phase1", d.phase1.epochs)),
+            phase2=Phase(lr=cfg.get("lr_phase2", d.phase2.lr),
+                         epochs=cfg.get("epochs_phase2", d.phase2.epochs)),
+            batch_size=cfg.get("batch_size", d.batch_size),
+            adam_eps=cfg.get("adam_eps", d.adam_eps))
 
 
 @dataclass

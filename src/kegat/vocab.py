@@ -35,7 +35,3 @@ class Vocab:
 
     def token(self, idx: int) -> str:
         return self.tokens[idx]
-
-    @property
-    def unk_id(self) -> int:
-        return self._ids[UNK]

@@ -49,8 +49,7 @@ def _criterion(name, ok, detail=""):
 def _small_model(n_instances=2):
     graph = conftest.sugar_graph_cached()
     templates = default_templates()
-    instances = generate_augmented(graph, templates, n_instances,
-                                   "uniform-nonneighbor", 0)
+    instances = generate_augmented(graph, templates, n_instances, 0)
     vocab = build_vocab(graph, templates, instances)
     table = {c: np.random.default_rng(zlib.crc32(c.encode())).normal(size=4) * 0.3
              for c in graph.concepts}
@@ -205,8 +204,8 @@ def test_phase1_loss_differentiates_only_the_head(monkeypatch):
 def test_prediction_records_no_graph_and_skips_lm(monkeypatch):
     """predict_probs builds no tracked tensor and no LM logits, same values."""
     model, instances = _small_model()
-    scores = model.forward([instances[0]]).scores
-    assert ad._tracked(scores.probs)
+    fw_probs = model.forward([instances[0]]).probs
+    assert ad._tracked(fw_probs)
     calls = 0
     real_lm_logits = enc.lm_logits
 
@@ -218,9 +217,9 @@ def test_prediction_records_no_graph_and_skips_lm(monkeypatch):
     monkeypatch.setattr(enc, "lm_logits", counting_lm_logits)
     built = _record_tensors(monkeypatch)
     probs = model.predict_probs(instances[0])
-    assert model.predict_instance(instances[0]) == scores.predicted[0]
+    assert model.predict_instance(instances[0]) == np.argmax(fw_probs.data[0])
     assert built and _tracked(built) == [] and calls == 0
-    np.testing.assert_array_equal(probs, scores.prob_values[0])
+    np.testing.assert_array_equal(probs, fw_probs.data[0])
     model.loss(instances[:2])   # one LM logits call per loss, for the batch
     assert calls == 1
 
@@ -294,10 +293,10 @@ def test_all_normalizations_sum_to_one(monkeypatch):
                                 b1=Tensor(rng.normal(size=3)),
                                 w2=Tensor(rng.normal(size=(3, 1))),
                                 b2=Tensor(rng.normal(size=1)))
-        scores = headmod.predict(
+        probs = headmod.predict(
             Tensor(np.stack([rng.normal(size=d) * 3 for _ in range(n_opt)])),
             hp, n_opt)
-        check_rows(scores.prob_values)
+        check_rows(probs.data)
     ok = max_err <= 1e-9 and prob_rows > 1000
     _criterion("attention rows and option probabilities sum to 1 within 1e-9",
                ok, f"{prob_rows} rows across 1000 randomized cases, "

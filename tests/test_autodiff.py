@@ -62,7 +62,7 @@ def test_gather_grads():
     rows, cols = np.array([0, 2, 2, 3]), np.array([1, 0, 0, 2])
     u = np.array([0.5, -1.0, 2.0, 1.5])
     _check_grad(lambda t: (t[rows, cols] * Tensor(u)).sum(), x0)      # (rows, cols)
-    _check_grad(lambda t: t.T.reshape(12).mean(), x0)
+    _check_grad(lambda t: t.transpose().reshape(12).mean(), x0)
 
 
 def test_gather_repeats_scatter_add():
@@ -78,7 +78,7 @@ def test_transpose_grads():
     _check_grad(lambda t: (t.transpose(2, 0, 1).transpose(1, 2, 0)
                            * Tensor(x0)).sum(), x0)
     assert Tensor(x0).transpose(1, 0, 2).shape == (3, 2, 4)
-    assert Tensor(x0).T.shape == (4, 3, 2)
+    assert Tensor(x0).transpose().shape == (4, 3, 2)
 
 
 def test_concat_and_softmax_grads():

@@ -1,14 +1,17 @@
 """End-to-end command-line tests with the click runner."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from kegat.cli import main
 from kegat.kgstore import MAGIC, load_binary, load_graph, save_binary
+from kegat.model import ModelConfig
 from kegat.trainkit import ParamStore, save_checkpoint
 
 from conftest import SUGAR_KB_ROWS, write_kb
@@ -117,6 +120,9 @@ def test_augment_writes_instances(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert "wrote 6 instances" in result.output
     assert len(out.read_text().strip().splitlines()) == 6
+    result = runner.invoke(main, ["augment", "--kb", str(kb), "--output",
+                                  str(out), "--corrupt-policy", "x"])
+    assert result.exit_code == 1   # no such option
 
 
 def test_synth_generates_files(runner, tmp_path):
@@ -141,16 +147,16 @@ TINY_TRAIN_CFG = {"dim": 16, "n_layers": 1, "n_heads": 2, "ffn_mult": 2,
                   "lr_phase1": 0.001, "lr_phase2": 0.00001}
 
 
-@pytest.fixture
-def trained(runner, tmp_path):
-    """A tiny benchmark plus one trained checkpoint."""
-    bench = tmp_path / "bench"
+def _train_tiny(root):
+    """A tiny benchmark under `root` plus one checkpoint trained on it."""
+    runner = CliRunner()
+    bench = root / "bench"
     runner.invoke(main, ["synth", "--seed", "3", "--out-dir", str(bench),
                          "--sizes", "8,4,4", "--n-concepts", "60",
                          "--n-edges", "120"], catch_exceptions=False)
-    cfg = tmp_path / "cfg.json"
+    cfg = root / "cfg.json"
     cfg.write_text(json.dumps(TINY_TRAIN_CFG), encoding="utf-8")
-    ckpt = tmp_path / "run" / "model.ckpt"     # train creates run/
+    ckpt = root / "run" / "model.ckpt"     # train creates run/
     result = runner.invoke(main, [
         "train", "--subtask", "a", "--config", str(cfg),
         "--kb", str(bench / "kb.tsv"), "--vectors", str(bench / "concepts.vec"),
@@ -159,6 +165,11 @@ def trained(runner, tmp_path):
         catch_exceptions=False)
     assert result.exit_code == 0, result.output
     return bench, ckpt, result
+
+
+@pytest.fixture
+def trained(tmp_path):
+    return _train_tiny(tmp_path)
 
 
 def test_train_writes_only_checkpoint_and_log(trained, tmp_path):
@@ -594,6 +605,67 @@ def _model_record_without_vectors_sha256(tmp_path, request):
     return _eval_corrupted(request, corrupt), "'vectors_sha256'"
 
 
+def _model_record_without_subtask(tmp_path, request):
+    def corrupt(raw):
+        at = raw.index(b'"subtask"')
+        raw[at:at + 9] = b'"subtasq"'
+        return raw
+    return _eval_corrupted(request, corrupt), "'subtask'"
+
+
+def _model_record_max_len_above_positions(tmp_path, request):
+    def corrupt(raw):   # the tiny config's max_len 48, max_positions 64
+        at = raw.index(b'"max_len": 48')
+        raw[at:at + 13] = b'"max_len": 99'
+        return raw
+    return (_eval_corrupted(request, corrupt),
+            "max_len 99 exceeds max_positions 64")
+
+
+def _config_max_len_above_positions(tmp_path, request):
+    args, config = _train_config(
+        tmp_path, '{"max_len": 300, "max_positions": 160}')
+    return args, f"{config}: max_len 300 exceeds max_positions 160"
+
+
+def _subtask_b_data(tmp_path):
+    data = tmp_path / "b.jsonl"
+    data.write_text(json.dumps({
+        "id": "1", "false_sent": "he put coffee in sugar",
+        "optionA": "sugar is sweet", "optionB": "coffee is a drink",
+        "optionC": "cups hold coffee", "label": 0}) + "\n", encoding="utf-8")
+    return data
+
+
+def _subtask_mismatch(tmp_path, request, command, option="--checkpoint"):
+    _, ckpt, _ = request.getfixturevalue("trained")
+    return ([command, option, str(ckpt), "--data",
+             str(_subtask_b_data(tmp_path)), "--subtask", "b"],
+            f"{ckpt}: the model was trained for subtask 'a', not 'b'")
+
+
+def _eval_subtask_mismatch(tmp_path, request):
+    return _subtask_mismatch(tmp_path, request, "eval")
+
+
+def _predict_subtask_mismatch(tmp_path, request):
+    return _subtask_mismatch(tmp_path, request, "predict")
+
+
+def _ensemble_subtask_mismatch(tmp_path, request):
+    return _subtask_mismatch(tmp_path, request, "ensemble", "--checkpoints")
+
+
+def _ensemble_checkpoints_disagree(tmp_path, request):
+    bench, ckpt, _ = request.getfixturevalue("trained")
+    other = tmp_path / "b.ckpt"
+    other.write_bytes(ckpt.read_bytes().replace(b'"subtask": "a"',
+                                                b'"subtask": "b"'))
+    return (["ensemble", "--checkpoints", f"{ckpt},{other}", "--data",
+             str(bench / "dev.jsonl"), "--subtask", "a"],
+            f"{other}: the model was trained for subtask 'b', not 'a'")
+
+
 @pytest.mark.parametrize("make, code, prefix", [
     (_link_no_text, 2, "data error: "),
     (_link_not_json, 2, "data error: "),
@@ -634,6 +706,13 @@ def _model_record_without_vectors_sha256(tmp_path, request):
     (_config_model_key_misspelled, 2, "data error: "),
     (_train_data_empty, 2, "data error: "),
     (_dev_data_empty, 2, "data error: "),
+    (_model_record_without_subtask, 3, "numeric failure: "),
+    (_model_record_max_len_above_positions, 3, "numeric failure: "),
+    (_config_max_len_above_positions, 2, "data error: "),
+    (_eval_subtask_mismatch, 2, "data error: "),
+    (_predict_subtask_mismatch, 2, "data error: "),
+    (_ensemble_subtask_mismatch, 2, "data error: "),
+    (_ensemble_checkpoints_disagree, 2, "data error: "),
 ], ids=["link-no-text", "link-not-json", "checkpoint-as-kb",
         "truncated-checkpoint", "bad-dtype-tag", "nan-weight", "inf-weight",
         "binary-kb", "template-not-string", "templates-not-json",
@@ -649,7 +728,11 @@ def _model_record_without_vectors_sha256(tmp_path, request):
         "config-dim-not-integer", "config-flag-not-bool",
         "config-schedule-key-misspelled", "config-model-key-misspelled",
         "train-data-empty",
-        "dev-data-empty"])
+        "dev-data-empty", "model-record-without-subtask",
+        "model-record-max-len-above-positions",
+        "config-max-len-above-positions", "eval-subtask-mismatch",
+        "predict-subtask-mismatch", "ensemble-subtask-mismatch",
+        "ensemble-checkpoints-disagree"])
 def test_malformed_input_exits_with_message(runner, tmp_path, request, make,
                                             code, prefix):
     args, fragment = make(tmp_path, request)
@@ -658,3 +741,104 @@ def test_malformed_input_exits_with_message(runner, tmp_path, request, make,
     assert result.exit_code == code
     (line,) = result.output.strip().splitlines()
     assert line.startswith(prefix) and fragment in line
+
+
+# -- fuzzing the CLI ----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def trained_once(tmp_path_factory):
+    return _train_tiny(tmp_path_factory.mktemp("fuzz"))
+
+
+# the type of each config key's value
+_KINDS = {**{f.name: type(f.default) for f in dataclasses.fields(ModelConfig)
+             if not f.name.startswith("use_")},
+          **dict.fromkeys(("no_kemb", "no_kegat", "no_lm_loss"), bool),
+          **dict.fromkeys(("epochs_phase1", "epochs_phase2", "batch_size"), int),
+          **dict.fromkeys(("lr_phase1", "lr_phase2", "adam_eps"), float)}
+_CONFIG_KEYS = sorted(_KINDS) + ["lr", "n_layer"]   # and two unknown keys
+# any JSON value; small integers keep every generated model small
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 16) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+def _valid_value(key):
+    """Values of `key`'s type, mostly in its range, so that some generated
+    configs train; an unknown key takes an int."""
+    kind = _KINDS.get(key, int)
+    if kind is bool:
+        return st.booleans()
+    return st.integers(1, 12) if kind is int else st.floats(1e-6, 0.5)
+
+
+def _assert_one_line_exit_2(result):
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 2, result.output
+    (line,) = result.stderr.strip().splitlines()
+    assert line.startswith("data error: ")
+    assert "Traceback" not in result.output
+
+
+def test_train_fuzzed_config_trains_or_exits_2(trained_once):
+    """Any JSON object as `--config` trains (with no epochs), or exits 2
+    with one line."""
+    bench, _, _ = trained_once
+    cfg, out = bench.parent / "fuzz.json", bench.parent / "fuzz" / "m.ckpt"
+    args = ["train", "--subtask", "a", "--config", str(cfg),
+            "--kb", str(bench / "kb.tsv"),
+            "--vectors", str(bench / "concepts.vec"),
+            "--train-data", str(bench / "train.jsonl"),
+            "--dev-data", str(bench / "dev.jsonl"), "--output", str(out)]
+
+    @given(st.lists(st.sampled_from(_CONFIG_KEYS), max_size=4, unique=True)
+           .flatmap(lambda keys: st.fixed_dictionaries(
+               {k: st.one_of(*[_valid_value(k)] * 3, _JSON_VALUES)
+                for k in keys})))
+    @settings(max_examples=60, deadline=None)
+    def run(config):
+        config.update(epochs_phase1=0, epochs_phase2=0)
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        result = CliRunner().invoke(main, args)
+        if result.exit_code != 0:
+            _assert_one_line_exit_2(result)
+        else:
+            assert json.loads(result.stdout)["checkpoint"] == str(out)
+    run()
+
+
+_WORDS = st.sampled_from(["sugar", "coffee", "the", "is", "a", "zebra"])
+
+
+def test_predict_fuzzed_text_sums_to_one(trained_once):
+    """A trained model scores any statement text: any Unicode, text with no
+    token, or text longer than `max_len`."""
+    bench, ckpt, _ = trained_once
+    data = bench.parent / "fuzz.jsonl"
+    concepts = [line.split("\t")[0].replace("_", " ") for line in
+                (bench / "kb.tsv").read_text().splitlines()[1:]]
+    words = _WORDS | st.sampled_from(concepts)
+    texts = st.one_of(
+        st.text(min_size=1, max_size=40),
+        st.text(st.characters(categories=["P", "S", "Z"]), min_size=1,
+                max_size=8),   # no word characters: no token at all
+        st.lists(words, min_size=TINY_TRAIN_CFG["max_len"],
+                 max_size=3 * TINY_TRAIN_CFG["max_len"]).map(" ".join))
+
+    @given(st.tuples(texts, texts))
+    @settings(max_examples=40, deadline=None)
+    def run(statements):
+        data.write_text(json.dumps({"id": "f", "sent0": statements[0],
+                                    "sent1": statements[1], "label": 0})
+                        + "\n", encoding="utf-8")
+        result = CliRunner().invoke(main, [
+            "predict", "--checkpoint", str(ckpt), "--data", str(data),
+            "--subtask", "a"])
+        assert result.exit_code == 0, result.output
+        (pred,) = _lines(result)
+        assert len(pred["probs"]) == 2
+        assert abs(sum(pred["probs"]) - 1.0) < 1e-5
+    run()

@@ -17,11 +17,11 @@ from kegat.gat import (FuseParams, GatParams, GateParams, Subgraph,
 from conftest import numeric_grad, write_kb
 
 
-def _subgraph(n, adjacency=None, entity_count=1):
+def _subgraph(n, adjacency=None):
     if adjacency is None:
         adjacency = np.ones((n, n), dtype=bool)
     return Subgraph(nodes=tuple(f"c{i}" for i in range(n)),
-                    adjacency=adjacency, entity_count=entity_count)
+                    adjacency=adjacency)
 
 
 def _gat_params(dg, layers=1, heads=1, seed=0):
@@ -98,7 +98,6 @@ def test_build_subgraph_empty_without_entities(sugar_graph):
 def test_build_subgraph_structure(sugar_graph):
     sub = build_subgraph(["sugar", "and", "coffee"], sugar_graph, 4, 7)
     assert sub.nodes[:2] == ("sugar", "coffee")
-    assert sub.entity_count == 2
     assert set(sub.nodes) == {"sugar", "coffee", "sweetening_coffee",
                               "sweet_food", "carbohydrate", "drink", "cup"}
     np.testing.assert_array_equal(sub.adjacency, sub.adjacency.T)
@@ -289,9 +288,9 @@ def test_block_diagonal_union_runs_each_subgraph_alone():
             i, j = rng.integers(n, size=2) if n else (0, 0)
             if n:
                 adj[i, j] = adj[j, i] = True
-        subs.append(_subgraph(n, adjacency=adj, entity_count=min(n, 1)))
+        subs.append(_subgraph(n, adjacency=adj))
     union = block_diagonal(subs)
-    assert len(union) == 9 and union.entity_count == 3
+    assert len(union) == 9
     assert union.nodes == tuple(c for s in subs for c in s.nodes)
     params = _gat_params(4, layers=2, heads=2, seed=3)
     inits = [rng.normal(size=(len(s), 4)) for s in subs]

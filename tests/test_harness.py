@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from kegat.errors import DataFormatError
 from kegat.harness import (ComveInstance, Metrics, build_vocab, convert,
                            evaluate, generate_augmented, load_comve,
-                           load_comve_csv, save_comve, synth_benchmark)
+                           save_comve, synth_benchmark)
 from kegat.kemb import default_templates
 from kegat.kgstore import load_graph, neighbors
+from kegat.vocab import UNK
 
 ELEPHANT = ComveInstance(
     id="1", subtask="a", label=0,
@@ -105,34 +106,14 @@ def test_load_comve_bad_json_names_line(tmp_path):
         load_comve(path, "z")
 
 
-def test_load_comve_csv_with_column_mapping(tmp_path):
-    path = tmp_path / "a.csv"
-    path.write_text("row_id,first,second,gold\n"
-                    "7,Cats chase mice,Mice chase lions,1\n",
-                    encoding="utf-8")
-    out = load_comve_csv(path, "a", columns={"id": "row_id", "sent0": "first",
-                                             "sent1": "second", "label": "gold"})
-    assert out == [ComveInstance(id="7", subtask="a", label=1,
-                                 statements=("Cats chase mice",
-                                             "Mice chase lions"))]
-    with pytest.raises(DataFormatError, match="missing column"):
-        load_comve_csv(path, "a")
-
-
-def test_generate_augmented_zero_and_bad_policy(sugar_graph):
-    templates = default_templates()
-    assert generate_augmented(sugar_graph, templates, 0,
-                              "uniform-nonneighbor", 0) == []
-    with pytest.raises(DataFormatError):
-        generate_augmented(sugar_graph, templates, 2, "flip-relation", 0)
+def test_generate_augmented_zero_count(sugar_graph):
+    assert generate_augmented(sugar_graph, default_templates(), 0, 0) == []
 
 
 def test_generate_augmented_balance_and_determinism(sugar_graph):
     templates = default_templates()
-    a = generate_augmented(sugar_graph, templates, 40,
-                           "uniform-nonneighbor", 3)
-    b = generate_augmented(sugar_graph, templates, 40,
-                           "uniform-nonneighbor", 3)
+    a = generate_augmented(sugar_graph, templates, 40, 3)
+    b = generate_augmented(sugar_graph, templates, 40, 3)
     assert a == b
     labels = [inst.label for inst in a]
     assert labels.count(0) == labels.count(1) == 20
@@ -146,8 +127,7 @@ def _realized_edges(graph, templates):
 def test_generate_augmented_sensible_vs_nonsense(sugar_graph):
     templates = default_templates()
     realized = _realized_edges(sugar_graph, templates)
-    for inst in generate_augmented(sugar_graph, templates, 30,
-                                   "uniform-nonneighbor", 5):
+    for inst in generate_augmented(sugar_graph, templates, 30, 5):
         sensible = inst.statements[1 - inst.label]
         nonsense = inst.statements[inst.label]
         assert sensible in realized
@@ -160,8 +140,7 @@ def test_generate_augmented_corrupted_tail_never_neighbor(tmp_path):
     rows = [(f"h{i}", "/r/IsA", f"t{i}", 1.0 + i * 0.1) for i in range(8)]
     graph = load_graph(write_kb(tmp_path / "kb.tsv", rows))
     templates = default_templates()
-    for inst in generate_augmented(graph, templates, 30,
-                                   "uniform-nonneighbor", 9):
+    for inst in generate_augmented(graph, templates, 30, 9):
         nonsense = inst.statements[inst.label]
         head, tail = nonsense.split()[0], nonsense.split()[-1]
         linked = {e.other(head) for e in neighbors(graph, head)}
@@ -170,13 +149,13 @@ def test_generate_augmented_corrupted_tail_never_neighbor(tmp_path):
 
 def test_generate_augmented_head_pool(sugar_graph):
     templates = default_templates()
-    out = generate_augmented(sugar_graph, templates, 10,
-                             "uniform-nonneighbor", 1, head_pool=["coffee"])
+    out = generate_augmented(sugar_graph, templates, 10, 1,
+                             head_pool=["coffee"])
     for inst in out:
         assert inst.statements[1 - inst.label].startswith("coffee")
     with pytest.raises(DataFormatError):
-        generate_augmented(sugar_graph, templates, 2, "uniform-nonneighbor",
-                           1, head_pool=["drink"])   # no outgoing edges
+        generate_augmented(sugar_graph, templates, 2, 1,
+                           head_pool=["drink"])   # no outgoing edges
 
 
 def test_generate_augmented_subtask_b_distractors(tmp_path):
@@ -184,8 +163,7 @@ def test_generate_augmented_subtask_b_distractors(tmp_path):
     rows = [(f"h{i}", "/r/IsA", f"t{i}", 1.0 + i * 0.1) for i in range(12)]
     graph = load_graph(write_kb(tmp_path / "kb.tsv", rows))
     templates = default_templates()
-    out = generate_augmented(graph, templates, 12, "uniform-nonneighbor", 2,
-                             subtask="b")
+    out = generate_augmented(graph, templates, 12, 2, subtask="b")
     labels = [inst.label for inst in out]
     assert sorted(labels.count(v) for v in (0, 1, 2)) == [4, 4, 4]
     realized = _realized_edges(graph, templates)
@@ -231,15 +209,15 @@ def test_synth_benchmark_structure(tmp_path):
 
 def test_build_vocab_covers_everything(sugar_graph):
     templates = default_templates()
-    instances = generate_augmented(sugar_graph, templates, 6,
-                                   "uniform-nonneighbor", 0)
+    instances = generate_augmented(sugar_graph, templates, 6, 0)
     vocab = build_vocab(sugar_graph, templates, instances)
-    assert vocab.lookup("sugar") != vocab.unk_id
-    assert vocab.lookup("sweetening") != vocab.unk_id
+    unk = vocab.lookup(UNK)
+    assert vocab.lookup("sugar") != unk
+    assert vocab.lookup("sweetening") != unk
     for inst in instances:
         for opt in convert(inst):
             for tok in opt:
-                assert vocab.lookup(tok) != vocab.unk_id
+                assert vocab.lookup(tok) != unk
 
 
 class _StubModel:
@@ -280,8 +258,7 @@ def test_evaluate_accuracy_and_dump():
 def test_generate_augmented_invariants(seed, count):
     from conftest import sugar_graph_cached
     graph = sugar_graph_cached()
-    out = generate_augmented(graph, default_templates(), count,
-                             "uniform-nonneighbor", seed)
+    out = generate_augmented(graph, default_templates(), count, seed)
     assert len(out) == count
     labels = [inst.label for inst in out]
     assert abs(labels.count(0) - labels.count(1)) <= 1

@@ -28,9 +28,9 @@ def test_predict_tie_breaks_to_lowest_index():
     p = _head_params(2)
     p.w1.data[...] = 0.0    # all options score b2 = 0 -> exact tie
     p.w2.data[...] = 0.0
-    scores = predict(Tensor(np.array([np.ones(2), np.zeros(2)])), p, 2)
-    np.testing.assert_allclose(scores.prob_values, [[0.5, 0.5]])
-    assert scores.predicted == (0,)
+    probs = predict(Tensor(np.array([np.ones(2), np.zeros(2)])), p, 2).data
+    np.testing.assert_allclose(probs, [[0.5, 0.5]])
+    assert np.argmax(probs, axis=-1).tolist() == [0]
 
 
 def test_predict_dominant_option():
@@ -38,10 +38,10 @@ def test_predict_dominant_option():
     p.w1.data[...] = 1.0
     p.b1.data[...] = 0.0
     p.w2.data[...] = 1.0
-    scores = predict(Tensor(np.array([[0.0], [10.0], [0.0]])), p, 3)
-    assert scores.predicted == (1,)
-    assert scores.prob_values[0, 1] > 0.9999
-    np.testing.assert_allclose(scores.prob_values.sum(), 1.0, atol=1e-9)
+    probs = predict(Tensor(np.array([[0.0], [10.0], [0.0]])), p, 3).data
+    assert np.argmax(probs, axis=-1).tolist() == [1]
+    assert probs[0, 1] > 0.9999
+    np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-9)
 
 
 def test_predict_scores_each_row_of_options():
@@ -50,12 +50,11 @@ def test_predict_scores_each_row_of_options():
     p.b1.data[...] = 0.0
     p.w2.data[...] = 1.0
     reprs = Tensor(np.array([[0.0], [10.0], [3.0], [0.0]]))
-    scores = predict(reprs, p, 2)
-    assert scores.predicted == (1, 0)
+    probs = predict(reprs, p, 2).data
+    assert np.argmax(probs, axis=-1).tolist() == [1, 0]
     for row in range(2):
         one = predict(Tensor(reprs.data[2 * row:2 * row + 2]), p, 2)
-        np.testing.assert_array_equal(scores.prob_values[row],
-                                      one.prob_values[0])
+        np.testing.assert_array_equal(probs[row], one.data[0])
 
 
 def test_predict_needs_two_options():
@@ -67,9 +66,9 @@ def test_predict_shift_invariance():
     p = _head_params(3, seed=2)
     reprs = Tensor(np.array([np.random.default_rng(i).normal(size=3)
                              for i in range(3)]))
-    base = predict(reprs, p, 3).prob_values
+    base = predict(reprs, p, 3).data
     p.b2.data[...] += 17.0   # constant added to every option's score
-    shifted = predict(reprs, p, 3).prob_values
+    shifted = predict(reprs, p, 3).data
     np.testing.assert_allclose(base, shifted, atol=1e-12)
 
 

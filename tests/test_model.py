@@ -153,7 +153,7 @@ def test_scope_is_dropped_on_exit_and_sees_the_new_trunk(bench):
     after = model.predict_probs(inst)
     assert not np.array_equal(before, after)
     np.testing.assert_array_equal(after,
-                                  model.forward([inst]).scores.prob_values[0])
+                                  model.forward([inst]).probs.data[0])
     with pytest.raises(RuntimeError):
         with model.frozen_trunk():
             np.testing.assert_array_equal(model.predict_probs(inst), after)
@@ -168,6 +168,7 @@ def test_scope_is_dropped_on_exit_and_sees_the_new_trunk(bench):
     ("dropout", 1.0, ValueError), ("dropout", -0.1, ValueError),
     ("fuse_skip_gain", float("nan"), ValueError), ("seed", -1, ValueError),
     ("n_heads", 3, ValueError),   # 64 is not a multiple of 3
+    ("max_len", 300, ValueError),   # above max_positions 160
 ])
 def test_model_config_rejects_bad_values(field, value, error):
     with pytest.raises(error, match=field):
@@ -230,7 +231,7 @@ def test_batch_probabilities_match_batches_of_one(bench, variant):
     a, b = _mixed_pair(bench)
     model = _model_for(bench, variant, a, b)
     with no_grad():
-        probs = model.forward([a, b]).scores.prob_values
+        probs = model.forward([a, b]).probs.data
     for row, inst in enumerate((a, b)):
         np.testing.assert_allclose(probs[row], model.predict_probs(inst),
                                    rtol=0, atol=1e-12, err_msg=inst.id)
@@ -265,8 +266,8 @@ def test_extra_padding_leaves_real_rows(bench, variant, monkeypatch):
                                fw.hidden.data, rtol=0, atol=1e-12)
     np.testing.assert_allclose(padded.reprs.data, fw.reprs.data,
                                rtol=0, atol=1e-12)
-    np.testing.assert_allclose(padded.scores.prob_values,
-                               fw.scores.prob_values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(padded.probs.data, fw.probs.data,
+                               rtol=0, atol=1e-12)
     np.testing.assert_allclose(float(model.loss([a, b]).data), loss,
                                rtol=0, atol=1e-12)
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kegat.errors import DataFormatError
 from kegat.gat import load_concept_table
-from kegat.harness import load_comve, load_comve_csv
+from kegat.harness import load_comve
 from kegat.kemb import load_templates
 from kegat.kgstore import MAGIC, load_binary, load_graph, save_binary
 
@@ -35,9 +35,6 @@ READERS = {
         f"{h}\t{r}\t{t}\t{w}\n" for h, r, t, w in SUGAR_KB_ROWS).encode(), b""),
     "load_binary": (load_binary, _binary_kb(), MAGIC + b"\x01"),
     "load_comve": (lambda p: load_comve(p, "b"), _JSONL_B.encode(), b""),
-    "load_comve_csv": (lambda p: load_comve_csv(p, "a"),
-                       b'id,sent0,sent1,label\n1,"sugar, sweet",salt,0\n'
-                       b"2,coffee is a drink,coffee is a cup,1\n", b""),
     "load_concept_table": (lambda p: load_concept_table(p, 3),
                            b"2 2\nsugar 0.5 -1.0\ncoffee 1e-3 2\n", b""),
     "load_templates": (load_templates,

@@ -30,8 +30,7 @@ MODEL_META = {"config": {"dim": 16}, "vocab": ["[CLS]", "sugar"],
 
 def tiny_model(graph, n_instances=6, seed=11):
     templates = default_templates()
-    instances = generate_augmented(graph, templates, n_instances,
-                                   "uniform-nonneighbor", seed)
+    instances = generate_augmented(graph, templates, n_instances, seed)
     vocab = build_vocab(graph, templates, instances)
     table = {c: np.random.default_rng(zlib.crc32(c.encode())).normal(size=8) * 0.3
              for c in graph.concepts}
@@ -241,6 +240,7 @@ def test_schedule_from_config():
     assert sched.phase1 == Phase(lr=0.01, epochs=4)
     assert sched.phase2 == Phase(lr=5e-6, epochs=2)
     assert sched.batch_size == 2 and sched.adam_eps == 1e-6
+    assert Schedule.from_config({}) == Schedule()
     with pytest.raises(ValueError):
         Phase(lr=0.0, epochs=1)
     with pytest.raises(ValueError):
