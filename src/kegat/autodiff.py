@@ -26,7 +26,8 @@ The op set:
 - arithmetic with numpy broadcasting: ``+ - * / **`` and unary ``-``
 - ``@`` for 1-D and 2-D operands, and for stacks of matrices whose batch
   dims broadcast, e.g. ``(n, d) @ (H, d, e)``
-- elementwise ``exp log sqrt tanh elu leaky_relu``
+- elementwise ``exp log sqrt tanh``, ``elu`` (alpha fixed at 1) and
+  ``leaky_relu(slope)``
 - shape ops ``reshape``, ``transpose(*axes)`` (no axes reverses them all),
   ``sum`` and ``mean``
 - indexing ``t[idx]`` with any numpy index: an int, a slice, an int array
@@ -208,11 +209,25 @@ class Tensor:
         out_data = np.tanh(self.data)
         return _node(out_data, (self, lambda g: g * (1.0 - out_data ** 2)))
 
-    def elu(self, alpha: float = 1.0):
-        pos = self.data > 0
-        out_data = np.where(pos, self.data, alpha * np.expm1(self.data))
-        return _node(out_data,
-                     (self, lambda g: g * np.where(pos, 1.0, out_data + alpha)))
+    def elu(self):
+        """ELU with alpha 1: x where x > 0, else expm1(x).
+
+        Without a branch: expm1 runs on min(x, 0), so a large input cannot
+        overflow, and max(expm1(min(x, 0)), x) is x exactly where x > 0.
+        On a tie numpy's max returns its second operand, so -0.0 stays
+        -0.0; NaN propagates. The derivative min(out, 0) + 1 is 1 where
+        x > 0 and out + 1 elsewhere.
+        """
+        out_data = np.expm1(np.minimum(self.data, 0.0))
+        np.maximum(out_data, self.data, out=out_data)
+
+        def bw(g):
+            d = np.minimum(out_data, 0.0)
+            d += 1.0
+            d *= g
+            return d
+
+        return _node(out_data, (self, bw))
 
     def leaky_relu(self, slope: float = 0.2):
         pos = self.data > 0

@@ -11,7 +11,9 @@ run as one block-diagonal graph.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,15 +37,20 @@ class Subgraph:
 
 
 def weighted_sample(edges: Sequence, k: int, rng: np.random.Generator) -> List:
-    """Sequential weighted draws without replacement: k edges, p ∝ weight."""
+    """Sequential weighted draws without replacement: k edges, p ∝ weight.
+
+    Each draw takes one ``rng.random()`` and picks the first edge whose
+    running weight sum exceeds it times the total; the sums add left to
+    right, as ``np.cumsum`` does.
+    """
     remaining = list(edges)
+    weights = [e.weight for e in remaining]
     picked = []
     while remaining and len(picked) < k:
-        weights = np.array([e.weight for e in remaining], dtype=np.float64)
-        cum = np.cumsum(weights)
+        cum = list(accumulate(weights))
         r = rng.random() * cum[-1]
-        idx = int(np.searchsorted(cum, r, side="right"))
-        idx = min(idx, len(remaining) - 1)
+        idx = min(bisect_right(cum, r), len(remaining) - 1)
+        del weights[idx]
         picked.append(remaining.pop(idx))
     return picked
 
@@ -61,26 +68,25 @@ def build_subgraph(tokens: Sequence[str], graph: KnowledgeGraph, k: int,
     rng = np.random.default_rng(rng_seed)
     if spans is None:
         spans = extract_entities(tokens, graph, max_ngram)
-    entities = []
+    index: Dict[str, int] = {}   # node -> its row, in order of first arrival
     for s in spans:
-        if s.concept not in entities:
-            entities.append(s.concept)
-    nodes: List[str] = list(entities)
-    for entity in entities:
+        index.setdefault(s.concept, len(index))
+    for entity in list(index):   # the entities; sampled nodes join after
         for edge in weighted_sample(neighbors(graph, entity), k, rng):
-            other = edge.other(entity)
-            if other not in nodes:
-                nodes.append(other)
-    n = len(nodes)
-    index = {c: i for i, c in enumerate(nodes)}
-    adjacency = np.eye(n, dtype=bool)
-    for c in nodes:
+            other = edge.tail if entity == edge.head else edge.head
+            index.setdefault(other, len(index))
+    rows: List[int] = []
+    cols: List[int] = []
+    for c, i in index.items():
         for edge in neighbors(graph, c):
-            j = index.get(edge.other(c))
+            j = index.get(edge.tail if c == edge.head else edge.head)
             if j is not None:
-                adjacency[index[c], j] = True
-                adjacency[j, index[c]] = True
-    return Subgraph(nodes=tuple(nodes), adjacency=adjacency)
+                rows.append(i)
+                cols.append(j)
+    adjacency = np.eye(len(index), dtype=bool)
+    adjacency[rows, cols] = True
+    adjacency[cols, rows] = True
+    return Subgraph(nodes=tuple(index), adjacency=adjacency)
 
 
 def init_node_embeddings(sub: Subgraph, table: Dict[str, np.ndarray],

@@ -82,6 +82,9 @@ class ModelConfig:
         if self.max_len > self.max_positions:   # a soft position needs a row
             raise ValueError(f"max_len {self.max_len} exceeds max_positions "
                              f"{self.max_positions}")
+        if self.max_len < kemb.MIN_TRUNK_LEN:   # kemb.flatten's own floor
+            raise ValueError(f"max_len {self.max_len} below minimum trunk "
+                             f"length {kemb.MIN_TRUNK_LEN}")
 
     @property
     def repr_dim(self) -> int:

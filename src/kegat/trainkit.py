@@ -111,10 +111,20 @@ class OptimizerState:
     step: int = 0
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
+    # adam_step's work space, twice the largest trainable parameter
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0),
+                                repr=False, compare=False)
 
 
 def adam_step(store: ParamStore, opt: OptimizerState) -> None:
-    """Standard Adam with bias correction; frozen parameters are untouched."""
+    """Standard Adam with bias correction; frozen parameters are untouched.
+
+    Each parameter's update is ``lr * (m / bc1) / (sqrt(v / bc2) + eps)``
+    with ``m += (1 - b1) * g`` and ``v += ((1 - b2) * g) * g`` after the
+    decays. The intermediates go into two views of `opt.scratch`, so a step
+    allocates nothing once the buffer has grown; each expression keeps its
+    association, so the bytes are those of the plain expressions.
+    """
     opt.step += 1
     b1, b2 = 0.9, 0.999   # decay rates of the first and second moments
     bc1 = 1.0 - b1 ** opt.step
@@ -128,11 +138,25 @@ def adam_step(store: ParamStore, opt: OptimizerState) -> None:
             m = opt.m[name] = np.zeros_like(p.data)
         if v is None:
             v = opt.v[name] = np.zeros_like(p.data)
+        n = g.size
+        if opt.scratch.size < 2 * n:
+            opt.scratch = np.empty(2 * n)
+        t1 = opt.scratch[:n].reshape(g.shape)
+        t2 = opt.scratch[n:2 * n].reshape(g.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=t1)
+        m += t1
         v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        np.multiply(g, 1.0 - b2, out=t1)
+        t1 *= g
+        v += t1
+        np.divide(m, bc1, out=t1)
+        t1 *= opt.lr
+        np.divide(v, bc2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += opt.eps
+        t1 /= t2
+        p.data -= t1
 
 
 # -- checkpoint serialization ------------------------------------------------
@@ -330,8 +354,9 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
     call on the whole batch, which returns the batch-mean loss. Phase 1
     runs inside `model.frozen_trunk()`, which freezes all but the head and
     unfreezes every parameter on exit. Divergence aborts with the last good
-    snapshot restored and every parameter unfrozen. Deterministic given the
-    seed.
+    snapshot restored and every parameter unfrozen. When neither phase has
+    an epoch, the best metric is the initial model's dev accuracy.
+    Deterministic given the seed.
     """
     if not train_data or not dev_data:
         raise ValueError("train and dev splits must be non-empty")
@@ -377,5 +402,7 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
                 if dev_acc > best_metric:
                     best_metric = dev_acc
                     best_snapshot = store.snapshot()
+    if not log:   # no epoch ran: the initial model is the best one
+        best_metric = _accuracy(model, dev_data)
     store.restore(best_snapshot)
     return TrainResult(best_metric, best_snapshot, log)

@@ -51,6 +51,35 @@ def test_nonlinearity_grads():
     _check_grad(lambda t: (t ** 2.0 + 1.0).sqrt().sum(), x0)
 
 
+# signed zeros and denormals, infinities, NaN, and inputs whose exp overflows
+_ELU_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, np.inf,
+              -np.inf, np.nan, 800.0, -800.0]
+
+
+@pytest.mark.parametrize("size", [1, 1000])
+def test_elu_matches_where_reference_bit_for_bit(size):
+    """Forward and backward have the bytes of the ``np.where`` formulas,
+    ``where(x > 0, x, expm1(x))`` and ``g * where(x > 0, 1, out + 1)``, and
+    raise no floating-point error. Length 1000 runs numpy's SIMD loops."""
+    rng = np.random.default_rng(size)
+    if size == 1:
+        inputs = [np.array([x]) for x in _ELU_EDGES + [-0.7, 1.3]]
+    else:
+        pool = np.concatenate([_ELU_EDGES, rng.normal(scale=3.0, size=64)])
+        inputs = [rng.choice(pool, size)]
+    for x in inputs:
+        g = rng.normal(size=x.shape)
+        with np.errstate(all="raise"):
+            out = Tensor(x, requires_grad=True).elu()
+            ((_, bw),) = out._edges
+            grad = bw(g)
+        with np.errstate(all="ignore"):
+            ref = np.where(x > 0, x, np.expm1(x))
+            ref_grad = g * np.where(x > 0, 1.0, ref + 1.0)
+        assert out.data.tobytes() == ref.tobytes(), x
+        assert grad.tobytes() == ref_grad.tobytes(), x
+
+
 def test_gather_grads():
     x0 = np.arange(12.0).reshape(4, 3) / 7.0
     w = np.linspace(-1.0, 1.0, 12).reshape(4, 3)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from kegat.cli import main
 from kegat.kgstore import MAGIC, load_binary, load_graph, save_binary
 from kegat.model import ModelConfig
-from kegat.trainkit import ParamStore, save_checkpoint
+from kegat.trainkit import ParamStore, load_checkpoint, save_checkpoint
 
 from conftest import SUGAR_KB_ROWS, write_kb
 
@@ -182,6 +182,17 @@ def test_train_writes_only_checkpoint_and_log(trained, tmp_path):
     log = [json.loads(line) for line in
            ckpt.with_suffix(".log.jsonl").read_text().splitlines()]
     assert [e["phase"] for e in log] == [1, 2]
+
+
+def test_train_without_epochs_reports_initial_dev_accuracy(runner, tmp_path):
+    args, _ = _train_config(tmp_path, json.dumps(
+        {**TINY_TRAIN_CFG, "epochs_phase1": 0, "epochs_phase2": 0}))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    reported = json.loads(result.output)["best_dev_accuracy"]
+    assert 0.0 <= reported <= 1.0
+    ckpt = args[args.index("--output") + 1]
+    assert load_checkpoint(ckpt, ParamStore())["best_metric"] == reported
 
 
 def test_eval_on_words_outside_training_vocabulary(runner, trained, tmp_path):
@@ -628,6 +639,21 @@ def _config_max_len_above_positions(tmp_path, request):
     return args, f"{config}: max_len 300 exceeds max_positions 160"
 
 
+def _model_record_max_len_below_trunk(tmp_path, request):
+    def corrupt(raw):   # the tiny config's max_len 48
+        at = raw.index(b'"max_len": 48')
+        raw[at:at + 13] = b'"max_len":  4'
+        return raw
+    return (_eval_corrupted(request, corrupt),
+            "max_len 4 below minimum trunk length 8")
+
+
+def _config_max_len_below_trunk(tmp_path, request):
+    args, config = _train_config(
+        tmp_path, '{"max_len": 4, "epochs_phase1": 0, "epochs_phase2": 0}')
+    return args, f"{config}: max_len 4 below minimum trunk length 8"
+
+
 def _subtask_b_data(tmp_path):
     data = tmp_path / "b.jsonl"
     data.write_text(json.dumps({
@@ -709,6 +735,8 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
     (_model_record_without_subtask, 3, "numeric failure: "),
     (_model_record_max_len_above_positions, 3, "numeric failure: "),
     (_config_max_len_above_positions, 2, "data error: "),
+    (_model_record_max_len_below_trunk, 3, "numeric failure: "),
+    (_config_max_len_below_trunk, 2, "data error: "),
     (_eval_subtask_mismatch, 2, "data error: "),
     (_predict_subtask_mismatch, 2, "data error: "),
     (_ensemble_subtask_mismatch, 2, "data error: "),
@@ -730,7 +758,9 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
         "train-data-empty",
         "dev-data-empty", "model-record-without-subtask",
         "model-record-max-len-above-positions",
-        "config-max-len-above-positions", "eval-subtask-mismatch",
+        "config-max-len-above-positions",
+        "model-record-max-len-below-trunk", "config-max-len-below-trunk",
+        "eval-subtask-mismatch",
         "predict-subtask-mismatch", "ensemble-subtask-mismatch",
         "ensemble-checkpoints-disagree"])
 def test_malformed_input_exits_with_message(runner, tmp_path, request, make,

@@ -1,6 +1,7 @@
 """Graph-attention reasoning tests: sampling, layers, pooling, fusion, gate."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -84,6 +85,36 @@ def test_sampling_matches_enumeration_quick():
         for e in weighted_sample(_edges(weights), 2, rng):
             counts[int(e.tail[1])] += 1
     np.testing.assert_allclose(counts / trials, exact, atol=0.02)
+
+
+def _reference_sample(edges, k, rng):
+    """Weighted draws over a fresh ``np.cumsum`` per draw."""
+    remaining, picked = list(edges), []
+    while remaining and len(picked) < k:
+        cum = np.cumsum([e.weight for e in remaining])
+        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        picked.append(remaining.pop(min(idx, len(remaining) - 1)))
+    return picked
+
+
+def test_sampling_matches_cumsum_reference_draw_for_draw():
+    """The same edges, in the same order, and the same draws taken from the
+    generator, with repeated weights and weights too small to move a sum."""
+    weights = [1.0, 1.0, 1e-17, 3.0, 1e-17, 5e-324, 2.5, 1.0, 1e-300, 0.5]
+    for seed in range(200):
+        edges = _edges(weights[:2 + seed % 9])
+        k = seed % 7
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert (weighted_sample(edges, k, rng)
+                == _reference_sample(edges, k, ref_rng)), seed
+        assert rng.random() == ref_rng.random(), seed
+    # draws that land exactly on a running sum pick the edge after it
+    edges = _edges([1.0, 1.0, 2.0, 1e-17, 4.0])
+    for draws in ([0.25, 0.5, 0.0], [0.5, 0.25, 0.75], [0.125, 0.0, 0.5]):
+        picked = weighted_sample(edges, 3, SimpleNamespace(
+            random=iter(draws).__next__))
+        assert picked == _reference_sample(edges, 3, SimpleNamespace(
+            random=iter(draws).__next__)), draws
 
 
 # -- subgraph construction ----------------------------------------------------

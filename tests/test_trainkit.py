@@ -124,6 +124,48 @@ def test_adam_skips_frozen():
     np.testing.assert_array_equal(w.data, 1.0)
 
 
+def _reference_adam(params, grads, m, v, step, lr, eps):
+    """One Adam step as plain numpy expressions, each in its own order."""
+    b1, b2 = 0.9, 0.999
+    bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+    for name, g in grads.items():
+        m[name] = m[name] * b1 + (1.0 - b1) * g
+        v[name] = v[name] * b2 + (1.0 - b2) * g * g
+        params[name] = params[name] - (lr * (m[name] / bc1)
+                                       / (np.sqrt(v[name] / bc2) + eps))
+
+
+def test_adam_matches_plain_expressions_bit_for_bit():
+    """Five steps over scalar, vector and matrix parameters, one frozen, and
+    a last parameter larger than every earlier one, so the scratch buffer
+    grows after the first ones have used it."""
+    rng = np.random.default_rng(11)
+    shapes = {"a": (), "b": (3,), "c": (5, 4), "d": (5, 4), "e": (7, 6)}
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.add(name, rng.normal(size=shape))
+    store.set_frozen("c", True)
+    frozen = store["c"].data.copy()
+    trained = [n for n in shapes if n != "c"]
+    params = {n: store[n].data.copy() for n in trained}
+    m = {n: np.zeros(shapes[n]) for n in trained}
+    v = {n: np.zeros(shapes[n]) for n in trained}
+    opt = OptimizerState(lr=0.003, eps=1e-6)
+    for step in range(1, 6):
+        grads = {n: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shapes[n])
+                 for n in trained}
+        for n, g in grads.items():
+            store[n].grad[...] = g
+        adam_step(store, opt)
+        _reference_adam(params, grads, m, v, step, opt.lr, opt.eps)
+        for n in trained:
+            assert store[n].data.tobytes() == params[n].tobytes(), (step, n)
+            assert opt.m[n].tobytes() == m[n].tobytes(), (step, n)
+            assert opt.v[n].tobytes() == v[n].tobytes(), (step, n)
+    np.testing.assert_array_equal(store["c"].data, frozen)
+    assert "c" not in opt.m and opt.scratch.size == 2 * 7 * 6
+
+
 def test_checkpoint_round_trip_byte_identical(tmp_path):
     store = ParamStore()
     store.add("b/w", np.random.default_rng(0).normal(size=(3, 2)))
@@ -296,6 +338,19 @@ def test_zero_epoch_phase2_equals_phase1_best(sugar_graph):
     result = two_phase_train(model, instances[:4], instances[4:], sched, 0)
     for name, values in model.store.snapshot().items():
         np.testing.assert_array_equal(values, result.best_snapshot[name])
+
+
+def test_zero_epochs_report_initial_dev_accuracy(sugar_graph):
+    model, instances = tiny_model(sugar_graph)
+    init = model.store.snapshot()
+    sched = Schedule(phase1=Phase(lr=0.001, epochs=0),
+                     phase2=Phase(lr=1e-5, epochs=0))
+    result = two_phase_train(model, instances[:4], instances[4:], sched, 0)
+    assert result.log == []
+    assert 0.0 <= result.best_metric <= 1.0
+    assert result.best_metric == trainkit._accuracy(model, instances[4:])
+    for name, values in model.store.snapshot().items():
+        np.testing.assert_array_equal(values, init[name], err_msg=name)
 
 
 def test_identical_seeds_identical_runs(sugar_graph, tmp_path):
