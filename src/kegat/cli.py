@@ -246,7 +246,8 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
                  "use_lm": not (no_lm_loss or cfg.get("no_lm_loss", False))}
         config = ModelConfig(**{k: cfg[k] for k in fields & cfg.keys()}, **flags)
         schedule = trainkit.Schedule.from_config(cfg)
-    except (TypeError, ValueError) as exc:
+    # OverflowError: an integer too large for a float, such as a 400-digit lr
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{config_path}: {exc}") from None
     train_set = harness.load_comve(train_data, subtask)
     dev_set = harness.load_comve(dev_data, subtask)

@@ -195,6 +195,21 @@ def test_train_without_epochs_reports_initial_dev_accuracy(runner, tmp_path):
     assert load_checkpoint(ckpt, ParamStore())["best_metric"] == reported
 
 
+def test_train_abort_before_dev_evaluation_reports_restored_accuracy(
+        runner, tmp_path):
+    args, _ = _train_config(tmp_path, json.dumps(
+        {**TINY_TRAIN_CFG, "lr_phase1": 1e300, "epochs_phase1": 1,
+         "epochs_phase2": 0}))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    payload = json.loads(result.stdout)
+    assert payload["aborted"]
+    assert 0.0 <= payload["best_dev_accuracy"] <= 1.0
+    ckpt = args[args.index("--output") + 1]
+    assert (load_checkpoint(ckpt, ParamStore())["best_metric"]
+            == payload["best_dev_accuracy"])
+
+
 def test_eval_on_words_outside_training_vocabulary(runner, trained, tmp_path):
     bench, ckpt, _ = trained
     data = tmp_path / "unseen.jsonl"
@@ -528,6 +543,24 @@ def _config_lr_negative(tmp_path, request):
     return args, f"{config}: phase needs lr > 0"
 
 
+def _config_lr_infinite(tmp_path, request):
+    args, config = _train_config(
+        tmp_path, '{"lr_phase1": Infinity, "epochs_phase2": 0}')
+    return args, f"{config}: lr must be finite, got inf"
+
+
+def _config_lr_overflows_float(tmp_path, request):
+    args, config = _train_config(tmp_path, '{"lr_phase1": 1%s}' % ("0" * 400))
+    return args, f"{config}: int too large to convert to float"
+
+
+def _config_adam_eps_infinite(tmp_path, request):
+    args, config = _train_config(
+        tmp_path, '{"adam_eps": Infinity, "epochs_phase1": 1, '
+                  '"epochs_phase2": 0}')
+    return args, f"{config}: adam_eps must be finite, got inf"
+
+
 def _config_dim_not_integer(tmp_path, request):
     args, config = _train_config(tmp_path, '{"dim": "x"}')
     return args, f"{config}: dim must be int, got 'x'"
@@ -726,6 +759,9 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
     (_config_batch_size_zero, 2, "data error: "),
     (_config_epochs_not_integer, 2, "data error: "),
     (_config_lr_negative, 2, "data error: "),
+    (_config_lr_infinite, 2, "data error: "),
+    (_config_lr_overflows_float, 2, "data error: "),
+    (_config_adam_eps_infinite, 2, "data error: "),
     (_config_dim_not_integer, 2, "data error: "),
     (_config_flag_not_bool, 2, "data error: "),
     (_config_schedule_key_misspelled, 2, "data error: "),
@@ -753,6 +789,8 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
         "model-record-without-vectors-sha256", "config-not-json",
         "config-not-object", "config-batch-size-zero",
         "config-epochs-not-integer", "config-lr-negative",
+        "config-lr-infinite", "config-lr-overflows-float",
+        "config-adam-eps-infinite",
         "config-dim-not-integer", "config-flag-not-bool",
         "config-schedule-key-misspelled", "config-model-key-misspelled",
         "train-data-empty",

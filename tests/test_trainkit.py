@@ -135,23 +135,32 @@ def _reference_adam(params, grads, m, v, step, lr, eps):
                                        / (np.sqrt(v[name] / bc2) + eps))
 
 
-def test_adam_matches_plain_expressions_bit_for_bit():
-    """Five steps over scalar, vector and matrix parameters, one frozen, and
-    a last parameter larger than every earlier one, so the scratch buffer
-    grows after the first ones have used it."""
+def _spans(store):
+    """Each parameter's slice of the flat vectors: name order, no gaps."""
+    spans, start = {}, 0
+    for name, p in store.items():
+        spans[name] = slice(start, start + p.data.size)
+        start += p.data.size
+    return spans
+
+
+def _adam_against_reference(shapes, frozen_name, steps=5):
+    """`steps` Adam steps on a store with `shapes`, `frozen_name` frozen,
+    each compared byte for byte with `_reference_adam`; returns the store and
+    the optimizer state."""
     rng = np.random.default_rng(11)
-    shapes = {"a": (), "b": (3,), "c": (5, 4), "d": (5, 4), "e": (7, 6)}
     store = ParamStore()
     for name, shape in shapes.items():
         store.add(name, rng.normal(size=shape))
-    store.set_frozen("c", True)
-    frozen = store["c"].data.copy()
-    trained = [n for n in shapes if n != "c"]
+    store.set_frozen(frozen_name, True)
+    frozen = store[frozen_name].data.copy()
+    trained = [n for n in shapes if n != frozen_name]
     params = {n: store[n].data.copy() for n in trained}
     m = {n: np.zeros(shapes[n]) for n in trained}
     v = {n: np.zeros(shapes[n]) for n in trained}
     opt = OptimizerState(lr=0.003, eps=1e-6)
-    for step in range(1, 6):
+    spans = _spans(store)
+    for step in range(1, steps + 1):
         grads = {n: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shapes[n])
                  for n in trained}
         for n, g in grads.items():
@@ -160,10 +169,79 @@ def test_adam_matches_plain_expressions_bit_for_bit():
         _reference_adam(params, grads, m, v, step, opt.lr, opt.eps)
         for n in trained:
             assert store[n].data.tobytes() == params[n].tobytes(), (step, n)
-            assert opt.m[n].tobytes() == m[n].tobytes(), (step, n)
-            assert opt.v[n].tobytes() == v[n].tobytes(), (step, n)
-    np.testing.assert_array_equal(store["c"].data, frozen)
-    assert "c" not in opt.m and opt.scratch.size == 2 * 7 * 6
+            assert opt.m[spans[n]].tobytes() == m[n].tobytes(), (step, n)
+            assert opt.v[spans[n]].tobytes() == v[n].tobytes(), (step, n)
+    np.testing.assert_array_equal(store[frozen_name].data, frozen)
+    span = spans[frozen_name]
+    assert not opt.m[span].any() and not opt.v[span].any()
+    return store, opt
+
+
+def test_adam_matches_plain_expressions_bit_for_bit():
+    """Five steps over scalar, vector and matrix parameters, one frozen, so
+    the trainable ones form two runs of the flat vectors."""
+    shapes = {"a": (), "b": (3,), "c": (5, 4), "d": (5, 4), "e": (7, 6)}
+    store, opt = _adam_against_reference(shapes, "c")
+    assert store.runs() == [slice(0, 4), slice(24, 86)]
+    assert opt.m.size == 86 and opt.scratch.size == 2 * trainkit.ADAM_BLOCK
+
+
+def test_adam_blocks_straddle_parameters_bit_for_bit(monkeypatch):
+    """With blocks of 8 floats, "b" (20 floats from offset 3) spans three
+    blocks and "e" starts inside one; the frozen "c" splits the runs."""
+    monkeypatch.setattr(trainkit, "ADAM_BLOCK", 8)
+    shapes = {"a": (3,), "b": (5, 4), "c": (2, 3), "d": (), "e": (3, 5)}
+    store, opt = _adam_against_reference(shapes, "c")
+    assert store.runs() == [slice(0, 23), slice(29, 45)]
+    assert opt.scratch.size == 16
+
+
+def test_parameters_are_views_of_the_flat_vectors(tmp_path):
+    """Once packed, every `data` and `grad` is a view of the flat vectors,
+    and `load_checkpoint` writes through those views."""
+    rng = np.random.default_rng(5)
+    shapes = {"w": (2, 3), "b": (3,), "s": ()}
+    saved, store = ParamStore(), ParamStore()
+    for name, shape in shapes.items():
+        saved.add(name, rng.normal(size=shape))
+        store.add(name, np.zeros(shape))
+    values, grads = store.flat()
+    assert values.size == grads.size == 10
+    spans = _spans(store)
+    for name, p in store.items():
+        assert np.shares_memory(p.data, values[spans[name]]), name
+        assert np.shares_memory(p.grad, grads[spans[name]]), name
+        assert p.data.shape == p.grad.shape == shapes[name]
+    save_checkpoint(tmp_path / "m.ckpt", saved)
+    load_checkpoint(tmp_path / "m.ckpt", store)
+    np.testing.assert_array_equal(
+        values, np.concatenate([p.data.ravel() for _, p in saved.items()]))
+
+
+def test_add_after_packing_keeps_values_and_gradients():
+    store = ParamStore()
+    w = store.add("w", np.arange(3.0))
+    compute_gradients((w * w).sum(), store)   # packs; gradient 2w
+    opt = OptimizerState(lr=0.0)
+    adam_step(store, opt)
+    store.add("a", np.array([7.0]))   # sorts first, so every offset moves
+    values, grads = store.flat()
+    np.testing.assert_array_equal(values, [7.0, 0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(grads, [0.0, 0.0, 2.0, 4.0])
+    assert np.shares_memory(store["w"].data, values)
+    assert np.shares_memory(store["a"].grad, grads)
+    assert store.runs() == [slice(0, 4)]
+    with pytest.raises(ValueError):   # its moments no longer match the store
+        adam_step(store, opt)
+
+
+def test_gradient_error_names_the_first_nonfinite_parameter():
+    store = ParamStore()
+    b = store.add("b", np.array(0.0))
+    a = store.add("a", np.array(0.0))
+    with np.errstate(all="ignore"):
+        with pytest.raises(GradientError, match="'a'"):
+            compute_gradients(b.sqrt() + a.sqrt(), store)
 
 
 def test_checkpoint_round_trip_byte_identical(tmp_path):
@@ -287,12 +365,16 @@ def test_schedule_from_config():
         Phase(lr=0.0, epochs=1)
     with pytest.raises(ValueError):
         Phase(lr=float("nan"), epochs=1)
+    with pytest.raises(ValueError, match="lr must be finite"):
+        Phase(lr=float("inf"), epochs=1)
     with pytest.raises(TypeError):
         Phase(lr=0.1, epochs=True)
     with pytest.raises(ValueError):
         Schedule(batch_size=0)
     with pytest.raises(ValueError):
         Schedule(adam_eps=0.0)
+    with pytest.raises(ValueError, match="adam_eps must be finite"):
+        Schedule(adam_eps=float("inf"))
     with pytest.raises(TypeError):
         Schedule.from_config({"batch_size": 2.0})
     assert Schedule(adam_eps=1).adam_eps == 1   # an int is a valid float
@@ -320,7 +402,7 @@ def test_phase1_touches_only_head(sugar_graph):
 
 def test_abort_restores_best_snapshot_and_unfreezes(sugar_graph):
     model, instances = tiny_model(sugar_graph)
-    sched = Schedule(phase1=Phase(lr=float("inf"), epochs=1),
+    sched = Schedule(phase1=Phase(lr=1e308, epochs=1),
                      phase2=Phase(lr=1e-5, epochs=1))
     with np.errstate(all="ignore"):
         result = two_phase_train(model, instances[:4], instances[4:], sched, 0)
@@ -329,6 +411,21 @@ def test_abort_restores_best_snapshot_and_unfreezes(sugar_graph):
         np.testing.assert_array_equal(values, result.best_snapshot[name],
                                       err_msg=name)
     assert not any(model.store.is_frozen(n) for n in model.store.names())
+
+
+def test_abort_before_any_dev_evaluation_reports_restored_accuracy(sugar_graph):
+    model, instances = tiny_model(sugar_graph)
+    init = model.store.snapshot()
+    sched = Schedule(phase1=Phase(lr=1e308, epochs=1),
+                     phase2=Phase(lr=1e-5, epochs=0))
+    with np.errstate(all="ignore"):
+        result = two_phase_train(model, instances[:4], instances[4:], sched, 0)
+    assert result.aborted
+    assert [e["phase"] for e in result.log] == [1]
+    for name, values in model.store.snapshot().items():
+        np.testing.assert_array_equal(values, init[name], err_msg=name)
+    assert 0.0 <= result.best_metric <= 1.0
+    assert result.best_metric == trainkit._accuracy(model, instances[4:])
 
 
 def test_zero_epoch_phase2_equals_phase1_best(sugar_graph):
