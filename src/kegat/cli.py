@@ -260,8 +260,14 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
     templates = (kemb.load_templates(templates_path) if templates_path
                  else kemb.default_templates())
     vocab = harness.build_vocab(graph, templates, train_set + dev_set)
-    model = KegatModel(config, vocab, graph,
-                       _concept_table(config, vectors_path), templates)
+    # sizes have no upper bound in the config: numpy rejects a shape beyond
+    # its dimension limit, or an array too large for memory
+    try:
+        model = KegatModel(config, vocab, graph,
+                           _concept_table(config, vectors_path), templates)
+    except (ValueError, MemoryError) as exc:
+        raise DataFormatError(
+            f"{config_path}: cannot build the model ({exc})") from None
     result = trainkit.two_phase_train(model, train_set, dev_set, schedule,
                                       cfg.get("seed", 0))
     # everything eval needs to rebuild this model, beside its parameters

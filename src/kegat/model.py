@@ -9,8 +9,10 @@ block-diagonal graph, and fusion, gate and head on B·A rows. The training
 loss is the batch mean and optionally adds the token-reconstruction
 objective under learnable uncertainty weights; only the loss computes it, so
 prediction runs the encoder, graph and head alone, without recording a
-graph. While only the head trains (`frozen_trunk`), the trunk runs once per
-instance and the loss and predictions reuse its output.
+graph, and reads only the pooled [CLS] states, which lets the encoder's last
+layer run on two rows per sequence. While only the head trains
+(`frozen_trunk`), the trunk runs once per instance and the loss and
+predictions reuse its output.
 """
 
 from __future__ import annotations
@@ -107,7 +109,8 @@ class BatchOutput(NamedTuple):
     """One padded pass over a batch: B instances of A options each."""
     probs: Tensor            # B x A option probabilities
     reprs: Tensor            # B·A x repr_dim final option representations
-    hidden: Tensor           # B·A·T x dim per-token encoder states
+    hidden: Optional[Tensor]   # B·A·T x dim per-token encoder states;
+                               # None after a pooled-only pass
     batch: kemb.PaddedBatch  # the B·A padded input sequences
 
 
@@ -262,12 +265,14 @@ class KegatModel:
     # -- forward passes ------------------------------------------------------
 
     def forward(self, instances: Sequence[harness.ComveInstance],
-                dropout_rng: Optional[np.random.Generator] = None
-                ) -> BatchOutput:
+                dropout_rng: Optional[np.random.Generator] = None,
+                pooled_only: bool = False) -> BatchOutput:
         """One padded pass over every option of `instances`: the encoder over
         their (B·A, T) sequences, the GAT over one block-diagonal graph of
         their subgraphs, and fusion, gate and head on the B·A option rows.
-        Always runs the whole trunk."""
+        With `pooled_only`, the encoder's last layer runs on each sequence's
+        first two rows and `hidden` may be None (see `encoder.encode`); the
+        probabilities and representations keep their bytes."""
         c = self.config
         n_options = _option_count(instances)
         feats = [f for inst in instances for f in self._features(inst)]
@@ -275,7 +280,7 @@ class KegatModel:
         out = enc.encode(enc.embed(batch, self.enc_params), batch.visibility,
                          self.enc_params,
                          dropout_rate=c.dropout if dropout_rng is not None else 0.0,
-                         dropout_rng=dropout_rng)
+                         dropout_rng=dropout_rng, pooled_only=pooled_only)
         reprs = out.pooled
         if c.use_kegat:
             sub = gatmod.block_diagonal([f.subgraph for f in feats])
@@ -332,7 +337,7 @@ class KegatModel:
         if missing:
             n = len(missing)
             with no_grad():
-                fw = self.forward(missing)
+                fw = self.forward(missing, pooled_only=not self.config.use_lm)
                 lms = [None] * n
                 if self.config.use_lm:
                     logits, tokens, rows = self._lm_inputs(fw)
@@ -381,7 +386,7 @@ class KegatModel:
         """One instance's option probabilities, recording no graph."""
         with no_grad():
             if self._trunk_out is None:
-                probs = self.forward([instance]).probs
+                probs = self.forward([instance], pooled_only=True).probs
             else:
                 probs = headmod.predict(self._trunk_output([instance])[0],
                                         self.head_params, instance.option_count)

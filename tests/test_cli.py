@@ -566,6 +566,20 @@ def _config_dim_not_integer(tmp_path, request):
     return args, f"{config}: dim must be int, got 'x'"
 
 
+def _config_dim_beyond_numpy(tmp_path, request):
+    args, config = _train_config(
+        tmp_path, '{"dim": 1%s, "epochs_phase1": 1, "epochs_phase2": 0}'
+                  % ("0" * 400))
+    return args, f"{config}: cannot build the model (Maximum allowed dimension"
+
+
+def _config_head_hidden_beyond_memory(tmp_path, request):
+    args, config = _train_config(   # a 931 TiB head matrix
+        tmp_path, '{"head_hidden": 1000000000000, "epochs_phase1": 1, '
+                  '"epochs_phase2": 0}')
+    return args, f"{config}: cannot build the model (Unable to allocate"
+
+
 def _config_schedule_key_misspelled(tmp_path, request):
     args, config = _train_config(tmp_path, '{"batch-size": 0}')
     return args, f"{config}: unknown key 'batch-size'"
@@ -763,6 +777,8 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
     (_config_lr_overflows_float, 2, "data error: "),
     (_config_adam_eps_infinite, 2, "data error: "),
     (_config_dim_not_integer, 2, "data error: "),
+    (_config_dim_beyond_numpy, 2, "data error: "),
+    (_config_head_hidden_beyond_memory, 2, "data error: "),
     (_config_flag_not_bool, 2, "data error: "),
     (_config_schedule_key_misspelled, 2, "data error: "),
     (_config_model_key_misspelled, 2, "data error: "),
@@ -791,7 +807,8 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
         "config-epochs-not-integer", "config-lr-negative",
         "config-lr-infinite", "config-lr-overflows-float",
         "config-adam-eps-infinite",
-        "config-dim-not-integer", "config-flag-not-bool",
+        "config-dim-not-integer", "config-dim-beyond-numpy",
+        "config-head-hidden-beyond-memory", "config-flag-not-bool",
         "config-schedule-key-misspelled", "config-model-key-misspelled",
         "train-data-empty",
         "dev-data-empty", "model-record-without-subtask",

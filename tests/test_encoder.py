@@ -165,3 +165,26 @@ def test_padded_batch_rows_match_each_sequence_alone():
                                    alone.hidden.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.pooled.data[b], alone.pooled.data[0],
                                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("T", [1, 2, 3, 9])
+@pytest.mark.parametrize("n_seqs", [2, 3, 4, 5])
+def test_pooled_only_pass_keeps_the_pooled_bytes(n_layers, T, n_seqs):
+    """Running the last layer on two rows per sequence changes no byte of
+    the pooled states; `hidden` is dropped only when rows were left out."""
+    p = _params(d=16, n_layers=n_layers, n_heads=4, seed=T)
+    rng = np.random.default_rng(10 * T + n_seqs)
+    seqs = []
+    for b in range(n_seqs):   # the first sequence sets the padded length
+        n = T if b == 0 else int(rng.integers(1, T + 1))
+        vis = rng.random((n, n)) < 0.4
+        np.fill_diagonal(vis, True)
+        seqs.append(_seq(rng.integers(1, 10, n).tolist(), visibility=vis))
+    batch = pad_batch(seqs, pad_id=0)
+    E = embed(batch, p)
+    full = encode(E, batch.visibility, p)
+    pooled = encode(E, batch.visibility, p, pooled_only=True)
+    assert pooled.pooled.data.tobytes() == full.pooled.data.tobytes()
+    assert full.hidden is not None
+    assert (pooled.hidden is None) == (T > 2)

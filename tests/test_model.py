@@ -318,3 +318,47 @@ def test_batch_without_graph_nodes_skips_the_gat(bench, monkeypatch):
     np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
     model.loss([a, bench.train[1]])   # one option with nodes runs the GAT
     assert calls == [1]
+
+
+# -- prediction reads only the pooled states ----------------------------------
+
+@pytest.mark.parametrize("use_lm", [True, False])
+def test_predictions_run_pooled_only_and_keep_their_bytes(bench, use_lm,
+                                                          monkeypatch):
+    config = dataclasses.replace(CONFIG, use_lm=use_lm)
+    model = _model(bench, bench.train + bench.dev, config)
+    inst = bench.dev[0]
+    with no_grad():
+        full = model.forward([inst]).probs.data[0]
+    calls = []
+    real = enc.encode
+
+    def recording(*args, pooled_only=False, **kwargs):
+        calls.append(pooled_only)
+        return real(*args, pooled_only=pooled_only, **kwargs)
+
+    monkeypatch.setattr(enc, "encode", recording)
+    assert model.predict_probs(inst).tobytes() == full.tobytes()
+    with model.frozen_trunk():   # the trunk needs its hidden rows for the LM
+        assert model.predict_probs(inst).tobytes() == full.tobytes()
+    model.loss([inst])
+    assert calls == [True, not use_lm, False]
+
+
+@pytest.mark.parametrize("use_lm", [True, False])
+def test_loss_runs_the_full_pass_with_its_dropout_draws(bench, use_lm):
+    config = dataclasses.replace(CONFIG, use_lm=use_lm)
+    model = _model(bench, bench.train, config)
+    inst = bench.train[0]
+
+    def rng_state_after(fn):
+        rng = np.random.default_rng(11)
+        fn(rng)
+        return rng.bit_generator.state
+
+    after_loss = rng_state_after(lambda rng: model.loss([inst], rng))
+    assert after_loss == rng_state_after(lambda rng: model.forward([inst], rng))
+    assert after_loss != rng_state_after(
+        lambda rng: model.forward([inst], rng, pooled_only=True))
+    assert model.forward([inst]).hidden is not None
+    assert model.forward([inst], pooled_only=True).hidden is None
