@@ -339,7 +339,7 @@ def test_predictions_run_pooled_only_and_keep_their_bytes(bench, use_lm,
 
     monkeypatch.setattr(enc, "encode", recording)
     assert model.predict_probs(inst).tobytes() == full.tobytes()
-    with model.frozen_trunk():   # the trunk needs its hidden rows for the LM
+    with model.frozen_trunk():   # a trunk pass that keeps `hidden` for the LM
         assert model.predict_probs(inst).tobytes() == full.tobytes()
     model.loss([inst])
     assert calls == [True, not use_lm, False]
