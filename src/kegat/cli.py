@@ -25,6 +25,8 @@ from .vocab import Vocab
 
 click.UsageError.exit_code = 1
 
+_DEFAULTS = ModelConfig()   # the option defaults `link` and `inject` share
+
 
 def _handle_errors(fn):
     @functools.wraps(fn)
@@ -38,6 +40,14 @@ def _handle_errors(fn):
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(3)
     return wrapper
+
+
+def _check_options(**values) -> None:
+    """Reject, as a usage error, option values that `ModelConfig` rejects."""
+    try:
+        ModelConfig(**values)
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(str(exc)) from None
 
 
 def _load_kb(path) -> kgstore.KnowledgeGraph:
@@ -83,10 +93,11 @@ def kb_ingest(input_path, blocklist_path, output_path):
 @click.option("--kb", "kb_path", required=True, type=click.Path(exists=True))
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True),
               help="JSONL with an 'id' and 'text' field per line.")
-@click.option("--max-ngram", default=4, show_default=True)
+@click.option("--max-ngram", default=_DEFAULTS.max_ngram, show_default=True)
 @_handle_errors
 def link(kb_path, input_path, max_ngram):
     """Emit entity spans found in each input line."""
+    _check_options(max_ngram=max_ngram)
     graph = _load_kb(kb_path)
     for lineno, line in enumerate(kgstore.text_lines(input_path), start=1):
         if not line.strip():
@@ -120,13 +131,16 @@ def preprocess():
 @click.option("--templates", "templates_path", type=click.Path(exists=True))
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--subtask", type=click.Choice(["a", "b"]), default="a", show_default=True)
-@click.option("--max-len", default=128, show_default=True)
-@click.option("--per-entity-limit", default=2, show_default=True)
-@click.option("--max-ngram", default=4, show_default=True)
+@click.option("--max-len", default=_DEFAULTS.max_len, show_default=True)
+@click.option("--per-entity-limit", default=_DEFAULTS.per_entity_limit,
+              show_default=True)
+@click.option("--max-ngram", default=_DEFAULTS.max_ngram, show_default=True)
 @_handle_errors
 def preprocess_inject(kb_path, templates_path, input_path, subtask, max_len,
                       per_entity_limit, max_ngram):
     """Show knowledge-injected sequences for inspection."""
+    _check_options(max_len=max_len, per_entity_limit=per_entity_limit,
+                   max_ngram=max_ngram)
     graph = _load_kb(kb_path)
     templates = (kemb.load_templates(templates_path) if templates_path
                  else kemb.default_templates())
@@ -176,12 +190,12 @@ def augment(kb_path, templates_path, count, subtask, seed, output_path):
 @_handle_errors
 def synth(seed, out_dir, sizes, n_concepts, n_edges, subtask):
     """Generate the synthetic toy benchmark."""
-    parts = tuple(int(x) for x in sizes.split(","))
-    if len(parts) != 3:
-        raise click.UsageError("--sizes needs three comma-separated integers")
-    bench = harness.synth_benchmark(seed, out_dir, sizes=parts,
-                                    n_concepts=n_concepts, n_edges=n_edges,
-                                    subtask=subtask)
+    try:   # a ValueError here comes from a bad option value
+        bench = harness.synth_benchmark(
+            seed, out_dir, sizes=tuple(int(x) for x in sizes.split(",")),
+            n_concepts=n_concepts, n_edges=n_edges, subtask=subtask)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     click.echo(json.dumps({k: str(v) for k, v in bench.paths.items()}))
 
 
@@ -231,20 +245,16 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
           train_data, dev_data, output_path, no_kemb, no_kegat, no_lm_loss):
     """Two-phase training with dev-accuracy model selection."""
     cfg = _read_config(config_path) if config_path else {}
-    flag_keys = ("no_kemb", "no_kegat", "no_lm_loss")
-    fields = ({f.name for f in dataclasses.fields(ModelConfig)}
-              - {"use_kemb", "use_kegat", "use_lm"})
-    unknown = sorted(cfg.keys() - fields - set(flag_keys)
-                     - trainkit.Schedule.CONFIG_KEYS)
+    model_keys = {f.name for f in dataclasses.fields(ModelConfig)
+                  if not f.name.startswith("use_")}
+    unknown = sorted(cfg.keys() - model_keys - {
+        f.name for f in dataclasses.fields(trainkit.Schedule)})
     if unknown:
         raise DataFormatError(f"{config_path}: unknown key {unknown[0]!r}")
     try:
-        for key in flag_keys:
-            trainkit.check_type(key, cfg.get(key, False), bool)
-        flags = {"use_kemb": not (no_kemb or cfg.get("no_kemb", False)),
-                 "use_kegat": not (no_kegat or cfg.get("no_kegat", False)),
-                 "use_lm": not (no_lm_loss or cfg.get("no_lm_loss", False))}
-        config = ModelConfig(**{k: cfg[k] for k in fields & cfg.keys()}, **flags)
+        config = ModelConfig(**{k: cfg[k] for k in model_keys & cfg.keys()},
+                             use_kemb=not no_kemb, use_kegat=not no_kegat,
+                             use_lm=not no_lm_loss)
         schedule = trainkit.Schedule.from_config(cfg)
     # OverflowError: an integer too large for a float, such as a 400-digit lr
     except (TypeError, ValueError, OverflowError) as exc:
@@ -269,7 +279,7 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
         raise DataFormatError(
             f"{config_path}: cannot build the model ({exc})") from None
     result = trainkit.two_phase_train(model, train_set, dev_set, schedule,
-                                      cfg.get("seed", 0))
+                                      config.seed)
     # everything eval needs to rebuild this model, beside its parameters
     model_meta = {
         "config": config.as_dict(), "subtask": subtask, "vocab": vocab.tokens,
@@ -279,9 +289,9 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
         "vectors_sha256": _file_sha256(vectors_path) if vectors_path else None}
     trainkit.save_checkpoint(out, model.store, best_metric=result.best_metric,
                              model_meta=model_meta)
-    with open(out.with_suffix(".log.jsonl"), "w", encoding="utf-8") as fh:
-        for entry in result.log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    with kgstore.atomic_write(out.with_suffix(".log.jsonl")) as fh:
+        fh.write("".join(json.dumps(entry, sort_keys=True) + "\n"
+                         for entry in result.log).encode("utf-8"))
     click.echo(json.dumps({"best_dev_accuracy": result.best_metric,
                            "aborted": result.aborted,
                            "checkpoint": str(out)}))
@@ -303,7 +313,8 @@ def _load_model(checkpoint_path, subtask: str) -> KegatModel:
                      for rel, pattern in meta["templates"].items()}
         kb_path, kb_sha256, vectors = meta["kb"], meta["kb_sha256"], meta["vectors"]
         vectors_sha256 = meta["vectors_sha256"]
-    except (KeyError, TypeError, ValueError, AttributeError, DataFormatError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
+            DataFormatError) as exc:
         raise NumericError(f"{checkpoint_path}: malformed model description "
                            f"({type(exc).__name__}: {exc})") from None
     if trained_for != subtask:
@@ -354,7 +365,8 @@ def predict(checkpoint, data_path, subtask, output_path):
     metrics = harness.evaluate(model, instances)
     lines = [json.dumps(p, sort_keys=True) for p in metrics.predictions]
     if output_path:
-        Path(output_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with kgstore.atomic_write(output_path) as fh:
+            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
     else:
         for line in lines:
             click.echo(line)

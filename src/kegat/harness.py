@@ -267,8 +267,12 @@ def synth_benchmark(seed: int, out_dir,
     centroid, mirroring how a pretrained concept-embedding table reflects
     graph neighborhoods. Byte-identical output for a fixed seed.
     """
-    if any(s <= 0 for s in sizes):
-        raise ValueError("split sizes must be positive")
+    if len(sizes) != 3 or any(s <= 0 for s in sizes):
+        raise ValueError(f"sizes must be three positive integers, got {sizes}")
+    pairs = n_concepts * (n_concepts - 1) // 2   # the most edges the draw finds
+    if n_concepts < 2 or not 0 <= n_edges <= pairs:
+        raise ValueError(f"need n_concepts >= 2 and n_edges in [0, {pairs}], "
+                         f"got n_concepts={n_concepts}, n_edges={n_edges}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     templates = default_templates()

@@ -6,10 +6,13 @@ queries are read-only and safe to run concurrently.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import DataFormatError
@@ -55,9 +58,7 @@ class GraphStats:
     skipped_comments: int
 
     def as_dict(self) -> dict:
-        return {"loaded": self.loaded,
-                "skipped_blocklist": self.skipped_blocklist,
-                "skipped_comments": self.skipped_comments}
+        return dict(self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,23 @@ def text_lines(path):
             yield from fh
         except UnicodeDecodeError:
             raise DataFormatError(f"{path}: not a UTF-8 text file") from None
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """A binary file handle whose bytes replace `path` only once the block
+    ends, so a failed write leaves the previous file at `path` intact."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _check_weight(weight: float, where: str) -> None:
@@ -186,10 +204,8 @@ def save_binary(graph: KnowledgeGraph, path) -> None:
         "stats": graph.stats.as_dict(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(bytes([FORMAT_VERSION]))
-        fh.write(blob)
+    with atomic_write(path) as fh:
+        fh.write(MAGIC + bytes([FORMAT_VERSION]) + blob)
 
 
 def load_binary(path) -> KnowledgeGraph:

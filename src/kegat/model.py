@@ -18,9 +18,8 @@ predictions reuse its output.
 from __future__ import annotations
 
 import contextlib
-import math
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +32,7 @@ from . import kemb
 from .autodiff import Tensor, no_grad
 from .kgstore import KnowledgeGraph
 from .linker import extract_entities
-from .trainkit import ParamStore, check_type
+from .trainkit import ParamStore, check_fields
 from .vocab import PAD, Vocab
 
 
@@ -67,17 +66,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            check_type(f.name, value, kind)
-            low = 0 if f.name in _MAY_BE_ZERO else 1
-            if kind is int and value < low:
-                raise ValueError(f"{f.name} must be >= {low}, got {value!r}")
+        check_fields(self, _MAY_BE_ZERO)
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
-        if not math.isfinite(self.fuse_skip_gain):
-            raise ValueError(f"fuse_skip_gain must be finite, got "
-                             f"{self.fuse_skip_gain!r}")
         if self.dim % self.n_heads:
             raise ValueError(f"dim {self.dim} is not a multiple of n_heads "
                              f"{self.n_heads}")

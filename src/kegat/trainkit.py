@@ -14,14 +14,14 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .autodiff import Tensor
 from .errors import GradientError, NumericError
+from .kgstore import atomic_write
 
 MAGIC = b"KGCK"   # distinct from the knowledge-graph binary's b"KGAT"
 FORMAT_VERSION = 2
@@ -310,19 +310,10 @@ def save_checkpoint(path, store: ParamStore,
     if model_meta is not None:
         blob = json.dumps(model_meta, sort_keys=True).encode("utf-8")
         records["meta/model"] = np.frombuffer(blob, dtype=np.uint8)
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC + bytes([FORMAT_VERSION]))
-            for name in sorted(records):
-                _write_record(fh, name, records[name])
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(MAGIC + bytes([FORMAT_VERSION]))
+        for name in sorted(records):
+            _write_record(fh, name, records[name])
 
 
 def read_model_meta(path) -> dict:
@@ -353,61 +344,43 @@ def load_checkpoint(path, store: ParamStore) -> dict:
 
 # -- two-phase schedule ------------------------------------------------------
 
-def check_type(name: str, value, kind: type) -> None:
-    """Raise TypeError unless `value` is a `kind`. A bool counts only as a
-    bool, and an int also counts as a float."""
-    kinds = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
-        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Phase:
-    lr: float
-    epochs: int
-
-    def __post_init__(self):
-        check_type("lr", self.lr, float)
-        check_type("epochs", self.epochs, int)
-        if not math.isfinite(self.lr):
-            raise ValueError(f"lr must be finite, got {self.lr!r}")
-        if self.epochs < 0 or not self.lr > 0:
-            raise ValueError(f"phase needs lr > 0 and epochs >= 0, got "
-                             f"lr={self.lr!r}, epochs={self.epochs!r}")
+def check_fields(obj, may_be_zero: Iterable[str] = ()) -> None:
+    """Check each field of dataclass `obj`: its value has its default's type
+    (a bool is only a bool, an int is also a float), an int is >= 1 (>= 0 if
+    named in `may_be_zero`) and a float is finite. Messages name the field."""
+    for f in fields(obj):
+        value, kind = getattr(obj, f.name), type(f.default)
+        kinds = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kinds):
+            raise TypeError(f"{f.name} must be {kind.__name__}, got {value!r}")
+        low = 0 if f.name in may_be_zero else 1
+        if kind is int and value < low:
+            raise ValueError(f"{f.name} must be >= {low}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class Schedule:
-    phase1: Phase = Phase(lr=0.001, epochs=4)
-    phase2: Phase = Phase(lr=0.000005, epochs=8)
+    """The two-phase schedule; its field names are the training-config keys."""
+    lr_phase1: float = 0.001
+    epochs_phase1: int = 4
+    lr_phase2: float = 0.000005
+    epochs_phase2: int = 8
     batch_size: int = 2
     adam_eps: float = 1e-6
 
     def __post_init__(self):
-        check_type("batch_size", self.batch_size, int)
-        check_type("adam_eps", self.adam_eps, float)
-        if not math.isfinite(self.adam_eps):
-            raise ValueError(f"adam_eps must be finite, got {self.adam_eps!r}")
-        if self.batch_size < 1 or not self.adam_eps > 0:
-            raise ValueError(f"schedule needs batch_size >= 1 and adam_eps > 0, "
-                             f"got batch_size={self.batch_size!r}, "
-                             f"adam_eps={self.adam_eps!r}")
-
-    # the training-config keys `from_config` reads
-    CONFIG_KEYS = frozenset({"lr_phase1", "epochs_phase1", "lr_phase2",
-                             "epochs_phase2", "batch_size", "adam_eps"})
+        check_fields(self, ("epochs_phase1", "epochs_phase2"))
+        for name in ("lr_phase1", "lr_phase2", "adam_eps"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Schedule":
         """The schedule `cfg` sets; a key it lacks keeps the default."""
-        d = cls()
-        return cls(
-            phase1=Phase(lr=cfg.get("lr_phase1", d.phase1.lr),
-                         epochs=cfg.get("epochs_phase1", d.phase1.epochs)),
-            phase2=Phase(lr=cfg.get("lr_phase2", d.phase2.lr),
-                         epochs=cfg.get("epochs_phase2", d.phase2.epochs)),
-            batch_size=cfg.get("batch_size", d.batch_size),
-            adam_eps=cfg.get("adam_eps", d.adam_eps))
+        return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name in cfg})
 
 
 @dataclass
@@ -446,15 +419,17 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
     best_snapshot = store.snapshot()
     aborted = False
 
-    for phase_idx, phase in ((1, schedule.phase1), (2, schedule.phase2)):
+    phases = ((1, schedule.lr_phase1, schedule.epochs_phase1),
+              (2, schedule.lr_phase2, schedule.epochs_phase2))
+    for phase_idx, lr, epochs in phases:
         if aborted:
             break
         if phase_idx == 2:
             store.restore(best_snapshot)
         with (model.frozen_trunk() if phase_idx == 1
               else contextlib.nullcontext()):
-            opt = OptimizerState(lr=phase.lr, eps=schedule.adam_eps)
-            for epoch in range(1, phase.epochs + 1):
+            opt = OptimizerState(lr=lr, eps=schedule.adam_eps)
+            for epoch in range(1, epochs + 1):
                 order_rng = np.random.default_rng(
                     (seed * 1_000_003 + phase_idx * 1009 + epoch) % (2 ** 63))
                 order = order_rng.permutation(len(train_data))

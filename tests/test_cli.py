@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from kegat.cli import main
 from kegat.kgstore import MAGIC, load_binary, load_graph, save_binary
 from kegat.model import ModelConfig
-from kegat.trainkit import ParamStore, load_checkpoint, save_checkpoint
+from kegat.trainkit import (ParamStore, Schedule, load_checkpoint,
+                            read_model_meta, save_checkpoint)
 
 from conftest import SUGAR_KB_ROWS, write_kb
 
@@ -138,6 +140,46 @@ def test_synth_generates_files(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--sizes", "4,4,4", "--n-concepts", "3", "--n-edges", "100"],
+     "n_edges in [0, 3]"),
+    (["--sizes", "4,4,4", "--n-concepts", "1", "--n-edges", "5"],
+     "n_concepts >= 2"),
+    (["--sizes", "4,4,4", "--n-concepts", "0", "--n-edges", "5"],
+     "n_concepts >= 2"),
+    (["--sizes", "0,1,1"], "sizes must be three positive integers"),
+    (["--sizes", "4,x,4"], "invalid literal for int()"),
+])
+def test_synth_bad_option_is_usage_error(runner, tmp_path, args, message):
+    result = runner.invoke(main, ["synth", "--out-dir", str(tmp_path / "b")]
+                           + args)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert message in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("link", ["--max-ngram", "0"], "max_ngram must be >= 1, got 0"),
+    ("inject", ["--max-ngram", "0"], "max_ngram must be >= 1, got 0"),
+    ("inject", ["--per-entity-limit", "-1"],
+     "per_entity_limit must be >= 0, got -1"),
+    ("inject", ["--max-len", "4"], "max_len 4 below minimum trunk length 8"),
+    ("inject", ["--max-len", "200"], "max_len 200 exceeds max_positions 160"),
+])
+def test_link_and_inject_bad_option_is_usage_error(runner, tmp_path, command,
+                                                   args, message):
+    args = _link_line(tmp_path, json.dumps({
+        "id": "x", "text": "sugar", "sent0": "sugar is sweet",
+        "sent1": "sugar is sour", "label": 1}))[0] + args
+    if command == "inject":
+        args = ["preprocess", "inject"] + args[1:]
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert message in result.output
+
+
 TINY_TRAIN_CFG = {"dim": 16, "n_layers": 1, "n_heads": 2, "ffn_mult": 2,
                   "max_len": 48, "max_positions": 64, "gat_layers": 1,
                   "gat_heads": 1, "sample_k": 2, "node_dim": 8,
@@ -147,6 +189,17 @@ TINY_TRAIN_CFG = {"dim": 16, "n_layers": 1, "n_heads": 2, "ffn_mult": 2,
                   "lr_phase1": 0.001, "lr_phase2": 0.00001}
 
 
+def _tiny_train_args(root):
+    """The `train` arguments of `_train_tiny`'s run under `root`."""
+    bench = root / "bench"
+    return ["train", "--subtask", "a", "--config", str(root / "cfg.json"),
+            "--kb", str(bench / "kb.tsv"),
+            "--vectors", str(bench / "concepts.vec"),
+            "--train-data", str(bench / "train.jsonl"),
+            "--dev-data", str(bench / "dev.jsonl"),
+            "--output", str(root / "run" / "model.ckpt")]   # train creates run/
+
+
 def _train_tiny(root):
     """A tiny benchmark under `root` plus one checkpoint trained on it."""
     runner = CliRunner()
@@ -154,17 +207,11 @@ def _train_tiny(root):
     runner.invoke(main, ["synth", "--seed", "3", "--out-dir", str(bench),
                          "--sizes", "8,4,4", "--n-concepts", "60",
                          "--n-edges", "120"], catch_exceptions=False)
-    cfg = root / "cfg.json"
-    cfg.write_text(json.dumps(TINY_TRAIN_CFG), encoding="utf-8")
-    ckpt = root / "run" / "model.ckpt"     # train creates run/
-    result = runner.invoke(main, [
-        "train", "--subtask", "a", "--config", str(cfg),
-        "--kb", str(bench / "kb.tsv"), "--vectors", str(bench / "concepts.vec"),
-        "--train-data", str(bench / "train.jsonl"),
-        "--dev-data", str(bench / "dev.jsonl"), "--output", str(ckpt)],
-        catch_exceptions=False)
+    (root / "cfg.json").write_text(json.dumps(TINY_TRAIN_CFG), encoding="utf-8")
+    result = runner.invoke(main, _tiny_train_args(root),
+                           catch_exceptions=False)
     assert result.exit_code == 0, result.output
-    return bench, ckpt, result
+    return bench, root / "run" / "model.ckpt", result
 
 
 @pytest.fixture
@@ -184,6 +231,46 @@ def test_train_writes_only_checkpoint_and_log(trained, tmp_path):
     assert [e["phase"] for e in log] == [1, 2]
 
 
+def _fail_replace_onto(monkeypatch, name):
+    """Make `os.replace` fail when it would move a file onto `name`."""
+    replace = os.replace
+
+    def fail(src, dst):
+        if Path(dst).name == name:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail)
+
+
+def test_failed_log_write_keeps_previous_log(runner, trained, tmp_path,
+                                             monkeypatch):
+    _, ckpt, _ = trained
+    log = ckpt.with_suffix(".log.jsonl")
+    log.write_text("previous\n", encoding="utf-8")
+    _fail_replace_onto(monkeypatch, log.name)
+    result = runner.invoke(main, _tiny_train_args(tmp_path))
+    assert isinstance(result.exception, OSError), result.output
+    assert log.read_text(encoding="utf-8") == "previous\n"
+    assert sorted(f.name for f in ckpt.parent.iterdir()) == [
+        "model.ckpt", "model.log.jsonl"]
+
+
+def test_failed_predict_write_keeps_previous_output(runner, trained, tmp_path,
+                                                    monkeypatch):
+    bench, ckpt, _ = trained
+    out = tmp_path / "preds" / "preds.jsonl"
+    out.parent.mkdir()
+    out.write_text("previous\n", encoding="utf-8")
+    _fail_replace_onto(monkeypatch, out.name)
+    result = runner.invoke(main, ["predict", "--checkpoint", str(ckpt),
+                                  "--data", str(bench / "dev.jsonl"),
+                                  "--subtask", "a", "--output", str(out)])
+    assert isinstance(result.exception, OSError), result.output
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert [f.name for f in out.parent.iterdir()] == ["preds.jsonl"]
+
+
 def test_train_without_epochs_reports_initial_dev_accuracy(runner, tmp_path):
     args, _ = _train_config(tmp_path, json.dumps(
         {**TINY_TRAIN_CFG, "epochs_phase1": 0, "epochs_phase2": 0}))
@@ -193,6 +280,16 @@ def test_train_without_epochs_reports_initial_dev_accuracy(runner, tmp_path):
     assert 0.0 <= reported <= 1.0
     ckpt = args[args.index("--output") + 1]
     assert load_checkpoint(ckpt, ParamStore())["best_metric"] == reported
+
+
+def test_train_ablation_flags_reach_the_checkpoint(runner, tmp_path):
+    args, _ = _train_config(tmp_path, json.dumps(
+        {**TINY_TRAIN_CFG, "epochs_phase1": 0, "epochs_phase2": 0}))
+    result = runner.invoke(main, args + ["--no-kemb", "--no-lm-loss"])
+    assert result.exit_code == 0, result.output
+    config = read_model_meta(args[args.index("--output") + 1])["config"]
+    assert (config["use_kemb"], config["use_kegat"], config["use_lm"]) == (
+        False, True, False)
 
 
 def test_train_abort_before_dev_evaluation_reports_restored_accuracy(
@@ -530,23 +627,33 @@ def _config_not_object(tmp_path, request):
 
 def _config_batch_size_zero(tmp_path, request):
     args, config = _train_config(tmp_path, '{"batch_size": 0}')
-    return args, f"{config}: schedule needs batch_size >= 1"
+    return args, f"{config}: batch_size must be >= 1, got 0"
 
 
 def _config_epochs_not_integer(tmp_path, request):
     args, config = _train_config(tmp_path, '{"epochs_phase1": "x"}')
-    return args, f"{config}: epochs must be int, got 'x'"
+    return args, f"{config}: epochs_phase1 must be int, got 'x'"
+
+
+def _config_epochs_phase2_not_integer(tmp_path, request):
+    args, config = _train_config(tmp_path, '{"epochs_phase2": "x"}')
+    return args, f"{config}: epochs_phase2 must be int, got 'x'"
 
 
 def _config_lr_negative(tmp_path, request):
     args, config = _train_config(tmp_path, '{"lr_phase1": -1}')
-    return args, f"{config}: phase needs lr > 0"
+    return args, f"{config}: lr_phase1 must be > 0, got -1"
+
+
+def _config_lr_phase2_zero(tmp_path, request):
+    args, config = _train_config(tmp_path, '{"lr_phase2": 0}')
+    return args, f"{config}: lr_phase2 must be > 0, got 0"
 
 
 def _config_lr_infinite(tmp_path, request):
     args, config = _train_config(
         tmp_path, '{"lr_phase1": Infinity, "epochs_phase2": 0}')
-    return args, f"{config}: lr must be finite, got inf"
+    return args, f"{config}: lr_phase1 must be finite, got inf"
 
 
 def _config_lr_overflows_float(tmp_path, request):
@@ -592,7 +699,12 @@ def _config_model_key_misspelled(tmp_path, request):
 
 def _config_flag_not_bool(tmp_path, request):
     args, config = _train_config(tmp_path, '{"no_kemb": "false"}')
-    return args, f"{config}: no_kemb must be bool, got 'false'"
+    return args, f"{config}: unknown key 'no_kemb'"
+
+
+def _config_flag_key(tmp_path, request):   # the ablations are flags only
+    args, config = _train_config(tmp_path, '{"no_kemb": true}')
+    return args, f"{config}: unknown key 'no_kemb'"
 
 
 def _split_empty(tmp_path, option):
@@ -678,6 +790,16 @@ def _model_record_max_len_above_positions(tmp_path, request):
         return raw
     return (_eval_corrupted(request, corrupt),
             "max_len 99 exceeds max_positions 64")
+
+
+def _model_record_dropout_overflows_float(tmp_path, request):
+    bench, ckpt, _ = request.getfixturevalue("trained")
+    meta = read_model_meta(ckpt)
+    meta["config"]["dropout"] = 10 ** 400
+    save_checkpoint(ckpt, ParamStore(), model_meta=meta)
+    return (["eval", "--checkpoint", str(ckpt), "--data",
+             str(bench / "dev.jsonl"), "--subtask", "a"],
+            "OverflowError: int too large to convert to float")
 
 
 def _config_max_len_above_positions(tmp_path, request):
@@ -772,7 +894,9 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
     (_config_not_object, 2, "data error: "),
     (_config_batch_size_zero, 2, "data error: "),
     (_config_epochs_not_integer, 2, "data error: "),
+    (_config_epochs_phase2_not_integer, 2, "data error: "),
     (_config_lr_negative, 2, "data error: "),
+    (_config_lr_phase2_zero, 2, "data error: "),
     (_config_lr_infinite, 2, "data error: "),
     (_config_lr_overflows_float, 2, "data error: "),
     (_config_adam_eps_infinite, 2, "data error: "),
@@ -780,12 +904,14 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
     (_config_dim_beyond_numpy, 2, "data error: "),
     (_config_head_hidden_beyond_memory, 2, "data error: "),
     (_config_flag_not_bool, 2, "data error: "),
+    (_config_flag_key, 2, "data error: "),
     (_config_schedule_key_misspelled, 2, "data error: "),
     (_config_model_key_misspelled, 2, "data error: "),
     (_train_data_empty, 2, "data error: "),
     (_dev_data_empty, 2, "data error: "),
     (_model_record_without_subtask, 3, "numeric failure: "),
     (_model_record_max_len_above_positions, 3, "numeric failure: "),
+    (_model_record_dropout_overflows_float, 3, "numeric failure: "),
     (_config_max_len_above_positions, 2, "data error: "),
     (_model_record_max_len_below_trunk, 3, "numeric failure: "),
     (_config_max_len_below_trunk, 2, "data error: "),
@@ -804,15 +930,18 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
         "binary-kb-zero-weight", "vectors-edited",
         "model-record-without-vectors-sha256", "config-not-json",
         "config-not-object", "config-batch-size-zero",
-        "config-epochs-not-integer", "config-lr-negative",
+        "config-epochs-not-integer", "config-epochs-phase2-not-integer",
+        "config-lr-negative", "config-lr-phase2-zero",
         "config-lr-infinite", "config-lr-overflows-float",
         "config-adam-eps-infinite",
         "config-dim-not-integer", "config-dim-beyond-numpy",
         "config-head-hidden-beyond-memory", "config-flag-not-bool",
+        "config-flag-key",
         "config-schedule-key-misspelled", "config-model-key-misspelled",
         "train-data-empty",
         "dev-data-empty", "model-record-without-subtask",
         "model-record-max-len-above-positions",
+        "model-record-dropout-overflows-float",
         "config-max-len-above-positions",
         "model-record-max-len-below-trunk", "config-max-len-below-trunk",
         "eval-subtask-mismatch",
@@ -835,12 +964,11 @@ def trained_once(tmp_path_factory):
     return _train_tiny(tmp_path_factory.mktemp("fuzz"))
 
 
-# the type of each config key's value
-_KINDS = {**{f.name: type(f.default) for f in dataclasses.fields(ModelConfig)
-             if not f.name.startswith("use_")},
-          **dict.fromkeys(("no_kemb", "no_kegat", "no_lm_loss"), bool),
-          **dict.fromkeys(("epochs_phase1", "epochs_phase2", "batch_size"), int),
-          **dict.fromkeys(("lr_phase1", "lr_phase2", "adam_eps"), float)}
+# the type of each config key's value: the keys are the fields of both
+# config dataclasses, less the ablations, which are flags
+_KINDS = {f.name: type(f.default)
+          for f in dataclasses.fields(ModelConfig) + dataclasses.fields(Schedule)
+          if not f.name.startswith("use_")}
 _CONFIG_KEYS = sorted(_KINDS) + ["lr", "n_layer"]   # and two unknown keys
 # any JSON value; small integers keep every generated model small
 _JSON_VALUES = st.recursive(
@@ -855,8 +983,6 @@ def _valid_value(key):
     """Values of `key`'s type, mostly in its range, so that some generated
     configs train; an unknown key takes an int."""
     kind = _KINDS.get(key, int)
-    if kind is bool:
-        return st.booleans()
     return st.integers(1, 12) if kind is int else st.floats(1e-6, 0.5)
 
 
@@ -892,6 +1018,42 @@ def test_train_fuzzed_config_trains_or_exits_2(trained_once):
             _assert_one_line_exit_2(result)
         else:
             assert json.loads(result.stdout)["checkpoint"] == str(out)
+    run()
+
+
+def test_fuzzed_integer_options_exit_0_1_or_2(tmp_path_factory):
+    """`link`, `preprocess inject` and `synth` end with exit 0, 1 (a bad
+    option) or 2 (data too small for the synth draw) on any integer option
+    values, never with an uncaught exception."""
+    root = tmp_path_factory.mktemp("options")
+    link, _ = _link_line(root, json.dumps({
+        "id": "x", "text": "he put sugar in coffee",
+        "sent0": "he put sugar in coffee", "sent1": "he put coffee in sugar",
+        "label": 1}))
+    ints = st.integers(-2, 12)
+    commands = st.one_of(
+        ints.map(lambda n: link + ["--max-ngram", str(n)]),
+        st.tuples(st.integers(-2, 200), ints, ints).map(
+            lambda v: ["preprocess", "inject"] + link[1:] + [
+                "--max-len", str(v[0]), "--per-entity-limit", str(v[1]),
+                "--max-ngram", str(v[2])]),
+        st.tuples(st.tuples(*[st.integers(1, 8)] * 3).map(list)
+                  | st.lists(st.integers(-1, 8), max_size=4),
+                  st.integers(-1, 40), st.integers(-1, 60),
+                  st.sampled_from("ab"), st.integers(-1, 9)).map(
+            lambda v: ["synth", "--out-dir", str(root / "bench"),
+                       "--sizes", ",".join(map(str, v[0])),
+                       "--n-concepts", str(v[1]), "--n-edges", str(v[2]),
+                       "--subtask", v[3], "--seed", str(v[4])]))
+
+    @given(commands)
+    @settings(max_examples=80, deadline=None)
+    def run(args):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 1, 2), result.output
+        if result.exit_code:
+            assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
     run()
 
 

@@ -207,6 +207,18 @@ def test_synth_benchmark_structure(tmp_path):
         synth_benchmark(5, tmp_path, sizes=(0, 1, 1))
 
 
+@pytest.mark.parametrize("n_concepts, n_edges", [
+    (3, 4), (3, 100), (12, 67), (2, 2), (1, 5), (0, 5), (60, -1)])
+def test_synth_benchmark_rejects_more_edges_than_concept_pairs(
+        tmp_path, n_concepts, n_edges):
+    """n concepts hold at most n·(n−1)/2 undirected edges; asking for more
+    raises before any draw, where the edge loop would never end."""
+    with pytest.raises(ValueError, match="n_concepts >= 2 and n_edges in"):
+        synth_benchmark(5, tmp_path / "b", sizes=(4, 4, 4),
+                        n_concepts=n_concepts, n_edges=n_edges)
+    assert not (tmp_path / "b").exists()
+
+
 def test_build_vocab_covers_everything(sugar_graph):
     templates = default_templates()
     instances = generate_augmented(sugar_graph, templates, 6, 0)

@@ -1,6 +1,7 @@
 """Knowledge-graph loading, querying, and serialization tests."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -109,6 +110,22 @@ def test_binary_round_trip(sugar_graph, tmp_path):
     assert reloaded.stats == sugar_graph.stats
     save_binary(reloaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_binary_write_keeps_previous_file(sugar_graph, tmp_path,
+                                                 monkeypatch):
+    path = tmp_path / "out" / "kb.bin"
+    path.parent.mkdir()
+    path.write_bytes(b"previous")
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_binary(sugar_graph, path)
+    assert path.read_bytes() == b"previous"
+    assert [f.name for f in path.parent.iterdir()] == ["kb.bin"]
 
 
 def test_binary_bad_magic(tmp_path):

@@ -14,7 +14,7 @@ from kegat.autodiff import no_grad
 from kegat.harness import build_vocab, load_comve, synth_benchmark
 from kegat.kemb import default_templates
 from kegat.model import KegatModel, ModelConfig
-from kegat.trainkit import Phase, Schedule, compute_gradients, two_phase_train
+from kegat.trainkit import Schedule, compute_gradients, two_phase_train
 
 CONFIG = ModelConfig(dim=16, n_layers=1, n_heads=2, ffn_mult=2, max_len=48,
                      max_positions=64, gat_layers=1, gat_heads=1, sample_k=2,
@@ -93,8 +93,8 @@ def test_trunk_runs_once_per_instance_in_phase1(bench, monkeypatch):
     model = _model(bench, bench.train + bench.dev)
     options = sum(inst.option_count for inst in bench.train + bench.dev)
     calls = _count_encodes(monkeypatch)
-    sched = Schedule(phase1=Phase(lr=1e-3, epochs=3),
-                     phase2=Phase(lr=1e-5, epochs=1))
+    sched = Schedule(lr_phase1=1e-3, epochs_phase1=3,
+                     lr_phase2=1e-5, epochs_phase2=1)
     result = two_phase_train(model, bench.train, bench.dev, sched, 0)
     # phase 1: each instance once; phase 2: every loss and dev prediction
     assert sum(calls) == 2 * options

@@ -14,7 +14,7 @@ from kegat.errors import GradientError, NumericError
 from kegat.harness import build_vocab, generate_augmented
 from kegat.kemb import default_templates
 from kegat.model import KegatModel, ModelConfig
-from kegat.trainkit import (OptimizerState, ParamStore, Phase, Schedule,
+from kegat.trainkit import (OptimizerState, ParamStore, Schedule,
                             adam_step, compute_gradients, load_checkpoint,
                             read_model_meta, save_checkpoint, two_phase_train)
 
@@ -357,21 +357,28 @@ def test_corrupted_checkpoint_raises_only_numeric_error(cut, flips):
 
 def test_schedule_from_config():
     sched = Schedule.from_config({"lr_phase1": 0.01, "epochs_phase2": 2})
-    assert sched.phase1 == Phase(lr=0.01, epochs=4)
-    assert sched.phase2 == Phase(lr=5e-6, epochs=2)
+    assert (sched.lr_phase1, sched.epochs_phase1) == (0.01, 4)
+    assert (sched.lr_phase2, sched.epochs_phase2) == (5e-6, 2)
     assert sched.batch_size == 2 and sched.adam_eps == 1e-6
     assert Schedule.from_config({}) == Schedule()
-    with pytest.raises(ValueError):
-        Phase(lr=0.0, epochs=1)
-    with pytest.raises(ValueError):
-        Phase(lr=float("nan"), epochs=1)
-    with pytest.raises(ValueError, match="lr must be finite"):
-        Phase(lr=float("inf"), epochs=1)
-    with pytest.raises(TypeError):
-        Phase(lr=0.1, epochs=True)
-    with pytest.raises(ValueError):
+    assert Schedule(epochs_phase1=0, epochs_phase2=0).epochs_phase2 == 0
+    for phase in (1, 2):
+        lr, epochs = f"lr_phase{phase}", f"epochs_phase{phase}"
+        with pytest.raises(ValueError, match=f"{lr} must be > 0, got 0.0"):
+            Schedule(**{lr: 0.0, epochs: 1})
+        with pytest.raises(ValueError, match=f"{lr} must be > 0, got -1"):
+            Schedule(**{lr: -1})
+        with pytest.raises(ValueError, match=f"{lr} must be finite, got nan"):
+            Schedule(**{lr: float("nan"), epochs: 1})
+        with pytest.raises(ValueError, match=f"{lr} must be finite, got inf"):
+            Schedule(**{lr: float("inf"), epochs: 1})
+        with pytest.raises(TypeError, match=f"{epochs} must be int, got True"):
+            Schedule(**{lr: 0.1, epochs: True})
+        with pytest.raises(ValueError, match=f"{epochs} must be >= 0, got -1"):
+            Schedule(**{epochs: -1})
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
         Schedule(batch_size=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="adam_eps must be > 0, got 0.0"):
         Schedule(adam_eps=0.0)
     with pytest.raises(ValueError, match="adam_eps must be finite"):
         Schedule(adam_eps=float("inf"))
@@ -389,8 +396,8 @@ def test_two_phase_requires_data(sugar_graph):
 def test_phase1_touches_only_head(sugar_graph):
     model, instances = tiny_model(sugar_graph)
     init = model.store.snapshot()
-    sched = Schedule(phase1=Phase(lr=0.001, epochs=1),
-                     phase2=Phase(lr=1e-5, epochs=0))
+    sched = Schedule(lr_phase1=0.001, epochs_phase1=1,
+                     lr_phase2=1e-5, epochs_phase2=0)
     result = two_phase_train(model, instances[:4], instances[4:], sched, 0)
     head = model.head_param_names()
     for name, values in model.store.snapshot().items():
@@ -402,8 +409,8 @@ def test_phase1_touches_only_head(sugar_graph):
 
 def test_abort_restores_best_snapshot_and_unfreezes(sugar_graph):
     model, instances = tiny_model(sugar_graph)
-    sched = Schedule(phase1=Phase(lr=1e308, epochs=1),
-                     phase2=Phase(lr=1e-5, epochs=1))
+    sched = Schedule(lr_phase1=1e308, epochs_phase1=1,
+                     lr_phase2=1e-5, epochs_phase2=1)
     with np.errstate(all="ignore"):
         result = two_phase_train(model, instances[:4], instances[4:], sched, 0)
     assert result.aborted
@@ -416,8 +423,8 @@ def test_abort_restores_best_snapshot_and_unfreezes(sugar_graph):
 def test_abort_before_any_dev_evaluation_reports_restored_accuracy(sugar_graph):
     model, instances = tiny_model(sugar_graph)
     init = model.store.snapshot()
-    sched = Schedule(phase1=Phase(lr=1e308, epochs=1),
-                     phase2=Phase(lr=1e-5, epochs=0))
+    sched = Schedule(lr_phase1=1e308, epochs_phase1=1,
+                     lr_phase2=1e-5, epochs_phase2=0)
     with np.errstate(all="ignore"):
         result = two_phase_train(model, instances[:4], instances[4:], sched, 0)
     assert result.aborted
@@ -430,8 +437,8 @@ def test_abort_before_any_dev_evaluation_reports_restored_accuracy(sugar_graph):
 
 def test_zero_epoch_phase2_equals_phase1_best(sugar_graph):
     model, instances = tiny_model(sugar_graph)
-    sched = Schedule(phase1=Phase(lr=0.001, epochs=2),
-                     phase2=Phase(lr=1e-5, epochs=0))
+    sched = Schedule(lr_phase1=0.001, epochs_phase1=2,
+                     lr_phase2=1e-5, epochs_phase2=0)
     result = two_phase_train(model, instances[:4], instances[4:], sched, 0)
     for name, values in model.store.snapshot().items():
         np.testing.assert_array_equal(values, result.best_snapshot[name])
@@ -440,8 +447,8 @@ def test_zero_epoch_phase2_equals_phase1_best(sugar_graph):
 def test_zero_epochs_report_initial_dev_accuracy(sugar_graph):
     model, instances = tiny_model(sugar_graph)
     init = model.store.snapshot()
-    sched = Schedule(phase1=Phase(lr=0.001, epochs=0),
-                     phase2=Phase(lr=1e-5, epochs=0))
+    sched = Schedule(lr_phase1=0.001, epochs_phase1=0,
+                     lr_phase2=1e-5, epochs_phase2=0)
     result = two_phase_train(model, instances[:4], instances[4:], sched, 0)
     assert result.log == []
     assert 0.0 <= result.best_metric <= 1.0
@@ -454,8 +461,8 @@ def test_identical_seeds_identical_runs(sugar_graph, tmp_path):
     logs, files = [], []
     for run in range(2):
         model, instances = tiny_model(sugar_graph)
-        sched = Schedule(phase1=Phase(lr=0.001, epochs=1),
-                         phase2=Phase(lr=1e-5, epochs=1))
+        sched = Schedule(lr_phase1=0.001, epochs_phase1=1,
+                         lr_phase2=1e-5, epochs_phase2=1)
         result = two_phase_train(model, instances[:4], instances[4:], sched, 5)
         logs.append(result.log)
         path = tmp_path / f"run{run}.ckpt"
