@@ -164,9 +164,10 @@ def preprocess_inject(kb_path, templates_path, input_path, subtask, max_len,
 @main.command()
 @click.option("--kb", "kb_path", required=True, type=click.Path(exists=True))
 @click.option("--templates", "templates_path", type=click.Path(exists=True))
-@click.option("--count", default=100, show_default=True)
+@click.option("--count", default=100, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--subtask", type=click.Choice(["a", "b"]), default="a", show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--output", "output_path", required=True, type=click.Path())
 @_handle_errors
 def augment(kb_path, templates_path, count, subtask, seed, output_path):
@@ -190,11 +191,12 @@ def augment(kb_path, templates_path, count, subtask, seed, output_path):
 @_handle_errors
 def synth(seed, out_dir, sizes, n_concepts, n_edges, subtask):
     """Generate the synthetic toy benchmark."""
-    try:   # a ValueError here comes from a bad option value
+    # synth reads no file, so a graph it cannot draw from is a bad option value
+    try:
         bench = harness.synth_benchmark(
             seed, out_dir, sizes=tuple(int(x) for x in sizes.split(",")),
             n_concepts=n_concepts, n_edges=n_edges, subtask=subtask)
-    except ValueError as exc:
+    except (ValueError, DataFormatError) as exc:
         raise click.UsageError(str(exc)) from None
     click.echo(json.dumps({k: str(v) for k, v in bench.paths.items()}))
 

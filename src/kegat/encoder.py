@@ -51,8 +51,8 @@ class EncoderParams:
     layers: List[LayerParams]
     pooler_w: Tensor
     pooler_b: Tensor
-    lm_w: Tensor             # d x V
-    lm_b: Tensor
+    lm_w: Optional[Tensor]   # d x V; None without the LM loss
+    lm_b: Optional[Tensor]
     n_heads: int
 
     @property

@@ -167,13 +167,16 @@ class KegatModel:
                 ln2_g=self._vec(p + "ln2_g", d, 1.0),
                 ln2_b=self._vec(p + "ln2_b", d),
             ))
+        pooler_w = self._mat(rng, "enc/pooler_w", d, d)
+        pooler_b = self._vec("enc/pooler_b", d)
+        lm_w = lm_b = None
+        if c.use_lm:
+            lm_w, lm_b = self._mat(rng, "enc/lm_w", d, V), self._vec("enc/lm_b", V)
+        else:   # an unused draw, so every later parameter gets the full model's values
+            rng.standard_normal((d, V))
         self.enc_params = enc.EncoderParams(
-            tok_emb=tok, pos_emb=pos, layers=layers,
-            pooler_w=self._mat(rng, "enc/pooler_w", d, d),
-            pooler_b=self._vec("enc/pooler_b", d),
-            lm_w=self._mat(rng, "enc/lm_w", d, V),
-            lm_b=self._vec("enc/lm_b", V),
-            n_heads=c.n_heads)
+            tok_emb=tok, pos_emb=pos, layers=layers, pooler_w=pooler_w,
+            pooler_b=pooler_b, lm_w=lm_w, lm_b=lm_b, n_heads=c.n_heads)
         if c.use_kegat:
             dg = c.node_dim
             H, L = c.gat_heads, c.gat_layers

@@ -159,6 +159,32 @@ def test_synth_bad_option_is_usage_error(runner, tmp_path, args, message):
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--sizes", "4,4,4", "--n-concepts", "3", "--n-edges", "3"],
+     "graph too small: no non-neighbor tail"),   # a complete graph
+    (["--n-concepts", "2", "--n-edges", "1"], "no head in pool has outgoing edges"),
+])
+def test_synth_graph_it_cannot_draw_from_is_usage_error(runner, tmp_path, args,
+                                                        message):
+    result = runner.invoke(main, ["synth", "--out-dir", str(tmp_path / "b")]
+                           + args)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert message in result.output and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("option", ["--count", "--seed"])
+def test_augment_negative_option_is_usage_error(runner, tmp_path, option):
+    kb = write_kb(tmp_path / "kb.tsv", SUGAR_KB_ROWS)
+    out = tmp_path / "aug.jsonl"
+    result = runner.invoke(main, ["augment", "--kb", str(kb), option, "-1",
+                                  "--output", str(out)])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert "-1 is not in the range x>=0" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, args, message", [
     ("link", ["--max-ngram", "0"], "max_ngram must be >= 1, got 0"),
     ("inject", ["--max-ngram", "0"], "max_ngram must be >= 1, got 0"),
@@ -456,12 +482,18 @@ def _truncated_checkpoint(tmp_path, request):
     return _eval_corrupted(request, lambda raw: raw[:len(raw) // 2]), "truncated"
 
 
-def _bad_dtype_tag(tmp_path, request):
+def _header_length_past_eof(tmp_path, request):
     def corrupt(raw):
-        name_len = int.from_bytes(raw[5:7], "little")   # first record's name
-        raw[7 + name_len] = 99
+        raw[5:13] = b"\xff" * 8   # the u64 header length
         return raw
-    return _eval_corrupted(request, corrupt), "dtype tag 99"
+    return _eval_corrupted(request, corrupt), "checkpoint truncated"
+
+
+def _v2_checkpoint(tmp_path, request):
+    def corrupt(raw):
+        raw[4] = 2   # the version byte
+        return raw
+    return _eval_corrupted(request, corrupt), "unsupported checkpoint version"
 
 
 def _kb_as_checkpoint(tmp_path, request):
@@ -472,27 +504,29 @@ def _kb_as_checkpoint(tmp_path, request):
             "bad checkpoint magic")
 
 
-def _record_name_not_utf8(tmp_path, request):
+def _header_not_utf8(tmp_path, request):
     def corrupt(raw):
-        raw[7] = 0xFF   # first byte of the first record's name
+        raw[13] = 0xFF   # the header's first byte
         return raw
-    return _eval_corrupted(request, corrupt), "not UTF-8"
+    return (_eval_corrupted(request, corrupt),
+            "malformed checkpoint header ('utf-8' codec can't decode byte 0xff")
 
 
-def _dimension_too_large(tmp_path, request):
+def _header_not_object(tmp_path, request):
+    def corrupt(raw):   # the same length, holding an empty JSON list
+        length = int.from_bytes(raw[5:13], "little")
+        raw[13:13 + length] = b"[" + b" " * (length - 2) + b"]"
+        return raw
+    return _eval_corrupted(request, corrupt), "header is not a JSON object"
+
+
+def _shape_disagrees_with_body(tmp_path, request):
     def corrupt(raw):
-        name_len = int.from_bytes(raw[5:7], "little")
-        dim = 7 + name_len + 2   # first record's first dimension
-        raw[dim:dim + 8] = b"\xff" * 8
+        at = raw.index(b'["head/b2", [1]]')
+        raw[at:at + 16] = b'["head/b2", [2]]'
         return raw
-    return _eval_corrupted(request, corrupt), "truncated"
-
-
-def _model_record_not_json(tmp_path, request):
-    def corrupt(raw):
-        raw[raw.index(b'{"config"')] = ord("!")
-        return raw
-    return _eval_corrupted(request, corrupt), "'meta/model'"
+    return (_eval_corrupted(request, corrupt),
+            "checkpoint truncated: its body holds")
 
 
 def _kb_edited(tmp_path, request):
@@ -866,16 +900,17 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
     (_link_not_json, 2, "data error: "),
     (_checkpoint_as_kb, 2, "data error: "),
     (_truncated_checkpoint, 3, "numeric failure: "),
-    (_bad_dtype_tag, 3, "numeric failure: "),
+    (_header_length_past_eof, 3, "numeric failure: "),
+    (_v2_checkpoint, 3, "numeric failure: "),
     (_nan_weight, 2, "data error: "),
     (_inf_weight, 2, "data error: "),
     (_binary_kb, 2, "data error: "),
     (_template_not_string, 2, "data error: "),
     (_templates_not_json, 2, "data error: "),
     (_kb_as_checkpoint, 3, "numeric failure: "),
-    (_record_name_not_utf8, 3, "numeric failure: "),
-    (_dimension_too_large, 3, "numeric failure: "),
-    (_model_record_not_json, 3, "numeric failure: "),
+    (_header_not_utf8, 3, "numeric failure: "),
+    (_shape_disagrees_with_body, 3, "numeric failure: "),
+    (_header_not_object, 3, "numeric failure: "),
     (_kb_edited, 2, "data error: "),
     (_kb_deleted, 2, "data error: "),
     (_comve_not_utf8, 2, "data error: "),
@@ -920,10 +955,11 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
     (_ensemble_subtask_mismatch, 2, "data error: "),
     (_ensemble_checkpoints_disagree, 2, "data error: "),
 ], ids=["link-no-text", "link-not-json", "checkpoint-as-kb",
-        "truncated-checkpoint", "bad-dtype-tag", "nan-weight", "inf-weight",
+        "truncated-checkpoint", "header-length-past-eof", "v2-checkpoint",
+        "nan-weight", "inf-weight",
         "binary-kb", "template-not-string", "templates-not-json",
-        "kb-as-checkpoint", "record-name-not-utf8", "dimension-too-large",
-        "model-record-not-json", "kb-edited", "kb-deleted", "comve-not-utf8",
+        "kb-as-checkpoint", "header-not-utf8", "shape-disagrees-with-body",
+        "header-not-object", "kb-edited", "kb-deleted", "comve-not-utf8",
         "comve-not-object", "comve-label-not-integer",
         "comve-statement-not-string", "link-not-utf8", "vectors-not-utf8",
         "vectors-nan", "blocklist-not-utf8", "binary-kb-nan-weight",
@@ -1022,9 +1058,10 @@ def test_train_fuzzed_config_trains_or_exits_2(trained_once):
 
 
 def test_fuzzed_integer_options_exit_0_1_or_2(tmp_path_factory):
-    """`link`, `preprocess inject` and `synth` end with exit 0, 1 (a bad
-    option) or 2 (data too small for the synth draw) on any integer option
-    values, never with an uncaught exception."""
+    """`link`, `preprocess inject`, `augment` and `synth` end with exit 0, 1
+    (a bad option) or 2 (a KB too small for the augment draw) on any integer
+    option values, never with an uncaught exception. `synth` reads no file,
+    so it never exits 2."""
     root = tmp_path_factory.mktemp("options")
     link, _ = _link_line(root, json.dumps({
         "id": "x", "text": "he put sugar in coffee",
@@ -1044,13 +1081,18 @@ def test_fuzzed_integer_options_exit_0_1_or_2(tmp_path_factory):
             lambda v: ["synth", "--out-dir", str(root / "bench"),
                        "--sizes", ",".join(map(str, v[0])),
                        "--n-concepts", str(v[1]), "--n-edges", str(v[2]),
-                       "--subtask", v[3], "--seed", str(v[4])]))
+                       "--subtask", v[3], "--seed", str(v[4])]),
+        st.tuples(ints, ints, st.sampled_from("ab")).map(
+            lambda v: ["augment", "--kb", link[2], "--count", str(v[0]),
+                       "--seed", str(v[1]), "--subtask", v[2],
+                       "--output", str(root / "aug.jsonl")]))
 
     @given(commands)
     @settings(max_examples=80, deadline=None)
     def run(args):
         result = CliRunner().invoke(main, args)
-        assert result.exit_code in (0, 1, 2), result.output
+        codes = (0, 1) if args[0] == "synth" else (0, 1, 2)
+        assert result.exit_code in codes, result.output
         if result.exit_code:
             assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output

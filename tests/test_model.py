@@ -181,6 +181,19 @@ def test_model_config_accepts_zero_where_meaningful():
     assert cfg.as_dict()["dropout"] == 0
 
 
+def test_model_without_lm_loss_has_no_lm_head(bench):
+    """A no-LM model adds no `enc/lm_*` parameters, and every parameter it
+    has starts at the full model's values for the same seed."""
+    full = _model(bench, bench.train)
+    no_lm = _model(bench, bench.train, dataclasses.replace(CONFIG, use_lm=False))
+    names = [n for n in full.store.names() if not n.startswith("loss/")]
+    assert no_lm.store.names() == [n for n in names if not n.startswith("enc/lm_")]
+    assert len(names) - len(no_lm.store.names()) == 2
+    assert no_lm.enc_params.lm_w is None and no_lm.enc_params.lm_b is None
+    for name, p in no_lm.store.items():
+        np.testing.assert_array_equal(p.data, full.store[name].data, err_msg=name)
+
+
 # -- one padded pass per batch ------------------------------------------------
 
 VARIANTS = {"full": {}, "no-kemb": {"use_kemb": False},

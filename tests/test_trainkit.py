@@ -1,8 +1,10 @@
 """Parameter store, Adam, checkpointing, and two-phase training tests."""
 
+import contextlib
 import tempfile
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -267,6 +269,12 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _write_checkpoint(path, header: bytes, body: bytes = b"") -> None:
+    """A checkpoint with the raw JSON `header` and `body` bytes."""
+    path.write_bytes(trainkit.MAGIC + bytes([trainkit.FORMAT_VERSION])
+                     + len(header).to_bytes(8, "little") + header + body)
+
+
 def test_checkpoint_errors(tmp_path):
     store = ParamStore()
     store.add("w", np.zeros(2))
@@ -274,25 +282,46 @@ def test_checkpoint_errors(tmp_path):
     save_checkpoint(p, store)
     other = ParamStore()
     other.add("missing", np.zeros(2))
-    with pytest.raises(NumericError, match="missing"):
+    with pytest.raises(NumericError, match="missing parameter 'missing'"):
         load_checkpoint(p, other)
-    with pytest.raises(NumericError, match="meta/model"):
+    other = ParamStore()
+    other.add("w", np.zeros(3))
+    with pytest.raises(NumericError, match="shape mismatch for 'w'"):
+        load_checkpoint(p, other)
+    with pytest.raises(NumericError, match="no model description"):
         read_model_meta(p)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"NOPE")
     with pytest.raises(NumericError, match="magic"):
         load_checkpoint(bad, store)
-    with open(bad, "wb") as fh:   # well-formed records, an empty best metric
-        fh.write(trainkit.MAGIC + bytes([trainkit.FORMAT_VERSION]))
-        trainkit._write_record(fh, "meta/best_metric", np.zeros(0))
-    with pytest.raises(NumericError, match="best_metric"):
-        load_checkpoint(bad, ParamStore())
-    with open(bad, "wb") as fh:   # a model description nested too deeply
-        fh.write(trainkit.MAGIC + bytes([trainkit.FORMAT_VERSION]))
-        trainkit._write_record(fh, "meta/model",
-                               np.frombuffer(b"[" * 100_000, dtype=np.uint8))
-    with pytest.raises(NumericError, match="meta/model"):
+    # a well-formed header, each with one bad value
+    for header, message in [
+            (b'{"best_metric": [], "params": [["w", [2]]]}', "best metric"),
+            (b'{"params": [["w", [-2]]]}', "parameter list"),
+            (b'{"params": [["w", [2.0]]]}', "parameter list"),
+            (b'{"params": {"w": [2]}}', "parameter list"),
+            (b'{"best_metric": 0.5}', "parameter list"),
+            (b'{"params": [["w", [3]]]}', "truncated: its body holds 16 bytes, its parameters need 24"),
+            (b'{"params": [["w", [1]]]}', "too long: its body holds 16 bytes")]:
+        _write_checkpoint(bad, header, np.zeros(2).tobytes())
+        with pytest.raises(NumericError, match=message):
+            load_checkpoint(bad, ParamStore())
+    _write_checkpoint(bad, b'{"model": ' + b"[" * 100_000)   # nested too deeply
+    with pytest.raises(NumericError, match="malformed checkpoint header"):
         read_model_meta(bad)
+
+
+def test_checkpoint_skips_parameters_beyond_the_store(tmp_path):
+    saved = ParamStore()
+    saved.add("a", np.arange(3.0))
+    saved.add("b", np.array(4.0))
+    saved.add("c", np.arange(5.0, 7.0))
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, saved, best_metric=0.25)
+    store = ParamStore()
+    store.add("c", np.zeros(2))
+    assert load_checkpoint(path, store) == {"best_metric": 0.25}
+    np.testing.assert_array_equal(store["c"].data, [5.0, 6.0])
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
@@ -302,19 +331,25 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, store)
     before = path.read_bytes()
-    calls = []
-    write_record = trainkit._write_record
+    atomic_write = trainkit.atomic_write
 
-    def fail_on_second(fh, name, arr):
-        calls.append(name)
-        if len(calls) == 2:
-            raise OSError("disk full")
-        write_record(fh, name, arr)
+    written = []
 
-    monkeypatch.setattr(trainkit, "_write_record", fail_on_second)
+    @contextlib.contextmanager
+    def fail_after_header(target):   # the prefix and header go out, the body fails
+        with atomic_write(target) as fh:
+            def write(data):
+                if len(written) == 2:
+                    raise OSError("disk full")
+                written.append(data)
+                return fh.write(data)
+            yield SimpleNamespace(write=write)
+
+    monkeypatch.setattr(trainkit, "atomic_write", fail_after_header)
     store["a"].data[...] = 5.0
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, store)
+    assert written[1].startswith(b'{"params": ')
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["c.ckpt"]
 
