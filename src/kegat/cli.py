@@ -50,14 +50,6 @@ def _check_options(**values) -> None:
         raise click.UsageError(str(exc)) from None
 
 
-def _load_kb(path) -> kgstore.KnowledgeGraph:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == kgstore.MAGIC:
-        return kgstore.load_binary(path)
-    return kgstore.load_graph(path)
-
-
 @click.group()
 def main():
     """Knowledge-enhanced graph attention pipeline."""
@@ -76,13 +68,13 @@ def kb():
 @click.option("--output", "output_path", required=True, type=click.Path())
 @_handle_errors
 def kb_ingest(input_path, blocklist_path, output_path):
-    """Load a TSV edge list, apply the relation blocklist, write binary."""
+    """Load a TSV edge list, apply the relation blocklist, write it as TSV."""
     blocklist = set(kgstore.DEFAULT_BLOCKLIST)
     if blocklist_path:
         blocklist.update(line.strip() for line in
                          kgstore.text_lines(blocklist_path) if line.strip())
     graph = kgstore.load_graph(input_path, frozenset(blocklist))
-    kgstore.save_binary(graph, output_path)
+    kgstore.save_graph(graph, output_path)
     click.echo(json.dumps({"stats": graph.stats.as_dict(),
                            "blocklist": sorted(blocklist)}))
 
@@ -98,7 +90,7 @@ def kb_ingest(input_path, blocklist_path, output_path):
 def link(kb_path, input_path, max_ngram):
     """Emit entity spans found in each input line."""
     _check_options(max_ngram=max_ngram)
-    graph = _load_kb(kb_path)
+    graph = kgstore.load_graph(kb_path)
     for lineno, line in enumerate(kgstore.text_lines(input_path), start=1):
         if not line.strip():
             continue
@@ -141,7 +133,7 @@ def preprocess_inject(kb_path, templates_path, input_path, subtask, max_len,
     """Show knowledge-injected sequences for inspection."""
     _check_options(max_len=max_len, per_entity_limit=per_entity_limit,
                    max_ngram=max_ngram)
-    graph = _load_kb(kb_path)
+    graph = kgstore.load_graph(kb_path)
     templates = (kemb.load_templates(templates_path) if templates_path
                  else kemb.default_templates())
     instances = harness.load_comve(input_path, subtask)
@@ -172,12 +164,13 @@ def preprocess_inject(kb_path, templates_path, input_path, subtask, max_len,
 @_handle_errors
 def augment(kb_path, templates_path, count, subtask, seed, output_path):
     """Generate template-realized instances from the KB."""
-    graph = _load_kb(kb_path)
+    graph = kgstore.load_graph(kb_path)
     templates = (kemb.load_templates(templates_path) if templates_path
                  else kemb.default_templates())
     instances = harness.generate_augmented(graph, templates, count, seed,
                                            subtask)
-    harness.save_comve(instances, output_path)
+    with kgstore.atomic_write(output_path) as fh:
+        fh.write(harness.comve_jsonl(instances).encode("utf-8"))
     click.echo(f"wrote {len(instances)} instances to {output_path}")
 
 
@@ -215,6 +208,14 @@ def _concept_table(config: ModelConfig, vectors_path) -> dict:
     if vectors_path and config.use_kegat:
         return gatmod.load_concept_table(vectors_path, config.node_dim, seed=0)
     return {}
+
+
+def _load_split(path, subtask: str) -> list:
+    """The instances in dataset `path`; a file with none is a data error."""
+    instances = harness.load_comve(path, subtask)
+    if not instances:
+        raise DataFormatError(f"{path}: no instances")
+    return instances
 
 
 def _read_config(path) -> dict:
@@ -261,14 +262,11 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
     # OverflowError: an integer too large for a float, such as a 400-digit lr
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{config_path}: {exc}") from None
-    train_set = harness.load_comve(train_data, subtask)
-    dev_set = harness.load_comve(dev_data, subtask)
-    for path, split in ((train_data, train_set), (dev_data, dev_set)):
-        if not split:
-            raise DataFormatError(f"{path}: no instances")
+    train_set = _load_split(train_data, subtask)
+    dev_set = _load_split(dev_data, subtask)
     out = Path(output_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    graph = _load_kb(kb_path)
+    graph = kgstore.load_graph(kb_path)
     templates = (kemb.load_templates(templates_path) if templates_path
                  else kemb.default_templates())
     vocab = harness.build_vocab(graph, templates, train_set + dev_set)
@@ -323,7 +321,7 @@ def _load_model(checkpoint_path, subtask: str) -> KegatModel:
         raise DataFormatError(f"{checkpoint_path}: the model was trained for "
                               f"subtask {trained_for!r}, not {subtask!r}")
     try:
-        graph = _load_kb(kb_path)
+        graph = kgstore.load_graph(kb_path)
         if (vectors and config.use_kegat
                 and _file_sha256(vectors) != vectors_sha256):
             raise DataFormatError(
@@ -347,7 +345,7 @@ def _load_model(checkpoint_path, subtask: str) -> KegatModel:
 @_handle_errors
 def eval_cmd(checkpoint, data_path, subtask):
     """Accuracy of a trained checkpoint on a dataset."""
-    instances = harness.load_comve(data_path, subtask)
+    instances = _load_split(data_path, subtask)
     model = _load_model(checkpoint, subtask)
     metrics = harness.evaluate(model, instances)
     click.echo(json.dumps({"accuracy": metrics.accuracy,
@@ -362,7 +360,7 @@ def eval_cmd(checkpoint, data_path, subtask):
 @_handle_errors
 def predict(checkpoint, data_path, subtask, output_path):
     """Per-instance probabilities and predictions."""
-    instances = harness.load_comve(data_path, subtask)
+    instances = _load_split(data_path, subtask)
     model = _load_model(checkpoint, subtask)
     metrics = harness.evaluate(model, instances)
     lines = [json.dumps(p, sort_keys=True) for p in metrics.predictions]
@@ -382,7 +380,7 @@ def predict(checkpoint, data_path, subtask, output_path):
 @_handle_errors
 def ensemble(checkpoints, data_path, subtask):
     """Probability-averaged ensemble accuracy."""
-    instances = harness.load_comve(data_path, subtask)
+    instances = _load_split(data_path, subtask)
     # each model must match --subtask, so models that disagree exit 2 too
     models = [_load_model(p.strip(), subtask)
               for p in checkpoints.split(",") if p.strip()]

@@ -119,17 +119,25 @@ def load_comve(path, subtask: str) -> List[ComveInstance]:
     return instances
 
 
+def comve_jsonl(instances: Sequence[ComveInstance]) -> str:
+    """Instances as canonical JSONL, one sorted-keys record per line."""
+    lines = []
+    for inst in instances:
+        if inst.subtask == "a":
+            rec = {"id": inst.id, "sent0": inst.statements[0],
+                   "sent1": inst.statements[1], "label": inst.label}
+        else:
+            rec = {"id": inst.id, "false_sent": inst.false_sent,
+                   "optionA": inst.reasons[0], "optionB": inst.reasons[1],
+                   "optionC": inst.reasons[2], "label": inst.label}
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
 def save_comve(instances: Sequence[ComveInstance], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            if inst.subtask == "a":
-                rec = {"id": inst.id, "sent0": inst.statements[0],
-                       "sent1": inst.statements[1], "label": inst.label}
-            else:
-                rec = {"id": inst.id, "false_sent": inst.false_sent,
-                       "optionA": inst.reasons[0], "optionB": inst.reasons[1],
-                       "optionC": inst.reasons[2], "label": inst.label}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """Write `instances` as canonical JSONL in place, without an fsync: every
+    benchmark set-up writes the synthetic splits through here."""
+    Path(path).write_text(comve_jsonl(instances), encoding="utf-8")
 
 
 # -- augmentation ------------------------------------------------------------
@@ -274,6 +282,7 @@ def synth_benchmark(seed: int, out_dir,
         raise ValueError(f"need n_concepts >= 2 and n_edges in [0, {pairs}], "
                          f"got n_concepts={n_concepts}, n_edges={n_edges}")
     out_dir = Path(out_dir)
+    made_dir = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     templates = default_templates()
     template_words = {tok for t in templates.values() for tok in t.pattern
@@ -334,12 +343,6 @@ def synth_benchmark(seed: int, out_dir,
         v = (centroids[community[c]]
              + VECTOR_NOISE * rng.normal(size=embed_dim) / np.sqrt(embed_dim))
         vecs[index[c]] = v / np.linalg.norm(v)
-    vec_path = out_dir / "concepts.vec"
-    with open(vec_path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n_concepts} {embed_dim}\n")
-        for c in concepts:
-            fh.write(c + " " + " ".join(f"{v:.6f}" for v in vecs[index[c]]) + "\n")
-    concept_table = {c: vecs[index[c]].copy() for c in concepts}
 
     heads = sorted(c for c in concepts
                    if any(e.head == c for e in neighbors(graph, c)))
@@ -352,11 +355,24 @@ def synth_benchmark(seed: int, out_dir,
         "test": [heads[i] for i in perm[n_train + n_dev:]],
     }
     splits = {}
-    for (name, pool), size, sub_seed in zip(pools.items(), sizes, (1, 2, 3)):
-        splits[name] = generate_augmented(
-            graph, templates, size, seed * 10 + sub_seed, subtask=subtask,
-            head_pool=pool, id_prefix=f"synth-{name}")
-        save_comve(splits[name], out_dir / f"{name}.jsonl")
+    try:
+        for (name, pool), size, sub_seed in zip(pools.items(), sizes, (1, 2, 3)):
+            splits[name] = generate_augmented(
+                graph, templates, size, seed * 10 + sub_seed, subtask=subtask,
+                head_pool=pool, id_prefix=f"synth-{name}")
+    except DataFormatError:   # a graph the draw cannot use: leave no file behind
+        kb_path.unlink()
+        if made_dir:
+            out_dir.rmdir()
+        raise
+    vec_path = out_dir / "concepts.vec"
+    with open(vec_path, "w", encoding="utf-8") as fh:
+        fh.write(f"{n_concepts} {embed_dim}\n")
+        for c in concepts:
+            fh.write(c + " " + " ".join(f"{v:.6f}" for v in vecs[index[c]]) + "\n")
+    concept_table = {c: vecs[index[c]].copy() for c in concepts}
+    for name, split in splits.items():
+        save_comve(split, out_dir / f"{name}.jsonl")
     paths = {"kb": kb_path, "vectors": vec_path,
              **{name: out_dir / f"{name}.jsonl" for name in splits}}
     return SynthBenchmark(graph=graph, concept_table=concept_table,

@@ -1,7 +1,9 @@
 """Weighted multi-relational concept graph with a relation blocklist.
 
-The store is loaded once from a TSV edge list and is immutable afterwards;
-queries are read-only and safe to run concurrently.
+A knowledge base has one on-disk form, a TSV edge list (head, relation,
+tail, weight per line); `save_graph` writes one that `load_graph` reads back
+edge for edge. The graph is immutable once loaded; queries are read-only and
+safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple
 
 from .errors import DataFormatError
-
-MAGIC = b"KGAT"
-FORMAT_VERSION = 1
 
 DEFAULT_BLOCKLIST = frozenset({
     "/r/ExternalURL",
@@ -65,7 +64,6 @@ class GraphStats:
 class KnowledgeGraph:
     concepts: FrozenSet[str]
     edges: Tuple[Edge, ...]
-    blocklist: FrozenSet[str]
     stats: GraphStats
     _adjacency: Dict[str, Tuple[Edge, ...]] = field(repr=False, default_factory=dict)
 
@@ -79,8 +77,7 @@ def _sort_key(concept_id: str):
     return key
 
 
-def _build_graph(edges: List[Edge], blocklist: FrozenSet[str],
-                 stats: GraphStats) -> KnowledgeGraph:
+def _build_graph(edges: List[Edge], stats: GraphStats) -> KnowledgeGraph:
     adjacency: Dict[str, List[Edge]] = {}
     concepts: set[str] = set()
     for e in edges:
@@ -93,7 +90,6 @@ def _build_graph(edges: List[Edge], blocklist: FrozenSet[str],
                   for c, lst in adjacency.items()}
     return KnowledgeGraph(concepts=frozenset(concepts),
                           edges=tuple(edges),
-                          blocklist=blocklist,
                           stats=stats,
                           _adjacency=frozen_adj)
 
@@ -122,13 +118,6 @@ def atomic_write(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _check_weight(weight: float, where: str) -> None:
-    if not math.isfinite(weight):
-        raise DataFormatError(f"{where}: non-finite weight {weight}")
-    if weight <= 0:
-        raise DataFormatError(f"{where}: nonpositive weight {weight}")
 
 
 def load_graph(path, blocklist=DEFAULT_BLOCKLIST) -> KnowledgeGraph:
@@ -161,7 +150,10 @@ def load_graph(path, blocklist=DEFAULT_BLOCKLIST) -> KnowledgeGraph:
         except ValueError:
             raise DataFormatError(
                 f"{path}:{lineno}: non-numeric weight {weight_s!r}") from None
-        _check_weight(weight, f"{path}:{lineno}")
+        if not math.isfinite(weight):
+            raise DataFormatError(f"{path}:{lineno}: non-finite weight {weight}")
+        if weight <= 0:
+            raise DataFormatError(f"{path}:{lineno}: nonpositive weight {weight}")
         if relation in blockset:
             skipped_block += 1
             continue
@@ -169,7 +161,7 @@ def load_graph(path, blocklist=DEFAULT_BLOCKLIST) -> KnowledgeGraph:
                           normalize_concept(tail), weight))
     stats = GraphStats(loaded=len(edges), skipped_blocklist=skipped_block,
                        skipped_comments=skipped_comment)
-    return _build_graph(edges, blockset, stats)
+    return _build_graph(edges, stats)
 
 
 def neighbors(graph: KnowledgeGraph, concept_id: str) -> List[Edge]:
@@ -186,49 +178,28 @@ def top_neighbors(graph: KnowledgeGraph, concept_id: str, limit: int) -> List[Ed
     return neighbors(graph, concept_id)[:limit]
 
 
-def _edge_rows(graph: KnowledgeGraph) -> list:
-    return [[e.head, e.relation, e.tail, e.weight] for e in graph.edges]
-
-
 def fingerprint(graph: KnowledgeGraph) -> str:
-    """sha256 of the canonical edge list, the same for TSV and binary forms."""
-    rows = json.dumps(_edge_rows(graph), separators=(",", ":"))
-    return hashlib.sha256(rows.encode("utf-8")).hexdigest()
+    """sha256 of the canonical edge list, so a graph and the file
+    `save_graph` writes of it load to the same fingerprint."""
+    rows = [[e.head, e.relation, e.tail, e.weight] for e in graph.edges]
+    blob = json.dumps(rows, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
-def save_binary(graph: KnowledgeGraph, path) -> None:
-    """Write the graph as magic + version byte + canonical JSON payload."""
-    payload = {
-        "edges": _edge_rows(graph),
-        "blocklist": sorted(graph.blocklist),
-        "stats": graph.stats.as_dict(),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def save_graph(graph: KnowledgeGraph, path) -> None:
+    """Write the graph's edges as a TSV edge list, weights by `repr`, that
+    `load_graph` reads back to the same edges. An edge it would not read back
+    is a data error, and nothing is written."""
+    lines = []
+    for e in graph.edges:
+        for concept in (e.head, e.tail):
+            if normalize_concept(concept) != concept:
+                raise DataFormatError(f"concept {concept!r} would load back "
+                                      f"as {normalize_concept(concept)!r}")
+        line = f"{e.head}\t{e.relation}\t{e.tail}\t{e.weight!r}\n"
+        if line.lstrip().startswith("#"):
+            raise DataFormatError(
+                f"edge {line.rstrip()!r} would load back as a comment")
+        lines.append(line)
     with atomic_write(path) as fh:
-        fh.write(MAGIC + bytes([FORMAT_VERSION]) + blob)
-
-
-def load_binary(path) -> KnowledgeGraph:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise DataFormatError(f"{path}: bad magic {magic!r}")
-        version = fh.read(1)
-        if version != bytes([FORMAT_VERSION]):
-            raise DataFormatError(f"{path}: unsupported format version {version!r}")
-        blob = fh.read()
-    try:
-        payload = json.loads(blob.decode("utf-8"))
-        edges = [Edge(h, r, t, float(w)) for h, r, t, w in payload["edges"]]
-        stats = GraphStats(**payload["stats"])
-        blocklist = frozenset(payload["blocklist"])
-        if not all(isinstance(s, str) for e in edges
-                   for s in (e.head, e.relation, e.tail)):
-            raise TypeError("concept or relation is not a string")
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        # UnicodeDecodeError and JSONDecodeError are ValueErrors
-        raise DataFormatError(
-            f"{path}: not a knowledge-graph file ({type(exc).__name__})") from None
-    for i, e in enumerate(edges):
-        _check_weight(e.weight, f"{path}: edge {i}")
-    return _build_graph(edges, blocklist, stats)
+        fh.write("".join(lines).encode("utf-8"))

@@ -28,7 +28,7 @@ from .autodiff import Tensor
 from .errors import GradientError, NumericError
 from .kgstore import atomic_write
 
-MAGIC = b"KGCK"   # distinct from the knowledge-graph binary's b"KGAT"
+MAGIC = b"KGCK"
 FORMAT_VERSION = 3
 
 
@@ -40,8 +40,8 @@ class ParamStore:
 
     The first whole-store operation packs every value into one flat vector
     and every gradient into a second, in name order; each parameter's
-    ``data`` and ``grad`` become reshaped views of them, and an `add` after
-    that packs again, keeping what the views held. The whole-store
+    ``data`` and ``grad`` become reshaped views of them, and the layout is
+    fixed from then on: an `add` raises ValueError. The whole-store
     operations run over `runs`, the maximal slices of trainable parameters.
     Sorted names keep ``head/*`` together, so phase 1 trains one run, and
     phase 2 trains one run over everything.
@@ -57,33 +57,28 @@ class ParamStore:
     def add(self, name: str, values: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
+        if self._values is not None:
+            raise ValueError(f"cannot add {name!r}: the store is packed")
         t = Tensor(np.asarray(values, dtype=np.float64), requires_grad=True,
                    name=name)
         self._params[name] = t
-        self._runs = None
-        if self._values is not None:
-            self._pack()
         return t
 
-    def _pack(self) -> None:
-        sizes = [(name, self._params[name].data.size) for name in self.names()]
-        total = sum(size for _, size in sizes)
-        values, grads = np.empty(total), np.empty(total)
-        start = 0
-        for name, size in sizes:
-            p, span = self._params[name], slice(start, start + size)
-            values[span] = p.data.ravel()
-            grads[span] = p.grad.ravel()
-            p.data = values[span].reshape(p.data.shape)
-            p.grad = grads[span].reshape(p.data.shape)
-            self._spans[name] = span
-            start += size
-        self._values, self._grads = values, grads
-
     def flat(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The flat value and gradient vectors, packing the store first."""
+        """The flat value and gradient vectors; the first call packs them."""
         if self._values is None:
-            self._pack()
+            total = sum(p.data.size for p in self._params.values())
+            values, grads = np.empty(total), np.empty(total)
+            start = 0
+            for name, p in self.items():
+                span = slice(start, start + p.data.size)
+                values[span] = p.data.ravel()
+                grads[span] = p.grad.ravel()
+                p.data = values[span].reshape(p.data.shape)
+                p.grad = grads[span].reshape(p.data.shape)
+                self._spans[name] = span
+                start = span.stop
+            self._values, self._grads = values, grads
         return self._values, self._grads
 
     def runs(self) -> List[slice]:
@@ -140,15 +135,12 @@ class ParamStore:
     def is_frozen(self, name: str) -> bool:
         return not self._params[name].requires_grad
 
-    def snapshot(self) -> Dict[str, np.ndarray]:
-        """Every parameter's values, as views of one copy of the flat vector."""
-        values = self.flat()[0].copy()
-        return {name: values[self._spans[name]].reshape(p.data.shape)
-                for name, p in self.items()}
+    def snapshot(self) -> np.ndarray:
+        """A copy of the flat value vector."""
+        return self.flat()[0].copy()
 
-    def restore(self, snap: Dict[str, np.ndarray]) -> None:
-        for name, values in snap.items():
-            self._params[name].data[...] = values
+    def restore(self, snap: np.ndarray) -> None:
+        self.flat()[0][...] = snap
 
 
 def compute_gradients(loss: Tensor, store: ParamStore) -> None:
@@ -203,9 +195,6 @@ def adam_step(store: ParamStore, opt: OptimizerState) -> None:
     values, grads = store.flat()
     if opt.m is None:
         opt.m, opt.v = np.zeros_like(values), np.zeros_like(values)
-    elif opt.m.size != values.size:
-        raise ValueError("the store gained parameters after the optimizer's "
-                         "first step")
     block = ADAM_BLOCK
     if opt.scratch.size != 2 * block:
         opt.scratch = np.empty(2 * block)
@@ -378,7 +367,7 @@ class Schedule:
 @dataclass
 class TrainResult:
     best_metric: float
-    best_snapshot: Dict[str, np.ndarray]
+    best_snapshot: np.ndarray   # the store's flat value vector
     log: List[dict]
     aborted: bool = False
 

@@ -3,15 +3,16 @@
 import dataclasses
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kegat.cli import main
-from kegat.kgstore import MAGIC, load_binary, load_graph, save_binary
+from kegat.kgstore import fingerprint, load_graph, save_graph
 from kegat.model import ModelConfig
 from kegat.trainkit import (ParamStore, Schedule, load_checkpoint,
                             read_model_meta, save_checkpoint)
@@ -30,22 +31,21 @@ def _lines(result):
 
 def test_kb_ingest_writes_binary_and_stats(runner, tmp_path):
     kb = write_kb(tmp_path / "kb.tsv", SUGAR_KB_ROWS)
-    out = tmp_path / "kb.bin"
+    out = tmp_path / "ingested.tsv"
     result = runner.invoke(main, ["kb", "ingest", "--input", str(kb),
                                   "--output", str(out)])
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
     assert payload["stats"]["loaded"] == 5
     assert "/r/ExternalURL" in payload["blocklist"]
-    graph = load_binary(out)
-    assert len(graph.edges) == 5
+    assert load_graph(out).edges == load_graph(kb).edges
 
 
 def test_kb_ingest_custom_blocklist(runner, tmp_path):
     kb = write_kb(tmp_path / "kb.tsv", SUGAR_KB_ROWS)
     block = tmp_path / "block.txt"
     block.write_text("/r/AtLocation\n", encoding="utf-8")
-    out = tmp_path / "kb.bin"
+    out = tmp_path / "ingested.tsv"
     result = runner.invoke(main, ["kb", "ingest", "--input", str(kb),
                                   "--blocklist", str(block),
                                   "--output", str(out)])
@@ -58,11 +58,57 @@ def test_kb_ingest_custom_blocklist(runner, tmp_path):
 def test_kb_ingest_malformed_exits_2(runner, tmp_path):
     kb = tmp_path / "kb.tsv"
     kb.write_text("only\ttwo\n", encoding="utf-8")
-    out = tmp_path / "kb.bin"
+    out = tmp_path / "ingested.tsv"
     result = runner.invoke(main, ["kb", "ingest", "--input", str(kb),
                                   "--output", str(out)])
     assert result.exit_code == 2
     assert "data error" in result.output
+
+
+_SURFACES = st.sampled_from(["sugar", "Sugar", "/c/en/sugar", "Ice Cream",
+                             "ice_cream", "/c/en/Hot Drink", " cup ", "a__b"])
+_KB_LINES = st.lists(st.one_of(
+    st.builds(lambda h, r, t, w: f"{h}\t{r}\t{t}\t{w!r}", _SURFACES,
+              st.sampled_from(["/r/IsA", "/r/UsedFor", "/r/ExternalURL",
+                               "/r/Antonym"]),
+              _SURFACES, st.floats(1e-6, 1e6)),
+    st.sampled_from(["# a comment", "  # an indented comment", ""])),
+    max_size=20)
+# heads `load_graph` would read back as another concept or as a comment
+_REFUSED_HEADS = st.sampled_from(["/c/en//c/en/x", "/c/en/#x"])
+
+
+@given(lines=_KB_LINES,
+       refused=st.none() | st.tuples(st.integers(0, 20), _REFUSED_HEADS))
+@example(lines=[], refused=(0, "/c/en//c/en/x"))
+@example(lines=[], refused=(0, "/c/en/#x"))
+@settings(max_examples=50, deadline=None)
+def test_kb_ingest_output_loads_back_and_reingests_byte_identical(lines,
+                                                                  refused):
+    if refused is not None:
+        at, head = refused
+        lines = lines[:at] + [f"{head}\t/r/IsA\tsugar\t1.0"] + lines[at:]
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out, again = (Path(tmp) / name
+                           for name in ("kb.tsv", "out.tsv", "again.tsv"))
+        src.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        result = runner.invoke(main, ["kb", "ingest", "--input", str(src),
+                                      "--output", str(out)])
+        if refused is not None:
+            assert result.exit_code == 2, result.output
+            assert result.output.startswith("data error: ")
+            assert os.listdir(tmp) == ["kb.tsv"]
+            return
+        assert result.exit_code == 0, result.output
+        graph = load_graph(src)
+        assert json.loads(result.output)["stats"] == graph.stats.as_dict()
+        reloaded = load_graph(out)
+        assert reloaded.edges == graph.edges
+        assert fingerprint(reloaded) == fingerprint(graph)
+        runner.invoke(main, ["kb", "ingest", "--input", str(out),
+                             "--output", str(again)], catch_exceptions=False)
+        assert again.read_bytes() == out.read_bytes()
 
 
 def test_usage_error_exits_1(runner):
@@ -85,9 +131,9 @@ def test_link_emits_spans(runner, tmp_path):
 
 def test_link_accepts_binary_kb(runner, tmp_path):
     kb = write_kb(tmp_path / "kb.tsv", SUGAR_KB_ROWS)
-    out = tmp_path / "kb.bin"
+    out = tmp_path / "ingested.tsv"
     runner.invoke(main, ["kb", "ingest", "--input", str(kb),
-                         "--output", str(out)])
+                         "--output", str(out)], catch_exceptions=False)
     inp = tmp_path / "in.jsonl"
     inp.write_text(json.dumps({"id": 1, "text": "sugar"}) + "\n",
                    encoding="utf-8")
@@ -171,6 +217,7 @@ def test_synth_graph_it_cannot_draw_from_is_usage_error(runner, tmp_path, args,
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 1
     assert message in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("option", ["--count", "--seed"])
@@ -297,6 +344,20 @@ def test_failed_predict_write_keeps_previous_output(runner, trained, tmp_path,
     assert [f.name for f in out.parent.iterdir()] == ["preds.jsonl"]
 
 
+def test_failed_augment_write_keeps_previous_file(runner, tmp_path,
+                                                 monkeypatch):
+    kb = write_kb(tmp_path / "kb.tsv", SUGAR_KB_ROWS)
+    out = tmp_path / "aug" / "aug.jsonl"
+    out.parent.mkdir()
+    out.write_text("previous\n", encoding="utf-8")
+    _fail_replace_onto(monkeypatch, out.name)
+    result = runner.invoke(main, ["augment", "--kb", str(kb), "--count", "6",
+                                  "--output", str(out)])
+    assert isinstance(result.exception, OSError), result.output
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert [f.name for f in out.parent.iterdir()] == ["aug.jsonl"]
+
+
 def test_train_without_epochs_reports_initial_dev_accuracy(runner, tmp_path):
     args, _ = _train_config(tmp_path, json.dumps(
         {**TINY_TRAIN_CFG, "epochs_phase1": 0, "epochs_phase2": 0}))
@@ -414,12 +475,11 @@ def test_ensemble_on_empty_file_matches_eval(runner, trained, tmp_path):
     empty.write_text("", encoding="utf-8")
     data = ["--data", str(empty), "--subtask", "a"]
     ev = runner.invoke(main, ["eval", "--checkpoint", str(ckpt)] + data)
-    assert ev.exit_code == 0 and json.loads(ev.output) == {"accuracy": 0.0,
-                                                           "count": 0}
+    assert ev.exit_code == 2
+    assert ev.output == f"data error: {empty}: no instances\n"
     result = runner.invoke(main, ["ensemble", "--checkpoints",
                                   f"{ckpt},{ckpt}"] + data)
-    assert result.exit_code == 0, result.output
-    assert json.loads(result.output) == {"accuracy": 0.0, "models": 2}
+    assert (result.exit_code, result.output) == (ev.exit_code, ev.output)
 
 
 def test_corrupted_checkpoint_exits_3(runner, trained):
@@ -498,7 +558,7 @@ def _v2_checkpoint(tmp_path, request):
 
 def _kb_as_checkpoint(tmp_path, request):
     bench, ckpt, _ = request.getfixturevalue("trained")
-    save_binary(load_graph(bench / "kb.tsv"), ckpt)
+    save_graph(load_graph(bench / "kb.tsv"), ckpt)
     return (["eval", "--checkpoint", str(ckpt), "--data",
              str(bench / "dev.jsonl"), "--subtask", "a"],
             "bad checkpoint magic")
@@ -550,7 +610,7 @@ def _ingest_weight(tmp_path, weight):
     kb = write_kb(tmp_path / "kb.tsv",
                   SUGAR_KB_ROWS + [("sugar", "/r/IsA", "food", weight)])
     return (["kb", "ingest", "--input", str(kb),
-             "--output", str(tmp_path / "kb.bin")],
+             "--output", str(tmp_path / "ingested.tsv")],
             f"{kb}:{len(SUGAR_KB_ROWS) + 1}")
 
 
@@ -770,26 +830,38 @@ def _blocklist_not_utf8(tmp_path, request):
     block = tmp_path / "block.txt"
     block.write_bytes(NOT_UTF8)
     return (["kb", "ingest", "--input", str(kb), "--blocklist", str(block),
-             "--output", str(tmp_path / "kb.bin")], str(block))
+             "--output", str(tmp_path / "ingested.tsv")], str(block))
 
 
-def _binary_kb_weight(tmp_path, weight):
+def _kgat_kb(tmp_path, request):   # the KB form `kb ingest` wrote before TSV
     args, _ = _link_line(tmp_path, json.dumps({"text": "sugar"}))
-    payload = {"edges": [["sugar", "/r/IsA", "food", weight]], "blocklist": [],
-               "stats": {"loaded": 1, "skipped_blocklist": 0,
-                         "skipped_comments": 0}}
     kb = tmp_path / "kb.bin"
-    kb.write_bytes(MAGIC + b"\x01" + json.dumps(payload).encode("utf-8"))
+    kb.write_bytes(b"KGAT\x01" + json.dumps({
+        "edges": [["sugar", "/r/IsA", "food", 1.0]], "blocklist": [],
+        "stats": {"loaded": 1, "skipped_blocklist": 0,
+                  "skipped_comments": 0}}).encode("utf-8"))
     args[args.index("--kb") + 1] = str(kb)
-    return args, f"{kb}: edge 0"
+    return args, f"{kb}:1: expected 4 tab-separated columns, got 1"
 
 
-def _binary_kb_nan_weight(tmp_path, request):
-    return _binary_kb_weight(tmp_path, float("nan"))
+def _data_empty(tmp_path, request, command, option="--checkpoint"):
+    _, ckpt, _ = request.getfixturevalue("trained")
+    data = tmp_path / "empty.jsonl"
+    data.write_text("", encoding="utf-8")
+    return ([command, option, str(ckpt), "--data", str(data), "--subtask",
+             "a"], f"{data}: no instances")
 
 
-def _binary_kb_zero_weight(tmp_path, request):
-    return _binary_kb_weight(tmp_path, 0.0)
+def _eval_data_empty(tmp_path, request):
+    return _data_empty(tmp_path, request, "eval")
+
+
+def _predict_data_empty(tmp_path, request):
+    return _data_empty(tmp_path, request, "predict")
+
+
+def _ensemble_data_empty(tmp_path, request):
+    return _data_empty(tmp_path, request, "ensemble", "--checkpoints")
 
 
 def _vectors_edited(tmp_path, request):
@@ -921,8 +993,7 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
     (_vectors_not_utf8, 2, "data error: "),
     (_vectors_nan, 2, "data error: "),
     (_blocklist_not_utf8, 2, "data error: "),
-    (_binary_kb_nan_weight, 2, "data error: "),
-    (_binary_kb_zero_weight, 2, "data error: "),
+    (_kgat_kb, 2, "data error: "),
     (_vectors_edited, 2, "data error: "),
     (_model_record_without_vectors_sha256, 3, "numeric failure: "),
     (_config_not_json, 2, "data error: "),
@@ -944,6 +1015,9 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
     (_config_model_key_misspelled, 2, "data error: "),
     (_train_data_empty, 2, "data error: "),
     (_dev_data_empty, 2, "data error: "),
+    (_eval_data_empty, 2, "data error: "),
+    (_predict_data_empty, 2, "data error: "),
+    (_ensemble_data_empty, 2, "data error: "),
     (_model_record_without_subtask, 3, "numeric failure: "),
     (_model_record_max_len_above_positions, 3, "numeric failure: "),
     (_model_record_dropout_overflows_float, 3, "numeric failure: "),
@@ -962,8 +1036,7 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
         "header-not-object", "kb-edited", "kb-deleted", "comve-not-utf8",
         "comve-not-object", "comve-label-not-integer",
         "comve-statement-not-string", "link-not-utf8", "vectors-not-utf8",
-        "vectors-nan", "blocklist-not-utf8", "binary-kb-nan-weight",
-        "binary-kb-zero-weight", "vectors-edited",
+        "vectors-nan", "blocklist-not-utf8", "kgat-kb", "vectors-edited",
         "model-record-without-vectors-sha256", "config-not-json",
         "config-not-object", "config-batch-size-zero",
         "config-epochs-not-integer", "config-epochs-phase2-not-integer",
@@ -974,8 +1047,9 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
         "config-head-hidden-beyond-memory", "config-flag-not-bool",
         "config-flag-key",
         "config-schedule-key-misspelled", "config-model-key-misspelled",
-        "train-data-empty",
-        "dev-data-empty", "model-record-without-subtask",
+        "train-data-empty", "dev-data-empty", "eval-data-empty",
+        "predict-data-empty", "ensemble-data-empty",
+        "model-record-without-subtask",
         "model-record-max-len-above-positions",
         "model-record-dropout-overflows-float",
         "config-max-len-above-positions",

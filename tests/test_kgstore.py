@@ -1,15 +1,13 @@
 """Knowledge-graph loading, querying, and serialization tests."""
 
-import json
 import os
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kegat.errors import DataFormatError
-from kegat.kgstore import (DEFAULT_BLOCKLIST, MAGIC, load_binary, load_graph,
-                           neighbors, normalize_concept, save_binary,
+from kegat.kgstore import (DEFAULT_BLOCKLIST, fingerprint, load_graph,
+                           neighbors, normalize_concept, save_graph,
                            top_neighbors)
 
 from conftest import SUGAR_KB_ROWS, write_kb
@@ -103,18 +101,19 @@ def test_normalize_concept():
 
 
 def test_binary_round_trip(sugar_graph, tmp_path):
-    p1, p2 = tmp_path / "kb1.bin", tmp_path / "kb2.bin"
-    save_binary(sugar_graph, p1)
-    reloaded = load_binary(p1)
+    p1, p2 = tmp_path / "kb1.tsv", tmp_path / "kb2.tsv"
+    save_graph(sugar_graph, p1)
+    reloaded = load_graph(p1)
     assert reloaded.edges == sugar_graph.edges
     assert reloaded.stats == sugar_graph.stats
-    save_binary(reloaded, p2)
+    assert fingerprint(reloaded) == fingerprint(sugar_graph)
+    save_graph(reloaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_failed_binary_write_keeps_previous_file(sugar_graph, tmp_path,
                                                  monkeypatch):
-    path = tmp_path / "out" / "kb.bin"
+    path = tmp_path / "out" / "kb.tsv"
     path.parent.mkdir()
     path.write_bytes(b"previous")
 
@@ -123,26 +122,9 @@ def test_failed_binary_write_keeps_previous_file(sugar_graph, tmp_path,
 
     monkeypatch.setattr(os, "fsync", fail)
     with pytest.raises(OSError, match="disk full"):
-        save_binary(sugar_graph, path)
+        save_graph(sugar_graph, path)
     assert path.read_bytes() == b"previous"
-    assert [f.name for f in path.parent.iterdir()] == ["kb.bin"]
-
-
-def test_binary_bad_magic(tmp_path):
-    p = tmp_path / "kb.bin"
-    p.write_bytes(b"NOPE" + b"\x01{}")
-    with pytest.raises(DataFormatError, match="bad magic"):
-        load_binary(p)
-
-
-def test_binary_rejects_non_string_concepts(tmp_path):
-    p = tmp_path / "kb.bin"
-    payload = {"edges": [[5, "/r/IsA", "food", 1.0]], "blocklist": [],
-               "stats": {"loaded": 1, "skipped_blocklist": 0,
-                         "skipped_comments": 0}}
-    p.write_bytes(MAGIC + b"\x01" + json.dumps(payload).encode("utf-8"))
-    with pytest.raises(DataFormatError, match="not a knowledge-graph file"):
-        load_binary(p)
+    assert [f.name for f in path.parent.iterdir()] == ["kb.tsv"]
 
 
 _relations = st.sampled_from(["/r/IsA", "/r/UsedFor", "/r/ExternalURL"])

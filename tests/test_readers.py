@@ -12,16 +12,9 @@ from kegat.errors import DataFormatError
 from kegat.gat import load_concept_table
 from kegat.harness import load_comve
 from kegat.kemb import load_templates
-from kegat.kgstore import MAGIC, load_binary, load_graph, save_binary
+from kegat.kgstore import load_graph
 
-from conftest import SUGAR_KB_ROWS, sugar_graph_cached
-
-
-def _binary_kb() -> bytes:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "kb.bin"
-        save_binary(sugar_graph_cached(), path)
-        return path.read_bytes()
+from conftest import SUGAR_KB_ROWS
 
 
 _JSONL_B = "".join(json.dumps({
@@ -33,7 +26,6 @@ _JSONL_B = "".join(json.dumps({
 READERS = {
     "load_graph": (load_graph, "".join(
         f"{h}\t{r}\t{t}\t{w}\n" for h, r, t, w in SUGAR_KB_ROWS).encode(), b""),
-    "load_binary": (load_binary, _binary_kb(), MAGIC + b"\x01"),
     "load_comve": (lambda p: load_comve(p, "b"), _JSONL_B.encode(), b""),
     "load_concept_table": (lambda p: load_concept_table(p, 3),
                            b"2 2\nsugar 0.5 -1.0\ncoffee 1e-3 2\n", b""),
