@@ -26,6 +26,8 @@ from .vocab import Vocab
 click.UsageError.exit_code = 1
 
 _DEFAULTS = ModelConfig()   # the option defaults `link` and `inject` share
+_IN_FILE = click.Path(exists=True, dir_okay=False)
+_OUT_FILE = click.Path(dir_okay=False)
 
 
 def _handle_errors(fn):
@@ -63,9 +65,9 @@ def kb():
 
 
 @kb.command("ingest")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--blocklist", "blocklist_path", type=click.Path(exists=True))
-@click.option("--output", "output_path", required=True, type=click.Path())
+@click.option("--input", "input_path", required=True, type=_IN_FILE)
+@click.option("--blocklist", "blocklist_path", type=_IN_FILE)
+@click.option("--output", "output_path", required=True, type=_OUT_FILE)
 @_handle_errors
 def kb_ingest(input_path, blocklist_path, output_path):
     """Load a TSV edge list, apply the relation blocklist, write it as TSV."""
@@ -82,8 +84,8 @@ def kb_ingest(input_path, blocklist_path, output_path):
 # -- link --------------------------------------------------------------------
 
 @main.command()
-@click.option("--kb", "kb_path", required=True, type=click.Path(exists=True))
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True),
+@click.option("--kb", "kb_path", required=True, type=_IN_FILE)
+@click.option("--input", "input_path", required=True, type=_IN_FILE,
               help="JSONL with an 'id' and 'text' field per line.")
 @click.option("--max-ngram", default=_DEFAULTS.max_ngram, show_default=True)
 @_handle_errors
@@ -119,9 +121,9 @@ def preprocess():
 
 
 @preprocess.command("inject")
-@click.option("--kb", "kb_path", required=True, type=click.Path(exists=True))
-@click.option("--templates", "templates_path", type=click.Path(exists=True))
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
+@click.option("--kb", "kb_path", required=True, type=_IN_FILE)
+@click.option("--templates", "templates_path", type=_IN_FILE)
+@click.option("--input", "input_path", required=True, type=_IN_FILE)
 @click.option("--subtask", type=click.Choice(["a", "b"]), default="a", show_default=True)
 @click.option("--max-len", default=_DEFAULTS.max_len, show_default=True)
 @click.option("--per-entity-limit", default=_DEFAULTS.per_entity_limit,
@@ -154,13 +156,13 @@ def preprocess_inject(kb_path, templates_path, input_path, subtask, max_len,
 # -- augment / synth ---------------------------------------------------------
 
 @main.command()
-@click.option("--kb", "kb_path", required=True, type=click.Path(exists=True))
-@click.option("--templates", "templates_path", type=click.Path(exists=True))
+@click.option("--kb", "kb_path", required=True, type=_IN_FILE)
+@click.option("--templates", "templates_path", type=_IN_FILE)
 @click.option("--count", default=100, show_default=True,
               type=click.IntRange(min=0))
 @click.option("--subtask", type=click.Choice(["a", "b"]), default="a", show_default=True)
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
-@click.option("--output", "output_path", required=True, type=click.Path())
+@click.option("--output", "output_path", required=True, type=_OUT_FILE)
 @_handle_errors
 def augment(kb_path, templates_path, count, subtask, seed, output_path):
     """Generate template-realized instances from the KB."""
@@ -176,7 +178,7 @@ def augment(kb_path, templates_path, count, subtask, seed, output_path):
 
 @main.command()
 @click.option("--seed", default=7, show_default=True)
-@click.option("--out-dir", required=True, type=click.Path())
+@click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--sizes", default="400,120,120", show_default=True)
 @click.option("--n-concepts", default=500, show_default=True)
 @click.option("--n-edges", default=1000, show_default=True)
@@ -232,13 +234,13 @@ def _read_config(path) -> dict:
 
 @main.command()
 @click.option("--subtask", type=click.Choice(["a", "b"]), required=True)
-@click.option("--config", "config_path", type=click.Path(exists=True))
-@click.option("--kb", "kb_path", required=True, type=click.Path(exists=True))
-@click.option("--vectors", "vectors_path", type=click.Path(exists=True))
-@click.option("--templates", "templates_path", type=click.Path(exists=True))
-@click.option("--train-data", required=True, type=click.Path(exists=True))
-@click.option("--dev-data", required=True, type=click.Path(exists=True))
-@click.option("--output", "output_path", required=True, type=click.Path(),
+@click.option("--config", "config_path", type=_IN_FILE)
+@click.option("--kb", "kb_path", required=True, type=_IN_FILE)
+@click.option("--vectors", "vectors_path", type=_IN_FILE)
+@click.option("--templates", "templates_path", type=_IN_FILE)
+@click.option("--train-data", required=True, type=_IN_FILE)
+@click.option("--dev-data", required=True, type=_IN_FILE)
+@click.option("--output", "output_path", required=True, type=_OUT_FILE,
               help="Checkpoint path; the training log is written alongside.")
 @click.option("--no-kemb", is_flag=True, help="Disable knowledge injection.")
 @click.option("--no-kegat", is_flag=True, help="Disable graph reasoning.")
@@ -327,7 +329,7 @@ def _load_model(checkpoint_path, subtask: str) -> KegatModel:
             raise DataFormatError(
                 f"{vectors}: vectors file changed since the model was trained")
         table = _concept_table(config, vectors)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         raise DataFormatError(
             f"{exc.filename}: missing; the model was trained with it") from None
     if kgstore.fingerprint(graph) != kb_sha256:
@@ -339,8 +341,8 @@ def _load_model(checkpoint_path, subtask: str) -> KegatModel:
 
 
 @main.command("eval")
-@click.option("--checkpoint", required=True, type=click.Path(exists=True))
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True))
+@click.option("--checkpoint", required=True, type=_IN_FILE)
+@click.option("--data", "data_path", required=True, type=_IN_FILE)
 @click.option("--subtask", type=click.Choice(["a", "b"]), required=True)
 @_handle_errors
 def eval_cmd(checkpoint, data_path, subtask):
@@ -353,10 +355,10 @@ def eval_cmd(checkpoint, data_path, subtask):
 
 
 @main.command()
-@click.option("--checkpoint", required=True, type=click.Path(exists=True))
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True))
+@click.option("--checkpoint", required=True, type=_IN_FILE)
+@click.option("--data", "data_path", required=True, type=_IN_FILE)
 @click.option("--subtask", type=click.Choice(["a", "b"]), required=True)
-@click.option("--output", "output_path", type=click.Path())
+@click.option("--output", "output_path", type=_OUT_FILE)
 @_handle_errors
 def predict(checkpoint, data_path, subtask, output_path):
     """Per-instance probabilities and predictions."""
@@ -368,22 +370,26 @@ def predict(checkpoint, data_path, subtask, output_path):
         with kgstore.atomic_write(output_path) as fh:
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))
     else:
-        for line in lines:
-            click.echo(line)
+        click.echo("\n".join(lines))
+
+
+def _checkpoint_paths(ctx, param, value) -> list:
+    """The comma-separated checkpoint paths, each checked as `--checkpoint` is."""
+    return [_IN_FILE.convert(p.strip(), param, ctx)
+            for p in value.split(",") if p.strip()]
 
 
 @main.command()
-@click.option("--checkpoints", required=True,
+@click.option("--checkpoints", required=True, callback=_checkpoint_paths,
               help="Comma-separated checkpoint paths.")
-@click.option("--data", "data_path", required=True, type=click.Path(exists=True))
+@click.option("--data", "data_path", required=True, type=_IN_FILE)
 @click.option("--subtask", type=click.Choice(["a", "b"]), required=True)
 @_handle_errors
 def ensemble(checkpoints, data_path, subtask):
     """Probability-averaged ensemble accuracy."""
     instances = _load_split(data_path, subtask)
     # each model must match --subtask, so models that disagree exit 2 too
-    models = [_load_model(p.strip(), subtask)
-              for p in checkpoints.split(",") if p.strip()]
+    models = [_load_model(p, subtask) for p in checkpoints]
     if not models:
         raise click.UsageError("--checkpoints must name at least one checkpoint")
     averaged = SimpleNamespace(predict_probs=lambda inst: ensemble_average(

@@ -9,7 +9,6 @@ resolve held-out instances by consulting the graph.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,63 +21,57 @@ from .kemb import Template, default_templates, realize_triple
 from .linker import STOPWORDS, tokenize
 from .vocab import CLS, SEP, Vocab
 
-logger = logging.getLogger(__name__)
-
 SUBTASKS = ("a", "b")
+# per subtask, the JSONL keys of the stem (None: no stem) and of the options
+_RECORD_KEYS = {"a": (None, ("sent0", "sent1")),
+                "b": ("false_sent", ("optionA", "optionB", "optionC"))}
 
 
 @dataclass(frozen=True)
 class ComveInstance:
-    """One validation (a) or explanation (b) instance."""
+    """One instance, one text per option. Subtask a: two statements and no
+    stem; `label` indexes the one against commonsense. Subtask b: the false
+    statement as stem and three reasons; `label` indexes the one that
+    explains why the statement is false."""
     id: str
     subtask: str
     label: int
-    statements: Tuple[str, ...] = ()   # subtask a: two statements
-    false_sent: str = ""               # subtask b
-    reasons: Tuple[str, ...] = ()      # subtask b: three options
+    options: Tuple[str, ...]
+    stem: str = ""
 
     def __post_init__(self):
         if self.subtask not in SUBTASKS:
             raise DataFormatError(f"unknown subtask {self.subtask!r}")
-        if self.subtask == "a":
-            if len(self.statements) != 2 or not all(self.statements):
-                raise DataFormatError(f"{self.id}: subtask a needs 2 non-empty statements")
-            if self.label not in (0, 1):
-                raise DataFormatError(f"{self.id}: label out of range")
-        else:
-            if not self.false_sent or len(self.reasons) != 3 or not all(self.reasons):
-                raise DataFormatError(
-                    f"{self.id}: subtask b needs a statement and 3 non-empty options")
-            if self.label not in (0, 1, 2):
-                raise DataFormatError(f"{self.id}: label out of range")
+        stem_key, option_keys = _RECORD_KEYS[self.subtask]
+        if (bool(self.stem) != bool(stem_key)
+                or len(self.options) != len(option_keys) or not all(self.options)):
+            raise DataFormatError(f"{self.id}: " + (
+                "subtask a needs 2 non-empty statements" if self.subtask == "a"
+                else "subtask b needs a statement and 3 non-empty options"))
+        if self.label not in range(len(option_keys)):
+            raise DataFormatError(f"{self.id}: label out of range")
 
     @property
     def option_count(self) -> int:
-        return 2 if self.subtask == "a" else 3
+        return len(self.options)
 
 
 def convert(instance: ComveInstance) -> Tuple[Tuple[str, ...], ...]:
-    """Marker-delimited token sequences, one per option."""
-    if instance.subtask == "a":
-        return tuple(tuple([CLS] + tokenize(s) + [SEP])
-                     for s in instance.statements)
-    stem = tokenize(instance.false_sent)
-    return tuple(tuple([CLS] + stem + [SEP] + tokenize(r) + [SEP])
-                 for r in instance.reasons)
-
-
-_FIELDS_A = ("id", "sent0", "sent1", "label")
-_FIELDS_B = ("id", "false_sent", "optionA", "optionB", "optionC", "label")
+    """Marker-delimited token sequences, one per option, each after the stem."""
+    stem = tokenize(instance.stem) + [SEP] if instance.stem else []
+    return tuple(tuple([CLS] + stem + tokenize(opt) + [SEP])
+                 for opt in instance.options)
 
 
 def _instance_from_record(rec, subtask: str, where: str) -> ComveInstance:
     if not isinstance(rec, dict):
         raise DataFormatError(f"{where}: expected an object")
-    required = _FIELDS_A if subtask == "a" else _FIELDS_B
-    for key in required:
+    stem_key, option_keys = _RECORD_KEYS[subtask]
+    text_keys = (stem_key, *option_keys) if stem_key else option_keys
+    for key in ("id", *text_keys, "label"):
         if key not in rec:
             raise DataFormatError(f"{where}: missing field {key!r}")
-    for key in required[1:-1]:   # the text fields, between id and label
+    for key in text_keys:
         if not isinstance(rec[key], str):
             raise DataFormatError(f"{where}: field {key!r} is not a string")
     label = rec["label"]
@@ -90,13 +83,9 @@ def _instance_from_record(rec, subtask: str, where: str) -> ComveInstance:
         raise DataFormatError(
             f"{where}: label {rec['label']!r} is not an integer") from None
     try:
-        if subtask == "a":
-            return ComveInstance(id=str(rec["id"]), subtask="a", label=label,
-                                 statements=(rec["sent0"], rec["sent1"]))
-        return ComveInstance(id=str(rec["id"]), subtask="b", label=label,
-                             false_sent=rec["false_sent"],
-                             reasons=(rec["optionA"], rec["optionB"],
-                                      rec["optionC"]))
+        return ComveInstance(id=str(rec["id"]), subtask=subtask, label=label,
+                             options=tuple(rec[k] for k in option_keys),
+                             stem=rec[stem_key] if stem_key else "")
     except DataFormatError as exc:
         raise DataFormatError(f"{where}: {exc}") from None
 
@@ -114,8 +103,6 @@ def load_comve(path, subtask: str) -> List[ComveInstance]:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
         instances.append(_instance_from_record(rec, subtask, f"{path}:{lineno}"))
-    if not instances:
-        logger.warning("no instances loaded from %s", path)
     return instances
 
 
@@ -123,13 +110,10 @@ def comve_jsonl(instances: Sequence[ComveInstance]) -> str:
     """Instances as canonical JSONL, one sorted-keys record per line."""
     lines = []
     for inst in instances:
-        if inst.subtask == "a":
-            rec = {"id": inst.id, "sent0": inst.statements[0],
-                   "sent1": inst.statements[1], "label": inst.label}
-        else:
-            rec = {"id": inst.id, "false_sent": inst.false_sent,
-                   "optionA": inst.reasons[0], "optionB": inst.reasons[1],
-                   "optionC": inst.reasons[2], "label": inst.label}
+        stem_key, option_keys = _RECORD_KEYS[inst.subtask]
+        rec = dict(zip(option_keys, inst.options), id=inst.id, label=inst.label)
+        if stem_key:
+            rec[stem_key] = inst.stem
         lines.append(json.dumps(rec, sort_keys=True) + "\n")
     return "".join(lines)
 
@@ -188,20 +172,17 @@ def generate_augmented(graph: KnowledgeGraph, templates: Dict[str, Template],
         bad_tail = _non_neighbor(graph, head, concepts, rng)
         corrupted = Edge(edge.head, edge.relation, bad_tail, edge.weight)
         nonsense = " ".join(realize_triple(corrupted, templates))
+        # the answer: a, the nonsense statement; b, why the nonsense is false
         if subtask == "a":
-            label = int(slots[i]) % 2   # index of the against-commonsense one
-            statements = (nonsense, sensible) if label == 0 else (sensible, nonsense)
-            instances.append(ComveInstance(
-                id=f"{id_prefix}-a-{i:05d}", subtask="a", label=label,
-                statements=statements))
+            stem, answer, options = "", nonsense, [sensible]
         else:
-            distractors = _distractor_reasons(graph, edge, templates, rng)
-            label = int(slots[i]) % 3
-            reasons = list(distractors)
-            reasons.insert(label, sensible)
-            instances.append(ComveInstance(
-                id=f"{id_prefix}-b-{i:05d}", subtask="b", label=label,
-                false_sent=nonsense, reasons=tuple(reasons)))
+            stem, answer = nonsense, sensible
+            options = _distractor_reasons(graph, edge, templates, rng)
+        label = int(slots[i]) % (len(options) + 1)
+        options.insert(label, answer)
+        instances.append(ComveInstance(
+            id=f"{id_prefix}-{subtask}-{i:05d}", subtask=subtask, label=label,
+            options=tuple(options), stem=stem))
     return instances
 
 

@@ -967,6 +967,85 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
             f"{other}: the model was trained for subtask 'b', not 'a'")
 
 
+def _directory_as(tmp_path, args, option):
+    """`args` with a directory as the value of file option `option`."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    args[args.index(option) + 1] = str(folder)
+    return args, f"'{option}': File '{folder}' is a directory"
+
+
+def _eval_checkpoint_directory(tmp_path, request):
+    bench, ckpt, _ = request.getfixturevalue("trained")
+    return _directory_as(tmp_path, ["eval", "--checkpoint", str(ckpt), "--data",
+                                    str(bench / "dev.jsonl"), "--subtask", "a"],
+                         "--checkpoint")
+
+
+def _link_kb_directory(tmp_path, request):
+    args, _ = _link_line(tmp_path, json.dumps({"text": "sugar"}))
+    return _directory_as(tmp_path, args, "--kb")
+
+
+def _augment_templates_directory(tmp_path, request):
+    kb = write_kb(tmp_path / "kb.tsv", SUGAR_KB_ROWS)
+    return _directory_as(tmp_path, ["augment", "--kb", str(kb), "--templates",
+                                    "x", "--output", str(tmp_path / "o.jsonl")],
+                         "--templates")
+
+
+def _ingest_output_directory(tmp_path, request):
+    kb = write_kb(tmp_path / "kb.tsv", SUGAR_KB_ROWS)
+    return _directory_as(tmp_path, ["kb", "ingest", "--input", str(kb),
+                                    "--output", "x"], "--output")
+
+
+def _train_output_directory(tmp_path, request):
+    return _directory_as(tmp_path, _train_args(tmp_path), "--output")
+
+
+def _synth_out_dir_file(tmp_path, request):
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    return (["synth", "--out-dir", str(tmp_path / "afile"), "--sizes", "4,4,4"],
+            f"'--out-dir': Directory '{tmp_path / 'afile'}' is a file")
+
+
+def _ensemble_checkpoints(request, second):
+    bench, ckpt, _ = request.getfixturevalue("trained")
+    return ["ensemble", "--checkpoints", f"{ckpt},{second}", "--data",
+            str(bench / "dev.jsonl"), "--subtask", "a"]
+
+
+def _ensemble_checkpoint_missing(tmp_path, request):
+    missing = tmp_path / "missing.ckpt"
+    return (_ensemble_checkpoints(request, missing),
+            f"'--checkpoints': File '{missing}' does not exist")
+
+
+def _ensemble_checkpoint_directory(tmp_path, request):
+    (tmp_path / "folder").mkdir()
+    return (_ensemble_checkpoints(request, tmp_path / "folder"),
+            f"'--checkpoints': File '{tmp_path / 'folder'}' is a directory")
+
+
+def _trained_with_directory(request, name):
+    """Eval arguments whose checkpoint names `name`, now a directory."""
+    bench, ckpt, _ = request.getfixturevalue("trained")
+    (bench / name).unlink()
+    (bench / name).mkdir()
+    return (["eval", "--checkpoint", str(ckpt), "--data",
+             str(bench / "dev.jsonl"), "--subtask", "a"],
+            f"{bench / name}: missing; the model was trained with it")
+
+
+def _kb_now_directory(tmp_path, request):
+    return _trained_with_directory(request, "kb.tsv")
+
+
+def _vectors_now_directory(tmp_path, request):
+    return _trained_with_directory(request, "concepts.vec")
+
+
 @pytest.mark.parametrize("make, code, prefix", [
     (_link_no_text, 2, "data error: "),
     (_link_not_json, 2, "data error: "),
@@ -1028,6 +1107,16 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
     (_predict_subtask_mismatch, 2, "data error: "),
     (_ensemble_subtask_mismatch, 2, "data error: "),
     (_ensemble_checkpoints_disagree, 2, "data error: "),
+    (_eval_checkpoint_directory, 1, "Error: "),
+    (_link_kb_directory, 1, "Error: "),
+    (_augment_templates_directory, 1, "Error: "),
+    (_ingest_output_directory, 1, "Error: "),
+    (_train_output_directory, 1, "Error: "),
+    (_synth_out_dir_file, 1, "Error: "),
+    (_ensemble_checkpoint_missing, 1, "Error: "),
+    (_ensemble_checkpoint_directory, 1, "Error: "),
+    (_kb_now_directory, 2, "data error: "),
+    (_vectors_now_directory, 2, "data error: "),
 ], ids=["link-no-text", "link-not-json", "checkpoint-as-kb",
         "truncated-checkpoint", "header-length-past-eof", "v2-checkpoint",
         "nan-weight", "inf-weight",
@@ -1056,14 +1145,22 @@ def _ensemble_checkpoints_disagree(tmp_path, request):
         "model-record-max-len-below-trunk", "config-max-len-below-trunk",
         "eval-subtask-mismatch",
         "predict-subtask-mismatch", "ensemble-subtask-mismatch",
-        "ensemble-checkpoints-disagree"])
+        "ensemble-checkpoints-disagree", "eval-checkpoint-directory",
+        "link-kb-directory", "augment-templates-directory",
+        "ingest-output-directory", "train-output-directory", "synth-out-dir-file",
+        "ensemble-checkpoint-missing", "ensemble-checkpoint-directory",
+        "kb-now-directory", "vectors-now-directory"])
 def test_malformed_input_exits_with_message(runner, tmp_path, request, make,
                                             code, prefix):
     args, fragment = make(tmp_path, request)
     result = runner.invoke(main, args)
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == code
-    (line,) = result.output.strip().splitlines()
+    lines = result.output.strip().splitlines()
+    if code == 1:   # click prints its usage lines above the one error line
+        assert lines[0].startswith("Usage: ") and len(lines) == 4
+        lines = lines[-1:]
+    (line,) = lines
     assert line.startswith(prefix) and fragment in line
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kegat.errors import DataFormatError
-from kegat.harness import (ComveInstance, Metrics, build_vocab, convert,
-                           evaluate, generate_augmented, load_comve,
+from kegat.harness import (ComveInstance, Metrics, build_vocab, comve_jsonl,
+                           convert, evaluate, generate_augmented, load_comve,
                            save_comve, synth_benchmark)
 from kegat.kemb import default_templates
 from kegat.kgstore import load_graph, neighbors
@@ -17,24 +17,24 @@ from kegat.vocab import UNK
 
 ELEPHANT = ComveInstance(
     id="1", subtask="a", label=0,
-    statements=("He put an elephant into the fridge",
-                "He put a turkey into the fridge"))
+    options=("He put an elephant into the fridge",
+             "He put a turkey into the fridge"))
 
 
 def test_instance_validation():
     with pytest.raises(DataFormatError):
-        ComveInstance(id="x", subtask="c", label=0)
+        ComveInstance(id="x", subtask="c", label=0, options=("p", "q"))
     with pytest.raises(DataFormatError):
-        ComveInstance(id="x", subtask="a", label=0, statements=("only one",))
+        ComveInstance(id="x", subtask="a", label=0, options=("only one",))
     with pytest.raises(DataFormatError):
         ComveInstance(id="x", subtask="a", label=2,
-                      statements=("first", "second"))
+                      options=("first", "second"))
     with pytest.raises(DataFormatError):
-        ComveInstance(id="x", subtask="b", label=0, false_sent="s",
-                      reasons=("a", "b"))
+        ComveInstance(id="x", subtask="b", label=0, stem="s",
+                      options=("a", "b"))
     with pytest.raises(DataFormatError):
-        ComveInstance(id="x", subtask="b", label=3, false_sent="s",
-                      reasons=("a", "b", "c"))
+        ComveInstance(id="x", subtask="b", label=3, stem="s",
+                      options=("a", "b", "c"))
     assert ELEPHANT.option_count == 2
 
 
@@ -47,8 +47,8 @@ def test_convert_subtask_a_exact_tokens():
 
 def test_convert_subtask_b_stem_plus_reason():
     inst = ComveInstance(id="2", subtask="b", label=1,
-                         false_sent="He drinks apple",
-                         reasons=("Apple juice are very tasty",
+                         stem="He drinks apple",
+                         options=("Apple juice are very tasty",
                                   "Apple can not be drunk",
                                   "Apple cannot eat a human"))
     options = convert(inst)
@@ -66,12 +66,39 @@ def test_load_comve_round_trip(tmp_path):
     assert loaded == [ELEPHANT]
 
 
-def test_load_comve_warns_on_empty(tmp_path, caplog):
+@st.composite
+def _instances(draw):
+    subtask = draw(st.sampled_from(["a", "b"]))
+    n = 2 if subtask == "a" else 3
+    text = st.text(min_size=1)
+    return subtask, draw(st.lists(st.builds(
+        ComveInstance, id=st.text(), subtask=st.just(subtask),
+        label=st.integers(0, n - 1),
+        options=st.tuples(*[text] * n),
+        stem=st.just("") if subtask == "a" else text), max_size=4))
+
+
+@given(_instances())
+@settings(max_examples=60, deadline=None)
+def test_comve_jsonl_round_trips_both_subtasks(tmp_path_factory, drawn):
+    """Every key in the record table is written and read back: loading a
+    saved file gives the instances, and writing them gives the file."""
+    subtask, instances = drawn
+    path = tmp_path_factory.mktemp("rt") / "split.jsonl"
+    save_comve(instances, path)
+    loaded = load_comve(path, subtask)
+    assert loaded == instances
+    assert comve_jsonl(loaded).encode("utf-8") == path.read_bytes()
+
+
+def test_load_comve_empty_file_loads_nothing_silently(tmp_path, caplog):
+    """The caller reports an empty split (the CLI exits 2), so the loader
+    logs nothing of its own."""
     path = tmp_path / "empty.jsonl"
     path.write_text("\n", encoding="utf-8")
-    with caplog.at_level("WARNING", logger="kegat.harness"):
+    with caplog.at_level("DEBUG"):
         assert load_comve(path, "a") == []
-    assert any("no instances" in r.message for r in caplog.records)
+    assert caplog.records == []
 
 
 def test_load_comve_missing_field_names_line(tmp_path):
@@ -128,8 +155,8 @@ def test_generate_augmented_sensible_vs_nonsense(sugar_graph):
     templates = default_templates()
     realized = _realized_edges(sugar_graph, templates)
     for inst in generate_augmented(sugar_graph, templates, 30, 5):
-        sensible = inst.statements[1 - inst.label]
-        nonsense = inst.statements[inst.label]
+        sensible = inst.options[1 - inst.label]
+        nonsense = inst.options[inst.label]
         assert sensible in realized
         assert nonsense not in realized
 
@@ -141,7 +168,7 @@ def test_generate_augmented_corrupted_tail_never_neighbor(tmp_path):
     graph = load_graph(write_kb(tmp_path / "kb.tsv", rows))
     templates = default_templates()
     for inst in generate_augmented(graph, templates, 30, 9):
-        nonsense = inst.statements[inst.label]
+        nonsense = inst.options[inst.label]
         head, tail = nonsense.split()[0], nonsense.split()[-1]
         linked = {e.other(head) for e in neighbors(graph, head)}
         assert tail != head and tail not in linked
@@ -152,7 +179,7 @@ def test_generate_augmented_head_pool(sugar_graph):
     out = generate_augmented(sugar_graph, templates, 10, 1,
                              head_pool=["coffee"])
     for inst in out:
-        assert inst.statements[1 - inst.label].startswith("coffee")
+        assert inst.options[1 - inst.label].startswith("coffee")
     with pytest.raises(DataFormatError):
         generate_augmented(sugar_graph, templates, 2, 1,
                            head_pool=["drink"])   # no outgoing edges
@@ -168,10 +195,10 @@ def test_generate_augmented_subtask_b_distractors(tmp_path):
     assert sorted(labels.count(v) for v in (0, 1, 2)) == [4, 4, 4]
     realized = _realized_edges(graph, templates)
     for inst in out:
-        correct = inst.reasons[inst.label]
+        correct = inst.options[inst.label]
         assert correct in realized
         head, tail = correct.split()[0], correct.split()[-1]
-        for i, reason in enumerate(inst.reasons):
+        for i, reason in enumerate(inst.options):
             if i != inst.label:
                 words = set(reason.split())
                 assert head not in words and tail not in words
@@ -198,7 +225,7 @@ def test_synth_benchmark_structure(tmp_path):
         assert v.shape == (64,)
         np.testing.assert_allclose(np.linalg.norm(v), 1.0, atol=1e-6)
     # head pools are disjoint across splits
-    heads = {split: {inst.statements[1 - inst.label].split()[0]
+    heads = {split: {inst.options[1 - inst.label].split()[0]
                      for inst in getattr(b, split)}
              for split in ("train", "dev", "test")}
     assert not heads["train"] & heads["test"]
@@ -244,7 +271,7 @@ class _StubModel:
 
 def _toy_instances(labels):
     return [ComveInstance(id=f"i{k}", subtask="a", label=lab,
-                          statements=("first thing", "second thing"))
+                          options=("first thing", "second thing"))
             for k, lab in enumerate(labels)]
 
 
@@ -275,4 +302,4 @@ def test_generate_augmented_invariants(seed, count):
     labels = [inst.label for inst in out]
     assert abs(labels.count(0) - labels.count(1)) <= 1
     for inst in out:
-        assert inst.statements[0] != inst.statements[1]
+        assert inst.options[0] != inst.options[1]

@@ -47,8 +47,8 @@ def test_duplicate_ids_in_one_file_get_their_own_features(bench, tmp_path):
     a, b = bench.train[:2]
     data = tmp_path / "dup.jsonl"
     data.write_text("".join(
-        json.dumps({"id": "7", "sent0": inst.statements[0],
-                    "sent1": inst.statements[1], "label": 0}) + "\n"
+        json.dumps({"id": "7", "sent0": inst.options[0],
+                    "sent1": inst.options[1], "label": 0}) + "\n"
         for inst in (a, b)), encoding="utf-8")
     first, second = load_comve(data, "a")
     model = _model(bench, [first, second])
@@ -204,8 +204,8 @@ def _mixed_pair(bench):
     """Two instances whose options differ in length; one option of the
     second links no entity, so its subgraph is empty."""
     a = bench.train[0]
-    b = dataclasses.replace(bench.train[1], statements=(
-        bench.train[1].statements[0], "zzz qqq www"))
+    b = dataclasses.replace(bench.train[1], options=(
+        bench.train[1].options[0], "zzz qqq www"))
     return a, b
 
 
@@ -319,7 +319,7 @@ def test_lm_term_sums_trunk_tokens_of_every_option(bench):
 
 
 def test_batch_without_graph_nodes_skips_the_gat(bench, monkeypatch):
-    a = dataclasses.replace(bench.train[0], statements=("zzz qqq", "www"))
+    a = dataclasses.replace(bench.train[0], options=("zzz qqq", "www"))
     model = _model(bench, [a])
     calls = []
     real = gatmod.run_gat
