@@ -32,8 +32,11 @@ The op set:
   ``sum`` and ``mean``
 - indexing ``t[idx]`` with any numpy index: an int, a slice, an int array
   (repeats allowed) or a tuple of them
-- module-level ``concat``, ``masked_softmax``, ``log_softmax``,
-  ``layer_norm`` and ``dropout``
+- module-level ``concat``, ``masked_softmax`` and ``log_softmax``
+- ``fused``, for a node whose operands' gradients come out of one written-out
+  backward pass, such as a whole encoder sublayer; the array helpers
+  ``masked_softmax_data``, ``softmax_grad``, ``elu_data`` and ``elu_grad``
+  hold the arithmetic such a node shares with the ops above
 
 Broadcast operands get their gradient summed back to their own shape. The
 backward of ``t[idx]`` scatter-adds into a zero array of ``t``'s shape with
@@ -45,7 +48,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+import functools
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -210,24 +214,9 @@ class Tensor:
         return _node(out_data, (self, lambda g: g * (1.0 - out_data ** 2)))
 
     def elu(self):
-        """ELU with alpha 1: x where x > 0, else expm1(x).
-
-        Without a branch: expm1 runs on min(x, 0), so a large input cannot
-        overflow, and max(expm1(min(x, 0)), x) is x exactly where x > 0.
-        On a tie numpy's max returns its second operand, so -0.0 stays
-        -0.0; NaN propagates. The derivative min(out, 0) + 1 is 1 where
-        x > 0 and out + 1 elsewhere.
-        """
-        out_data = np.expm1(np.minimum(self.data, 0.0))
-        np.maximum(out_data, self.data, out=out_data)
-
-        def bw(g):
-            d = np.minimum(out_data, 0.0)
-            d += 1.0
-            d *= g
-            return d
-
-        return _node(out_data, (self, bw))
+        """ELU with alpha 1 (see `elu_data`)."""
+        out_data = elu_data(self.data)
+        return _node(out_data, (self, lambda g: elu_grad(out_data, g)))
 
     def leaky_relu(self, slope: float = 0.2):
         pos = self.data > 0
@@ -292,6 +281,11 @@ def no_grad():
         _tracking.reset(token)
 
 
+def recording() -> bool:
+    """Whether ops record a graph here: False inside a ``no_grad()`` block."""
+    return _tracking.get()
+
+
 def _node(data, *edges: Edge) -> Tensor:
     """A new tensor holding `data`, with one edge per tracked operand.
 
@@ -317,32 +311,11 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def masked_softmax(logits: Tensor, mask: Optional[np.ndarray] = None,
                    axis: int = -1) -> Tensor:
-    """Softmax along `axis`, restricted to positions where `mask` is True.
-
-    Masked-out positions get probability exactly 0. Every slice must have at
-    least one visible entry.
-    """
-    x = logits.data
-    if mask is None:
-        out_data = x - x.max(axis=axis, keepdims=True)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        out_data = np.where(mask, x, -np.inf)
-        if out_data.shape != x.shape:
-            raise ValueError(f"mask {mask.shape} does not broadcast to {x.shape}")
-        # broadcasting only repeats mask values along its missing or size-1
-        # axes, so the un-broadcast mask answers the same question
-        visible = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
-        if not visible.any(axis=axis).all():
-            raise AssertionError("softmax slice with no visible entries")
-        out_data -= out_data.max(axis=axis, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        return out_data * (g - (g * out_data).sum(axis=axis, keepdims=True))
-
-    return _node(out_data, (logits, bw))
+    """Softmax along `axis`, restricted to positions where `mask` is True
+    (see `masked_softmax_data`)."""
+    out_data = masked_softmax_data(logits.data, mask, axis)
+    return _node(out_data,
+                 (logits, lambda g: softmax_grad(out_data, g, axis)))
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -355,37 +328,80 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
                  (logits, lambda g: g - soft * g.sum(axis=axis, keepdims=True)))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Normalise the last axis to zero mean and unit variance, then scale by
-    `gain` and shift by `bias` (Ba et al., arXiv 1607.06450), as one node.
+def fused(data, operands: Dict[str, Tensor],
+          backward: Callable[[np.ndarray, frozenset], Dict[str, np.ndarray]]
+          ) -> Tensor:
+    """A node over named operands whose gradients come from one shared pass.
 
-    The forward is the arithmetic of the composed ops, in their order, so it
-    is bit-equal to ``c = x - x.mean(-1)``, ``var = (c ** 2).mean(-1)``,
-    ``c / (var + eps).sqrt() * gain + bias`` (each mean a sum times 1/n). The
-    backward is analytic: for ``d = g * gain``, the input gradient is
-    ``r * (d - mean(d) - xhat * mean(d * xhat))`` with ``r = 1/sqrt(var+eps)``.
+    `backward(g, wanted)` gets the output gradient and the names of the
+    operands the node recorded an edge to (`_node` decides which), and
+    returns a dict of one gradient per wanted name. It runs the first time
+    the walk takes one of the node's edges; each edge then takes its own
+    gradient out of the result, so a later walk runs it again. The edges
+    follow the operands' order.
     """
-    inv_n = 1.0 / x.shape[-1]
-    c = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    var = (c ** 2.0).sum(axis=-1, keepdims=True) * inv_n
-    r = np.sqrt(var + eps) ** -1.0
-    xhat = c * r
-    out_data = xhat * gain.data + bias.data
+    grads: Dict[str, np.ndarray] = {}
 
-    def dx(g):
-        d = g * gain.data
-        mean_d = d.sum(axis=-1, keepdims=True) * inv_n
-        mean_dx = (d * xhat).sum(axis=-1, keepdims=True) * inv_n
-        return r * (d - mean_d - xhat * mean_dx)
+    def take(name, g):
+        if not grads:
+            grads.update(backward(g, wanted))
+        return grads.pop(name)
 
-    return _node(out_data, (x, dx),
-                 (gain, lambda g: _unbroadcast(g * xhat, gain.shape)),
-                 (bias, lambda g: _unbroadcast(g, bias.shape)))
+    out = _node(data, *((t, functools.partial(take, name))
+                        for name, t in operands.items()))
+    wanted = frozenset(fn.args[0] for _, fn in out._edges)
+    return out
 
 
-def dropout(t: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or rng is None (eval mode)."""
-    if rate <= 0.0 or rng is None:
-        return t
-    keep = (rng.random(t.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    return t * Tensor(keep)
+# -- array helpers: the arithmetic of ops that fused nodes share --------------
+
+def masked_softmax_data(x: np.ndarray, mask: Optional[np.ndarray] = None,
+                        axis: int = -1) -> np.ndarray:
+    """Softmax of `x` along `axis`, restricted to positions where `mask` is
+    True; masked-out positions get probability exactly 0. Every slice must
+    have at least one visible entry."""
+    if mask is None:
+        out = x - x.max(axis=axis, keepdims=True)
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        out = np.where(mask, x, -np.inf)
+        if out.shape != x.shape:
+            raise ValueError(f"mask {mask.shape} does not broadcast to {x.shape}")
+        # broadcasting only repeats mask values along its missing or size-1
+        # axes, so the un-broadcast mask answers the same question
+        visible = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
+        if not visible.any(axis=axis).all():
+            raise AssertionError("softmax slice with no visible entries")
+        out -= out.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def softmax_grad(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The input gradient of a softmax with output `out`, given the output's
+    gradient `g`."""
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+
+
+def elu_data(x: np.ndarray) -> np.ndarray:
+    """ELU with alpha 1: x where x > 0, else expm1(x).
+
+    Without a branch: expm1 runs on min(x, 0), so a large input cannot
+    overflow, and max(expm1(min(x, 0)), x) is x exactly where x > 0. On a
+    tie numpy's max returns its second operand, so -0.0 stays -0.0; NaN
+    propagates.
+    """
+    out = np.expm1(np.minimum(x, 0.0))
+    np.maximum(out, x, out=out)
+    return out
+
+
+def elu_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The input gradient of an ELU with output `out`: `g` times the
+    derivative min(out, 0) + 1, which is 1 where x > 0 and out + 1
+    elsewhere."""
+    d = np.minimum(out, 0.0)
+    d += 1.0
+    d *= g
+    return d

@@ -267,7 +267,6 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
     train_set = _load_split(train_data, subtask)
     dev_set = _load_split(dev_data, subtask)
     out = Path(output_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
     graph = kgstore.load_graph(kb_path)
     templates = (kemb.load_templates(templates_path) if templates_path
                  else kemb.default_templates())

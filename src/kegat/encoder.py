@@ -7,7 +7,9 @@ values produced by parallel injected branches. A padded batch of sequences
 runs as one pass: position-wise ops on its (B·T, d) rows, attention on
 (B, H, T, d_h) stacks. A pass that reads only the pooled [CLS] states runs
 the last layer's queries, layer norms and FFN on two rows per sequence, with
-keys and values from all T.
+keys and values from all T. Each layer is two autodiff nodes, its attention
+sublayer and its FFN sublayer, whose written-out backward passes keep only
+what they read.
 """
 
 from __future__ import annotations
@@ -89,26 +91,139 @@ def embed(seq: Union[InjectedSequence, PaddedBatch],
     return params.tok_emb[tokens] + params.pos_emb[soft]
 
 
-def _attention(xq: Tensor, xkv: Tensor, visibility: np.ndarray,
-               lp: LayerParams, n_heads: int) -> Tensor:
-    """All sequences and heads at once, under the (B, Tq, T) visibility of
-    the query rows: `xq` holds B·Tq query rows and `xkv` the B·T key and
-    value rows, each viewed as (B, H, Tq or T, d_h) stacks. A full pass
-    passes the same rows for both."""
+def _keep_mask(shape: tuple, rate: float,
+               rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+    """An inverted-dropout multiplier, kept entries 1 / (1 - rate); None, for
+    no dropout, when rate is 0 or rng is None (eval mode)."""
+    if rate <= 0.0 or rng is None:
+        return None
+    return (rng.random(shape) >= rate).astype(np.float64) / (1.0 - rate)
+
+
+def _layer_norm(s: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Normalise the last axis to zero mean and unit variance, then scale and
+    shift (Ba et al., arXiv 1607.06450). Returns the output, xhat and
+    r = 1/sqrt(var + eps); each mean is a sum times 1/n."""
+    inv_n = 1.0 / s.shape[-1]
+    c = s - s.sum(axis=-1, keepdims=True) * inv_n
+    var = (c ** 2.0).sum(axis=-1, keepdims=True) * inv_n
+    r = np.sqrt(var + LN_EPS) ** -1.0
+    xhat = c * r
+    return xhat * gain + bias, xhat, r
+
+
+def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, r: np.ndarray,
+                      gain: np.ndarray):
+    """The input, gain and bias gradients of `_layer_norm`: for d = g * gain
+    the input's is r * (d - mean(d) - xhat * mean(d * xhat))."""
+    inv_n = 1.0 / g.shape[-1]
+    d = g * gain
+    mean_d = d.sum(axis=-1, keepdims=True) * inv_n
+    mean_dx = (d * xhat).sum(axis=-1, keepdims=True) * inv_n
+    return r * (d - mean_d - xhat * mean_dx), (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def _attention_sublayer(h: Tensor, visibility: np.ndarray, lp: LayerParams,
+                        n_heads: int, rows: Optional[np.ndarray],
+                        rate: float, rng: Optional[np.random.Generator]
+                        ) -> Tensor:
+    """LN1(x + dropout(attention(x, h) @ wo + bo)) as one autodiff node.
+
+    The query rows x are `h`'s rows `rows`, or all of them when None; keys
+    and values come from all of `h`. All sequences and heads run at once,
+    under the (B, Tq, T) visibility of the query rows, on (B, H, Tq or T,
+    d_h) stacks. The backward replays the composed ops' arithmetic on the
+    same operands and layouts, and sums `h`'s gradients in the order the
+    autodiff walk summed them: residual and query, then key, then value.
+    """
     B, Tq, T = visibility.shape
-    d = xkv.shape[1]
+    d = h.shape[1]
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
+    hd = h.data
+    x = hd if rows is None else hd[rows]
 
-    def heads(x: Tensor, w: Tensor, b: Tensor, rows: int) -> Tensor:
-        return (x @ w + b).reshape(B, rows, n_heads, dh).transpose(0, 2, 1, 3)
+    def heads(a: np.ndarray, n: int) -> np.ndarray:
+        return a.reshape(B, n, n_heads, dh).transpose(0, 2, 1, 3)
 
-    q = heads(xq, lp.wq, lp.bq, Tq)
-    k, v = heads(xkv, lp.wk, lp.bk, T), heads(xkv, lp.wv, lp.bv, T)
-    att = ad.masked_softmax(q @ k.transpose(0, 1, 3, 2) * scale,
-                            visibility[:, None], axis=-1)
+    def rows_of(g: np.ndarray, n: int) -> np.ndarray:
+        return g.transpose(0, 2, 1, 3).reshape(B * n, d)
+
+    q = heads(x @ lp.wq.data + lp.bq.data, Tq)
+    k = heads(hd @ lp.wk.data + lp.bk.data, T)
+    v = heads(hd @ lp.wv.data + lp.bv.data, T)
+    att = ad.masked_softmax_data(q @ k.transpose(0, 1, 3, 2) * scale,
+                                 visibility[:, None], axis=-1)
     merged = (att @ v).transpose(0, 2, 1, 3).reshape(B * Tq, d)
-    return merged @ lp.wo + lp.bo
+    if not ad.recording():   # no backward will read them
+        q = k = v = att = None
+    a = merged @ lp.wo.data + lp.bo.data
+    keep = _keep_mask(a.shape, rate, rng)
+    if keep is not None:
+        a = a * keep
+    out, xhat, r = _layer_norm(x + a, lp.ln1_g.data, lp.ln1_b.data)
+
+    def backward(g, wanted):
+        grads = {}
+        gs, grads["ln1_g"], grads["ln1_b"] = _layer_norm_grads(
+            g, xhat, r, lp.ln1_g.data)
+        ga = gs if keep is None else gs * keep
+        grads["wo"], grads["bo"] = merged.T @ ga, ga.sum(axis=0)
+        go = (ga @ lp.wo.data.T).reshape(B, Tq, n_heads, dh)
+        go = go.transpose(0, 2, 1, 3).copy()
+        gl = ad.softmax_grad(att, go @ v.swapaxes(-1, -2)) * scale
+        gh = []   # h's gradients through q, k and v, in that order
+        gk = (q.swapaxes(-1, -2) @ gl).swapaxes(-1, -2)
+        for p, xin, gp in (("q", x, rows_of(gl @ k, Tq)),
+                           ("k", hd, rows_of(gk, T)),
+                           ("v", hd, rows_of(att.swapaxes(-1, -2) @ go, T))):
+            grads["w" + p], grads["b" + p] = xin.T @ gp, gp.sum(axis=0)
+            if "h" in wanted:
+                gh.append(gp @ getattr(lp, "w" + p).data.T)
+        if "h" in wanted:
+            if rows is None:
+                grads["h"] = gs + gh[0]
+            else:
+                grads["h"] = np.zeros_like(hd)
+                np.add.at(grads["h"], rows, gs + gh[0])
+            grads["h"] += gh[1]
+            grads["h"] += gh[2]
+        return {name: grads[name] for name in wanted}
+
+    return ad.fused(out, {"h": h, **{name: getattr(lp, name) for name in (
+        "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b")}},
+        backward)
+
+
+def _ffn_sublayer(h: Tensor, lp: LayerParams, rate: float,
+                  rng: Optional[np.random.Generator]) -> Tensor:
+    """LN2(h + dropout(elu(h @ w1 + b1) @ w2 + b2)) as one autodiff node,
+    whose backward replays the composed ops' arithmetic."""
+    hd = h.data
+    e = ad.elu_data(hd @ lp.ffn_w1.data + lp.ffn_b1.data)
+    f = e @ lp.ffn_w2.data + lp.ffn_b2.data
+    if not ad.recording():   # no backward will read it
+        e = None
+    keep = _keep_mask(f.shape, rate, rng)
+    if keep is not None:
+        f = f * keep
+    out, xhat, r = _layer_norm(hd + f, lp.ln2_g.data, lp.ln2_b.data)
+
+    def backward(g, wanted):
+        grads = {}
+        gs, grads["ln2_g"], grads["ln2_b"] = _layer_norm_grads(
+            g, xhat, r, lp.ln2_g.data)
+        gf = gs if keep is None else gs * keep
+        grads["ffn_w2"], grads["ffn_b2"] = e.T @ gf, gf.sum(axis=0)
+        gz = ad.elu_grad(e, gf @ lp.ffn_w2.data.T)
+        grads["ffn_w1"], grads["ffn_b1"] = hd.T @ gz, gz.sum(axis=0)
+        if "h" in wanted:
+            grads["h"] = gs + gz @ lp.ffn_w1.data.T
+        return {name: grads[name] for name in wanted}
+
+    return ad.fused(out, {"h": h, **{name: getattr(lp, name) for name in (
+        "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2", "ln2_g", "ln2_b")}},
+        backward)
 
 
 def encode(E: Tensor, visibility: np.ndarray, params: EncoderParams,
@@ -138,17 +253,14 @@ def encode(E: Tensor, visibility: np.ndarray, params: EncoderParams,
         "diagonal of the visibility matrix must be true"
     h, stride = E, T   # stride: the rows of `h` per sequence
     for n, lp in enumerate(params.layers):
-        x, x_vis = h, vis
+        rows, x_vis = None, vis
         if pooled_only and T > 2 and n == len(params.layers) - 1:
             starts = np.arange(0, h.shape[0], T)
-            x = h[(starts[:, None] + np.arange(2)).ravel()]
+            rows = (starts[:, None] + np.arange(2)).ravel()
             x_vis, stride = vis[:, :2], 2
-        att = _attention(x, h, x_vis, lp, params.n_heads)
-        att = ad.dropout(att, dropout_rate, dropout_rng)
-        h = ad.layer_norm(x + att, lp.ln1_g, lp.ln1_b, LN_EPS)
-        ffn = ((h @ lp.ffn_w1 + lp.ffn_b1).elu() @ lp.ffn_w2) + lp.ffn_b2
-        ffn = ad.dropout(ffn, dropout_rate, dropout_rng)
-        h = ad.layer_norm(h + ffn, lp.ln2_g, lp.ln2_b, LN_EPS)
+        h = _attention_sublayer(h, x_vis, lp, params.n_heads, rows,
+                                dropout_rate, dropout_rng)
+        h = _ffn_sublayer(h, lp, dropout_rate, dropout_rng)
     pooled = (h[::stride] @ params.pooler_w + params.pooler_b).tanh()
     return EncoderOutput(hidden=h if stride == T else None, pooled=pooled)
 

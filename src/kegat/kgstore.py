@@ -106,8 +106,15 @@ def text_lines(path):
 @contextlib.contextmanager
 def atomic_write(path):
     """A binary file handle whose bytes replace `path` only once the block
-    ends, so a failed write leaves the previous file at `path` intact."""
+    ends, so a failed write leaves the previous file at `path` intact. A
+    missing parent directory is created first; one that cannot be is a data
+    error."""
     path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataFormatError(f"{path.parent}: cannot create the output "
+                              f"directory ({exc.strerror})") from None
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
         with open(tmp, "wb") as fh:

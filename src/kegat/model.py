@@ -12,7 +12,8 @@ prediction runs the encoder, graph and head alone, without recording a
 graph, and reads only the pooled [CLS] states, which lets the encoder's last
 layer run on two rows per sequence. While only the head trains
 (`frozen_trunk`), the trunk runs once per instance and the loss and
-predictions reuse its output.
+predictions reuse its output. A training run keeps each instance's
+prepared features (`keeping_features`); outside one, nothing is kept.
 """
 
 from __future__ import annotations
@@ -125,7 +126,10 @@ class KegatModel:
         self.concept_table = concept_table or {}
         self.templates = templates if templates is not None else kemb.default_templates()
         self.store = ParamStore()
-        self._cache: Dict[harness.ComveInstance, List[_OptionFeatures]] = {}
+        # open only inside `keeping_features`: per instance, its options'
+        # features
+        self._cache: Optional[Dict[harness.ComveInstance,
+                                   List[_OptionFeatures]]] = None
         # open only inside `frozen_trunk`: per instance, its options' final
         # representations (A, repr_dim) and its LM term (None without use_lm)
         self._trunk_out: Optional[Dict[harness.ComveInstance,
@@ -222,16 +226,28 @@ class KegatModel:
     def head_param_names(self) -> set:
         return {n for n in self.store.names() if n.startswith("head/")}
 
-    # -- feature preparation (cached, deterministic) -------------------------
+    # -- feature preparation (deterministic, kept while training) ------------
+
+    @contextlib.contextmanager
+    def keeping_features(self):
+        """Keep each instance's features while the scope is open, so that a
+        training run, which revisits its instances every epoch, prepares
+        each of them once. Outside it nothing is kept: an evaluation pass
+        sees each instance once. The kept features are dropped on exit,
+        however the scope ends."""
+        self._cache = {}
+        try:
+            yield
+        finally:
+            self._cache = None
 
     def _option_seed(self, instance_id: str, option_idx: int) -> int:
         return self.config.seed ^ zlib.crc32(
             f"{instance_id}:{option_idx}".encode("utf-8"))
 
     def _features(self, instance: harness.ComveInstance) -> List[_OptionFeatures]:
-        cached = self._cache.get(instance)
-        if cached is not None:
-            return cached
+        if self._cache is not None and instance in self._cache:
+            return self._cache[instance]
         c = self.config
         feats: List[_OptionFeatures] = []
         for idx, tokens in enumerate(harness.convert(instance)):
@@ -253,7 +269,8 @@ class KegatModel:
                     subgraph, self.concept_table, c.node_dim)
             feats.append(_OptionFeatures(seq=seq, subgraph=subgraph,
                                          node_init=node_init))
-        self._cache[instance] = feats
+        if self._cache is not None:
+            self._cache[instance] = feats
         return feats
 
     # -- forward passes ------------------------------------------------------

@@ -386,7 +386,9 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
     the best snapshot overall is returned. Each step is one `model.loss`
     call on the whole batch, which returns the batch-mean loss. Phase 1
     runs inside `model.frozen_trunk()`, which freezes all but the head and
-    unfreezes every parameter on exit. Divergence aborts with the last good
+    unfreezes every parameter on exit. The whole run keeps each instance's
+    features (`model.keeping_features()`), so each train and dev instance is
+    prepared once. Divergence aborts with the last good
     snapshot restored and every parameter unfrozen. When no dev evaluation
     ran, because neither phase has an epoch or an abort came first, the best
     metric is the restored model's dev accuracy. Deterministic given the
@@ -402,45 +404,48 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
 
     phases = ((1, schedule.lr_phase1, schedule.epochs_phase1),
               (2, schedule.lr_phase2, schedule.epochs_phase2))
-    for phase_idx, lr, epochs in phases:
-        if aborted:
-            break
-        if phase_idx == 2:
-            store.restore(best_snapshot)
-        with (model.frozen_trunk() if phase_idx == 1
-              else contextlib.nullcontext()):
-            opt = OptimizerState(lr=lr, eps=schedule.adam_eps)
-            for epoch in range(1, epochs + 1):
-                order_rng = np.random.default_rng(
-                    (seed * 1_000_003 + phase_idx * 1009 + epoch) % (2 ** 63))
-                order = order_rng.permutation(len(train_data))
-                epoch_loss = 0.0
-                step = 0
-                try:
-                    for start in range(0, len(order), schedule.batch_size):
-                        batch = [train_data[i]
-                                 for i in order[start:start + schedule.batch_size]]
-                        drop_rng = np.random.default_rng(
-                            (seed * 7_368_787 + phase_idx * 65537
-                             + epoch * 8191 + step) % (2 ** 63))
-                        total = model.loss(batch, dropout_rng=drop_rng)
-                        compute_gradients(total, store)
-                        adam_step(store, opt)
-                        epoch_loss += float(total.data) * len(batch)
-                        step += 1
-                except NumericError:
+    with model.keeping_features():
+        for phase_idx, lr, epochs in phases:
+            if aborted:
+                break
+            if phase_idx == 2:
+                store.restore(best_snapshot)
+            with (model.frozen_trunk() if phase_idx == 1
+                  else contextlib.nullcontext()):
+                opt = OptimizerState(lr=lr, eps=schedule.adam_eps)
+                for epoch in range(1, epochs + 1):
+                    order_rng = np.random.default_rng(
+                        (seed * 1_000_003 + phase_idx * 1009 + epoch) % (2 ** 63))
+                    order = order_rng.permutation(len(train_data))
+                    epoch_loss = 0.0
+                    step = 0
+                    try:
+                        for start in range(0, len(order), schedule.batch_size):
+                            stop = start + schedule.batch_size
+                            batch = [train_data[i] for i in order[start:stop]]
+                            drop_rng = np.random.default_rng(
+                                (seed * 7_368_787 + phase_idx * 65537
+                                 + epoch * 8191 + step) % (2 ** 63))
+                            total = model.loss(batch, dropout_rng=drop_rng)
+                            compute_gradients(total, store)
+                            adam_step(store, opt)
+                            epoch_loss += float(total.data) * len(batch)
+                            step += 1
+                    except NumericError:
+                        log.append({"phase": phase_idx, "epoch": epoch,
+                                    "event": "aborted: numeric failure"})
+                        aborted = True
+                        break
+                    dev_acc = _accuracy(model, dev_data)
                     log.append({"phase": phase_idx, "epoch": epoch,
-                                "event": "aborted: numeric failure"})
-                    aborted = True
-                    break
-                dev_acc = _accuracy(model, dev_data)
-                log.append({"phase": phase_idx, "epoch": epoch,
-                            "train_loss": round(epoch_loss / len(train_data), 12),
-                            "dev_acc": round(dev_acc, 12)})
-                if dev_acc > best_metric:
-                    best_metric = dev_acc
-                    best_snapshot = store.snapshot()
-    store.restore(best_snapshot)
-    if best_metric < 0.0:   # no dev evaluation ran: the restored model is the best
-        best_metric = _accuracy(model, dev_data)
+                                "train_loss": round(epoch_loss / len(train_data),
+                                                    12),
+                                "dev_acc": round(dev_acc, 12)})
+                    if dev_acc > best_metric:
+                        best_metric = dev_acc
+                        best_snapshot = store.snapshot()
+        store.restore(best_snapshot)
+        # no dev evaluation ran: the restored model is the best
+        if best_metric < 0.0:
+            best_metric = _accuracy(model, dev_data)
     return TrainResult(best_metric, best_snapshot, log, aborted)

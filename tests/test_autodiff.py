@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kegat import autodiff as ad
+from kegat import encoder
 from kegat.autodiff import Tensor
 
 from conftest import numeric_grad
@@ -118,7 +119,7 @@ def test_concat_and_softmax_grads():
 
 
 def _layer_norm_chain(x, gain, bias, eps):
-    """The composed-op layer norm that `ad.layer_norm` must equal bit for bit."""
+    """The composed-op layer norm that the encoder's must equal bit for bit."""
     c = x - x.mean(axis=-1, keepdims=True)
     var = (c ** 2.0).mean(axis=-1, keepdims=True)
     return c / (var + eps).sqrt() * gain + bias
@@ -126,20 +127,28 @@ def _layer_norm_chain(x, gain, bias, eps):
 
 @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
 def test_layer_norm_matches_chain_and_differences(shape):
+    """The encoder's layer-norm arithmetic, which both sublayer nodes run:
+    the forward equals the composed ops' bytes, and the analytic input,
+    gain and bias gradients match central differences."""
     rng = np.random.default_rng(4)
     x0, w = rng.normal(size=shape), rng.normal(size=shape)
     gain0, bias0 = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
-    eps = 1e-5
     np.testing.assert_array_equal(
-        ad.layer_norm(Tensor(x0), Tensor(gain0), Tensor(bias0), eps).data,
-        _layer_norm_chain(Tensor(x0), Tensor(gain0), Tensor(bias0), eps).data)
+        encoder._layer_norm(x0, gain0, bias0)[0],
+        _layer_norm_chain(Tensor(x0), Tensor(gain0), Tensor(bias0),
+                          encoder.LN_EPS).data)
+    x2, w2 = x0.reshape(-1, shape[-1]), w.reshape(-1, shape[-1])
 
     def loss(x, gain, bias):
-        return (ad.layer_norm(x, gain, bias, eps) * Tensor(w)).sum()
+        return float((encoder._layer_norm(x, gain, bias)[0] * w2).sum())
 
-    _check_grad(lambda t: loss(t, Tensor(gain0), Tensor(bias0)), x0)
-    _check_grad(lambda t: loss(Tensor(x0), t, Tensor(bias0)), gain0)
-    _check_grad(lambda t: loss(Tensor(x0), Tensor(gain0), t), bias0)
+    _, xhat, r = encoder._layer_norm(x2, gain0, bias0)
+    grads = encoder._layer_norm_grads(w2, xhat, r, gain0)
+    expected = (numeric_grad(lambda x: loss(x, gain0, bias0), x2),
+                numeric_grad(lambda g: loss(x2, g, bias0), gain0),
+                numeric_grad(lambda b: loss(x2, gain0, b), bias0))
+    for got, want in zip(grads, expected):
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
 
 def test_scalar_fanout_accumulation():
@@ -223,10 +232,6 @@ def test_masked_softmax_broadcast_mask_matches_full_mask():
             ad.masked_softmax(Tensor(x), full, axis=axis).data)
 
 
-def _mask_dropout(t, c):
-    return ad.dropout(t, 0.5, np.random.default_rng(0))
-
-
 _R = np.random.default_rng(3)
 _M, _N = _R.normal(size=(3, 4)), _R.normal(size=(4, 2))
 _S = _R.normal(size=(2, 3, 4))
@@ -253,13 +258,6 @@ _CONSTANT_OPERAND_CASES = {
     "c@x 1-D@1-D": (_V + 1.0, _V, lambda t, c: c @ t),
     "concat [x, c]": (_M, _M + 1.0, lambda t, c: ad.concat([t, c], axis=1)),
     "concat [c, x]": (_M, _M + 1.0, lambda t, c: ad.concat([c, t])),
-    "layer_norm const gain, bias": (
-        _M, _V, lambda t, c: ad.layer_norm(t, c, c * 0.5, 1e-5)),
-    "layer_norm const x, bias": (
-        _V, _M, lambda t, c: ad.layer_norm(c, t, c[0], 1e-5)),
-    "layer_norm const x, gain": (
-        _V, _M, lambda t, c: ad.layer_norm(c, c[1], t, 1e-5)),
-    "dropout mask": (_M, _M, _mask_dropout),
     "mean's 1/n": (_M, _M, lambda t, c: t.mean(axis=0)),
 }
 
@@ -291,17 +289,17 @@ def test_log_softmax_matches_log_of_softmax(seed):
 
 
 def test_dropout_eval_mode_is_identity():
-    x = Tensor(np.arange(5.0))
-    assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
-    assert ad.dropout(x, 0.5, None) is x
+    """The encoder's dropout draws no mask when rate is 0 or rng is None."""
+    rng = np.random.default_rng(0)
+    assert encoder._keep_mask((5,), 0.0, rng) is None
+    assert encoder._keep_mask((5,), 0.5, None) is None
+    assert rng.random() == np.random.default_rng(0).random()   # nothing drawn
 
 
 def test_dropout_scales_kept_entries():
-    x = Tensor(np.ones(10000))
-    out = ad.dropout(x, 0.25, np.random.default_rng(0))
-    kept = out.data[out.data > 0]
-    np.testing.assert_allclose(kept, 1.0 / 0.75)
-    assert abs(out.data.mean() - 1.0) < 0.05
+    keep = encoder._keep_mask((10000,), 0.25, np.random.default_rng(0))
+    np.testing.assert_allclose(keep[keep > 0], 1.0 / 0.75)
+    assert abs(keep.mean() - 1.0) < 0.05
 
 
 def test_no_grad_records_nothing_and_restores_tracking():

@@ -358,6 +358,37 @@ def test_failed_augment_write_keeps_previous_file(runner, tmp_path,
     assert [f.name for f in out.parent.iterdir()] == ["aug.jsonl"]
 
 
+def _writing_args(command, root, trained_once):
+    """`command`'s arguments, less `--output`, for a run that writes a file."""
+    kb = write_kb(root / "kb.tsv", SUGAR_KB_ROWS)
+    if command == "kb ingest":
+        return ["kb", "ingest", "--input", str(kb)]
+    if command == "augment":
+        return ["augment", "--kb", str(kb), "--count", "2"]
+    bench, ckpt, _ = trained_once
+    return ["predict", "--checkpoint", str(ckpt),
+            "--data", str(bench / "dev.jsonl"), "--subtask", "a"]
+
+
+@pytest.mark.parametrize("command", ["kb ingest", "augment", "predict"])
+def test_output_directory_is_created_or_exits_2(runner, tmp_path, command,
+                                                trained_once):
+    """A missing output directory is created; one that cannot be, because a
+    file stands in its path, exits 2 with one line."""
+    args = _writing_args(command, tmp_path, trained_once)
+    out = tmp_path / "new" / "deeper" / "out.txt"
+    result = runner.invoke(main, args + ["--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.is_file() and out.read_text(encoding="utf-8")
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    result = runner.invoke(main, args + ["--output",
+                                         str(blocker / "sub" / "out.txt")])
+    _assert_one_line_exit_2(result)
+    assert "cannot create the output directory" in result.stderr
+    assert blocker.read_text(encoding="utf-8") == ""
+
+
 def test_train_without_epochs_reports_initial_dev_accuracy(runner, tmp_path):
     args, _ = _train_config(tmp_path, json.dumps(
         {**TINY_TRAIN_CFG, "epochs_phase1": 0, "epochs_phase2": 0}))

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from kegat import autodiff as ad
+from kegat import encoder as enc
 from kegat.autodiff import Tensor
 from kegat.encoder import (EncoderOutput, EncoderParams, LayerParams, embed,
                            encode, lm_logits)
 from kegat.kemb import InjectedSequence, pad_batch
+
+from conftest import numeric_grad
 
 
 def _seq(tokens, soft_pos=None, visibility=None):
@@ -167,6 +171,17 @@ def test_padded_batch_rows_match_each_sequence_alone():
                                    rtol=0, atol=1e-12)
 
 
+def _padded_batch(T, n_seqs, seed):
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for b in range(n_seqs):   # the first sequence sets the padded length
+        n = T if b == 0 else int(rng.integers(1, T + 1))
+        vis = rng.random((n, n)) < 0.4
+        np.fill_diagonal(vis, True)
+        seqs.append(_seq(rng.integers(1, 10, n).tolist(), visibility=vis))
+    return pad_batch(seqs, pad_id=0)
+
+
 @pytest.mark.parametrize("n_layers", [1, 2])
 @pytest.mark.parametrize("T", [1, 2, 3, 9])
 @pytest.mark.parametrize("n_seqs", [2, 3, 4, 5])
@@ -174,17 +189,223 @@ def test_pooled_only_pass_keeps_the_pooled_bytes(n_layers, T, n_seqs):
     """Running the last layer on two rows per sequence changes no byte of
     the pooled states; `hidden` is dropped only when rows were left out."""
     p = _params(d=16, n_layers=n_layers, n_heads=4, seed=T)
-    rng = np.random.default_rng(10 * T + n_seqs)
-    seqs = []
-    for b in range(n_seqs):   # the first sequence sets the padded length
-        n = T if b == 0 else int(rng.integers(1, T + 1))
-        vis = rng.random((n, n)) < 0.4
-        np.fill_diagonal(vis, True)
-        seqs.append(_seq(rng.integers(1, 10, n).tolist(), visibility=vis))
-    batch = pad_batch(seqs, pad_id=0)
+    batch = _padded_batch(T, n_seqs, seed=10 * T + n_seqs)
     E = embed(batch, p)
     full = encode(E, batch.visibility, p)
     pooled = encode(E, batch.visibility, p, pooled_only=True)
     assert pooled.pooled.data.tobytes() == full.pooled.data.tobytes()
     assert full.hidden is not None
     assert (pooled.hidden is None) == (T > 2)
+
+
+# -- the fused sublayer nodes against the composed-op layer they replace -----
+
+def _reference_layer_norm(x, gain, bias):
+    """The one-node layer norm the composed layer used: the composed ops'
+    forward, and an analytic backward."""
+    inv_n = 1.0 / x.shape[-1]
+    c = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    var = (c ** 2.0).sum(axis=-1, keepdims=True) * inv_n
+    r = np.sqrt(var + enc.LN_EPS) ** -1.0
+    xhat = c * r
+
+    def dx(g):
+        d = g * gain.data
+        mean_d = d.sum(axis=-1, keepdims=True) * inv_n
+        mean_dx = (d * xhat).sum(axis=-1, keepdims=True) * inv_n
+        return r * (d - mean_d - xhat * mean_dx)
+
+    return ad._node(xhat * gain.data + bias.data, (x, dx),
+                    (gain, lambda g: ad._unbroadcast(g * xhat, gain.shape)),
+                    (bias, lambda g: ad._unbroadcast(g, bias.shape)))
+
+
+def _reference_dropout(t, rate, rng):
+    """Inverted dropout as a product with a constant mask."""
+    if rate <= 0.0 or rng is None:
+        return t
+    keep = (rng.random(t.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    return t * Tensor(keep)
+
+
+def _reference_attention(xq, xkv, visibility, lp, n_heads):
+    B, Tq, T = visibility.shape
+    d = xkv.shape[1]
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def heads(x, w, b, rows):
+        return (x @ w + b).reshape(B, rows, n_heads, dh).transpose(0, 2, 1, 3)
+
+    q = heads(xq, lp.wq, lp.bq, Tq)
+    k, v = heads(xkv, lp.wk, lp.bk, T), heads(xkv, lp.wv, lp.bv, T)
+    att = ad.masked_softmax(q @ k.transpose(0, 1, 3, 2) * scale,
+                            visibility[:, None], axis=-1)
+    merged = (att @ v).transpose(0, 2, 1, 3).reshape(B * Tq, d)
+    return merged @ lp.wo + lp.bo
+
+
+def _reference_encode(E, vis, params, rate=0.0, rng=None, pooled_only=False):
+    """The encoder as composed autodiff ops, one graph node per op."""
+    T = vis.shape[-1]
+    vis = vis.reshape(-1, T, T)
+    h, stride = E, T
+    for n, lp in enumerate(params.layers):
+        x, x_vis = h, vis
+        if pooled_only and T > 2 and n == len(params.layers) - 1:
+            starts = np.arange(0, h.shape[0], T)
+            x = h[(starts[:, None] + np.arange(2)).ravel()]
+            x_vis, stride = vis[:, :2], 2
+        att = _reference_dropout(
+            _reference_attention(x, h, x_vis, lp, params.n_heads), rate, rng)
+        h = _reference_layer_norm(x + att, lp.ln1_g, lp.ln1_b)
+        ffn = ((h @ lp.ffn_w1 + lp.ffn_b1).elu() @ lp.ffn_w2) + lp.ffn_b2
+        h = _reference_layer_norm(h + _reference_dropout(ffn, rate, rng),
+                                  lp.ln2_g, lp.ln2_b)
+    pooled = (h[::stride] @ params.pooler_w + params.pooler_b).tanh()
+    return EncoderOutput(hidden=h if stride == T else None, pooled=pooled)
+
+
+def _all_params(p):
+    named = {"tok_emb": p.tok_emb, "pos_emb": p.pos_emb,
+             "pooler_w": p.pooler_w, "pooler_b": p.pooler_b}
+    for n, lp in enumerate(p.layers):
+        named.update({f"l{n}/{k}": t for k, t in vars(lp).items()})
+    return named
+
+
+# a frozen subset: the embeddings (so the first layer's input is a constant)
+# and a scattering of each kind of layer parameter
+_FROZEN = ("tok_emb", "pos_emb", "l0/wk", "l0/bq", "l0/ln1_g", "l0/ffn_b2",
+           "l1/wv", "l1/ffn_w1", "l1/ln2_b", "l1/bo")
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("T", [1, 2, 3, 9])
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("pooled_only", [False, True])
+def test_fused_layers_match_composed_reference(n_layers, T, rate, frozen,
+                                               pooled_only):
+    """The two-node layer gives the composed ops' output bytes and, for the
+    input and every parameter, their gradient bytes."""
+    batch = _padded_batch(T, 3, seed=T)
+    results = []
+    for run in (_reference_encode, encode):
+        p = _params(d=16, n_layers=n_layers, n_heads=4, seed=T)
+        named = _all_params(p)
+        for name in _FROZEN if frozen else ():
+            if name in named:
+                named[name].requires_grad = False
+        E = embed(batch, p)
+        if not frozen:   # also the gradient reaching the encoder's input
+            E = Tensor(E.data, requires_grad=True)
+        out = run(E, batch.visibility, p, rate, np.random.default_rng(7),
+                  pooled_only=pooled_only)
+        w_rng = np.random.default_rng(T + 100)
+        loss = (out.pooled * Tensor(w_rng.normal(size=out.pooled.shape))).sum()
+        if out.hidden is not None:
+            loss = loss + (out.hidden * Tensor(
+                w_rng.normal(size=out.hidden.shape))).sum()
+        loss.backward()
+        results.append((out, named, E))
+    (ref, ref_named, ref_E), (got, got_named, got_E) = results
+    assert got.pooled.data.tobytes() == ref.pooled.data.tobytes()
+    assert (got.hidden is None) == (ref.hidden is None)
+    if got.hidden is not None:
+        assert got.hidden.data.tobytes() == ref.hidden.data.tobytes()
+    if not frozen:
+        assert got_E.grad.tobytes() == ref_E.grad.tobytes()
+    for name, t in got_named.items():
+        if t.requires_grad:
+            assert t.grad.tobytes() == ref_named[name].grad.tobytes(), name
+            # a live layer parameter gets a gradient (with one row per
+            # sequence, attention is constant, so q and k get none)
+            assert np.any(t.grad != 0.0) or T == 1 or "/" not in name, name
+
+
+def _node_inputs(seed, rows_total=6, d=8):
+    rng = np.random.default_rng(seed)
+    p = _params(d=d, n_layers=1, n_heads=2, seed=seed)
+    lp = p.layers[0]
+    for t in vars(lp).values():   # nonzero biases and off-unit gains
+        t.data += rng.normal(0.0, 0.3, size=t.shape)
+    return rng.normal(size=(rows_total, d)), lp
+
+
+# each sublayer node's parameter operands
+_NODE_PARAMS = {
+    "attention": ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+                  "ln1_g", "ln1_b"),
+    "ffn": ("ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2", "ln2_g", "ln2_b"),
+}
+
+
+def _run_node(kind, h, lp, rows, rate):
+    """One sublayer node over 2 sequences of 3 rows, its dropout redrawn
+    from the same seed on every call."""
+    rng = np.random.default_rng(5)
+    if kind == "ffn":
+        x = h if rows is None else h[rows]
+        return enc._ffn_sublayer(x, lp, rate, rng)
+    vis = np.ones((2, 3, 3), dtype=bool)
+    vis[0, 0, 2] = vis[1, 2, 1] = False
+    if rows is not None:
+        vis = vis[:, :2]
+    return enc._attention_sublayer(h, vis, lp, 2, rows, rate, rng)
+
+
+@pytest.mark.parametrize("kind,rows", [("attention", None),
+                                       ("attention", np.array([0, 1, 3, 4])),
+                                       ("ffn", None)])
+@pytest.mark.parametrize("rate", [0.0, 0.4])
+def test_sublayer_node_gradients_match_differences(kind, rows, rate):
+    h0, lp = _node_inputs(seed=3)
+    n_out = 6 if rows is None else len(rows)
+    w = np.random.default_rng(9).normal(size=(n_out, 8))
+
+    def loss_of(h, lp_):
+        return (_run_node(kind, h, lp_, rows, rate) * Tensor(w)).sum()
+
+    h = Tensor(h0, requires_grad=True)
+    loss_of(h, lp).backward()
+    expected = numeric_grad(lambda x: float(loss_of(Tensor(x), lp).data), h0)
+    np.testing.assert_allclose(h.grad, expected, rtol=1e-6, atol=1e-8)
+    for name in _NODE_PARAMS[kind]:
+        t = getattr(lp, name)
+        base = t.data.copy()
+
+        def at(values):
+            t.data = values
+            try:
+                return float(loss_of(Tensor(h0), lp).data)
+            finally:
+                t.data = base
+
+        np.testing.assert_allclose(t.grad, numeric_grad(at, base),
+                                   rtol=1e-6, atol=1e-8, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["attention", "ffn"])
+def test_sublayer_node_records_edges_only_when_tracking(kind):
+    """A node records one edge per tracked operand, none under no_grad(), and
+    a frozen operand's absence changes no live gradient byte."""
+    h0, lp = _node_inputs(seed=4)
+    names = _NODE_PARAMS[kind]
+    with ad.no_grad():
+        out = _run_node(kind, Tensor(h0, requires_grad=True), lp, None, 0.4)
+    assert not out._edges and not ad._tracked(out)
+    frozen = names[1::2]
+    for name in frozen:
+        getattr(lp, name).requires_grad = False
+    h = Tensor(h0)   # a constant input
+    out = _run_node(kind, h, lp, None, 0.4)
+    live = [getattr(lp, n) for n in names if n not in frozen]
+    assert [operand for operand, _ in out._edges] == live
+    out.sum().backward()
+    got = {n: getattr(lp, n).grad.copy() for n in names if n not in frozen}
+    _, twin = _node_inputs(seed=4)
+    _run_node(kind, Tensor(h0, requires_grad=True), twin, None, 0.4
+              ).sum().backward()
+    for name, g in got.items():
+        assert g.tobytes() == getattr(twin, name).grad.tobytes(), name

@@ -1,4 +1,5 @@
-"""Model-level caches: per-instance features, and the frozen-trunk scope."""
+"""Model-level caches: per-instance features while training, and the
+frozen-trunk scope."""
 
 import dataclasses
 import json
@@ -9,7 +10,7 @@ import pytest
 from kegat import encoder as enc
 from kegat import gat as gatmod
 from kegat import head as headmod
-from kegat import kemb
+from kegat import harness, kemb
 from kegat.autodiff import no_grad
 from kegat.harness import build_vocab, load_comve, synth_benchmark
 from kegat.kemb import default_templates
@@ -52,12 +53,13 @@ def test_duplicate_ids_in_one_file_get_their_own_features(bench, tmp_path):
         for inst in (a, b)), encoding="utf-8")
     first, second = load_comve(data, "a")
     model = _model(bench, [first, second])
-    model.predict_probs(first)
-    fresh = _model(bench, [first, second])
-    np.testing.assert_array_equal(model.predict_probs(second),
-                                  fresh.predict_probs(second))
-    assert not np.array_equal(model.predict_probs(first),
-                              model.predict_probs(second))
+    with model.keeping_features():
+        model.predict_probs(first)
+        fresh = _model(bench, [first, second])
+        np.testing.assert_array_equal(model.predict_probs(second),
+                                      fresh.predict_probs(second))
+        assert not np.array_equal(model.predict_probs(first),
+                                  model.predict_probs(second))
 
 
 def test_train_and_dev_numbered_alike(bench):
@@ -65,12 +67,36 @@ def test_train_and_dev_numbered_alike(bench):
     assert any((t.id, t.label) == (d.id, d.label) and t != d
                for t, d in zip(train, dev))
     model = _model(bench, train + dev)
-    for inst in train:
-        model.loss([inst])
-    fresh = _model(bench, train + dev)
-    for inst in dev:
-        np.testing.assert_array_equal(model.predict_probs(inst),
-                                      fresh.predict_probs(inst), err_msg=inst.id)
+    with model.keeping_features():
+        for inst in train:
+            model.loss([inst])
+        fresh = _model(bench, train + dev)
+        for inst in dev:
+            np.testing.assert_array_equal(model.predict_probs(inst),
+                                          fresh.predict_probs(inst),
+                                          err_msg=inst.id)
+
+
+def test_training_prepares_each_instance_once_and_keeps_nothing(
+        bench, monkeypatch):
+    model = _model(bench, bench.train + bench.dev)
+    flattened = []
+    real = kemb.flatten
+    monkeypatch.setattr(kemb, "flatten",
+                        lambda *a, **kw: flattened.append(1) or real(*a, **kw))
+    sched = Schedule(lr_phase1=1e-3, epochs_phase1=2,
+                     lr_phase2=1e-5, epochs_phase2=1)
+    two_phase_train(model, bench.train, bench.dev, sched, 0)
+    assert len(flattened) == sum(inst.option_count
+                                 for inst in bench.train + bench.dev)
+    assert model._cache is None
+
+
+def test_evaluation_keeps_no_features(bench):
+    model = _model(bench, bench.test)
+    first = harness.evaluate(model, bench.test)
+    assert model._cache is None
+    assert harness.evaluate(model, bench.test) == first
 
 
 # -- the frozen-trunk scope ---------------------------------------------------
