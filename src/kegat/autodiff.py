@@ -23,20 +23,19 @@ on along its own edges.
 
 The op set:
 
-- arithmetic with numpy broadcasting: ``+ - * / **`` and unary ``-``
-- ``@`` for 1-D and 2-D operands, and for stacks of matrices whose batch
-  dims broadcast, e.g. ``(n, d) @ (H, d, e)``
-- elementwise ``exp log sqrt tanh``, ``elu`` (alpha fixed at 1) and
-  ``leaky_relu(slope)``
+- ``+`` and ``*`` with numpy broadcasting
+- ``@`` for 2-D operands, and for stacks of matrices whose batch dims
+  broadcast, e.g. ``(n, d) @ (H, d, e)``
+- elementwise ``tanh``, ``elu`` (alpha fixed at 1) and ``leaky_relu(slope)``
 - shape ops ``reshape``, ``transpose(*axes)`` (no axes reverses them all),
   ``sum`` and ``mean``
 - indexing ``t[idx]`` with any numpy index: an int, a slice, an int array
   (repeats allowed) or a tuple of them
-- module-level ``concat``, ``masked_softmax`` and ``log_softmax``
+- module-level ``concat`` and ``masked_softmax``
 - ``fused``, for a node whose operands' gradients come out of one written-out
-  backward pass, such as a whole encoder sublayer; the array helpers
-  ``masked_softmax_data``, ``softmax_grad``, ``elu_data`` and ``elu_grad``
-  hold the arithmetic such a node shares with the ops above
+  backward pass, such as a whole encoder sublayer or a loss; the array
+  helpers ``masked_softmax_data``, ``softmax_grad``, ``elu_data`` and
+  ``elu_grad`` hold the arithmetic such a node shares with the ops above
 
 Broadcast operands get their gradient summed back to their own shape. The
 backward of ``t[idx]`` scatter-adds into a zero array of ``t``'s shape with
@@ -156,12 +155,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _node(-self.data, (self, np.negative))
-
-    def __sub__(self, other):
-        return self + (-_wrap(other))
-
     def __mul__(self, other):
         other = _wrap(other)
         a, b = self.data, other.data
@@ -171,43 +164,21 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self * _wrap(other) ** -1.0
-
-    def __pow__(self, exponent: float):
-        n = float(exponent)
-        return _node(self.data ** n,
-                     (self, lambda g: g * n * self.data ** (n - 1.0)))
-
     def __matmul__(self, other):
         other = _wrap(other)
         a, b = self.data, other.data
-        if a.ndim == 1 and b.ndim == 2:
-            da, db = (lambda g: g @ b.T), (lambda g: np.outer(a, g))
-        elif a.ndim == 2 and b.ndim == 1:
-            da, db = (lambda g: np.outer(g, b)), (lambda g: a.T @ g)
-        elif a.ndim == 1 and b.ndim == 1:
-            da, db = (lambda g: g * b), (lambda g: g * a)
-        else:
-            def da(g):
-                return _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)
+        if a.ndim < 2 or b.ndim < 2:
+            raise ValueError("@ needs operands of at least 2 dims")
 
-            def db(g):
-                return _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
+        def da(g):
+            return _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)
+
+        def db(g):
+            return _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
+
         return _node(a @ b, (self, da), (other, db))
 
     # -- elementwise nonlinearities ------------------------------------------
-
-    def exp(self):
-        out_data = np.exp(self.data)
-        return _node(out_data, (self, lambda g: g * out_data))
-
-    def log(self):
-        return _node(np.log(self.data), (self, lambda g: g / self.data))
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-        return _node(out_data, (self, lambda g: g * 0.5 / out_data))
 
     def tanh(self):
         out_data = np.tanh(self.data)
@@ -316,16 +287,6 @@ def masked_softmax(logits: Tensor, mask: Optional[np.ndarray] = None,
     out_data = masked_softmax_data(logits.data, mask, axis)
     return _node(out_data,
                  (logits, lambda g: softmax_grad(out_data, g, axis)))
-
-
-def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    x = logits.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-    soft = np.exp(out_data)
-    return _node(out_data,
-                 (logits, lambda g: g - soft * g.sum(axis=axis, keepdims=True)))
 
 
 def fused(data, operands: Dict[str, Tensor],

@@ -71,6 +71,7 @@ def kb():
 @_handle_errors
 def kb_ingest(input_path, blocklist_path, output_path):
     """Load a TSV edge list, apply the relation blocklist, write it as TSV."""
+    kgstore.make_parent(output_path)
     blocklist = set(kgstore.DEFAULT_BLOCKLIST)
     if blocklist_path:
         blocklist.update(line.strip() for line in
@@ -136,8 +137,7 @@ def preprocess_inject(kb_path, templates_path, input_path, subtask, max_len,
     _check_options(max_len=max_len, per_entity_limit=per_entity_limit,
                    max_ngram=max_ngram)
     graph = kgstore.load_graph(kb_path)
-    templates = (kemb.load_templates(templates_path) if templates_path
-                 else kemb.default_templates())
+    templates = kemb.load_templates(templates_path)
     instances = harness.load_comve(input_path, subtask)
     vocab = harness.build_vocab(graph, templates, instances)
     for inst in instances:
@@ -166,9 +166,9 @@ def preprocess_inject(kb_path, templates_path, input_path, subtask, max_len,
 @_handle_errors
 def augment(kb_path, templates_path, count, subtask, seed, output_path):
     """Generate template-realized instances from the KB."""
+    kgstore.make_parent(output_path)
     graph = kgstore.load_graph(kb_path)
-    templates = (kemb.load_templates(templates_path) if templates_path
-                 else kemb.default_templates())
+    templates = kemb.load_templates(templates_path)
     instances = harness.generate_augmented(graph, templates, count, seed,
                                            subtask)
     with kgstore.atomic_write(output_path) as fh:
@@ -220,18 +220,6 @@ def _load_split(path, subtask: str) -> list:
     return instances
 
 
-def _read_config(path) -> dict:
-    """The JSON object in training config file `path`."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (ValueError, RecursionError) as exc:   # ValueError: JSON or UTF-8
-        raise DataFormatError(f"{path}: not a JSON file ({exc})") from None
-    if not isinstance(cfg, dict):
-        raise DataFormatError(f"{path}: config must be a JSON object")
-    return cfg
-
-
 @main.command()
 @click.option("--subtask", type=click.Choice(["a", "b"]), required=True)
 @click.option("--config", "config_path", type=_IN_FILE)
@@ -249,7 +237,8 @@ def _read_config(path) -> dict:
 def train(subtask, config_path, kb_path, vectors_path, templates_path,
           train_data, dev_data, output_path, no_kemb, no_kegat, no_lm_loss):
     """Two-phase training with dev-accuracy model selection."""
-    cfg = _read_config(config_path) if config_path else {}
+    kgstore.make_parent(output_path)
+    cfg = kgstore.json_object(config_path, "config") if config_path else {}
     model_keys = {f.name for f in dataclasses.fields(ModelConfig)
                   if not f.name.startswith("use_")}
     unknown = sorted(cfg.keys() - model_keys - {
@@ -268,8 +257,7 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
     dev_set = _load_split(dev_data, subtask)
     out = Path(output_path)
     graph = kgstore.load_graph(kb_path)
-    templates = (kemb.load_templates(templates_path) if templates_path
-                 else kemb.default_templates())
+    templates = kemb.load_templates(templates_path)
     vocab = harness.build_vocab(graph, templates, train_set + dev_set)
     # sizes have no upper bound in the config: numpy rejects a shape beyond
     # its dimension limit, or an array too large for memory
@@ -361,6 +349,8 @@ def eval_cmd(checkpoint, data_path, subtask):
 @_handle_errors
 def predict(checkpoint, data_path, subtask, output_path):
     """Per-instance probabilities and predictions."""
+    if output_path:
+        kgstore.make_parent(output_path)
     instances = _load_split(data_path, subtask)
     model = _load_model(checkpoint, subtask)
     metrics = harness.evaluate(model, instances)

@@ -73,13 +73,12 @@ def build_subgraph(tokens: Sequence[str], graph: KnowledgeGraph, k: int,
         index.setdefault(s.concept, len(index))
     for entity in list(index):   # the entities; sampled nodes join after
         for edge in weighted_sample(neighbors(graph, entity), k, rng):
-            other = edge.tail if entity == edge.head else edge.head
-            index.setdefault(other, len(index))
+            index.setdefault(edge.other(entity), len(index))
     rows: List[int] = []
     cols: List[int] = []
     for c, i in index.items():
         for edge in neighbors(graph, c):
-            j = index.get(edge.tail if c == edge.head else edge.head)
+            j = index.get(edge.other(c))
             if j is not None:
                 rows.append(i)
                 cols.append(j)
@@ -188,7 +187,7 @@ def pool_subgraph(h: Optional[Tensor], sizes: Sequence[int],
 
 def fuse(e_base: Tensor, e_gnn: Tensor, params: FuseParams) -> Tensor:
     """One-hidden-layer ELU MLP over the concatenated representations, one
-    row (or vector) per option."""
+    row per option."""
     x = ad.concat([e_base, e_gnn], axis=-1)
     return (x @ params.w1 + params.b1).elu() @ params.w2 + params.b2
 

@@ -50,43 +50,69 @@ def predict(reprs: Tensor, params: HeadParams, n_options: int) -> Tensor:
 
 def classification_loss(probs: Tensor, labels: Sequence[int]) -> Tensor:
     """Mean over rows of the negative log-likelihood of each row's true
-    option. A probability at or below PROB_FLOOR counts as PROB_FLOOR, with
-    the gradient of p itself, so the loss stays finite."""
+    option, as one autodiff node. A probability at or below PROB_FLOOR
+    counts as PROB_FLOOR, with the gradient of p itself, so the loss stays
+    finite."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != probs.shape[:1] or not (
             (0 <= labels) & (labels < probs.shape[1])).all():
         raise ValueError("true index out of range")
-    p = probs[np.arange(len(labels)), labels]
-    low = p.data <= PROB_FLOOR
-    if not low.any():
-        return -p.log().mean()
-    # a floored row takes log 1 = 0 from the log and -log(floor) + (p - p)
-    # beside it
-    mask = Tensor(low.astype(np.float64))
-    kept = p * Tensor(~low) + mask
-    floored = Tensor(np.where(low, -np.log(PROB_FLOOR), 0.0))
-    return (-kept.log() + (p - p.data) * mask + floored).mean()
+    idx = (np.arange(len(labels)), labels)
+    p = probs.data[idx]
+    low = p <= PROB_FLOOR
+    kept = np.where(low, PROB_FLOOR, p)
+    inv_n = 1.0 / len(labels)
+
+    def backward(g, wanted):
+        gn = g * inv_n
+        grad = np.zeros_like(probs.data)
+        np.add.at(grad, idx, np.where(low, gn, -gn / kept))
+        return {"probs": grad}
+
+    return ad.fused(-(np.log(kept).sum() * inv_n), {"probs": probs}, backward)
 
 
 def lm_loss(logits: Tensor, token_ids: Sequence[int]) -> Tensor:
-    """Summed reconstruction cross-entropy of `token_ids`, one per row.
+    """Summed reconstruction cross-entropy of `token_ids`, one per row, as
+    one autodiff node over a log-softmax of the rows.
 
     The caller passes the original (trunk) tokens' rows only: the auxiliary
     objective reconstructs the input, not the injected text or padding.
     """
     tokens = np.asarray(token_ids, dtype=np.int64)
-    return -ad.log_softmax(logits, axis=-1)[np.arange(len(tokens)),
-                                            tokens].sum()
+    x = logits.data
+    shifted = x - x.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    idx = (np.arange(len(tokens)), tokens)
+
+    def backward(g, wanted):
+        gl = np.zeros_like(logp)
+        np.add.at(gl, idx, -g)
+        return {"logits": gl - np.exp(logp) * gl.sum(axis=-1, keepdims=True)}
+
+    return ad.fused(-logp[idx].sum(), {"logits": logits}, backward)
 
 
 def combined_loss(l1: Tensor, l2: Tensor, params: LossParams) -> Tensor:
     """Uncertainty-weighted sum: l1/(2*s1^2) + l2/(2*s2^2) + log(s1*s2).
 
     With s_i = log sigma_i^2 this is 0.5*exp(-s1)*l1 + 0.5*exp(-s2)*l2
-    + (s1+s2)/2; learning s keeps the sigmas positive by construction.
+    + (s1+s2)/2; learning s keeps the sigmas positive by construction. One
+    autodiff node over the four scalars.
     """
-    return ((-params.s1).exp() * l1 + (-params.s2).exp() * l2
-            + params.s1 + params.s2) * 0.5
+    s1, s2 = params.s1.data, params.s2.data
+    e1, e2 = np.exp(-s1), np.exp(-s2)
+
+    def backward(g, wanted):
+        h = g * 0.5
+        grads = {"l1": h * e1, "l2": h * e2,
+                 "s1": h + -((h * l1.data) * e1),
+                 "s2": h + -((h * l2.data) * e2)}
+        return {name: grads[name] for name in wanted}
+
+    return ad.fused((e1 * l1.data + e2 * l2.data + s1 + s2) * 0.5,
+                    {"l1": l1, "l2": l2, "s1": params.s1, "s2": params.s2},
+                    backward)
 
 
 def ensemble_average(prob_vectors: List[np.ndarray]) -> np.ndarray:

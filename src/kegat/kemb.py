@@ -13,7 +13,6 @@ with positions that see only themselves.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -21,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DataFormatError
-from .kgstore import Edge, KnowledgeGraph, top_neighbors
+from .kgstore import Edge, KnowledgeGraph, json_object, top_neighbors
 from .linker import TokenSpan
 from .vocab import Vocab
 
@@ -80,15 +79,12 @@ def default_templates() -> Dict[str, Template]:
             for rel, pat in DEFAULT_TEMPLATE_PATTERNS.items()}
 
 
-def load_templates(path) -> Dict[str, Template]:
-    """Load a JSON map relation -> pattern string with {head}/{tail} slots."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (ValueError, RecursionError) as exc:   # ValueError: JSON or UTF-8
-        raise DataFormatError(f"{path}: not a JSON file ({exc})") from None
-    if not isinstance(raw, dict):
-        raise DataFormatError(f"{path}: template file must be a JSON object")
+def load_templates(path=None) -> Dict[str, Template]:
+    """Load a JSON map relation -> pattern string with {head}/{tail} slots;
+    without a path, the default templates."""
+    if path is None:
+        return default_templates()
+    raw = json_object(path, "template file")
     for rel, pat in raw.items():
         if not isinstance(pat, str):
             raise DataFormatError(

@@ -103,18 +103,37 @@ def text_lines(path):
             raise DataFormatError(f"{path}: not a UTF-8 text file") from None
 
 
+def json_object(path, noun: str) -> dict:
+    """The JSON object in UTF-8 file `path`; a file that is not JSON, or
+    holds another value, is a data error that calls the file `noun`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = json.load(fh)
+    except (ValueError, RecursionError) as exc:   # ValueError: JSON or UTF-8
+        raise DataFormatError(f"{path}: not a JSON file ({exc})") from None
+    if not isinstance(value, dict):
+        raise DataFormatError(f"{path}: {noun} must be a JSON object")
+    return value
+
+
+def make_parent(path) -> None:
+    """Create output file `path`'s parent directory if it is missing; one
+    that cannot be created is a data error."""
+    parent = Path(path).parent
+    try:
+        parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataFormatError(f"{parent}: cannot create the output "
+                              f"directory ({exc.strerror})") from None
+
+
 @contextlib.contextmanager
 def atomic_write(path):
     """A binary file handle whose bytes replace `path` only once the block
     ends, so a failed write leaves the previous file at `path` intact. A
-    missing parent directory is created first; one that cannot be is a data
-    error."""
+    missing parent directory is created first (`make_parent`)."""
     path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataFormatError(f"{path.parent}: cannot create the output "
-                              f"directory ({exc.strerror})") from None
+    make_parent(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
         with open(tmp, "wb") as fh:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from kegat import autodiff as ad
 from kegat import encoder
@@ -21,17 +20,13 @@ def _check_grad(build, x0, rtol=1e-6, atol=1e-9):
 
 def test_arithmetic_grads():
     x0 = np.array([0.3, -1.2, 2.0])
-    _check_grad(lambda t: ((t * 2.0 + 1.0) / 3.0 - t ** 2.0).sum(), x0)
+    _check_grad(lambda t: ((t * 2.0 + 1.0) * t + t * -3.0).sum(), x0)
 
 
 def test_matmul_grads_all_shapes():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(3, 4))
-    v = rng.normal(size=4)
-    _check_grad(lambda t: (t @ Tensor(v)).sum(), A)             # 2D @ 1D
-    _check_grad(lambda t: (Tensor(A) @ t).sum(), v)             # 2D @ 1D (rhs)
     _check_grad(lambda t: (t @ Tensor(A.T)).sum(), A)           # 2D @ 2D
-    _check_grad(lambda t: (t @ Tensor(v)).sum(), v)             # 1D @ 1D
     B = rng.normal(size=(2, 4, 5))
     W = rng.normal(size=(2, 3, 5))
     S = rng.normal(size=(2, 3, 4))
@@ -40,6 +35,10 @@ def test_matmul_grads_all_shapes():
     X = rng.normal(size=(3, 4))
     _check_grad(lambda t: ((t @ Tensor(B)) * Tensor(W)).sum(), X)  # 2D @ 3D
     _check_grad(lambda t: ((Tensor(X) @ t) * Tensor(W)).sum(), B)  # 2D @ 3D (rhs)
+    v = rng.normal(size=4)
+    for a, b in ((A, v), (v, A.T), (v, v)):   # a 1-D operand is refused
+        with pytest.raises(ValueError):
+            Tensor(a, requires_grad=True) @ Tensor(b)
 
 
 def test_nonlinearity_grads():
@@ -47,9 +46,6 @@ def test_nonlinearity_grads():
     _check_grad(lambda t: t.tanh().sum(), x0)
     _check_grad(lambda t: t.elu().sum(), x0)
     _check_grad(lambda t: t.leaky_relu(0.2).sum(), x0)
-    _check_grad(lambda t: t.exp().sum(), x0)
-    _check_grad(lambda t: (t ** 2.0 + 1.0).log().sum(), x0)
-    _check_grad(lambda t: (t ** 2.0 + 1.0).sqrt().sum(), x0)
 
 
 # signed zeros and denormals, infinities, NaN, and inputs whose exp overflows
@@ -115,14 +111,16 @@ def test_concat_and_softmax_grads():
     x0 = np.array([0.1, 0.9, -0.4])
     _check_grad(lambda t: ad.concat([t, t * 2.0]).sum(), x0)
     _check_grad(lambda t: ad.masked_softmax(t)[0], x0)
-    _check_grad(lambda t: ad.log_softmax(t)[1], x0)
 
 
 def _layer_norm_chain(x, gain, bias, eps):
-    """The composed-op layer norm that the encoder's must equal bit for bit."""
-    c = x - x.mean(axis=-1, keepdims=True)
-    var = (c ** 2.0).mean(axis=-1, keepdims=True)
-    return c / (var + eps).sqrt() * gain + bias
+    """The composed-op layer norm that the encoder's must equal bit for bit,
+    replayed in numpy: each mean a sum times 1/n, x - m as x + (-m), and a
+    / b as a * b ** -1."""
+    inv_n = 1.0 / x.shape[-1]
+    c = x + -(x.sum(axis=-1, keepdims=True) * inv_n)
+    var = (c ** 2.0).sum(axis=-1, keepdims=True) * inv_n
+    return c * np.sqrt(var + eps) ** -1.0 * gain + bias
 
 
 @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
@@ -135,8 +133,7 @@ def test_layer_norm_matches_chain_and_differences(shape):
     gain0, bias0 = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
     np.testing.assert_array_equal(
         encoder._layer_norm(x0, gain0, bias0)[0],
-        _layer_norm_chain(Tensor(x0), Tensor(gain0), Tensor(bias0),
-                          encoder.LN_EPS).data)
+        _layer_norm_chain(x0, gain0, bias0, encoder.LN_EPS))
     x2, w2 = x0.reshape(-1, shape[-1]), w.reshape(-1, shape[-1])
 
     def loss(x, gain, bias):
@@ -157,10 +154,10 @@ def test_scalar_fanout_accumulation():
     # broke in-place accumulation).
     s = Tensor(np.zeros(()), requires_grad=True)
     a, b = Tensor(3.0), Tensor(4.0)
-    loss = (-s).exp() * a + (-s).exp() * b + s
+    loss = s * a + s * b + s
     loss.backward()
-    # d/ds [e^-s(a+b) + s] at s=0 = -(a+b) + 1 = -6
-    assert np.allclose(s.grad, -6.0)
+    # d/ds [s(a+b) + s] = a + b + 1 = 8
+    assert np.allclose(s.grad, 8.0)
 
 
 def test_shared_subexpression_accumulation():
@@ -235,27 +232,16 @@ def test_masked_softmax_broadcast_mask_matches_full_mask():
 _R = np.random.default_rng(3)
 _M, _N = _R.normal(size=(3, 4)), _R.normal(size=(4, 2))
 _S = _R.normal(size=(2, 3, 4))
-_U, _V = _R.normal(size=3), _R.normal(size=4)
 # (live operand, constant operand, op): every op that takes a second input
 _CONSTANT_OPERAND_CASES = {
     "x*c": (_M, _M + 1.0, lambda t, c: t * c),
     "c*x": (_M, _M + 1.0, lambda t, c: c * t),
     "x+c": (_M, _M + 1.0, lambda t, c: t + c),
     "c+x": (_M, _M + 1.0, lambda t, c: c + t),
-    "x-c": (_M, _M + 1.0, lambda t, c: t - c),
-    "c-x": (_M, _M + 1.0, lambda t, c: c - t),
-    "x/c": (_M, _M + 5.0, lambda t, c: t / c),
-    "c/x": (_M + 5.0, _M, lambda t, c: c / t),
     "x@c 2-D": (_M, _N, lambda t, c: t @ c),
     "c@x 2-D": (_N, _M, lambda t, c: c @ t),
     "c@x stack": (_N, _S, lambda t, c: c @ t),
     "x@c stack": (_S, _N, lambda t, c: t @ c),
-    "x@c 1-D@2-D": (_U, _M, lambda t, c: t @ c),
-    "c@x 1-D@2-D": (_M, _U, lambda t, c: c @ t),
-    "x@c 2-D@1-D": (_M, _V, lambda t, c: t @ c),
-    "c@x 2-D@1-D": (_V, _M, lambda t, c: c @ t),
-    "x@c 1-D@1-D": (_V, _V + 1.0, lambda t, c: t @ c),
-    "c@x 1-D@1-D": (_V + 1.0, _V, lambda t, c: c @ t),
     "concat [x, c]": (_M, _M + 1.0, lambda t, c: ad.concat([t, c], axis=1)),
     "concat [c, x]": (_M, _M + 1.0, lambda t, c: ad.concat([c, t])),
     "mean's 1/n": (_M, _M, lambda t, c: t.mean(axis=0)),
@@ -278,16 +264,6 @@ def test_backward_skips_constant_operands():
         np.testing.assert_array_equal(live.grad, twin.grad, err_msg=case)
 
 
-@given(st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=20, deadline=None)
-def test_log_softmax_matches_log_of_softmax(seed):
-    x = np.random.default_rng(seed).normal(size=7)
-    lsm = ad.log_softmax(Tensor(x)).data
-    np.testing.assert_allclose(np.exp(lsm), ad.masked_softmax(Tensor(x)).data,
-                               atol=1e-12)
-    np.testing.assert_allclose(np.exp(lsm).sum(), 1.0, atol=1e-12)
-
-
 def test_dropout_eval_mode_is_identity():
     """The encoder's dropout draws no mask when rate is 0 or rng is None."""
     rng = np.random.default_rng(0)
@@ -305,9 +281,9 @@ def test_dropout_scales_kept_entries():
 def test_no_grad_records_nothing_and_restores_tracking():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     with ad.no_grad():
-        y = ((x * 2.0).exp() @ x + x[0]).sum()
+        y = ((x * 2.0).tanh() * x + x[0]).sum()
     assert not ad._tracked(y)
-    np.testing.assert_array_equal(y.data, (np.exp(x.data * 2.0) @ x.data
+    np.testing.assert_array_equal(y.data, (np.tanh(x.data * 2.0) * x.data
                                            + x.data[0]).sum())
     assert ad._tracked(x * 2.0)
     with pytest.raises(RuntimeError):
@@ -323,7 +299,7 @@ def test_constant_inputs_record_nothing():
     """A tensor without requires_grad is a constant: ops on it are untracked."""
     frozen = Tensor(np.array([1.0, 2.0]))
     live = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-    assert not ad._tracked((frozen * 2.0).exp().sum())
+    assert not ad._tracked((frozen * 2.0).tanh().sum())
     mixed = frozen * live
     assert [operand for operand, _ in mixed._edges] == [live]
     mixed.sum().backward()

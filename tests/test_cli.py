@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
+from kegat import harness, kgstore, trainkit
 from kegat.cli import main
 from kegat.kgstore import fingerprint, load_graph, save_graph
 from kegat.model import ModelConfig
@@ -366,26 +367,45 @@ def _writing_args(command, root, trained_once):
     if command == "augment":
         return ["augment", "--kb", str(kb), "--count", "2"]
     bench, ckpt, _ = trained_once
+    if command == "train":
+        return _tiny_train_args(bench.parent)[:-2]
     return ["predict", "--checkpoint", str(ckpt),
             "--data", str(bench / "dev.jsonl"), "--subtask", "a"]
 
 
-@pytest.mark.parametrize("command", ["kb ingest", "augment", "predict"])
+# each writing command's own work, which must not start when its output
+# directory cannot be made
+_WORK = {"kb ingest": (kgstore, "save_graph"),
+         "augment": (harness, "generate_augmented"),
+         "train": (trainkit, "two_phase_train"),
+         "predict": (harness, "evaluate")}
+
+
+@pytest.mark.parametrize("command", sorted(_WORK))
 def test_output_directory_is_created_or_exits_2(runner, tmp_path, command,
-                                                trained_once):
-    """A missing output directory is created; one that cannot be, because a
-    file stands in its path, exits 2 with one line."""
+                                                trained_once, monkeypatch):
+    """A missing output directory is created. One that cannot be, because a
+    file stands in its path, exits 2 with one line before any input is
+    read, so neither a reader nor the command's work runs."""
     args = _writing_args(command, tmp_path, trained_once)
     out = tmp_path / "new" / "deeper" / "out.txt"
     result = runner.invoke(main, args + ["--output", str(out)])
     assert result.exit_code == 0, result.output
-    assert out.is_file() and out.read_text(encoding="utf-8")
+    assert out.is_file() and out.read_bytes()
+    calls = []
+    for owner, name in [_WORK[command], (kgstore, "load_graph"),
+                        (kgstore, "json_object"), (harness, "load_comve")]:
+        monkeypatch.setattr(owner, name,
+                            lambda *a, name=name, **k: calls.append(name))
     blocker = tmp_path / "a-file"
     blocker.write_text("", encoding="utf-8")
-    result = runner.invoke(main, args + ["--output",
-                                         str(blocker / "sub" / "out.txt")])
+    out = blocker / "sub" / "out.txt"
+    result = runner.invoke(main, args + ["--output", str(out)])
     _assert_one_line_exit_2(result)
-    assert "cannot create the output directory" in result.stderr
+    assert result.stderr.startswith(
+        f"data error: {blocker / 'sub'}: cannot create the output directory")
+    assert calls == []
+    assert not out.with_suffix(".log.jsonl").exists()
     assert blocker.read_text(encoding="utf-8") == ""
 
 

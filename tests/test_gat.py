@@ -350,10 +350,11 @@ def test_fuse_gate_and_concat_on_rows_match_each_row_alone():
                                     gate_p), Tensor(base)).data
     assert rows.shape == (5, 7)
     for i in range(5):
+        one = slice(i, i + 1)
         alone = concat_final(
-            self_refine(fuse(Tensor(base[i]), Tensor(gnn[i]), fuse_p), gate_p),
-            Tensor(base[i])).data
-        np.testing.assert_allclose(rows[i], alone, atol=1e-12)
+            self_refine(fuse(Tensor(base[one]), Tensor(gnn[one]), fuse_p),
+                        gate_p), Tensor(base[one])).data
+        np.testing.assert_allclose(rows[one], alone, atol=1e-12)
 
 
 def test_zero_layer_gat_pool_is_mean_of_init():
@@ -379,18 +380,18 @@ def test_fuse_zero_weights_gives_bias():
     p.w1.data[...] = 0.0
     p.w2.data[...] = 0.0
     p.b2.data[...] = np.array([1.0, 2.0, 3.0])
-    out = fuse(Tensor(np.ones(3)), Tensor(np.ones(2)), p)
-    np.testing.assert_allclose(out.data, [1.0, 2.0, 3.0])
+    out = fuse(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 2))), p)
+    np.testing.assert_allclose(out.data, [[1.0, 2.0, 3.0]])
 
 
 def test_fuse_gradient_wrt_e_gnn():
     p = _fuse_params(3, 2, 4, 3, seed=5)
-    e_base = np.random.default_rng(6).normal(size=3)
+    e_base = np.random.default_rng(6).normal(size=(1, 3))
 
     def f(x):
         return float(fuse(Tensor(e_base), Tensor(x), p).sum().data)
 
-    x0 = np.array([0.4, -0.9])
+    x0 = np.array([[0.4, -0.9]])
     t = Tensor(x0, requires_grad=True)
     fuse(Tensor(e_base), t, p).sum().backward()
     np.testing.assert_allclose(t.grad, numeric_grad(f, x0), rtol=1e-6)
@@ -398,7 +399,7 @@ def test_fuse_gradient_wrt_e_gnn():
 
 def test_self_refine_uniform_scores_is_elu_identity():
     p = GateParams(w1=Tensor(np.zeros((4, 2))), w2=Tensor(np.zeros((2, 4))))
-    x = np.array([0.5, -0.5, 2.0, -2.0])
+    x = np.array([[0.5, -0.5, 2.0, -2.0]])
     out = self_refine(Tensor(x), p)
     np.testing.assert_allclose(out.data, np.where(x > 0, x, np.expm1(x)),
                                atol=1e-12)
@@ -410,7 +411,7 @@ def test_self_refine_gate_weights_sum_to_dim():
         dim = int(rng.integers(2, 9))
         p = GateParams(w1=Tensor(rng.normal(size=(dim, 3))),
                        w2=Tensor(rng.normal(size=(3, dim))))
-        e = Tensor(rng.normal(size=dim))
+        e = Tensor(rng.normal(size=(1, dim)))
         scores = np.tanh(e.data @ p.w1.data) @ p.w2.data
         gate = np.exp(scores - scores.max())
         gate = gate / gate.sum() * dim
@@ -436,9 +437,9 @@ def test_empty_subgraph_chain_is_finite():
     fuse_p = _fuse_params(3, 2, 4, 4, seed=8)
     gate_p = GateParams(w1=Tensor(np.random.default_rng(9).normal(size=(4, 2))),
                         w2=Tensor(np.random.default_rng(10).normal(size=(2, 4))))
-    e_gnn = pool_subgraph(None, [0], 2)[0]
-    e_all = fuse(Tensor(np.ones(3)), e_gnn, fuse_p)
-    final = concat_final(self_refine(e_all, gate_p), Tensor(np.ones(3)))
+    e_gnn = pool_subgraph(None, [0], 2)
+    e_all = fuse(Tensor(np.ones((1, 3))), e_gnn, fuse_p)
+    final = concat_final(self_refine(e_all, gate_p), Tensor(np.ones((1, 3))))
     assert np.isfinite(final.data).all()
 
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kegat.autodiff import Tensor, log_softmax
-from kegat.head import (HeadParams, LossParams, classification_loss,
-                        combined_loss, ensemble_average, lm_loss, predict)
+from kegat import autodiff as ad
+from kegat.autodiff import Tensor
+from kegat.head import (PROB_FLOOR, HeadParams, LossParams,
+                        classification_loss, combined_loss, ensemble_average,
+                        lm_loss, predict)
 
 from conftest import numeric_grad
 
@@ -129,7 +131,8 @@ def test_lm_loss_mask_additivity():
     keep = [0, 1, 3]   # the rows a caller passes when row 2 is not trunk
     partial = lm_loss(Tensor(logits.data[keep]),
                       [tokens[i] for i in keep]).data
-    term = -log_softmax(logits).data[2, tokens[2]]
+    row = logits.data[2] - logits.data[2].max()
+    term = -(row - np.log(np.exp(row).sum()))[tokens[2]]
     np.testing.assert_allclose(full - partial, term, atol=1e-12)
 
 
@@ -196,3 +199,154 @@ def test_ensemble_of_distributions_is_distribution(seeds, n):
     out = ensemble_average(vecs)
     assert (out >= 0).all()
     np.testing.assert_allclose(out.sum(), 1.0, atol=1e-9)
+
+
+# -- the fused loss nodes against the composed ops they replace --------------
+
+def _neg(t):
+    return ad._node(-t.data, (t, np.negative))
+
+
+def _exp(t):
+    out = np.exp(t.data)
+    return ad._node(out, (t, lambda g: g * out))
+
+
+def _log(t):
+    return ad._node(np.log(t.data), (t, lambda g: g / t.data))
+
+
+def _log_softmax(t):
+    shifted = t.data - t.data.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    soft = np.exp(out)
+    return ad._node(out, (t, lambda g: g - soft * g.sum(axis=-1, keepdims=True)))
+
+
+def _reference_classification(probs, labels):
+    """The composed-op loss, with its separate path for floored rows."""
+    p = probs[np.arange(len(labels)), np.asarray(labels)]
+    low = p.data <= PROB_FLOOR
+    if not low.any():
+        return _neg(_log(p)).mean()
+    mask = Tensor(low.astype(np.float64))
+    kept = p * Tensor(~low) + mask
+    floored = Tensor(np.where(low, -np.log(PROB_FLOOR), 0.0))
+    return (_neg(_log(kept)) + (p + Tensor(-p.data)) * mask + floored).mean()
+
+
+def _reference_lm(logits, tokens):
+    rows = (np.arange(len(tokens)), np.asarray(tokens))
+    return _neg(_log_softmax(logits)[rows].sum())
+
+
+def _reference_combined(l1, l2, params):
+    return (_exp(_neg(params.s1)) * l1 + _exp(_neg(params.s2)) * l2
+            + params.s1 + params.s2) * 0.5
+
+
+# the probability at each row's label: none floored, some floored (0, below
+# the floor, exactly at it), all floored
+_LABEL_PROBS = {
+    "ordinary": [0.4, 0.9, 0.25, 1.0, 0.3],
+    "floored": [0.4, 0.0, 1e-13, 1e-12, 0.7],
+    "all floored": [0.0, 1e-12, 5e-324, 1e-13, 0.0],
+}
+
+
+def _loss_inputs(kind, seed):
+    """Probabilities with the kind's value at each label, LM logits and
+    tokens, and the labels."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 3, size=5)
+    probs = rng.dirichlet(np.ones(3), size=5)
+    probs[np.arange(5), labels] = _LABEL_PROBS[kind]
+    logits = rng.normal(scale=2.0, size=(5, 7))
+    return probs, labels, logits, rng.integers(0, 7, size=5)
+
+
+def _run_losses(loss_fns, kind, root, g, seed):
+    """Build one root the way `KegatModel.loss` does, scale it by g, run
+    backward, and return every value and gradient the losses produced."""
+    classify, lm, combine = loss_fns
+    probs0, labels, logits0, tokens = _loss_inputs(kind, seed)
+    probs = Tensor(probs0, requires_grad=True)
+    logits = Tensor(logits0, requires_grad=True)
+    s = np.random.default_rng(seed + 1).normal(size=2)
+    params = LossParams(
+        s1=Tensor(s[0], requires_grad=root == "combined"),
+        s2=Tensor(s[1], requires_grad=root == "combined"))
+    l2 = classify(probs, labels)
+    l1 = None
+    if root == "combined":
+        l1 = lm(logits, tokens) * (1.0 / 3)
+    elif root == "frozen s":   # phase 1: the LM term a constant
+        l1 = Tensor(float(lm(Tensor(logits0), tokens).data) * (1.0 / 3))
+    out = l2 if l1 is None else combine(l1, l2, params)
+    (out * g).backward()
+    values = [t.data for t in (l1, l2, out) if t is not None]
+    grads = [t.grad for t in (probs, logits, params.s1, params.s2)
+             if t.requires_grad]
+    return values + grads
+
+
+@pytest.mark.parametrize("kind", sorted(_LABEL_PROBS))
+@pytest.mark.parametrize("root", ["combined", "frozen s", "no LM"])
+@pytest.mark.parametrize("g", [1.0, 0.37, 3.5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_loss_nodes_match_composed_reference(kind, root, g, seed):
+    """Each fused loss gives the composed ops' value bytes, and every
+    operand its gradient bytes, on floored rows, with s1 and s2 frozen, with
+    no LM term and under an upstream gradient g != 1."""
+    got = _run_losses((classification_loss, lm_loss, combined_loss),
+                      kind, root, g, seed)
+    want = _run_losses((_reference_classification, _reference_lm,
+                        _reference_combined), kind, root, g, seed)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_LABEL_PROBS))
+def test_floored_rows_raise_no_floating_point_error(kind):
+    probs0, labels, _, _ = _loss_inputs(kind, seed=3)
+    probs = Tensor(probs0, requires_grad=True)
+    with np.errstate(all="raise"):
+        loss = classification_loss(probs, labels)
+        (loss * 0.37).backward()
+    assert np.isfinite(loss.data) and np.isfinite(probs.grad).all()
+
+
+def test_classification_node_gradient_matches_differences():
+    probs0, labels, _, _ = _loss_inputs("ordinary", seed=4)
+    probs0[probs0 == 1.0] = 0.95   # keep p + step a probability
+    probs = Tensor(probs0, requires_grad=True)
+    classification_loss(probs, labels).backward()
+    np.testing.assert_allclose(
+        probs.grad,
+        numeric_grad(lambda x: float(classification_loss(
+            Tensor(x), labels).data), probs0), rtol=1e-6, atol=1e-9)
+
+
+def test_lm_node_gradient_matches_differences():
+    _, _, logits0, tokens = _loss_inputs("ordinary", seed=5)
+    logits = Tensor(logits0, requires_grad=True)
+    lm_loss(logits, tokens).backward()
+    np.testing.assert_allclose(
+        logits.grad,
+        numeric_grad(lambda x: float(lm_loss(Tensor(x), tokens).data),
+                     logits0), rtol=1e-6, atol=1e-9)
+
+
+def test_combined_node_gradient_matches_differences():
+    """Each of the four operands: both terms and both log-variances."""
+    x0 = np.array([0.7, 1.3, 0.3, -0.2])   # l1, l2, s1, s2
+
+    def f(x):
+        return float(combined_loss(Tensor(x[0]), Tensor(x[1]),
+                                   LossParams(Tensor(x[2]), Tensor(x[3]))).data)
+
+    ts = [Tensor(v, requires_grad=True) for v in x0]
+    combined_loss(ts[0], ts[1], LossParams(ts[2], ts[3])).backward()
+    np.testing.assert_allclose([float(t.grad) for t in ts],
+                               numeric_grad(f, x0), rtol=1e-6)
