@@ -26,16 +26,15 @@ The op set:
 - ``+`` and ``*`` with numpy broadcasting
 - ``@`` for 2-D operands, and for stacks of matrices whose batch dims
   broadcast, e.g. ``(n, d) @ (H, d, e)``
-- elementwise ``tanh``, ``elu`` (alpha fixed at 1) and ``leaky_relu(slope)``
-- shape ops ``reshape``, ``transpose(*axes)`` (no axes reverses them all),
-  ``sum`` and ``mean``
+- ``tanh`` and ``sum``
 - indexing ``t[idx]`` with any numpy index: an int, a slice, an int array
   (repeats allowed) or a tuple of them
-- module-level ``concat`` and ``masked_softmax``
+- module-level ``concat``
 - ``fused``, for a node whose operands' gradients come out of one written-out
-  backward pass, such as a whole encoder sublayer or a loss; the array
-  helpers ``masked_softmax_data``, ``softmax_grad``, ``elu_data`` and
-  ``elu_grad`` hold the arithmetic such a node shares with the ops above
+  backward pass: an encoder sublayer, a GAT layer, the fusion MLP, the gate,
+  the head or a loss; the array helpers ``masked_softmax_data``,
+  ``softmax_grad``, ``elu_data`` and ``elu_grad`` hold the softmax and ELU
+  arithmetic these nodes share
 
 Broadcast operands get their gradient summed back to their own shape. The
 backward of ``t[idx]`` scatter-adds into a zero array of ``t``'s shape with
@@ -184,27 +183,7 @@ class Tensor:
         out_data = np.tanh(self.data)
         return _node(out_data, (self, lambda g: g * (1.0 - out_data ** 2)))
 
-    def elu(self):
-        """ELU with alpha 1 (see `elu_data`)."""
-        out_data = elu_data(self.data)
-        return _node(out_data, (self, lambda g: elu_grad(out_data, g)))
-
-    def leaky_relu(self, slope: float = 0.2):
-        pos = self.data > 0
-        return _node(np.where(pos, self.data, slope * self.data),
-                     (self, lambda g: g * np.where(pos, 1.0, slope)))
-
     # -- shape ops -----------------------------------------------------------
-
-    def reshape(self, *shape):
-        old = self.shape
-        return _node(self.data.reshape(*shape), (self, lambda g: g.reshape(old)))
-
-    def transpose(self, *axes):
-        """Permute axes like ``np.transpose``; no axes reverses them all."""
-        inverse = sorted(range(len(axes)), key=axes.__getitem__)
-        return _node(self.data.transpose(*axes),
-                     (self, lambda g: g.transpose(*inverse)))
 
     def sum(self, axis=None, keepdims: bool = False):
         def bw(g):
@@ -213,10 +192,6 @@ class Tensor:
             return np.broadcast_to(g, self.shape).copy()
 
         return _node(self.data.sum(axis=axis, keepdims=keepdims), (self, bw))
-
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def __getitem__(self, idx):
         """Numpy indexing; the backward scatter-adds into a zero array."""
@@ -280,15 +255,6 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _node(out_data, *edges)
 
 
-def masked_softmax(logits: Tensor, mask: Optional[np.ndarray] = None,
-                   axis: int = -1) -> Tensor:
-    """Softmax along `axis`, restricted to positions where `mask` is True
-    (see `masked_softmax_data`)."""
-    out_data = masked_softmax_data(logits.data, mask, axis)
-    return _node(out_data,
-                 (logits, lambda g: softmax_grad(out_data, g, axis)))
-
-
 def fused(data, operands: Dict[str, Tensor],
           backward: Callable[[np.ndarray, frozenset], Dict[str, np.ndarray]]
           ) -> Tensor:
@@ -296,16 +262,19 @@ def fused(data, operands: Dict[str, Tensor],
 
     `backward(g, wanted)` gets the output gradient and the names of the
     operands the node recorded an edge to (`_node` decides which), and
-    returns a dict of one gradient per wanted name. It runs the first time
-    the walk takes one of the node's edges; each edge then takes its own
-    gradient out of the result, so a later walk runs it again. The edges
-    follow the operands' order.
+    returns a dict of gradients by operand name that holds every wanted
+    one; the others are dropped, so a backward may skip a costly gradient
+    nobody wants and return the cheap ones regardless. It runs the first
+    time the walk takes one of the node's edges; each edge then takes its
+    own gradient out of the result, so a later walk runs it again. The
+    edges follow the operands' order.
     """
     grads: Dict[str, np.ndarray] = {}
 
     def take(name, g):
         if not grads:
-            grads.update(backward(g, wanted))
+            result = backward(g, wanted)
+            grads.update((n, result[n]) for n in wanted)
         return grads.pop(name)
 
     out = _node(data, *((t, functools.partial(take, name))

@@ -188,7 +188,7 @@ def _attention_sublayer(h: Tensor, visibility: np.ndarray, lp: LayerParams,
                 np.add.at(grads["h"], rows, gs + gh[0])
             grads["h"] += gh[1]
             grads["h"] += gh[2]
-        return {name: grads[name] for name in wanted}
+        return grads
 
     return ad.fused(out, {"h": h, **{name: getattr(lp, name) for name in (
         "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b")}},
@@ -219,7 +219,7 @@ def _ffn_sublayer(h: Tensor, lp: LayerParams, rate: float,
         grads["ffn_w1"], grads["ffn_b1"] = hd.T @ gz, gz.sum(axis=0)
         if "h" in wanted:
             grads["h"] = gs + gz @ lp.ffn_w1.data.T
-        return {name: grads[name] for name in wanted}
+        return grads
 
     return ad.fused(out, {"h": h, **{name: getattr(lp, name) for name in (
         "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2", "ln2_g", "ln2_b")}},

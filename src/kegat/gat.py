@@ -4,9 +4,10 @@ For each linked entity, up to k neighbors are drawn without replacement with
 probability proportional to edge weight. The union of entities and sampled
 neighbors forms one subgraph (all KB edges among included nodes are kept,
 plus self-loops), refined by multi-head attention layers and mean-pooled into
-a single vector that is fused with the sequence encoder's pooled state. The
-heads of a layer run as one op over stacked weights, and a batch's subgraphs
-run as one block-diagonal graph.
+a single vector that is fused with the sequence encoder's pooled state. A
+batch's subgraphs run as one block-diagonal graph. A layer, with its heads
+stacked, is one autodiff node, and so are the fusion MLP and the gate; their
+written-out backward passes replay the composed ops' arithmetic.
 """
 
 from __future__ import annotations
@@ -123,29 +124,56 @@ class GateParams:
     w2: Tensor   # hidden x d_all
 
 
-def _attend(h: Tensor, sub: Subgraph, layer: int,
-            params: GatParams) -> Tuple[Tensor, Tensor]:
-    """Every head's transformed states (H, n, d_g) and attention (H, n, n)."""
-    a = params.a[layer]
+def _attention(hd: np.ndarray, adjacency: np.ndarray, w: np.ndarray,
+               a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every head's transformed states wh = hd @ w (H, n, d_g), the mask of
+    its positive attention scores e_ij = a_src·wh_i + a_dst·wh_j (H, n, n),
+    and its attention rows: the softmax of LeakyReLU(e_ij) over each node's
+    neighbors (H, n, n)."""
     dg = a.shape[1] // 2
-    wh = h @ params.w[layer]
-    src = wh @ a[:, :dg, None]
-    dst = wh @ a[:, dg:, None]
-    scores = (src + dst.transpose(0, 2, 1)).leaky_relu(LEAKY_SLOPE)
-    return wh, ad.masked_softmax(scores, sub.adjacency, axis=-1)
+    wh = hd @ w
+    scores = wh @ a[:, :dg, None] + (wh @ a[:, dg:, None]).transpose(0, 2, 1)
+    pos = scores > 0
+    alpha = ad.masked_softmax_data(np.where(pos, scores, LEAKY_SLOPE * scores),
+                                   adjacency, axis=-1)
+    return wh, pos, alpha
 
 
 def attention_coeffs(h: Tensor, sub: Subgraph, layer: int,
                      params: GatParams) -> Tensor:
     """Each head's attention rows alpha_ij over each node's neighbors
-    (self-loop included), stacked to (H, n, n)."""
-    return _attend(h, sub, layer, params)[1]
+    (self-loop included), stacked to (H, n, n), as a constant."""
+    return Tensor(_attention(h.data, sub.adjacency, params.w[layer].data,
+                             params.a[layer].data)[2])
 
 
 def gat_layer(h: Tensor, sub: Subgraph, params: GatParams, layer: int) -> Tensor:
-    """One refinement step: mean over heads of attention-weighted sums, ELU."""
-    wh, alpha = _attend(h, sub, layer, params)
-    return (alpha @ wh).mean(axis=0).elu()
+    """One refinement step, mean over heads of attention-weighted sums and
+    ELU, as one autodiff node. The backward replays the composed ops'
+    arithmetic and sums wh's gradients in the order the autodiff walk summed
+    them: aggregation plus source score, then destination score."""
+    w, a = params.w[layer], params.a[layer]
+    H, dg = a.shape[0], a.shape[1] // 2
+    wh, pos, alpha = _attention(h.data, sub.adjacency, w.data, a.data)
+    out = ad.elu_data((alpha @ wh).sum(axis=0) * (1.0 / H))
+
+    def backward(g, wanted):
+        whT = wh.swapaxes(-1, -2)
+        gm = np.broadcast_to(ad.elu_grad(out, g) * (1.0 / H), wh.shape).copy()
+        gs = ad.softmax_grad(alpha, gm @ whT) * np.where(pos, 1.0, LEAKY_SLOPE)
+        gsrc = gs.sum(axis=2, keepdims=True)
+        gdst = gs.sum(axis=1, keepdims=True).transpose(0, 2, 1)
+        grads = {"a": np.concatenate([(whT @ gsrc)[..., 0],
+                                      (whT @ gdst)[..., 0]], axis=1)}
+        gwh = (alpha.swapaxes(-1, -2) @ gm
+               + gsrc @ a.data[:, :dg, None].swapaxes(-1, -2))
+        gwh += gdst @ a.data[:, dg:, None].swapaxes(-1, -2)
+        grads["w"] = h.data.swapaxes(-1, -2) @ gwh
+        if "h" in wanted:
+            grads["h"] = (gwh @ w.data.swapaxes(-1, -2)).sum(axis=0)
+        return grads
+
+    return ad.fused(out, {"h": h, "w": w, "a": a}, backward)
 
 
 def run_gat(node_init: np.ndarray, sub: Subgraph, params: GatParams) -> Tensor:
@@ -187,32 +215,51 @@ def pool_subgraph(h: Optional[Tensor], sizes: Sequence[int],
 
 def fuse(e_base: Tensor, e_gnn: Tensor, params: FuseParams) -> Tensor:
     """One-hidden-layer ELU MLP over the concatenated representations, one
-    row per option."""
-    x = ad.concat([e_base, e_gnn], axis=-1)
-    return (x @ params.w1 + params.b1).elu() @ params.w2 + params.b2
+    row per option, as one autodiff node."""
+    x = np.concatenate([e_base.data, e_gnn.data], axis=-1)
+    e = ad.elu_data(x @ params.w1.data + params.b1.data)
+
+    def backward(g, wanted):
+        gz = ad.elu_grad(e, g @ params.w2.data.T)
+        gx = np.split(gz @ params.w1.data.T, [e_base.shape[1]], axis=1)
+        return {"e_base": gx[0], "e_gnn": gx[1],
+                "w1": x.T @ gz, "b1": gz.sum(axis=0),
+                "w2": e.T @ g, "b2": g.sum(axis=0)}
+
+    return ad.fused(e @ params.w2.data + params.b2.data,
+                    {"e_base": e_base, "e_gnn": e_gnn, **vars(params)},
+                    backward)
 
 
 def self_refine(e_all: Tensor, params: GateParams) -> Tensor:
-    """Dimension-wise attention gate over the last axis.
+    """Dimension-wise attention gate over the last axis, as one autodiff node.
 
     Scores pass through a tanh bottleneck; softmax weights are rescaled by the
     dimension count so uniform scores leave the vector unchanged (up to ELU).
     """
-    dim = e_all.shape[-1]
-    scores = (e_all @ params.w1).tanh() @ params.w2
-    gate = ad.masked_softmax(scores, None, axis=-1) * float(dim)
-    return (gate * e_all).elu()
+    dim = float(e_all.shape[-1])
+    x = e_all.data
+    t = np.tanh(x @ params.w1.data)
+    soft = ad.masked_softmax_data(t @ params.w2.data, None, axis=-1)
+    gate = soft * dim
+    out = ad.elu_data(gate * x)
 
+    def backward(g, wanted):
+        gp = ad.elu_grad(out, g)
+        gs = ad.softmax_grad(soft, gp * x * dim)
+        gu = (gs @ params.w2.data.T) * (1.0 - t ** 2)
+        return {"e_all": gp * gate + gu @ params.w1.data.T,
+                "w1": x.T @ gu, "w2": t.T @ gs}
 
-def concat_final(g: Tensor, e_base: Tensor) -> Tensor:
-    return ad.concat([g, e_base], axis=-1)
+    return ad.fused(out, {"e_all": e_all, **vars(params)}, backward)
 
 
 def load_concept_table(path, dim: int, seed: int = 0) -> Dict[str, np.ndarray]:
     """Load a word2vec-style text table (optional header line).
 
     Vectors whose dimension differs from `dim` are mapped through a fixed
-    seeded Gaussian random projection.
+    seeded Gaussian random projection; one that overflows there is a data
+    error.
     """
     raw: Dict[str, np.ndarray] = {}
     src_dim = None
@@ -245,4 +292,10 @@ def load_concept_table(path, dim: int, seed: int = 0) -> Dict[str, np.ndarray]:
     if src_dim is None or src_dim == dim:
         return raw
     proj = np.random.default_rng(seed).normal(size=(src_dim, dim)) / np.sqrt(src_dim)
-    return {c: v @ proj for c, v in raw.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = {c: v @ proj for c, v in raw.items()}
+    for c, v in table.items():
+        if not np.isfinite(v).all():
+            raise DataFormatError(f"{path}: the vector of {c!r} overflows "
+                                  f"when projected to dim {dim}")
+    return table

@@ -32,20 +32,28 @@ class LossParams:
         return float(np.exp(0.5 * s.data))
 
 
-def option_score(reprs: Tensor, params: HeadParams) -> Tensor:
-    """MLP score per option representation: (N, 1) for (N, repr_dim) rows."""
-    hidden = (reprs @ params.w1 + params.b1).elu()
-    return hidden @ params.w2 + params.b2
-
-
 def predict(reprs: Tensor, params: HeadParams, n_options: int) -> Tensor:
-    """Score the (n_instances·A, repr_dim) option rows, instance-major, as
-    one MLP, and take a softmax over each instance's A = `n_options`: the
-    (n_instances, A) option probabilities."""
+    """Score the (n_instances·A, repr_dim) option rows, instance-major, with
+    one ELU MLP, and take a softmax over each instance's A = `n_options`:
+    the (n_instances, A) option probabilities, as one autodiff node whose
+    backward replays the composed ops' arithmetic."""
     if n_options < 2:
         raise ValueError("predict needs at least 2 options")
-    raw = option_score(reprs, params).reshape(-1, n_options)
-    return ad.masked_softmax(raw, None, axis=-1)
+    x = reprs.data
+    hidden = ad.elu_data(x @ params.w1.data + params.b1.data)
+    raw = hidden @ params.w2.data + params.b2.data
+    probs = ad.masked_softmax_data(raw.reshape(-1, n_options), None, axis=-1)
+
+    def backward(g, wanted):
+        graw = ad.softmax_grad(probs, g).reshape(raw.shape)
+        gz = ad.elu_grad(hidden, graw @ params.w2.data.T)
+        grads = {"w1": x.T @ gz, "b1": gz.sum(axis=0),
+                 "w2": hidden.T @ graw, "b2": graw.sum(axis=0)}
+        if "reprs" in wanted:
+            grads["reprs"] = gz @ params.w1.data.T
+        return grads
+
+    return ad.fused(probs, {"reprs": reprs, **vars(params)}, backward)
 
 
 def classification_loss(probs: Tensor, labels: Sequence[int]) -> Tensor:
@@ -105,10 +113,9 @@ def combined_loss(l1: Tensor, l2: Tensor, params: LossParams) -> Tensor:
 
     def backward(g, wanted):
         h = g * 0.5
-        grads = {"l1": h * e1, "l2": h * e2,
-                 "s1": h + -((h * l1.data) * e1),
-                 "s2": h + -((h * l2.data) * e2)}
-        return {name: grads[name] for name in wanted}
+        return {"l1": h * e1, "l2": h * e2,
+                "s1": h + -((h * l1.data) * e1),
+                "s2": h + -((h * l2.data) * e2)}
 
     return ad.fused((e1 * l1.data + e2 * l2.data + s1 + s2) * 0.5,
                     {"l1": l1, "l2": l2, "s1": params.s1, "s2": params.s2},

@@ -30,7 +30,7 @@ from . import gat as gatmod
 from . import harness
 from . import head as headmod
 from . import kemb
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor, concat, no_grad
 from .kgstore import KnowledgeGraph
 from .linker import extract_entities
 from .trainkit import ParamStore, check_fields
@@ -303,7 +303,7 @@ class KegatModel:
                                          c.node_dim)
             e_all = gatmod.fuse(out.pooled, e_gnn, self.fuse_params)
             g = gatmod.self_refine(e_all, self.gate_params)
-            reprs = gatmod.concat_final(g, out.pooled)
+            reprs = concat([g, out.pooled], axis=-1)
         return BatchOutput(
             probs=headmod.predict(reprs, self.head_params, n_options),
             reprs=reprs, hidden=out.hidden, batch=batch)

@@ -74,3 +74,22 @@ def numeric_grad(f, x, step=1e-6):
         g[idx] = (f(xp) - f(xm)) / (2 * step)
         it.iternext()
     return g
+
+
+def check_operand_grads(loss, operands):
+    """Run backward on the scalar tensor `loss()` and compare each of the
+    `operands` tensors' gradient with central differences of the loss,
+    taken by perturbing that tensor's data in place."""
+    loss().backward()
+    for name, t in operands.items():
+        x0 = t.data.copy()
+
+        def f(x):
+            t.data[...] = x
+            try:
+                return float(loss().data)
+            finally:
+                t.data[...] = x0
+
+        np.testing.assert_allclose(t.grad, numeric_grad(f, x0), rtol=1e-6,
+                                   atol=1e-9, err_msg=name)

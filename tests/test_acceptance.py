@@ -152,20 +152,23 @@ def _tracked(tensors) -> list:
 
 
 def test_loss_graph_node_count(monkeypatch, tmp_path):
-    """One 2-instance batch's loss builds at most 103 tensors on the small
-    model, and at most 148 on the default model over seed-7 synth instances.
+    """One 2-instance batch's loss builds at most 25 tensors on the small
+    model, and at most 28 on the default model over seed-7 synth instances.
 
-    Guards the one padded pass per batch, the batched attention heads,
-    single-op indexing, the stacked GAT heads and the one-node layer norm.
-    A pass per option built 181 and 271 per instance, so 362 and 542 per
-    batch; before that, the per-head encoder loop and per-token LM loss
-    built 309 per instance on the small model, the per-head GAT loop 447 on
-    the default model, and a layer norm composed of 12 ops 241 and 391.
+    Guards the one padded pass per batch and the fused nodes: two per
+    encoder layer, one per GAT layer, fusion, gate, head and each loss.
+    With the GAT layers, fusion, gate and head composed of small ops the
+    loss built 56 and 72; with the encoder sublayers and losses composed
+    too, 103 and 148 at most. A pass per option built 181 and 271 per
+    instance, so 362 and 542 per batch; before that, the per-head encoder
+    loop and per-token LM loss built 309 per instance on the small model,
+    the per-head GAT loop 447 on the default model, and a layer norm
+    composed of 12 ops 241 and 391.
     """
     model, instances = _small_model()
     built = _record_tensors(monkeypatch)
     model.loss(instances[:2])
-    assert 0 < len(built) <= 103, len(built)
+    assert 0 < len(built) <= 25, len(built)
 
     bench = synth_benchmark(7, tmp_path / "bench")
     templates = default_templates()
@@ -174,14 +177,16 @@ def test_loss_graph_node_count(monkeypatch, tmp_path):
     model = KegatModel(ModelConfig(seed=7), vocab, bench.graph, table, templates)
     built.clear()
     model.loss(bench.train[:2])
-    assert 0 < len(built) <= 148, len(built)
+    assert 0 < len(built) <= 28, len(built)
 
 
 def test_phase1_loss_differentiates_only_the_head(monkeypatch):
-    """With all but the head frozen, one loss records at most 20 tensors.
+    """With all but the head frozen, one loss records at most 3 tensors:
+    the head, classification-loss and combined-loss nodes.
 
     Frozen parameters are constants, so only the head path is recorded (it
-    was 220 of 243 tensors while frozen parameters stayed in the graph).
+    was 220 of 243 tensors while frozen parameters stayed in the graph, and
+    9 while the head was composed of small ops).
     Frozen gradients are exactly zero, and the head's gradients are
     bit-equal to those of the same loss with every parameter trainable.
     """
@@ -192,7 +197,7 @@ def test_phase1_loss_differentiates_only_the_head(monkeypatch):
     store.freeze_all_except(head)
     built = _record_tensors(monkeypatch)
     loss = model.loss(instances[:1])
-    assert 0 < len(_tracked(built)) <= 20, len(_tracked(built))
+    assert 0 < len(_tracked(built)) <= 3, len(_tracked(built))
     compute_gradients(loss, store)
     for name, p in store.items():
         if name in head:
@@ -249,14 +254,14 @@ def test_mask_locality_is_exact():
 def test_all_normalizations_sum_to_one(monkeypatch):
     """Attention rows (encoder + GAT) and option probabilities sum to 1."""
     recorded = []
-    real = ad.masked_softmax
+    real = ad.masked_softmax_data
 
-    def recording(scores, mask, axis=-1):
-        out = real(scores, mask, axis=axis)
-        recorded.append(out.data.copy())
+    def recording(x, mask=None, axis=-1):
+        out = real(x, mask, axis)
+        recorded.append(out.copy())
         return out
 
-    monkeypatch.setattr(ad, "masked_softmax", recording)
+    monkeypatch.setattr(ad, "masked_softmax_data", recording)
     rng = np.random.default_rng(42)
     prob_rows = 0
     max_err = 0.0

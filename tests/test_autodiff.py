@@ -44,8 +44,6 @@ def test_matmul_grads_all_shapes():
 def test_nonlinearity_grads():
     x0 = np.array([-2.0, -0.5, 0.3, 1.7])
     _check_grad(lambda t: t.tanh().sum(), x0)
-    _check_grad(lambda t: t.elu().sum(), x0)
-    _check_grad(lambda t: t.leaky_relu(0.2).sum(), x0)
 
 
 # signed zeros and denormals, infinities, NaN, and inputs whose exp overflows
@@ -55,7 +53,7 @@ _ELU_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, np.inf,
 
 @pytest.mark.parametrize("size", [1, 1000])
 def test_elu_matches_where_reference_bit_for_bit(size):
-    """Forward and backward have the bytes of the ``np.where`` formulas,
+    """`elu_data` and `elu_grad` have the bytes of the ``np.where`` formulas,
     ``where(x > 0, x, expm1(x))`` and ``g * where(x > 0, 1, out + 1)``, and
     raise no floating-point error. Length 1000 runs numpy's SIMD loops."""
     rng = np.random.default_rng(size)
@@ -67,13 +65,12 @@ def test_elu_matches_where_reference_bit_for_bit(size):
     for x in inputs:
         g = rng.normal(size=x.shape)
         with np.errstate(all="raise"):
-            out = Tensor(x, requires_grad=True).elu()
-            ((_, bw),) = out._edges
-            grad = bw(g)
+            out = ad.elu_data(x)
+            grad = ad.elu_grad(out, g)
         with np.errstate(all="ignore"):
             ref = np.where(x > 0, x, np.expm1(x))
             ref_grad = g * np.where(x > 0, 1.0, ref + 1.0)
-        assert out.data.tobytes() == ref.tobytes(), x
+        assert out.tobytes() == ref.tobytes(), x
         assert grad.tobytes() == ref_grad.tobytes(), x
 
 
@@ -88,7 +85,6 @@ def test_gather_grads():
     rows, cols = np.array([0, 2, 2, 3]), np.array([1, 0, 0, 2])
     u = np.array([0.5, -1.0, 2.0, 1.5])
     _check_grad(lambda t: (t[rows, cols] * Tensor(u)).sum(), x0)      # (rows, cols)
-    _check_grad(lambda t: t.transpose().reshape(12).mean(), x0)
 
 
 def test_gather_repeats_scatter_add():
@@ -97,20 +93,15 @@ def test_gather_repeats_scatter_add():
     np.testing.assert_array_equal(t.grad, [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]])
 
 
-def test_transpose_grads():
-    x0 = np.arange(24.0).reshape(2, 3, 4) / 11.0
-    w = np.linspace(-2.0, 2.0, 24).reshape(3, 2, 4)
-    _check_grad(lambda t: (t.transpose(1, 0, 2) * Tensor(w)).sum(), x0)
-    _check_grad(lambda t: (t.transpose(2, 0, 1).transpose(1, 2, 0)
-                           * Tensor(x0)).sum(), x0)
-    assert Tensor(x0).transpose(1, 0, 2).shape == (3, 2, 4)
-    assert Tensor(x0).transpose().shape == (4, 3, 2)
-
-
 def test_concat_and_softmax_grads():
     x0 = np.array([0.1, 0.9, -0.4])
     _check_grad(lambda t: ad.concat([t, t * 2.0]).sum(), x0)
-    _check_grad(lambda t: ad.masked_softmax(t)[0], x0)
+    # `softmax_grad` is the input gradient of `masked_softmax_data`
+    x1, g = np.array([[0.1, 0.9, -0.4], [2.0, -1.0, 0.5]]), np.eye(2, 3)
+    np.testing.assert_allclose(
+        ad.softmax_grad(ad.masked_softmax_data(x1), g),
+        numeric_grad(lambda x: float((ad.masked_softmax_data(x) * g).sum()),
+                     x1), rtol=1e-6, atol=1e-9)
 
 
 def _layer_norm_chain(x, gain, bias, eps):
@@ -190,31 +181,30 @@ def test_backward_requires_scalar():
 
 def test_masked_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
-    logits = Tensor(rng.normal(size=(6, 6)))
+    logits = rng.normal(size=(6, 6))
     mask = rng.random((6, 6)) < 0.5
     np.fill_diagonal(mask, True)
-    out = ad.masked_softmax(logits, mask)
-    np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)
-    assert (out.data[~mask] == 0.0).all()
+    out = ad.masked_softmax_data(logits, mask)
+    np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
+    assert (out[~mask] == 0.0).all()
 
 
 def test_masked_softmax_empty_slice_asserts():
     with pytest.raises(AssertionError):
-        ad.masked_softmax(Tensor(np.zeros((2, 2))),
-                          np.zeros((2, 2), dtype=bool))
+        ad.masked_softmax_data(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
     # a (T, T) mask broadcast over heads, with one row all invisible
     mask = np.ones((3, 3), dtype=bool)
     mask[1] = False
     with pytest.raises(AssertionError):
-        ad.masked_softmax(Tensor(np.zeros((2, 3, 3))), mask, axis=-1)
+        ad.masked_softmax_data(np.zeros((2, 3, 3)), mask, axis=-1)
     # along a non-last axis: column 2 is all invisible
     mask = np.ones((3, 3), dtype=bool)
     mask[:, 2] = False
     with pytest.raises(AssertionError):
-        ad.masked_softmax(Tensor(np.zeros((2, 3, 3))), mask, axis=1)
-    ad.masked_softmax(Tensor(np.zeros((2, 3, 3))), mask, axis=-1)
+        ad.masked_softmax_data(np.zeros((2, 3, 3)), mask, axis=1)
+    ad.masked_softmax_data(np.zeros((2, 3, 3)), mask, axis=-1)
     with pytest.raises(ValueError):
-        ad.masked_softmax(Tensor(np.zeros((3, 3))), np.ones((2, 3, 3), bool))
+        ad.masked_softmax_data(np.zeros((3, 3)), np.ones((2, 3, 3), bool))
 
 
 def test_masked_softmax_broadcast_mask_matches_full_mask():
@@ -225,8 +215,8 @@ def test_masked_softmax_broadcast_mask_matches_full_mask():
     full = np.broadcast_to(mask, x.shape).copy()
     for axis in (-1, 1):
         np.testing.assert_array_equal(
-            ad.masked_softmax(Tensor(x), mask, axis=axis).data,
-            ad.masked_softmax(Tensor(x), full, axis=axis).data)
+            ad.masked_softmax_data(x, mask, axis=axis),
+            ad.masked_softmax_data(x, full, axis=axis))
 
 
 _R = np.random.default_rng(3)
@@ -244,7 +234,7 @@ _CONSTANT_OPERAND_CASES = {
     "x@c stack": (_S, _N, lambda t, c: t @ c),
     "concat [x, c]": (_M, _M + 1.0, lambda t, c: ad.concat([t, c], axis=1)),
     "concat [c, x]": (_M, _M + 1.0, lambda t, c: ad.concat([c, t])),
-    "mean's 1/n": (_M, _M, lambda t, c: t.mean(axis=0)),
+    "x*scalar": (_M, _M, lambda t, c: t.sum(axis=0) * (1.0 / 3)),
 }
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,26 @@ def test_output_directory_is_created_or_exits_2(runner, tmp_path, command,
     assert calls == []
     assert not out.with_suffix(".log.jsonl").exists()
     assert blocker.read_text(encoding="utf-8") == ""
+
+
+def test_vectors_overflowing_their_projection_exit_2(runner, tmp_path,
+                                                     monkeypatch):
+    """A vectors file whose projection to the model's node dim overflows is
+    a data error found before training: one line, no warning, no log."""
+    args, vectors = _train_vectors(
+        tmp_path, b"".join(c.encode() + b" 1e308" * 16 + b"\n"
+                           for c in ("sugar", "coffee")))
+    calls = []
+    monkeypatch.setattr(trainkit, "two_phase_train",
+                        lambda *a, **k: calls.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, args)
+    _assert_one_line_exit_2(result)
+    assert result.stderr.startswith(f"data error: {vectors}: ")
+    assert "overflows when projected to dim 32" in result.stderr
+    assert calls == []
+    assert not (tmp_path / "m.log.jsonl").exists()
 
 
 def test_train_without_epochs_reports_initial_dev_accuracy(runner, tmp_path):

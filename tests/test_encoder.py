@@ -10,6 +10,7 @@ from kegat.encoder import (EncoderOutput, EncoderParams, LayerParams, embed,
                            encode, lm_logits)
 from kegat.kemb import InjectedSequence, pad_batch
 
+import composed
 from conftest import numeric_grad
 
 
@@ -235,13 +236,16 @@ def _reference_attention(xq, xkv, visibility, lp, n_heads):
     scale = 1.0 / np.sqrt(dh)
 
     def heads(x, w, b, rows):
-        return (x @ w + b).reshape(B, rows, n_heads, dh).transpose(0, 2, 1, 3)
+        return composed.transpose(
+            composed.reshape(x @ w + b, B, rows, n_heads, dh), 0, 2, 1, 3)
 
     q = heads(xq, lp.wq, lp.bq, Tq)
     k, v = heads(xkv, lp.wk, lp.bk, T), heads(xkv, lp.wv, lp.bv, T)
-    att = ad.masked_softmax(q @ k.transpose(0, 1, 3, 2) * scale,
-                            visibility[:, None], axis=-1)
-    merged = (att @ v).transpose(0, 2, 1, 3).reshape(B * Tq, d)
+    att = composed.masked_softmax(
+        q @ composed.transpose(k, 0, 1, 3, 2) * scale, visibility[:, None],
+        axis=-1)
+    merged = composed.reshape(composed.transpose(att @ v, 0, 2, 1, 3),
+                              B * Tq, d)
     return merged @ lp.wo + lp.bo
 
 
@@ -259,7 +263,7 @@ def _reference_encode(E, vis, params, rate=0.0, rng=None, pooled_only=False):
         att = _reference_dropout(
             _reference_attention(x, h, x_vis, lp, params.n_heads), rate, rng)
         h = _reference_layer_norm(x + att, lp.ln1_g, lp.ln1_b)
-        ffn = ((h @ lp.ffn_w1 + lp.ffn_b1).elu() @ lp.ffn_w2) + lp.ffn_b2
+        ffn = (composed.elu(h @ lp.ffn_w1 + lp.ffn_b1) @ lp.ffn_w2) + lp.ffn_b2
         h = _reference_layer_norm(h + _reference_dropout(ffn, rate, rng),
                                   lp.ln2_g, lp.ln2_b)
     pooled = (h[::stride] @ params.pooler_w + params.pooler_b).tanh()

@@ -6,16 +6,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from kegat import autodiff as ad
 from kegat.autodiff import Tensor
 from kegat.errors import DataFormatError
 from kegat.kgstore import Edge, load_graph
-from kegat.gat import (FuseParams, GatParams, GateParams, Subgraph,
-                       attention_coeffs, block_diagonal, build_subgraph,
-                       concat_final, fuse, gat_layer, init_node_embeddings,
+from kegat.gat import (LEAKY_SLOPE, FuseParams, GatParams, GateParams,
+                       Subgraph, attention_coeffs, block_diagonal,
+                       build_subgraph, fuse, gat_layer, init_node_embeddings,
                        load_concept_table, pool_subgraph, run_gat, self_refine,
                        weighted_sample)
 
-from conftest import numeric_grad, write_kb
+import composed
+from conftest import check_operand_grads, numeric_grad, write_kb
 
 
 def _subgraph(n, adjacency=None):
@@ -346,14 +348,14 @@ def test_fuse_gate_and_concat_on_rows_match_each_row_alone():
     gate_p = GateParams(w1=Tensor(rng.normal(size=(4, 2))),
                         w2=Tensor(rng.normal(size=(2, 4))))
     base, gnn = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
-    rows = concat_final(self_refine(fuse(Tensor(base), Tensor(gnn), fuse_p),
-                                    gate_p), Tensor(base)).data
+    rows = ad.concat([self_refine(fuse(Tensor(base), Tensor(gnn), fuse_p),
+                                  gate_p), Tensor(base)], axis=-1).data
     assert rows.shape == (5, 7)
     for i in range(5):
         one = slice(i, i + 1)
-        alone = concat_final(
-            self_refine(fuse(Tensor(base[one]), Tensor(gnn[one]), fuse_p),
-                        gate_p), Tensor(base[one])).data
+        alone = ad.concat(
+            [self_refine(fuse(Tensor(base[one]), Tensor(gnn[one]), fuse_p),
+                         gate_p), Tensor(base[one])], axis=-1).data
         np.testing.assert_allclose(rows[one], alone, atol=1e-12)
 
 
@@ -425,11 +427,11 @@ def test_self_refine_gate_weights_sum_to_dim():
 def test_concat_final_order_and_dims():
     g = Tensor(np.arange(3.0))
     e = Tensor(np.arange(5.0) + 10)
-    out = concat_final(g, e)
+    out = ad.concat([g, e], axis=-1)
     assert out.shape == (8,)
     np.testing.assert_array_equal(out.data[:3], g.data)
     np.testing.assert_array_equal(out.data[3:], e.data)
-    zero = concat_final(Tensor(np.zeros(3)), e)
+    zero = ad.concat([Tensor(np.zeros(3)), e], axis=-1)
     np.testing.assert_array_equal(zero.data[3:], e.data)
 
 
@@ -439,8 +441,112 @@ def test_empty_subgraph_chain_is_finite():
                         w2=Tensor(np.random.default_rng(10).normal(size=(2, 4))))
     e_gnn = pool_subgraph(None, [0], 2)
     e_all = fuse(Tensor(np.ones((1, 3))), e_gnn, fuse_p)
-    final = concat_final(self_refine(e_all, gate_p), Tensor(np.ones((1, 3))))
+    final = ad.concat([self_refine(e_all, gate_p), Tensor(np.ones((1, 3)))],
+                      axis=-1)
     assert np.isfinite(final.data).all()
+
+
+# -- the fused nodes against the composed ops they replace --------------------
+
+def _reference_gat_layer(h, sub, params, layer):
+    """The composed-op layer: stacked head transforms, leaky-ReLU scores, a
+    masked softmax over the adjacency, aggregation, head mean and ELU."""
+    a = params.a[layer]
+    dg = a.shape[1] // 2
+    wh = h @ params.w[layer]
+    scores = (wh @ a[:, :dg, None]
+              + composed.transpose(wh @ a[:, dg:, None], 0, 2, 1))
+    alpha = composed.masked_softmax(composed.leaky_relu(scores, LEAKY_SLOPE),
+                                    sub.adjacency, axis=-1)
+    return composed.elu(composed.mean(alpha @ wh, axis=0))
+
+
+def _reference_fuse(e_base, e_gnn, params):
+    x = ad.concat([e_base, e_gnn], axis=-1)
+    return composed.elu(x @ params.w1 + params.b1) @ params.w2 + params.b2
+
+
+def _reference_self_refine(e_all, params):
+    scores = (e_all @ params.w1).tanh() @ params.w2
+    gate = composed.masked_softmax(scores) * float(e_all.shape[-1])
+    return composed.elu(gate * e_all)
+
+
+def _leaves(rng, *shapes):
+    return [Tensor(rng.normal(0.0, 0.5, s), requires_grad=True)
+            for s in shapes]
+
+
+def _graph_side(nodes, kind, heads, frozen, h_tracked):
+    """Two GAT layers, pooling into two option rows, fusion, the gate and
+    the final concat, as the model runs them, under a random readout scaled
+    by 0.37; every value the nodes produced and every leaf's gradient."""
+    layer, fuse_fn, refine = nodes
+    rng = np.random.default_rng(heads)
+    n = 1 if kind == "one node" else 5
+    adj = (np.eye(n, dtype=bool) if kind == "isolated"
+           else _random_adjacency(rng, n))
+    params = GatParams(w=_leaves(rng, (heads, 3, 3), (heads, 3, 3)),
+                       a=_leaves(rng, (heads, 6), (heads, 6)))
+    if kind == "zero scores":   # every leaky-ReLU input exactly 0
+        for a in params.a:
+            a.data[...] = 0.0
+    fuse_p = FuseParams(*_leaves(rng, (7, 5), (5,), (5, 4), (4,)))
+    gate_p = GateParams(*_leaves(rng, (4, 2), (2, 4)))
+    h0 = Tensor(rng.normal(size=(n, 3)), requires_grad=h_tracked)
+    e_base = _leaves(rng, (2, 4))[0]
+    leaves = [h0, e_base, *params.w, *params.a, *vars(fuse_p).values(),
+              *vars(gate_p).values()]
+    for t in {"w": params.w, "a": params.a,
+              "mlp": [fuse_p.w1, fuse_p.b2, gate_p.w2]}.get(frozen, []):
+        t.requires_grad = False
+    sub = _subgraph(n, adj)
+    h1 = layer(h0, sub, params, 0)
+    h2 = layer(h1, sub, params, 1)
+    e_all = fuse_fn(e_base, pool_subgraph(h2, [n // 2 + 1, n - n // 2 - 1], 3),
+                    fuse_p)
+    g = refine(e_all, gate_p)
+    reprs = ad.concat([g, e_base], axis=-1)
+    ((reprs * Tensor(rng.normal(size=reprs.shape))).sum() * 0.37).backward()
+    return ([t.data for t in (h1, h2, e_all, g)]
+            + [t.grad for t in leaves if t.requires_grad])
+
+
+@pytest.mark.parametrize("kind", ["random", "one node", "isolated",
+                                  "zero scores"])
+@pytest.mark.parametrize("heads", [1, 3])
+@pytest.mark.parametrize("frozen", ["none", "w", "a", "mlp"])
+def test_graph_nodes_match_composed_reference(kind, heads, frozen):
+    """The GAT layer, fusion and gate nodes give the composed ops' value
+    bytes, and every operand its gradient bytes: with one head or several,
+    on a one-node graph, isolated nodes and scores on the leaky-ReLU tie,
+    from an untracked first-layer input, and with weights frozen."""
+    for h_tracked in (True, False):
+        got = _graph_side((gat_layer, fuse, self_refine), kind, heads,
+                          frozen, h_tracked)
+        want = _graph_side((_reference_gat_layer, _reference_fuse,
+                            _reference_self_refine), kind, heads, frozen,
+                           h_tracked)
+        assert len(got) == len(want)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.tobytes() == b.tobytes(), (h_tracked, i)
+
+
+def test_fuse_and_gate_gradients_match_differences():
+    """Every operand of the fusion and gate nodes gets the gradient central
+    differences give; test_run_gat_gradients_two_layers_two_heads checks
+    the layer's."""
+    rng = np.random.default_rng(23)
+    e_base, e_gnn, *weights = _leaves(rng, (2, 3), (2, 2), (5, 4), (4,),
+                                      (4, 3), (3,))
+    fuse_p = FuseParams(*weights)
+    e_all, *weights = _leaves(rng, (2, 3), (3, 2), (2, 3))
+    gate_p = GateParams(*weights)
+    readout = Tensor(rng.normal(size=(2, 3)))
+    check_operand_grads(lambda: (fuse(e_base, e_gnn, fuse_p) * readout).sum(),
+                        {"e_base": e_base, "e_gnn": e_gnn, **vars(fuse_p)})
+    check_operand_grads(lambda: (self_refine(e_all, gate_p) * readout).sum(),
+                        {"e_all": e_all, **vars(gate_p)})
 
 
 # -- concept table ------------------------------------------------------------

@@ -10,7 +10,8 @@ from kegat.head import (PROB_FLOOR, HeadParams, LossParams,
                         classification_loss, combined_loss, ensemble_average,
                         lm_loss, predict)
 
-from conftest import numeric_grad
+import composed
+from conftest import check_operand_grads, numeric_grad
 
 
 def _head_params(d, hidden=3, seed=0):
@@ -228,11 +229,12 @@ def _reference_classification(probs, labels):
     p = probs[np.arange(len(labels)), np.asarray(labels)]
     low = p.data <= PROB_FLOOR
     if not low.any():
-        return _neg(_log(p)).mean()
+        return composed.mean(_neg(_log(p)))
     mask = Tensor(low.astype(np.float64))
     kept = p * Tensor(~low) + mask
     floored = Tensor(np.where(low, -np.log(PROB_FLOOR), 0.0))
-    return (_neg(_log(kept)) + (p + Tensor(-p.data)) * mask + floored).mean()
+    return composed.mean(_neg(_log(kept)) + (p + Tensor(-p.data)) * mask
+                         + floored)
 
 
 def _reference_lm(logits, tokens):
@@ -350,3 +352,52 @@ def test_combined_node_gradient_matches_differences():
     combined_loss(ts[0], ts[1], LossParams(ts[2], ts[3])).backward()
     np.testing.assert_allclose([float(t.grad) for t in ts],
                                numeric_grad(f, x0), rtol=1e-6)
+
+
+# -- the fused head node against the composed ops it replaces ----------------
+
+def _reference_predict(reprs, params, n_options):
+    hidden = composed.elu(reprs @ params.w1 + params.b1)
+    raw = composed.reshape(hidden @ params.w2 + params.b2, -1, n_options)
+    return composed.masked_softmax(raw)
+
+
+def _head_inputs(rng, n_rows, d, hidden=3):
+    """Tracked option rows and head weights."""
+    reprs = Tensor(rng.normal(size=(n_rows, d)), requires_grad=True)
+    return reprs, HeadParams(*(
+        Tensor(rng.normal(0.0, 0.5, s), requires_grad=True)
+        for s in ((d, hidden), (hidden,), (hidden, 1), (1,))))
+
+
+@pytest.mark.parametrize("n_options", [2, 3])
+@pytest.mark.parametrize("frozen", [(), ("reprs",), ("w1", "b2"),
+                                    ("reprs", "w1", "w2", "b2")])
+def test_predict_node_matches_composed_reference(n_options, frozen):
+    """The head node gives the composed ops' probability bytes, and every
+    operand its gradient bytes: with the option rows a constant, as inside
+    the frozen trunk, and with head weights frozen."""
+    results = []
+    for fn in (predict, _reference_predict):
+        rng = np.random.default_rng(n_options)
+        reprs, params = _head_inputs(rng, 4 * n_options, 5)
+        operands = {"reprs": reprs, **vars(params)}
+        for name in frozen:
+            operands[name].requires_grad = False
+        probs = fn(reprs, params, n_options)
+        ((probs * Tensor(rng.normal(size=probs.shape))).sum()
+         * 0.37).backward()
+        results.append([probs.data] + [t.grad for t in operands.values()
+                                       if t.requires_grad])
+    got, want = results
+    assert len(got) == len(want) == 6 - len(frozen)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_predict_node_gradient_matches_differences():
+    rng = np.random.default_rng(5)
+    reprs, params = _head_inputs(rng, 6, 4)
+    readout = Tensor(rng.normal(size=(2, 3)))
+    check_operand_grads(lambda: (predict(reprs, params, 3) * readout).sum(),
+                        {"reprs": reprs, **vars(params)})
