@@ -1,45 +1,34 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-Every tensor op used by the model returns a tensor that records its graph
-edges: one ``(operand, g -> gradient)`` pair per operand that is tracked,
+A ``Tensor`` is a value, a gradient buffer and the graph edges to its
+operands: one ``(operand, g -> gradient)`` pair per operand that is tracked,
 listed in operand order. Calling ``backward()`` on a scalar loss walks those
 edges. Double precision throughout so finite-difference gradient checks stay
 tight.
 
-One rule, applied in ``_node`` and nowhere else, decides what is recorded: an
+``fused`` is the one node constructor. A node is a forward value computed in
+numpy over named operand tensors, and a written-out backward pass that
+returns every operand's gradient at once: the token and position embedding,
+an encoder sublayer, the [CLS] pooler, the LM projection, a GAT layer, the
+subgraph pooling, the fusion MLP, the gate, ``concat``, the head and each
+loss. The array helpers ``masked_softmax_data``, ``softmax_grad``,
+``elu_data`` and ``elu_grad`` hold the softmax and ELU arithmetic these
+nodes share.
+
+One rule, applied in ``fused`` and nowhere else, decides what is recorded: an
 operand is tracked when it has ``requires_grad`` or has edges of its own, and
-no op records an edge to an operand that is not. A tensor with
+no node records an edge to an operand that is not. A tensor with
 ``requires_grad=False`` is therefore a constant, and so is everything computed
-from constants alone; dropout masks and wrapped scalars never enter the
-graph. This is how freezing works: a frozen parameter is one whose
-``requires_grad`` is off, so no op records a path back to it. Inside a
-``with no_grad():`` block no op records anything; the forward values are the
-same, only the graph is gone.
+from constants alone; dropout masks and cached inputs never enter the graph.
+This is how freezing works: a frozen parameter is one whose ``requires_grad``
+is off, so no node records a path back to it. Inside a ``with no_grad():``
+block no node records anything; the forward values are the same, only the
+graph is gone.
 
 A tensor with ``requires_grad`` is a leaf (a parameter): ``backward()`` adds
 each gradient that reaches it into its ``.grad`` in place, in arrival order.
 An interior tensor sums its arrivals into a fresh array and passes the total
 on along its own edges.
-
-The op set:
-
-- ``+`` and ``*`` with numpy broadcasting
-- ``@`` for 2-D operands, and for stacks of matrices whose batch dims
-  broadcast, e.g. ``(n, d) @ (H, d, e)``
-- ``tanh`` and ``sum``
-- indexing ``t[idx]`` with any numpy index: an int, a slice, an int array
-  (repeats allowed) or a tuple of them
-- module-level ``concat``
-- ``fused``, for a node whose operands' gradients come out of one written-out
-  backward pass: an encoder sublayer, a GAT layer, the fusion MLP, the gate,
-  the head or a loss; the array helpers ``masked_softmax_data``,
-  ``softmax_grad``, ``elu_data`` and ``elu_grad`` hold the softmax and ELU
-  arithmetic these nodes share
-
-Broadcast operands get their gradient summed back to their own shape. The
-backward of ``t[idx]`` scatter-adds into a zero array of ``t``'s shape with
-``np.add.at``, so an element gathered k times receives the sum of its k
-output gradients.
 """
 
 from __future__ import annotations
@@ -47,23 +36,13 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape` (reverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
 
 
 # one graph edge: an operand, and how the output's gradient maps to its own
@@ -88,10 +67,6 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -144,68 +119,6 @@ class Tensor:
                 else:
                     grads[id(operand)] = acc + pg
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        other = _wrap(other)
-        return _node(self.data + other.data,
-                     (self, lambda g: _unbroadcast(g, self.shape)),
-                     (other, lambda g: _unbroadcast(g, other.shape)))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = _wrap(other)
-        a, b = self.data, other.data
-        return _node(a * b,
-                     (self, lambda g: _unbroadcast(g * b, a.shape)),
-                     (other, lambda g: _unbroadcast(g * a, b.shape)))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        other = _wrap(other)
-        a, b = self.data, other.data
-        if a.ndim < 2 or b.ndim < 2:
-            raise ValueError("@ needs operands of at least 2 dims")
-
-        def da(g):
-            return _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)
-
-        def db(g):
-            return _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)
-
-        return _node(a @ b, (self, da), (other, db))
-
-    # -- elementwise nonlinearities ------------------------------------------
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-        return _node(out_data, (self, lambda g: g * (1.0 - out_data ** 2)))
-
-    # -- shape ops -----------------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False):
-        def bw(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, self.shape).copy()
-
-        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self, bw))
-
-    def __getitem__(self, idx):
-        """Numpy indexing; the backward scatter-adds into a zero array."""
-        def bw(g):
-            gg = np.zeros_like(self.data)
-            np.add.at(gg, idx, g)
-            return gg
-
-        return _node(self.data[idx], (self, bw))
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _tracked(t: Tensor) -> bool:
     """Whether a gradient for `t` is kept: a leaf to fill or a node to pass on."""
@@ -232,43 +145,23 @@ def recording() -> bool:
     return _tracking.get()
 
 
-def _node(data, *edges: Edge) -> Tensor:
-    """A new tensor holding `data`, with one edge per tracked operand.
-
-    This is the one place that decides what the graph records: an edge to a
-    constant operand is dropped, and under ``no_grad()`` every edge is.
-    """
-    if not _tracking.get():
-        return Tensor(data)
-    return Tensor(data, edges=[e for e in edges if _tracked(e[0])])
-
-
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    ts = [_wrap(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in ts], axis=axis)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts])
-    edges = []
-    for t, a, b in zip(ts, offsets[:-1], offsets[1:]):
-        sl = [slice(None)] * out_data.ndim
-        sl[axis] = slice(a, b)
-        edges.append((t, lambda g, sl=tuple(sl): g[sl]))
-    return _node(out_data, *edges)
-
-
 def fused(data, operands: Dict[str, Tensor],
           backward: Callable[[np.ndarray, frozenset], Dict[str, np.ndarray]]
           ) -> Tensor:
     """A node over named operands whose gradients come from one shared pass.
 
-    `backward(g, wanted)` gets the output gradient and the names of the
-    operands the node recorded an edge to (`_node` decides which), and
+    The node records an edge to each tracked operand, in the operands'
+    order, and none under ``no_grad()``. `backward(g, wanted)` gets the
+    output gradient and the names of the operands it has edges to, and
     returns a dict of gradients by operand name that holds every wanted
     one; the others are dropped, so a backward may skip a costly gradient
     nobody wants and return the cheap ones regardless. It runs the first
     time the walk takes one of the node's edges; each edge then takes its
-    own gradient out of the result, so a later walk runs it again. The
-    edges follow the operands' order.
+    own gradient out of the result, so a later walk runs it again.
     """
+    if not _tracking.get():
+        return Tensor(data)
+    wanted = frozenset(name for name, t in operands.items() if _tracked(t))
     grads: Dict[str, np.ndarray] = {}
 
     def take(name, g):
@@ -277,10 +170,19 @@ def fused(data, operands: Dict[str, Tensor],
             grads.update((n, result[n]) for n in wanted)
         return grads.pop(name)
 
-    out = _node(data, *((t, functools.partial(take, name))
-                        for name, t in operands.items()))
-    wanted = frozenset(fn.args[0] for _, fn in out._edges)
-    return out
+    return Tensor(data, edges=[(t, functools.partial(take, name))
+                               for name, t in operands.items()
+                               if name in wanted])
+
+
+def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """The tensors joined along `axis`; each one's gradient is its slice of
+    the output's."""
+    names = [str(i) for i in range(len(tensors))]
+    bounds = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return fused(np.concatenate([t.data for t in tensors], axis=axis),
+                 dict(zip(names, tensors)),
+                 lambda g, wanted: dict(zip(names, np.split(g, bounds, axis))))
 
 
 # -- array helpers: the arithmetic of ops that fused nodes share --------------

@@ -363,9 +363,14 @@ def predict(checkpoint, data_path, subtask, output_path):
 
 
 def _checkpoint_paths(ctx, param, value) -> list:
-    """The comma-separated checkpoint paths, each checked as `--checkpoint` is."""
-    return [_IN_FILE.convert(p.strip(), param, ctx)
-            for p in value.split(",") if p.strip()]
+    """The comma-separated checkpoint paths, each checked as `--checkpoint`
+    is; naming none is a usage error, raised before any file is read."""
+    paths = [_IN_FILE.convert(p.strip(), param, ctx)
+             for p in value.split(",") if p.strip()]
+    if not paths:
+        raise click.BadParameter("must name at least one checkpoint",
+                                 ctx, param)
+    return paths
 
 
 @main.command()
@@ -379,8 +384,6 @@ def ensemble(checkpoints, data_path, subtask):
     instances = _load_split(data_path, subtask)
     # each model must match --subtask, so models that disagree exit 2 too
     models = [_load_model(p, subtask) for p in checkpoints]
-    if not models:
-        raise click.UsageError("--checkpoints must name at least one checkpoint")
     averaged = SimpleNamespace(predict_probs=lambda inst: ensemble_average(
         [m.predict_probs(inst) for m in models]))
     metrics = harness.evaluate(averaged, instances)

@@ -7,9 +7,11 @@ values produced by parallel injected branches. A padded batch of sequences
 runs as one pass: position-wise ops on its (B·T, d) rows, attention on
 (B, H, T, d_h) stacks. A pass that reads only the pooled [CLS] states runs
 the last layer's queries, layer norms and FFN on two rows per sequence, with
-keys and values from all T. Each layer is two autodiff nodes, its attention
-sublayer and its FFN sublayer, whose written-out backward passes keep only
-what they read.
+keys and values from all T. Every step is an autodiff node whose
+written-out backward pass keeps only what it reads: the token plus
+soft-position embedding, each layer's attention sublayer and FFN sublayer,
+the [CLS] pooler, and the LM projection of the rows the reconstruction
+objective reads.
 """
 
 from __future__ import annotations
@@ -88,7 +90,18 @@ def embed(seq: Union[InjectedSequence, PaddedBatch],
     if soft.size and soft.max() >= params.max_positions:
         raise ValueError(
             f"soft position {soft.max()} exceeds table size {params.max_positions}")
-    return params.tok_emb[tokens] + params.pos_emb[soft]
+    ids = {"tok_emb": tokens, "pos_emb": soft}
+
+    def backward(g, wanted):
+        grads = {}
+        for name in wanted:   # scatter-add: a repeated id sums its rows
+            grads[name] = np.zeros_like(getattr(params, name).data)
+            np.add.at(grads[name], ids[name], g)
+        return grads
+
+    return ad.fused(params.tok_emb.data[tokens] + params.pos_emb.data[soft],
+                    {"tok_emb": params.tok_emb, "pos_emb": params.pos_emb},
+                    backward)
 
 
 def _keep_mask(shape: tuple, rate: float,
@@ -261,10 +274,40 @@ def encode(E: Tensor, visibility: np.ndarray, params: EncoderParams,
         h = _attention_sublayer(h, x_vis, lp, params.n_heads, rows,
                                 dropout_rate, dropout_rng)
         h = _ffn_sublayer(h, lp, dropout_rate, dropout_rng)
-    pooled = (h[::stride] @ params.pooler_w + params.pooler_b).tanh()
-    return EncoderOutput(hidden=h if stride == T else None, pooled=pooled)
+    return EncoderOutput(hidden=h if stride == T else None,
+                         pooled=_pool(h, stride, params))
 
 
-def lm_logits(H: Tensor, params: EncoderParams) -> Tensor:
-    """Per-token vocabulary logits for the reconstruction objective."""
-    return H @ params.lm_w + params.lm_b
+def _pool(h: Tensor, stride: int, params: EncoderParams) -> Tensor:
+    """tanh(x @ pooler_w + pooler_b) over x, every `stride`-th row of `h`
+    (each sequence's [CLS] row), as one autodiff node."""
+    x = h.data[::stride]
+    out = np.tanh(x @ params.pooler_w.data + params.pooler_b.data)
+
+    def backward(g, wanted):
+        gz = g * (1.0 - out ** 2)
+        grads = {"pooler_w": x.T @ gz, "pooler_b": gz.sum(axis=0)}
+        if "h" in wanted:
+            grads["h"] = np.zeros_like(h.data)
+            grads["h"][::stride] += gz @ params.pooler_w.data.T
+        return grads
+
+    return ad.fused(out, {"h": h, "pooler_w": params.pooler_w,
+                          "pooler_b": params.pooler_b}, backward)
+
+
+def lm_logits(H: Tensor, rows: np.ndarray, params: EncoderParams) -> Tensor:
+    """Vocabulary logits of `H`'s rows `rows`, one per row, for the
+    reconstruction objective, as one autodiff node."""
+    x = H.data[rows]
+
+    def backward(g, wanted):
+        grads = {"lm_w": x.T @ g, "lm_b": g.sum(axis=0)}
+        if "H" in wanted:   # scatter-add: a repeated row sums its gradients
+            grads["H"] = np.zeros_like(H.data)
+            np.add.at(grads["H"], rows, g @ params.lm_w.data.T)
+        return grads
+
+    return ad.fused(x @ params.lm_w.data + params.lm_b.data,
+                    {"H": H, "lm_w": params.lm_w, "lm_b": params.lm_b},
+                    backward)

@@ -200,8 +200,9 @@ def block_diagonal(subs: Sequence[Subgraph]) -> Subgraph:
 def pool_subgraph(h: Optional[Tensor], sizes: Sequence[int],
                   node_dim: int) -> Tensor:
     """Segment means: row i is the arithmetic mean of the `sizes[i]` node
-    states after the first sum(sizes[:i]) rows of `h`, as one op. An empty
-    segment, or every segment when `h` is None, pools to a zero vector."""
+    states after the first sum(sizes[:i]) rows of `h`, as one autodiff node.
+    An empty segment, or every segment when `h` is None, pools to a zero
+    vector."""
     if h is None:
         return Tensor(np.zeros((len(sizes), node_dim)))
     weights = np.zeros((len(sizes), h.shape[0]))
@@ -210,7 +211,8 @@ def pool_subgraph(h: Optional[Tensor], sizes: Sequence[int],
         if n:
             weights[i, start:start + n] = 1.0 / n
         start += n
-    return Tensor(weights) @ h
+    return ad.fused(weights @ h.data, {"h": h},
+                    lambda g, wanted: {"h": weights.T @ g})
 
 
 def fuse(e_base: Tensor, e_gnn: Tensor, params: FuseParams) -> Tensor:
@@ -258,8 +260,9 @@ def load_concept_table(path, dim: int, seed: int = 0) -> Dict[str, np.ndarray]:
     """Load a word2vec-style text table (optional header line).
 
     Vectors whose dimension differs from `dim` are mapped through a fixed
-    seeded Gaussian random projection; one that overflows there is a data
-    error.
+    seeded Gaussian random projection. A final vector, projected or not,
+    whose squared norm overflows float64 is a data error: the model's
+    products over it would overflow.
     """
     raw: Dict[str, np.ndarray] = {}
     src_dim = None
@@ -289,13 +292,15 @@ def load_concept_table(path, dim: int, seed: int = 0) -> Dict[str, np.ndarray]:
             raise DataFormatError(
                 f"{path}:{lineno}: vector dim {vec.size} != {src_dim}")
         raw[concept] = vec
-    if src_dim is None or src_dim == dim:
-        return raw
-    proj = np.random.default_rng(seed).normal(size=(src_dim, dim)) / np.sqrt(src_dim)
+    table = raw
     with np.errstate(over="ignore", invalid="ignore"):
-        table = {c: v @ proj for c, v in raw.items()}
-    for c, v in table.items():
-        if not np.isfinite(v).all():
-            raise DataFormatError(f"{path}: the vector of {c!r} overflows "
-                                  f"when projected to dim {dim}")
+        if src_dim is not None and src_dim != dim:
+            proj = (np.random.default_rng(seed).normal(size=(src_dim, dim))
+                    / np.sqrt(src_dim))
+            table = {c: v @ proj for c, v in raw.items()}
+        for c, v in table.items():
+            if not np.isfinite(v @ v):
+                raise DataFormatError(
+                    f"{path}: the vector of {c!r} overflows at dim {dim}: "
+                    f"its squared norm exceeds the float64 range")
     return table

@@ -80,9 +80,11 @@ def classification_loss(probs: Tensor, labels: Sequence[int]) -> Tensor:
     return ad.fused(-(np.log(kept).sum() * inv_n), {"probs": probs}, backward)
 
 
-def lm_loss(logits: Tensor, token_ids: Sequence[int]) -> Tensor:
-    """Summed reconstruction cross-entropy of `token_ids`, one per row, as
-    one autodiff node over a log-softmax of the rows.
+def lm_loss(logits: Tensor, token_ids: Sequence[int],
+            n_instances: int) -> Tensor:
+    """Reconstruction cross-entropy of `token_ids`, one per row, summed and
+    times 1/`n_instances`, as one autodiff node over a log-softmax of the
+    rows.
 
     The caller passes the original (trunk) tokens' rows only: the auxiliary
     objective reconstructs the input, not the injected text or padding.
@@ -92,13 +94,14 @@ def lm_loss(logits: Tensor, token_ids: Sequence[int]) -> Tensor:
     shifted = x - x.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     idx = (np.arange(len(tokens)), tokens)
+    inv_n = 1.0 / n_instances
 
     def backward(g, wanted):
         gl = np.zeros_like(logp)
-        np.add.at(gl, idx, -g)
+        np.add.at(gl, idx, -(g * inv_n))
         return {"logits": gl - np.exp(logp) * gl.sum(axis=-1, keepdims=True)}
 
-    return ad.fused(-logp[idx].sum(), {"logits": logits}, backward)
+    return ad.fused(-logp[idx].sum() * inv_n, {"logits": logits}, backward)
 
 
 def combined_loss(l1: Tensor, l2: Tensor, params: LossParams) -> Tensor:

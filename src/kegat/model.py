@@ -313,7 +313,7 @@ class KegatModel:
         """Reconstruction logits of a pass's trunk rows, computed on those
         rows only, with their token ids and their row indices."""
         rows = np.flatnonzero(fw.batch.trunk_mask)
-        logits = enc.lm_logits(fw.hidden[rows], self.enc_params)
+        logits = enc.lm_logits(fw.hidden, rows, self.enc_params)
         return logits, fw.batch.tokens.ravel()[rows], rows
 
     # -- the frozen-trunk scope ----------------------------------------------
@@ -356,7 +356,8 @@ class KegatModel:
                     # rows are one run of them
                     owner = rows // (fw.batch.tokens.size // n)
                     ends = np.searchsorted(owner, np.arange(n + 1))
-                    lms = [float(headmod.lm_loss(logits[a:b], tokens[a:b]).data)
+                    lms = [float(headmod.lm_loss(Tensor(logits.data[a:b]),
+                                                 tokens[a:b], 1).data)
                            for a, b in zip(ends[:-1], ends[1:])]
             A = _option_count(missing)
             for i, inst in enumerate(missing):
@@ -376,13 +377,12 @@ class KegatModel:
         `frozen_trunk` the head's alone, with no dropout and the LM term a
         constant. The uncertainty-weighted sum is linear in both terms, so
         it applies to their batch means."""
-        n = len(instances)
         if self._trunk_out is None:
             fw = self.forward(instances, dropout_rng)
             probs, lm = fw.probs, None
             if self.config.use_lm:
                 logits, tokens, _ = self._lm_inputs(fw)
-                lm = headmod.lm_loss(logits, tokens) * (1.0 / n)
+                lm = headmod.lm_loss(logits, tokens, len(instances))
         else:
             reprs, lm = self._trunk_output(instances)
             probs = headmod.predict(reprs, self.head_params,

@@ -152,23 +152,25 @@ def _tracked(tensors) -> list:
 
 
 def test_loss_graph_node_count(monkeypatch, tmp_path):
-    """One 2-instance batch's loss builds at most 25 tensors on the small
-    model, and at most 28 on the default model over seed-7 synth instances.
+    """One 2-instance batch's loss builds at most 15 tensors on the small
+    model, and at most 18 on the default model over seed-7 synth instances.
 
-    Guards the one padded pass per batch and the fused nodes: two per
-    encoder layer, one per GAT layer, fusion, gate, head and each loss.
-    With the GAT layers, fusion, gate and head composed of small ops the
-    loss built 56 and 72; with the encoder sublayers and losses composed
-    too, 103 and 148 at most. A pass per option built 181 and 271 per
-    instance, so 362 and 542 per batch; before that, the per-head encoder
-    loop and per-token LM loss built 309 per instance on the small model,
-    the per-head GAT loop 447 on the default model, and a layer norm
-    composed of 12 ops 241 and 391.
+    Guards the one padded pass per batch and the fused nodes: the
+    embedding, two per encoder layer, the pooler, one per GAT layer, the
+    pooling, fusion, gate, concat, head, LM projection and each loss. With
+    the embedding, pooler, LM projection, LM scaling and pooling composed
+    of small ops the loss built 25 and 28; with the GAT layers, fusion,
+    gate and head composed too, 56 and 72; with the encoder sublayers and
+    losses composed too, 103 and 148 at most. A pass per option built 181
+    and 271 per instance, so 362 and 542 per batch; before that, the
+    per-head encoder loop and per-token LM loss built 309 per instance on
+    the small model, the per-head GAT loop 447 on the default model, and a
+    layer norm composed of 12 ops 241 and 391.
     """
     model, instances = _small_model()
     built = _record_tensors(monkeypatch)
     model.loss(instances[:2])
-    assert 0 < len(built) <= 25, len(built)
+    assert 0 < len(built) <= 15, len(built)
 
     bench = synth_benchmark(7, tmp_path / "bench")
     templates = default_templates()
@@ -177,7 +179,7 @@ def test_loss_graph_node_count(monkeypatch, tmp_path):
     model = KegatModel(ModelConfig(seed=7), vocab, bench.graph, table, templates)
     built.clear()
     model.loss(bench.train[:2])
-    assert 0 < len(built) <= 28, len(built)
+    assert 0 < len(built) <= 18, len(built)
 
 
 def test_phase1_loss_differentiates_only_the_head(monkeypatch):

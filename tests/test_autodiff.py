@@ -1,4 +1,6 @@
-"""Gradient and op-semantics tests for the autodiff engine."""
+"""Gradient and op-semantics tests for the autodiff engine, its fused-node
+constructor, `concat`, and the composed reference ops the node tests build
+on."""
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from kegat import autodiff as ad
 from kegat import encoder
 from kegat.autodiff import Tensor
 
+import composed as C
 from conftest import numeric_grad
 
 
@@ -18,32 +21,35 @@ def _check_grad(build, x0, rtol=1e-6, atol=1e-9):
     np.testing.assert_allclose(t.grad, expected, rtol=rtol, atol=atol)
 
 
+# -- the composed reference ops, which the node tests' reference graphs use --
+
 def test_arithmetic_grads():
     x0 = np.array([0.3, -1.2, 2.0])
-    _check_grad(lambda t: ((t * 2.0 + 1.0) * t + t * -3.0).sum(), x0)
+    _check_grad(lambda t: C.sum(C.add(C.mul(C.add(C.mul(t, 2.0), 1.0), t),
+                                      C.mul(t, -3.0))), x0)
 
 
 def test_matmul_grads_all_shapes():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(3, 4))
-    _check_grad(lambda t: (t @ Tensor(A.T)).sum(), A)           # 2D @ 2D
+    _check_grad(lambda t: C.sum(C.matmul(t, A.T)), A)           # 2D @ 2D
     B = rng.normal(size=(2, 4, 5))
     W = rng.normal(size=(2, 3, 5))
     S = rng.normal(size=(2, 3, 4))
-    _check_grad(lambda t: ((t @ Tensor(B)) * Tensor(W)).sum(), S)  # 3D @ 3D
-    _check_grad(lambda t: ((Tensor(S) @ t) * Tensor(W)).sum(), B)  # 3D @ 3D (rhs)
+    _check_grad(lambda t: C.weighted_sum(C.matmul(t, B), W), S)  # 3D @ 3D
+    _check_grad(lambda t: C.weighted_sum(C.matmul(S, t), W), B)  # (rhs)
     X = rng.normal(size=(3, 4))
-    _check_grad(lambda t: ((t @ Tensor(B)) * Tensor(W)).sum(), X)  # 2D @ 3D
-    _check_grad(lambda t: ((Tensor(X) @ t) * Tensor(W)).sum(), B)  # 2D @ 3D (rhs)
+    _check_grad(lambda t: C.weighted_sum(C.matmul(t, B), W), X)  # 2D @ 3D
+    _check_grad(lambda t: C.weighted_sum(C.matmul(X, t), W), B)  # (rhs)
     v = rng.normal(size=4)
     for a, b in ((A, v), (v, A.T), (v, v)):   # a 1-D operand is refused
         with pytest.raises(ValueError):
-            Tensor(a, requires_grad=True) @ Tensor(b)
+            C.matmul(Tensor(a, requires_grad=True), b)
 
 
 def test_nonlinearity_grads():
     x0 = np.array([-2.0, -0.5, 0.3, 1.7])
-    _check_grad(lambda t: t.tanh().sum(), x0)
+    _check_grad(lambda t: C.sum(C.tanh(t)), x0)
 
 
 # signed zeros and denormals, infinities, NaN, and inputs whose exp overflows
@@ -77,31 +83,71 @@ def test_elu_matches_where_reference_bit_for_bit(size):
 def test_gather_grads():
     x0 = np.arange(12.0).reshape(4, 3) / 7.0
     w = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
-    _check_grad(lambda t: (t[2] * Tensor(w[0])).sum(), x0)            # int
-    _check_grad(lambda t: t[0][1], x0)                                # int, int
-    _check_grad(lambda t: (t[1:3] * Tensor(w[:2])).sum(), x0)         # slice
-    _check_grad(lambda t: (t[:, 1:3] * Tensor(w[:, :2])).sum(), x0)   # column slice
-    _check_grad(lambda t: (t[[1, 1, 3]] * Tensor(w[:3])).sum(), x0)   # repeats
+    G, W = C.getitem, C.weighted_sum
+    _check_grad(lambda t: W(G(t, 2), w[0]), x0)                     # int
+    _check_grad(lambda t: G(G(t, 0), 1), x0)                        # int, int
+    _check_grad(lambda t: W(G(t, np.s_[1:3]), w[:2]), x0)           # slice
+    _check_grad(lambda t: W(G(t, np.s_[:, 1:3]), w[:, :2]), x0)     # columns
+    _check_grad(lambda t: W(G(t, [1, 1, 3]), w[:3]), x0)            # repeats
     rows, cols = np.array([0, 2, 2, 3]), np.array([1, 0, 0, 2])
     u = np.array([0.5, -1.0, 2.0, 1.5])
-    _check_grad(lambda t: (t[rows, cols] * Tensor(u)).sum(), x0)      # (rows, cols)
+    _check_grad(lambda t: W(G(t, (rows, cols)), u), x0)             # pairs
 
 
 def test_gather_repeats_scatter_add():
     t = Tensor(np.zeros((3, 2)), requires_grad=True)
-    t[np.array([2, 0, 2, 2])].sum().backward()
+    C.sum(C.getitem(t, np.array([2, 0, 2, 2]))).backward()
     np.testing.assert_array_equal(t.grad, [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]])
 
 
+def test_broadcasting_unbroadcast():
+    a0 = np.ones((1, 3))
+    b0 = np.ones((4, 1))
+    a = Tensor(a0, requires_grad=True)
+    b = Tensor(b0, requires_grad=True)
+    C.sum(C.add(a, b)).backward()
+    np.testing.assert_array_equal(a.grad, np.full((1, 3), 4.0))
+    np.testing.assert_array_equal(b.grad, np.full((4, 1), 3.0))
+
+
+# -- concat ----------------------------------------------------------------
+
 def test_concat_and_softmax_grads():
     x0 = np.array([0.1, 0.9, -0.4])
-    _check_grad(lambda t: ad.concat([t, t * 2.0]).sum(), x0)
+    _check_grad(lambda t: C.sum(ad.concat([t, C.mul(t, 2.0)])), x0)
     # `softmax_grad` is the input gradient of `masked_softmax_data`
     x1, g = np.array([[0.1, 0.9, -0.4], [2.0, -1.0, 0.5]]), np.eye(2, 3)
     np.testing.assert_allclose(
         ad.softmax_grad(ad.masked_softmax_data(x1), g),
         numeric_grad(lambda x: float((ad.masked_softmax_data(x) * g).sum()),
                      x1), rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_concat_gradients_are_slices_of_the_output_gradient(axis):
+    """Each tracked operand gets the bytes of its slice of the output's
+    gradient, a constant one gets no edge, and a tensor given twice sums
+    both of its slices."""
+    rng = np.random.default_rng(6)
+    sizes = (2, 1, 4)
+    a, b, c = (Tensor(rng.normal(size=(n, 3) if axis == 0 else (3, n)),
+                      requires_grad=True) for n in sizes)
+    b.requires_grad = False
+    out = ad.concat([a, b, c], axis=axis)
+    np.testing.assert_array_equal(
+        out.data, np.concatenate([a.data, b.data, c.data], axis=axis))
+    assert [operand for operand, _ in out._edges] == [a, c]
+    w = rng.normal(size=out.shape)
+    C.weighted_sum(out, w).backward()
+    ends = np.cumsum(sizes)
+    assert a.grad.tobytes() == np.take(w, range(0, ends[0]), axis).tobytes()
+    assert c.grad.tobytes() == np.take(w, range(ends[1], ends[2]), axis
+                                       ).tobytes()
+    a.zero_grad()
+    w2 = rng.normal(size=(4, 3) if axis == 0 else (3, 4))
+    C.weighted_sum(ad.concat([a, a], axis=axis), w2).backward()
+    first, second = np.split(w2, 2, axis)
+    assert a.grad.tobytes() == (first + second).tobytes()
 
 
 def _layer_norm_chain(x, gain, bias, eps):
@@ -139,13 +185,15 @@ def test_layer_norm_matches_chain_and_differences(shape):
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
 
 
+# -- the engine, over fused nodes ------------------------------------------
+
 def test_scalar_fanout_accumulation():
     # A 0-d parameter consumed by several downstream products must accumulate
     # every contribution (numpy 0-d products are immutable scalars, which once
     # broke in-place accumulation).
     s = Tensor(np.zeros(()), requires_grad=True)
     a, b = Tensor(3.0), Tensor(4.0)
-    loss = s * a + s * b + s
+    loss = C.add(C.add(C.mul(s, a), C.mul(s, b)), s)
     loss.backward()
     # d/ds [s(a+b) + s] = a + b + 1 = 8
     assert np.allclose(s.grad, 8.0)
@@ -153,22 +201,12 @@ def test_scalar_fanout_accumulation():
 
 def test_shared_subexpression_accumulation():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    y = x * 2.0
-    loss = (y * y).sum() + y.sum()
+    y = C.mul(x, 2.0)
+    loss = C.add(C.sum(C.mul(y, y)), C.sum(y))
     loss.backward()
     expected = numeric_grad(
         lambda v: float(((v * 2) ** 2).sum() + (v * 2).sum()), x.data)
     np.testing.assert_allclose(x.grad, expected, rtol=1e-6)
-
-
-def test_broadcasting_unbroadcast():
-    a0 = np.ones((1, 3))
-    b0 = np.ones((4, 1))
-    a = Tensor(a0, requires_grad=True)
-    b = Tensor(b0, requires_grad=True)
-    (a + b).sum().backward()
-    np.testing.assert_array_equal(a.grad, np.full((1, 3), 4.0))
-    np.testing.assert_array_equal(b.grad, np.full((4, 1), 3.0))
 
 
 def test_backward_requires_scalar():
@@ -222,24 +260,24 @@ def test_masked_softmax_broadcast_mask_matches_full_mask():
 _R = np.random.default_rng(3)
 _M, _N = _R.normal(size=(3, 4)), _R.normal(size=(4, 2))
 _S = _R.normal(size=(2, 3, 4))
-# (live operand, constant operand, op): every op that takes a second input
+# (live operand, constant operand, node): fused nodes with a second input
 _CONSTANT_OPERAND_CASES = {
-    "x*c": (_M, _M + 1.0, lambda t, c: t * c),
-    "c*x": (_M, _M + 1.0, lambda t, c: c * t),
-    "x+c": (_M, _M + 1.0, lambda t, c: t + c),
-    "c+x": (_M, _M + 1.0, lambda t, c: c + t),
-    "x@c 2-D": (_M, _N, lambda t, c: t @ c),
-    "c@x 2-D": (_N, _M, lambda t, c: c @ t),
-    "c@x stack": (_N, _S, lambda t, c: c @ t),
-    "x@c stack": (_S, _N, lambda t, c: t @ c),
+    "x*c": (_M, _M + 1.0, lambda t, c: C.mul(t, c)),
+    "c*x": (_M, _M + 1.0, lambda t, c: C.mul(c, t)),
+    "x+c": (_M, _M + 1.0, lambda t, c: C.add(t, c)),
+    "c+x": (_M, _M + 1.0, lambda t, c: C.add(c, t)),
+    "x@c 2-D": (_M, _N, lambda t, c: C.matmul(t, c)),
+    "c@x 2-D": (_N, _M, lambda t, c: C.matmul(c, t)),
+    "c@x stack": (_N, _S, lambda t, c: C.matmul(c, t)),
+    "x@c stack": (_S, _N, lambda t, c: C.matmul(t, c)),
     "concat [x, c]": (_M, _M + 1.0, lambda t, c: ad.concat([t, c], axis=1)),
     "concat [c, x]": (_M, _M + 1.0, lambda t, c: ad.concat([c, t])),
-    "x*scalar": (_M, _M, lambda t, c: t.sum(axis=0) * (1.0 / 3)),
+    "x*scalar": (_M, _M, lambda t, c: C.mul(C.sum(t, axis=0), 1.0 / 3)),
 }
 
 
 def test_backward_skips_constant_operands():
-    """Each op records one edge, to its tracked input, and none to a
+    """Each node records one edge, to its tracked input, and none to a
     constant; the live gradient is bit-equal to that of the same expression
     with the constant tracked."""
     for case, (live0, const0, op) in _CONSTANT_OPERAND_CASES.items():
@@ -248,9 +286,9 @@ def test_backward_skips_constant_operands():
         recorded = [operand for operand, _ in out._edges]
         assert len(recorded) == 1 and recorded[0] is not const, case
         assert ad._tracked(recorded[0]) and not ad._tracked(const), case
-        out.sum().backward()
+        C.sum(out).backward()
         twin = Tensor(live0, requires_grad=True)
-        op(twin, Tensor(const0, requires_grad=True)).sum().backward()
+        C.sum(op(twin, Tensor(const0, requires_grad=True))).backward()
         np.testing.assert_array_equal(live.grad, twin.grad, err_msg=case)
 
 
@@ -270,27 +308,31 @@ def test_dropout_scales_kept_entries():
 
 def test_no_grad_records_nothing_and_restores_tracking():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    def build():
+        return C.sum(C.add(C.mul(C.tanh(C.mul(x, 2.0)), x), C.getitem(x, 0)))
+
     with ad.no_grad():
-        y = ((x * 2.0).tanh() * x + x[0]).sum()
+        y = build()
     assert not ad._tracked(y)
     np.testing.assert_array_equal(y.data, (np.tanh(x.data * 2.0) * x.data
                                            + x.data[0]).sum())
-    assert ad._tracked(x * 2.0)
+    assert ad._tracked(C.mul(x, 2.0))
     with pytest.raises(RuntimeError):
         with ad.no_grad():
             raise RuntimeError("inside the block")
-    z = (x * x).sum()
+    z = C.sum(C.mul(x, x))
     assert ad._tracked(z)
     z.backward()
     np.testing.assert_array_equal(x.grad, 2.0 * x.data)
 
 
 def test_constant_inputs_record_nothing():
-    """A tensor without requires_grad is a constant: ops on it are untracked."""
+    """A tensor without requires_grad is a constant: nodes over it are
+    untracked."""
     frozen = Tensor(np.array([1.0, 2.0]))
     live = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-    assert not ad._tracked((frozen * 2.0).tanh().sum())
-    mixed = frozen * live
+    assert not ad._tracked(C.sum(C.tanh(C.mul(frozen, 2.0))))
+    mixed = C.mul(frozen, live)
     assert [operand for operand, _ in mixed._edges] == [live]
-    mixed.sum().backward()
+    C.sum(mixed).backward()
     np.testing.assert_array_equal(live.grad, frozen.data)

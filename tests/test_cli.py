@@ -425,7 +425,32 @@ def test_vectors_overflowing_their_projection_exit_2(runner, tmp_path,
         result = runner.invoke(main, args)
     _assert_one_line_exit_2(result)
     assert result.stderr.startswith(f"data error: {vectors}: ")
-    assert "overflows when projected to dim 32" in result.stderr
+    assert "overflows at dim 32" in result.stderr
+    assert calls == []
+    assert not (tmp_path / "m.log.jsonl").exists()
+
+
+def test_vectors_at_node_dim_with_overflowing_norms_exit_2(runner, tmp_path,
+                                                          monkeypatch):
+    """A vectors file already of the model's node dim, every component
+    1e308, is a data error found before training, as a projected one is:
+    one line naming the file and a concept, no warning, no log."""
+    args = _train_args(tmp_path)
+    lines = (tmp_path / "bench" / "concepts.vec").read_text().splitlines()
+    concepts = [line.split()[0] for line in lines[1:]]
+    vectors = tmp_path / "huge.vec"
+    vectors.write_text("".join(f"{c}{' 1e308' * 32}\n" for c in concepts),
+                       encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(trainkit, "two_phase_train",
+                        lambda *a, **k: calls.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, args + ["--vectors", str(vectors)])
+    _assert_one_line_exit_2(result)
+    assert result.stderr == (
+        f"data error: {vectors}: the vector of {concepts[0]!r} overflows at "
+        f"dim 32: its squared norm exceeds the float64 range\n")
     assert calls == []
     assert not (tmp_path / "m.log.jsonl").exists()
 
@@ -539,6 +564,29 @@ def test_ensemble_single_model_matches_eval(runner, trained):
                                   "--data", str(bench / "dev.jsonl"),
                                   "--subtask", "a"])
     assert result.exit_code == 1
+
+
+def test_ensemble_naming_no_checkpoint_exits_1_before_reading_data(
+        runner, tmp_path, monkeypatch):
+    """`--checkpoints` with no path in it is a usage error raised before
+    any file is read, so malformed data cannot make it a data error."""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{not json\n", encoding="utf-8")
+    calls = []
+    real_load = harness.load_comve
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_comve", spy)
+    for value in (",", " , ", " "):
+        result = runner.invoke(main, ["ensemble", "--checkpoints", value,
+                                      "--data", str(bad), "--subtask", "a"])
+        assert result.exit_code == 1, result.output
+        assert ("'--checkpoints': must name at least one checkpoint"
+                in result.stderr)
+    assert calls == []
 
 
 def test_ensemble_on_empty_file_matches_eval(runner, trained, tmp_path):

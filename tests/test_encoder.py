@@ -10,8 +10,8 @@ from kegat.encoder import (EncoderOutput, EncoderParams, LayerParams, embed,
                            encode, lm_logits)
 from kegat.kemb import InjectedSequence, pad_batch
 
-import composed
-from conftest import numeric_grad
+import composed as C
+from conftest import check_operand_grads, numeric_grad
 
 
 def _seq(tokens, soft_pos=None, visibility=None):
@@ -141,15 +141,16 @@ def test_lm_logits_zero_projection():
     p.lm_w.data[...] = 0.0
     p.lm_b.data[...] = 0.0
     H = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
-    np.testing.assert_array_equal(lm_logits(H, p).data, np.zeros((5, 10)))
+    np.testing.assert_array_equal(lm_logits(H, np.arange(5), p).data,
+                                  np.zeros((5, 10)))
 
 
 def test_lm_logits_scores_own_token_highest():
     p = _params(V=8, d=8)
     p.lm_w.data[...] = np.eye(8)
     p.lm_b.data[...] = 0.0
-    H = Tensor(np.eye(8)[[2, 5]])
-    out = lm_logits(H, p).data
+    H = Tensor(np.eye(8)[[7, 2, 0, 5]])
+    out = lm_logits(H, np.array([1, 3]), p).data
     assert out[0].argmax() == 2 and out[1].argmax() == 5
     assert out.shape == (2, 8)
 
@@ -216,9 +217,12 @@ def _reference_layer_norm(x, gain, bias):
         mean_dx = (d * xhat).sum(axis=-1, keepdims=True) * inv_n
         return r * (d - mean_d - xhat * mean_dx)
 
-    return ad._node(xhat * gain.data + bias.data, (x, dx),
-                    (gain, lambda g: ad._unbroadcast(g * xhat, gain.shape)),
-                    (bias, lambda g: ad._unbroadcast(g, bias.shape)))
+    return ad.fused(xhat * gain.data + bias.data,
+                    {"x": x, "gain": gain, "bias": bias},
+                    lambda g, wanted: {
+                        "x": dx(g),
+                        "gain": C.unbroadcast(g * xhat, gain.shape),
+                        "bias": C.unbroadcast(g, bias.shape)})
 
 
 def _reference_dropout(t, rate, rng):
@@ -226,7 +230,7 @@ def _reference_dropout(t, rate, rng):
     if rate <= 0.0 or rng is None:
         return t
     keep = (rng.random(t.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    return t * Tensor(keep)
+    return C.mul(t, keep)
 
 
 def _reference_attention(xq, xkv, visibility, lp, n_heads):
@@ -236,17 +240,16 @@ def _reference_attention(xq, xkv, visibility, lp, n_heads):
     scale = 1.0 / np.sqrt(dh)
 
     def heads(x, w, b, rows):
-        return composed.transpose(
-            composed.reshape(x @ w + b, B, rows, n_heads, dh), 0, 2, 1, 3)
+        return C.transpose(C.reshape(C.add(C.matmul(x, w), b),
+                                     B, rows, n_heads, dh), 0, 2, 1, 3)
 
     q = heads(xq, lp.wq, lp.bq, Tq)
     k, v = heads(xkv, lp.wk, lp.bk, T), heads(xkv, lp.wv, lp.bv, T)
-    att = composed.masked_softmax(
-        q @ composed.transpose(k, 0, 1, 3, 2) * scale, visibility[:, None],
-        axis=-1)
-    merged = composed.reshape(composed.transpose(att @ v, 0, 2, 1, 3),
-                              B * Tq, d)
-    return merged @ lp.wo + lp.bo
+    att = C.masked_softmax(
+        C.mul(C.matmul(q, C.transpose(k, 0, 1, 3, 2)), scale),
+        visibility[:, None], axis=-1)
+    merged = C.reshape(C.transpose(C.matmul(att, v), 0, 2, 1, 3), B * Tq, d)
+    return C.add(C.matmul(merged, lp.wo), lp.bo)
 
 
 def _reference_encode(E, vis, params, rate=0.0, rng=None, pooled_only=False):
@@ -258,16 +261,17 @@ def _reference_encode(E, vis, params, rate=0.0, rng=None, pooled_only=False):
         x, x_vis = h, vis
         if pooled_only and T > 2 and n == len(params.layers) - 1:
             starts = np.arange(0, h.shape[0], T)
-            x = h[(starts[:, None] + np.arange(2)).ravel()]
+            x = C.getitem(h, (starts[:, None] + np.arange(2)).ravel())
             x_vis, stride = vis[:, :2], 2
         att = _reference_dropout(
             _reference_attention(x, h, x_vis, lp, params.n_heads), rate, rng)
-        h = _reference_layer_norm(x + att, lp.ln1_g, lp.ln1_b)
-        ffn = (composed.elu(h @ lp.ffn_w1 + lp.ffn_b1) @ lp.ffn_w2) + lp.ffn_b2
-        h = _reference_layer_norm(h + _reference_dropout(ffn, rate, rng),
+        h = _reference_layer_norm(C.add(x, att), lp.ln1_g, lp.ln1_b)
+        ffn = C.add(C.matmul(C.elu(C.add(C.matmul(h, lp.ffn_w1), lp.ffn_b1)),
+                             lp.ffn_w2), lp.ffn_b2)
+        h = _reference_layer_norm(C.add(h, _reference_dropout(ffn, rate, rng)),
                                   lp.ln2_g, lp.ln2_b)
-    pooled = (h[::stride] @ params.pooler_w + params.pooler_b).tanh()
-    return EncoderOutput(hidden=h if stride == T else None, pooled=pooled)
+    return EncoderOutput(hidden=h if stride == T else None,
+                         pooled=_reference_pool(h, stride, params))
 
 
 def _all_params(p):
@@ -307,10 +311,10 @@ def test_fused_layers_match_composed_reference(n_layers, T, rate, frozen,
         out = run(E, batch.visibility, p, rate, np.random.default_rng(7),
                   pooled_only=pooled_only)
         w_rng = np.random.default_rng(T + 100)
-        loss = (out.pooled * Tensor(w_rng.normal(size=out.pooled.shape))).sum()
+        loss = C.weighted_sum(out.pooled, w_rng.normal(size=out.pooled.shape))
         if out.hidden is not None:
-            loss = loss + (out.hidden * Tensor(
-                w_rng.normal(size=out.hidden.shape))).sum()
+            loss = C.add(loss, C.weighted_sum(
+                out.hidden, w_rng.normal(size=out.hidden.shape)))
         loss.backward()
         results.append((out, named, E))
     (ref, ref_named, ref_E), (got, got_named, got_E) = results
@@ -350,7 +354,7 @@ def _run_node(kind, h, lp, rows, rate):
     from the same seed on every call."""
     rng = np.random.default_rng(5)
     if kind == "ffn":
-        x = h if rows is None else h[rows]
+        x = h if rows is None else C.getitem(h, rows)
         return enc._ffn_sublayer(x, lp, rate, rng)
     vis = np.ones((2, 3, 3), dtype=bool)
     vis[0, 0, 2] = vis[1, 2, 1] = False
@@ -369,7 +373,7 @@ def test_sublayer_node_gradients_match_differences(kind, rows, rate):
     w = np.random.default_rng(9).normal(size=(n_out, 8))
 
     def loss_of(h, lp_):
-        return (_run_node(kind, h, lp_, rows, rate) * Tensor(w)).sum()
+        return C.weighted_sum(_run_node(kind, h, lp_, rows, rate), w)
 
     h = Tensor(h0, requires_grad=True)
     loss_of(h, lp).backward()
@@ -406,10 +410,97 @@ def test_sublayer_node_records_edges_only_when_tracking(kind):
     out = _run_node(kind, h, lp, None, 0.4)
     live = [getattr(lp, n) for n in names if n not in frozen]
     assert [operand for operand, _ in out._edges] == live
-    out.sum().backward()
+    C.sum(out).backward()
     got = {n: getattr(lp, n).grad.copy() for n in names if n not in frozen}
     _, twin = _node_inputs(seed=4)
-    _run_node(kind, Tensor(h0, requires_grad=True), twin, None, 0.4
-              ).sum().backward()
+    C.sum(_run_node(kind, Tensor(h0, requires_grad=True), twin, None, 0.4)
+          ).backward()
     for name, g in got.items():
         assert g.tobytes() == getattr(twin, name).grad.tobytes(), name
+
+
+# -- the glue nodes against the composed ops they replace -------------------
+
+def _reference_embed(seq, params):
+    return C.add(C.getitem(params.tok_emb, np.ravel(seq.tokens)),
+                 C.getitem(params.pos_emb, np.ravel(seq.soft_pos)))
+
+
+def _reference_pool(h, stride, params):
+    return C.tanh(C.add(C.matmul(C.getitem(h, np.s_[::stride]),
+                                 params.pooler_w), params.pooler_b))
+
+
+def _reference_lm_logits(H, rows, params):
+    return C.add(C.matmul(C.getitem(H, rows), params.lm_w), params.lm_b)
+
+
+# repeated token ids and soft positions (parallel branches share them), and
+# a padded second sequence
+_GLUE_BATCH = pad_batch([_seq([3, 5, 5, 1, 3], soft_pos=[0, 1, 2, 2, 3]),
+                         _seq([5, 2])], pad_id=0)
+_LM_ROWS = np.array([0, 2, 3, 3, 6])   # a repeated row sums its gradients
+
+
+def _glue_inputs(kind, seed):
+    """Parameters with nonzero biases, and a glue node's input and operands:
+    the embedding of `_GLUE_BATCH`, the pooler at stride 3 (every row of
+    T = 3 sequences) or 2 (a pooled-only pass), and the LM projection of
+    `_LM_ROWS`."""
+    p = _params(V=6, d=8, p_max=5, seed=seed)
+    rng = np.random.default_rng(seed + 50)
+    for t in (p.pooler_b, p.lm_b):
+        t.data += rng.normal(0.0, 0.3, size=t.shape)
+    if kind == "embed":
+        return p, (_GLUE_BATCH,), {"tok_emb": p.tok_emb, "pos_emb": p.pos_emb}
+    if kind == "lm_logits":
+        H = Tensor(rng.normal(size=(7, 8)), requires_grad=True)
+        return p, (H, _LM_ROWS), {"H": H, "lm_w": p.lm_w, "lm_b": p.lm_b}
+    stride = 2 if kind == "pool, stride 2" else 3
+    h = Tensor(rng.normal(size=(3 * stride, 8)), requires_grad=True)
+    return p, (h, stride), {"h": h, "pooler_w": p.pooler_w,
+                            "pooler_b": p.pooler_b}
+
+
+_GLUE = {"embed": (embed, _reference_embed),
+         "pool": (enc._pool, _reference_pool),
+         "pool, stride 2": (enc._pool, _reference_pool),
+         "lm_logits": (lm_logits, _reference_lm_logits)}
+# frozen operands per node; a frozen input (h or H) is an untracked one
+_GLUE_FROZEN = {"embed": [(), ("tok_emb",), ("pos_emb",),
+                          ("tok_emb", "pos_emb")],
+                "pool": [(), ("h",), ("pooler_w",), ("h", "pooler_b")],
+                "lm_logits": [(), ("H",), ("lm_w",), ("H", "lm_b")]}
+_GLUE_CASES = [(kind, frozen) for kind in _GLUE
+               for frozen in _GLUE_FROZEN[kind.split(",")[0]]]
+
+
+@pytest.mark.parametrize("kind,frozen", _GLUE_CASES)
+def test_glue_nodes_match_composed_reference(kind, frozen):
+    """The embedding, pooler and LM-projection nodes give the composed
+    ops' output bytes and every tracked operand their gradient bytes, and
+    record edges to the tracked operands only."""
+    results = []
+    for run in _GLUE[kind]:
+        p, args, operands = _glue_inputs(kind, seed=11)
+        for name in frozen:
+            operands[name].requires_grad = False
+        out = run(*args, p)
+        live = [t for t in operands.values() if t.requires_grad]
+        if run is _GLUE[kind][0]:
+            assert [operand for operand, _ in out._edges] == live
+        w = np.random.default_rng(12).normal(size=out.shape)
+        C.mul(C.weighted_sum(out, w), 0.37).backward()
+        results.append([out.data] + [t.grad for t in live])
+    got, want = results
+    assert len(got) == len(want) == 1 + len(operands) - len(frozen)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_GLUE))
+def test_glue_node_gradients_match_differences(kind):
+    p, args, operands = _glue_inputs(kind, seed=13)
+    run = _GLUE[kind][0]
+    w = np.random.default_rng(14).normal(size=run(*args, p).shape)
+    check_operand_grads(lambda: C.weighted_sum(run(*args, p), w), operands)

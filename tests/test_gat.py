@@ -16,7 +16,7 @@ from kegat.gat import (LEAKY_SLOPE, FuseParams, GatParams, GateParams,
                        load_concept_table, pool_subgraph, run_gat, self_refine,
                        weighted_sample)
 
-import composed
+import composed as C
 from conftest import check_operand_grads, numeric_grad, write_kb
 
 
@@ -163,15 +163,15 @@ def test_init_node_embeddings(sugar_graph):
 def test_alpha_self_loop_only_is_one():
     params = _gat_params(2)
     h = Tensor(np.random.default_rng(0).normal(size=(1, 2)))
-    alpha = attention_coeffs(h, _subgraph(1), 0, params)[0]
-    np.testing.assert_allclose(alpha.data, [[1.0]])
+    alpha = attention_coeffs(h, _subgraph(1), 0, params).data[0]
+    np.testing.assert_allclose(alpha, [[1.0]])
 
 
 def test_alpha_identical_states_split_evenly():
     params = _gat_params(2)
     h = Tensor(np.tile(np.array([0.3, -0.7]), (2, 1)))
-    alpha = attention_coeffs(h, _subgraph(2), 0, params)[0]
-    np.testing.assert_allclose(alpha.data, 0.5, atol=1e-12)
+    alpha = attention_coeffs(h, _subgraph(2), 0, params).data[0]
+    np.testing.assert_allclose(alpha, 0.5, atol=1e-12)
 
 
 def test_alpha_scalar_hand_computation():
@@ -179,10 +179,10 @@ def test_alpha_scalar_hand_computation():
     params = GatParams(w=[Tensor(np.array([[[1.0]]]))],
                        a=[Tensor(np.array([[1.0, 1.0]]))])
     h = Tensor(np.array([[1.0], [2.0]]))
-    alpha = attention_coeffs(h, _subgraph(2), 0, params)[0]
+    alpha = attention_coeffs(h, _subgraph(2), 0, params).data[0]
     scores = np.array([[2.0, 3.0], [3.0, 4.0]])
     expected = np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(alpha.data, expected, atol=1e-12)
+    np.testing.assert_allclose(alpha, expected, atol=1e-12)
 
 
 def test_alpha_rows_sum_to_one_under_sparsity():
@@ -192,9 +192,9 @@ def test_alpha_rows_sum_to_one_under_sparsity():
     adj = adj | adj.T
     np.fill_diagonal(adj, True)
     h = Tensor(rng.normal(size=(6, 3)))
-    alpha = attention_coeffs(h, _subgraph(6, adj), 0, params)[0]
-    np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-9)
-    assert (alpha.data[~adj] == 0).all()
+    alpha = attention_coeffs(h, _subgraph(6, adj), 0, params).data[0]
+    np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
+    assert (alpha[~adj] == 0).all()
 
 
 # -- layers, pooling ----------------------------------------------------------
@@ -264,9 +264,10 @@ def test_run_gat_gradients_two_layers_two_heads():
     readout = Tensor(rng.normal(size=(4, 3)))
 
     def loss(node_init):
-        return float((run_gat(node_init, sub, params) * readout).sum().data)
+        return float(C.weighted_sum(run_gat(node_init, sub, params),
+                                    readout).data)
 
-    (run_gat(init, sub, params) * readout).sum().backward()
+    C.weighted_sum(run_gat(init, sub, params), readout).backward()
     for t in params.w + params.a:
         x0 = t.data.copy()
 
@@ -283,7 +284,7 @@ def test_run_gat_gradients_two_layers_two_heads():
     h0 = Tensor(init, requires_grad=True)
     h = gat_layer(gat_layer(h0, sub, params, 0), sub, params, 1)
     np.testing.assert_array_equal(h.data, run_gat(init, sub, params).data)
-    (h * readout).sum().backward()
+    C.weighted_sum(h, readout).backward()
     np.testing.assert_allclose(h0.grad, numeric_grad(loss, init),
                                rtol=1e-6, atol=1e-9)
 
@@ -391,11 +392,11 @@ def test_fuse_gradient_wrt_e_gnn():
     e_base = np.random.default_rng(6).normal(size=(1, 3))
 
     def f(x):
-        return float(fuse(Tensor(e_base), Tensor(x), p).sum().data)
+        return float(C.sum(fuse(Tensor(e_base), Tensor(x), p)).data)
 
     x0 = np.array([[0.4, -0.9]])
     t = Tensor(x0, requires_grad=True)
-    fuse(Tensor(e_base), t, p).sum().backward()
+    C.sum(fuse(Tensor(e_base), t, p)).backward()
     np.testing.assert_allclose(t.grad, numeric_grad(f, x0), rtol=1e-6)
 
 
@@ -453,23 +454,36 @@ def _reference_gat_layer(h, sub, params, layer):
     masked softmax over the adjacency, aggregation, head mean and ELU."""
     a = params.a[layer]
     dg = a.shape[1] // 2
-    wh = h @ params.w[layer]
-    scores = (wh @ a[:, :dg, None]
-              + composed.transpose(wh @ a[:, dg:, None], 0, 2, 1))
-    alpha = composed.masked_softmax(composed.leaky_relu(scores, LEAKY_SLOPE),
-                                    sub.adjacency, axis=-1)
-    return composed.elu(composed.mean(alpha @ wh, axis=0))
+    wh = C.matmul(h, params.w[layer])
+    scores = C.add(C.matmul(wh, C.getitem(a, np.s_[:, :dg, None])),
+                   C.transpose(C.matmul(wh, C.getitem(a, np.s_[:, dg:, None])),
+                               0, 2, 1))
+    alpha = C.masked_softmax(C.leaky_relu(scores, LEAKY_SLOPE),
+                             sub.adjacency, axis=-1)
+    return C.elu(C.mean(C.matmul(alpha, wh), axis=0))
+
+
+def _reference_pool(h, sizes, node_dim):
+    """Segment means as a constant weight matrix times `h`."""
+    weights = np.zeros((len(sizes), h.shape[0]))
+    start = 0
+    for i, n in enumerate(sizes):
+        if n:
+            weights[i, start:start + n] = 1.0 / n
+        start += n
+    return C.matmul(weights, h)
 
 
 def _reference_fuse(e_base, e_gnn, params):
     x = ad.concat([e_base, e_gnn], axis=-1)
-    return composed.elu(x @ params.w1 + params.b1) @ params.w2 + params.b2
+    return C.add(C.matmul(C.elu(C.add(C.matmul(x, params.w1), params.b1)),
+                          params.w2), params.b2)
 
 
 def _reference_self_refine(e_all, params):
-    scores = (e_all @ params.w1).tanh() @ params.w2
-    gate = composed.masked_softmax(scores) * float(e_all.shape[-1])
-    return composed.elu(gate * e_all)
+    scores = C.matmul(C.tanh(C.matmul(e_all, params.w1)), params.w2)
+    gate = C.mul(C.masked_softmax(scores), float(e_all.shape[-1]))
+    return C.elu(C.mul(gate, e_all))
 
 
 def _leaves(rng, *shapes):
@@ -478,10 +492,11 @@ def _leaves(rng, *shapes):
 
 
 def _graph_side(nodes, kind, heads, frozen, h_tracked):
-    """Two GAT layers, pooling into two option rows, fusion, the gate and
-    the final concat, as the model runs them, under a random readout scaled
-    by 0.37; every value the nodes produced and every leaf's gradient."""
-    layer, fuse_fn, refine = nodes
+    """Two GAT layers, pooling into two option rows (one of them empty on a
+    one-node graph), fusion, the gate and the final concat, as the model
+    runs them, under a random readout scaled by 0.37; every value the nodes
+    produced and every leaf's gradient."""
+    layer, pool, fuse_fn, refine = nodes
     rng = np.random.default_rng(heads)
     n = 1 if kind == "one node" else 5
     adj = (np.eye(n, dtype=bool) if kind == "isolated"
@@ -503,12 +518,12 @@ def _graph_side(nodes, kind, heads, frozen, h_tracked):
     sub = _subgraph(n, adj)
     h1 = layer(h0, sub, params, 0)
     h2 = layer(h1, sub, params, 1)
-    e_all = fuse_fn(e_base, pool_subgraph(h2, [n // 2 + 1, n - n // 2 - 1], 3),
-                    fuse_p)
+    e_gnn = pool(h2, [n // 2 + 1, n - n // 2 - 1], 3)
+    e_all = fuse_fn(e_base, e_gnn, fuse_p)
     g = refine(e_all, gate_p)
     reprs = ad.concat([g, e_base], axis=-1)
-    ((reprs * Tensor(rng.normal(size=reprs.shape))).sum() * 0.37).backward()
-    return ([t.data for t in (h1, h2, e_all, g)]
+    C.mul(C.weighted_sum(reprs, rng.normal(size=reprs.shape)), 0.37).backward()
+    return ([t.data for t in (h1, h2, e_gnn, e_all, g)]
             + [t.grad for t in leaves if t.requires_grad])
 
 
@@ -517,16 +532,17 @@ def _graph_side(nodes, kind, heads, frozen, h_tracked):
 @pytest.mark.parametrize("heads", [1, 3])
 @pytest.mark.parametrize("frozen", ["none", "w", "a", "mlp"])
 def test_graph_nodes_match_composed_reference(kind, heads, frozen):
-    """The GAT layer, fusion and gate nodes give the composed ops' value
-    bytes, and every operand its gradient bytes: with one head or several,
-    on a one-node graph, isolated nodes and scores on the leaky-ReLU tie,
-    from an untracked first-layer input, and with weights frozen."""
+    """The GAT layer, pooling, fusion and gate nodes give the composed ops'
+    value bytes, and every operand its gradient bytes: with one head or
+    several, on a one-node graph (with an empty pooling segment), isolated
+    nodes and scores on the leaky-ReLU tie, from an untracked first-layer
+    input, and with weights frozen."""
     for h_tracked in (True, False):
-        got = _graph_side((gat_layer, fuse, self_refine), kind, heads,
-                          frozen, h_tracked)
-        want = _graph_side((_reference_gat_layer, _reference_fuse,
-                            _reference_self_refine), kind, heads, frozen,
-                           h_tracked)
+        got = _graph_side((gat_layer, pool_subgraph, fuse, self_refine),
+                          kind, heads, frozen, h_tracked)
+        want = _graph_side((_reference_gat_layer, _reference_pool,
+                            _reference_fuse, _reference_self_refine), kind,
+                           heads, frozen, h_tracked)
         assert len(got) == len(want)
         for i, (a, b) in enumerate(zip(got, want)):
             assert a.tobytes() == b.tobytes(), (h_tracked, i)
@@ -543,10 +559,41 @@ def test_fuse_and_gate_gradients_match_differences():
     e_all, *weights = _leaves(rng, (2, 3), (3, 2), (2, 3))
     gate_p = GateParams(*weights)
     readout = Tensor(rng.normal(size=(2, 3)))
-    check_operand_grads(lambda: (fuse(e_base, e_gnn, fuse_p) * readout).sum(),
-                        {"e_base": e_base, "e_gnn": e_gnn, **vars(fuse_p)})
-    check_operand_grads(lambda: (self_refine(e_all, gate_p) * readout).sum(),
-                        {"e_all": e_all, **vars(gate_p)})
+    check_operand_grads(
+        lambda: C.weighted_sum(fuse(e_base, e_gnn, fuse_p), readout),
+        {"e_base": e_base, "e_gnn": e_gnn, **vars(fuse_p)})
+    check_operand_grads(
+        lambda: C.weighted_sum(self_refine(e_all, gate_p), readout),
+        {"e_all": e_all, **vars(gate_p)})
+
+
+@pytest.mark.parametrize("sizes", [[3, 2], [2, 0, 3], [0, 5], [5]])
+@pytest.mark.parametrize("tracked", [True, False])
+def test_pool_node_matches_composed_reference(sizes, tracked):
+    """The pooling node gives the composed ops' value bytes and its input
+    the same gradient bytes, with empty segments, and records no edge from
+    an untracked input."""
+    results = []
+    for pool in (pool_subgraph, _reference_pool):
+        rng = np.random.default_rng(len(sizes))
+        h = Tensor(rng.normal(size=(5, 3)), requires_grad=tracked)
+        out = pool(h, sizes, 3)
+        assert len(out._edges) == tracked
+        C.mul(C.weighted_sum(out, rng.normal(size=out.shape)), 0.37).backward()
+        results.append([out.data, h.grad])
+    (got, got_grad), (want, want_grad) = results
+    assert got.tobytes() == want.tobytes()
+    if tracked:
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+
+def test_pool_node_gradient_matches_differences():
+    rng = np.random.default_rng(24)
+    h = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    readout = rng.normal(size=(3, 3))
+    check_operand_grads(
+        lambda: C.weighted_sum(pool_subgraph(h, [2, 0, 4], 3), readout),
+        {"h": h})
 
 
 # -- concept table ------------------------------------------------------------

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kegat import autodiff as ad
 from kegat.autodiff import Tensor
 from kegat.head import (PROB_FLOOR, HeadParams, LossParams,
                         classification_loss, combined_loss, ensemble_average,
                         lm_loss, predict)
 
-import composed
+import composed as C
 from conftest import check_operand_grads, numeric_grad
 
 
@@ -115,23 +114,25 @@ def test_classification_loss_nonnegative(seed, n):
 def test_lm_loss_perfect_logits_near_zero():
     tokens = [2, 0, 1]
     logits = Tensor(np.eye(3)[tokens] * 1000.0)
-    loss = lm_loss(logits, tokens)
+    loss = lm_loss(logits, tokens, 1)
     assert loss.data < 1e-9
 
 
 def test_lm_loss_uniform_analytic():
-    loss = lm_loss(Tensor(np.zeros((5, 4))), [0, 1, 2, 3, 0])
+    loss = lm_loss(Tensor(np.zeros((5, 4))), [0, 1, 2, 3, 0], 1)
     np.testing.assert_allclose(loss.data, 5 * np.log(4.0), atol=1e-9)
+    halved = lm_loss(Tensor(np.zeros((5, 4))), [0, 1, 2, 3, 0], 2)
+    np.testing.assert_allclose(halved.data, 2.5 * np.log(4.0), atol=1e-9)
 
 
 def test_lm_loss_mask_additivity():
     rng = np.random.default_rng(0)
     logits = Tensor(rng.normal(size=(4, 6)))
     tokens = [1, 2, 3, 4]
-    full = lm_loss(logits, tokens).data
+    full = lm_loss(logits, tokens, 1).data
     keep = [0, 1, 3]   # the rows a caller passes when row 2 is not trunk
     partial = lm_loss(Tensor(logits.data[keep]),
-                      [tokens[i] for i in keep]).data
+                      [tokens[i] for i in keep], 1).data
     row = logits.data[2] - logits.data[2].max()
     term = -(row - np.log(np.exp(row).sum()))[tokens[2]]
     np.testing.assert_allclose(full - partial, term, atol=1e-12)
@@ -205,46 +206,50 @@ def test_ensemble_of_distributions_is_distribution(seeds, n):
 # -- the fused loss nodes against the composed ops they replace --------------
 
 def _neg(t):
-    return ad._node(-t.data, (t, np.negative))
+    return C.unary(-t.data, t, np.negative)
 
 
 def _exp(t):
     out = np.exp(t.data)
-    return ad._node(out, (t, lambda g: g * out))
+    return C.unary(out, t, lambda g: g * out)
 
 
 def _log(t):
-    return ad._node(np.log(t.data), (t, lambda g: g / t.data))
+    return C.unary(np.log(t.data), t, lambda g: g / t.data)
 
 
 def _log_softmax(t):
     shifted = t.data - t.data.max(axis=-1, keepdims=True)
     out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     soft = np.exp(out)
-    return ad._node(out, (t, lambda g: g - soft * g.sum(axis=-1, keepdims=True)))
+    return C.unary(out, t,
+                   lambda g: g - soft * g.sum(axis=-1, keepdims=True))
 
 
 def _reference_classification(probs, labels):
     """The composed-op loss, with its separate path for floored rows."""
-    p = probs[np.arange(len(labels)), np.asarray(labels)]
+    p = C.getitem(probs, (np.arange(len(labels)), np.asarray(labels)))
     low = p.data <= PROB_FLOOR
     if not low.any():
-        return composed.mean(_neg(_log(p)))
-    mask = Tensor(low.astype(np.float64))
-    kept = p * Tensor(~low) + mask
-    floored = Tensor(np.where(low, -np.log(PROB_FLOOR), 0.0))
-    return composed.mean(_neg(_log(kept)) + (p + Tensor(-p.data)) * mask
-                         + floored)
+        return C.mean(_neg(_log(p)))
+    mask = low.astype(np.float64)
+    kept = C.add(C.mul(p, ~low), mask)
+    floored = np.where(low, -np.log(PROB_FLOOR), 0.0)
+    return C.mean(C.add(C.add(_neg(_log(kept)),
+                              C.mul(C.add(p, -p.data), mask)), floored))
 
 
-def _reference_lm(logits, tokens):
+def _reference_lm(logits, tokens, n_instances):
+    """The summed cross-entropy, times 1/n_instances."""
     rows = (np.arange(len(tokens)), np.asarray(tokens))
-    return _neg(_log_softmax(logits)[rows].sum())
+    return C.mul(_neg(C.sum(C.getitem(_log_softmax(logits), rows))),
+                 1.0 / n_instances)
 
 
 def _reference_combined(l1, l2, params):
-    return (_exp(_neg(params.s1)) * l1 + _exp(_neg(params.s2)) * l2
-            + params.s1 + params.s2) * 0.5
+    return C.mul(C.add(C.add(C.add(C.mul(_exp(_neg(params.s1)), l1),
+                                   C.mul(_exp(_neg(params.s2)), l2)),
+                             params.s1), params.s2), 0.5)
 
 
 # the probability at each row's label: none floored, some floored (0, below
@@ -267,9 +272,10 @@ def _loss_inputs(kind, seed):
     return probs, labels, logits, rng.integers(0, 7, size=5)
 
 
-def _run_losses(loss_fns, kind, root, g, seed):
-    """Build one root the way `KegatModel.loss` does, scale it by g, run
-    backward, and return every value and gradient the losses produced."""
+def _run_losses(loss_fns, kind, root, g, seed, n_instances):
+    """Build one root the way `KegatModel.loss` does, the LM term over
+    `n_instances`, scale it by g, run backward, and return every value and
+    gradient the losses produced."""
     classify, lm, combine = loss_fns
     probs0, labels, logits0, tokens = _loss_inputs(kind, seed)
     probs = Tensor(probs0, requires_grad=True)
@@ -281,11 +287,11 @@ def _run_losses(loss_fns, kind, root, g, seed):
     l2 = classify(probs, labels)
     l1 = None
     if root == "combined":
-        l1 = lm(logits, tokens) * (1.0 / 3)
+        l1 = lm(logits, tokens, n_instances)
     elif root == "frozen s":   # phase 1: the LM term a constant
-        l1 = Tensor(float(lm(Tensor(logits0), tokens).data) * (1.0 / 3))
+        l1 = Tensor(lm(Tensor(logits0), tokens, n_instances).data)
     out = l2 if l1 is None else combine(l1, l2, params)
-    (out * g).backward()
+    C.mul(out, g).backward()
     values = [t.data for t in (l1, l2, out) if t is not None]
     grads = [t.grad for t in (probs, logits, params.s1, params.s2)
              if t.requires_grad]
@@ -299,14 +305,16 @@ def _run_losses(loss_fns, kind, root, g, seed):
 def test_loss_nodes_match_composed_reference(kind, root, g, seed):
     """Each fused loss gives the composed ops' value bytes, and every
     operand its gradient bytes, on floored rows, with s1 and s2 frozen, with
-    no LM term and under an upstream gradient g != 1."""
-    got = _run_losses((classification_loss, lm_loss, combined_loss),
-                      kind, root, g, seed)
-    want = _run_losses((_reference_classification, _reference_lm,
-                        _reference_combined), kind, root, g, seed)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    no LM term, under an upstream gradient g != 1, and with the LM term
+    over 1, 3 and 7 instances."""
+    for n in (1, 3, 7):
+        got = _run_losses((classification_loss, lm_loss, combined_loss),
+                          kind, root, g, seed, n)
+        want = _run_losses((_reference_classification, _reference_lm,
+                            _reference_combined), kind, root, g, seed, n)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), n
 
 
 @pytest.mark.parametrize("kind", sorted(_LABEL_PROBS))
@@ -315,7 +323,7 @@ def test_floored_rows_raise_no_floating_point_error(kind):
     probs = Tensor(probs0, requires_grad=True)
     with np.errstate(all="raise"):
         loss = classification_loss(probs, labels)
-        (loss * 0.37).backward()
+        C.mul(loss, 0.37).backward()
     assert np.isfinite(loss.data) and np.isfinite(probs.grad).all()
 
 
@@ -332,12 +340,10 @@ def test_classification_node_gradient_matches_differences():
 
 def test_lm_node_gradient_matches_differences():
     _, _, logits0, tokens = _loss_inputs("ordinary", seed=5)
-    logits = Tensor(logits0, requires_grad=True)
-    lm_loss(logits, tokens).backward()
-    np.testing.assert_allclose(
-        logits.grad,
-        numeric_grad(lambda x: float(lm_loss(Tensor(x), tokens).data),
-                     logits0), rtol=1e-6, atol=1e-9)
+    for n_instances in (1, 3):
+        logits = Tensor(logits0, requires_grad=True)
+        check_operand_grads(lambda: lm_loss(logits, tokens, n_instances),
+                            {"logits": logits})
 
 
 def test_combined_node_gradient_matches_differences():
@@ -357,9 +363,10 @@ def test_combined_node_gradient_matches_differences():
 # -- the fused head node against the composed ops it replaces ----------------
 
 def _reference_predict(reprs, params, n_options):
-    hidden = composed.elu(reprs @ params.w1 + params.b1)
-    raw = composed.reshape(hidden @ params.w2 + params.b2, -1, n_options)
-    return composed.masked_softmax(raw)
+    hidden = C.elu(C.add(C.matmul(reprs, params.w1), params.b1))
+    raw = C.reshape(C.add(C.matmul(hidden, params.w2), params.b2), -1,
+                    n_options)
+    return C.masked_softmax(raw)
 
 
 def _head_inputs(rng, n_rows, d, hidden=3):
@@ -385,8 +392,8 @@ def test_predict_node_matches_composed_reference(n_options, frozen):
         for name in frozen:
             operands[name].requires_grad = False
         probs = fn(reprs, params, n_options)
-        ((probs * Tensor(rng.normal(size=probs.shape))).sum()
-         * 0.37).backward()
+        C.mul(C.weighted_sum(probs, rng.normal(size=probs.shape)),
+              0.37).backward()
         results.append([probs.data] + [t.grad for t in operands.values()
                                        if t.requires_grad])
     got, want = results
@@ -399,5 +406,6 @@ def test_predict_node_gradient_matches_differences():
     rng = np.random.default_rng(5)
     reprs, params = _head_inputs(rng, 6, 4)
     readout = Tensor(rng.normal(size=(2, 3)))
-    check_operand_grads(lambda: (predict(reprs, params, 3) * readout).sum(),
-                        {"reprs": reprs, **vars(params)})
+    check_operand_grads(
+        lambda: C.weighted_sum(predict(reprs, params, 3), readout),
+        {"reprs": reprs, **vars(params)})

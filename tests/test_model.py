@@ -330,7 +330,7 @@ def test_lm_term_sums_trunk_tokens_of_every_option(bench):
     with no_grad():
         fw = model.forward([a, b])
         logits, tokens, _ = model._lm_inputs(fw)
-        got = float(headmod.lm_loss(logits, tokens).data)
+        got = float(headmod.lm_loss(logits, tokens, 1).data)
     T = fw.batch.tokens.shape[1]
     p = model.enc_params
     want = 0.0

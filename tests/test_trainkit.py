@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kegat import trainkit
-from kegat.autodiff import Tensor
 from kegat.errors import GradientError, NumericError
 from kegat.harness import build_vocab, generate_augmented
 from kegat.kemb import default_templates
@@ -19,6 +18,9 @@ from kegat.model import KegatModel, ModelConfig
 from kegat.trainkit import (OptimizerState, ParamStore, Schedule,
                             adam_step, compute_gradients, load_checkpoint,
                             read_model_meta, save_checkpoint, two_phase_train)
+
+import composed as C
+
 
 TINY_CONFIG = ModelConfig(dim=16, n_layers=1, n_heads=2, ffn_mult=2,
                           max_len=48, max_positions=64, gat_layers=1,
@@ -60,8 +62,8 @@ def test_gradient_of_unused_parameter_is_zero():
     store = ParamStore()
     w = store.add("w", np.array(1.0))
     store.add("unused", np.array(5.0))
-    d = w + -3.0
-    compute_gradients(d * d * 0.5, store)
+    d = C.add(w, -3.0)
+    compute_gradients(C.mul(C.mul(d, d), 0.5), store)
     np.testing.assert_allclose(w.grad, -2.0)
     np.testing.assert_array_equal(store["unused"].grad, 0.0)
 
@@ -70,7 +72,7 @@ def test_frozen_gradients_zeroed():
     store = ParamStore()
     w = store.add("w", np.array(1.0))
     store.set_frozen("w", True)
-    compute_gradients(w * 2.0, store)
+    compute_gradients(C.mul(w, 2.0), store)
     np.testing.assert_array_equal(w.grad, 0.0)
 
 
@@ -95,16 +97,16 @@ def test_nonfinite_loss_and_gradient_errors():
     w = store.add("w", np.array(0.0))
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError):
-            compute_gradients(Tensor(np.inf) * w, store)
+            compute_gradients(C.mul(np.inf, w), store)
         with pytest.raises(GradientError, match="'w'"):
             # the value is 0 at w = 0, the gradient 1e308 * 1e308 = inf
-            compute_gradients((w * 1e308) * 1e308, store)
+            compute_gradients(C.mul(C.mul(w, 1e308), 1e308), store)
 
 
 def test_adam_zero_gradient_keeps_parameters():
     store = ParamStore()
     w = store.add("w", np.array([1.0, 2.0]))
-    compute_gradients((w * 0.0).sum(), store)
+    compute_gradients(C.sum(C.mul(w, 0.0)), store)
     adam_step(store, OptimizerState(lr=0.1))
     np.testing.assert_array_equal(w.data, [1.0, 2.0])
 
@@ -112,7 +114,7 @@ def test_adam_zero_gradient_keeps_parameters():
 def test_adam_first_step_closed_form():
     store = ParamStore()
     w = store.add("w", np.array(0.0))
-    compute_gradients(w * 1.0, store)   # gradient 1
+    compute_gradients(C.mul(w, 1.0), store)   # gradient 1
     opt = OptimizerState(lr=0.001, eps=1e-6)
     adam_step(store, opt)
     # first step: m_hat = v_hat = g = 1 -> delta = -lr / (1 + eps)
@@ -225,7 +227,7 @@ def test_parameters_are_views_of_the_flat_vectors(tmp_path):
 def test_add_after_packing_raises():
     store = ParamStore()
     w = store.add("w", np.arange(3.0))
-    compute_gradients((w * w).sum(), store)   # packs
+    compute_gradients(C.sum(C.mul(w, w)), store)   # packs
     with pytest.raises(ValueError, match="packed"):
         store.add("a", np.array([7.0]))
     assert store.names() == ["w"]
@@ -238,8 +240,8 @@ def test_gradient_error_names_the_first_nonfinite_parameter():
     a = store.add("a", np.array(0.0))
     with np.errstate(all="ignore"):
         with pytest.raises(GradientError, match="'a'"):
-            compute_gradients((b * 1e308) * 1e308 + (a * 1e308) * 1e308,
-                              store)
+            compute_gradients(C.add(C.mul(C.mul(b, 1e308), 1e308),
+                                    C.mul(C.mul(a, 1e308), 1e308)), store)
 
 
 def test_checkpoint_round_trip_byte_identical(tmp_path):
@@ -247,8 +249,8 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     store.add("b/w", np.random.default_rng(0).normal(size=(3, 2)))
     store.add("a/s", np.array(1.5))
     opt = OptimizerState(lr=0.01)
-    x = store["b/w"].sum() + store["a/s"]
-    compute_gradients(x * x, store)
+    x = C.add(C.sum(store["b/w"]), store["a/s"])
+    compute_gradients(C.mul(x, x), store)
     adam_step(store, opt)
     p1, p2 = tmp_path / "c1.ckpt", tmp_path / "c2.ckpt"
     rng = np.random.default_rng(42)
