@@ -1,42 +1,42 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-A ``Tensor`` is a value, a gradient buffer and the graph edges to its
-operands: one ``(operand, g -> gradient)`` pair per operand that is tracked,
-listed in operand order. Calling ``backward()`` on a scalar loss walks those
-edges. Double precision throughout so finite-difference gradient checks stay
-tight.
+A ``Tensor`` is a value, a gradient buffer and the node that made it: its
+tracked operands by name, in operand order, and one backward pass that
+returns every operand's gradient at once. Calling ``backward()`` on a scalar
+loss runs each node's backward once and passes the gradients down to its
+operands. Double precision throughout so finite-difference gradient checks
+stay tight.
 
 ``fused`` is the one node constructor. A node is a forward value computed in
-numpy over named operand tensors, and a written-out backward pass that
-returns every operand's gradient at once: the token and position embedding,
-an encoder sublayer, the [CLS] pooler, the LM projection, a GAT layer, the
-subgraph pooling, the fusion MLP, the gate, ``concat``, the head and each
-loss. The array helpers ``masked_softmax_data``, ``softmax_grad``,
-``elu_data`` and ``elu_grad`` hold the softmax and ELU arithmetic these
-nodes share.
+numpy over named operand tensors, and a written-out backward pass: the token
+and position embedding, an encoder sublayer, the [CLS] pooler, the LM
+projection, a GAT layer, the subgraph pooling, the fusion MLP, the gate,
+``concat``, the head and each loss. The array helpers
+``masked_softmax_data``, ``softmax_grad``, ``elu_data`` and ``elu_grad`` hold
+the softmax and ELU arithmetic these nodes share.
 
 One rule, applied in ``fused`` and nowhere else, decides what is recorded: an
-operand is tracked when it has ``requires_grad`` or has edges of its own, and
-no node records an edge to an operand that is not. A tensor with
+operand is tracked when it has ``requires_grad`` or has operands of its own,
+and no node records an operand that is not. A tensor with
 ``requires_grad=False`` is therefore a constant, and so is everything computed
-from constants alone; dropout masks and cached inputs never enter the graph.
-This is how freezing works: a frozen parameter is one whose ``requires_grad``
-is off, so no node records a path back to it. Inside a ``with no_grad():``
-block no node records anything; the forward values are the same, only the
-graph is gone.
+from constants alone; such a tensor holds no backward, so nothing keeps its
+forward intermediates alive, and dropout masks and cached inputs never enter
+the graph. This is how freezing works: a frozen parameter is one whose
+``requires_grad`` is off, so no node records a path back to it. Inside a
+``with no_grad():`` block no node records anything; the forward values are
+the same, only the graph is gone.
 
 A tensor with ``requires_grad`` is a leaf (a parameter): ``backward()`` adds
 each gradient that reaches it into its ``.grad`` in place, in arrival order.
 An interior tensor sums its arrivals into a fresh array and passes the total
-on along its own edges.
+on to its own operands.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -45,21 +45,24 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-# one graph edge: an operand, and how the output's gradient maps to its own
-Edge = Tuple["Tensor", Callable[[np.ndarray], np.ndarray]]
+# a node's backward: the output's gradient and the wanted operand names in,
+# a gradient per operand name out
+Backward = Callable[[np.ndarray, Collection[str]], Dict[str, np.ndarray]]
 
 
 class Tensor:
-    """A numpy array plus gradient buffer and the graph edges to its operands."""
+    """A numpy array plus gradient buffer and the node that made it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_edges", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_operands", "_backward",
+                 "name")
 
     def __init__(self, data, requires_grad: bool = False,
-                 edges: Sequence[Edge] = (), name: Optional[str] = None):
+                 name: Optional[str] = None):
         self.data = _as_array(data)
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self.requires_grad = requires_grad
-        self._edges = edges
+        self._operands: Dict[str, Tensor] = {}
+        self._backward: Optional[Backward] = None
         self.name = name
 
     # -- basic introspection -------------------------------------------------
@@ -84,7 +87,7 @@ class Tensor:
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack = [(self, False)] if self._operands else []
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -94,18 +97,18 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for operand, _ in node._edges:
-                if operand._edges and id(operand) not in seen:
+            for operand in node._operands.values():
+                if operand._operands and id(operand) not in seen:
                     stack.append((operand, False))
-        # the walk holds only interior nodes (and the root); a leaf's gradient
-        # goes straight into its .grad
+        # the walk holds only nodes with operands; a leaf's gradient goes
+        # straight into its .grad
         if self.requires_grad:
             self.grad += 1.0
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(id(node))
-            for operand, grad_fn in node._edges:
-                pg = np.asarray(grad_fn(g), dtype=np.float64)
+            result = node._backward(grads.pop(id(node)), node._operands.keys())
+            for name, operand in node._operands.items():
+                pg = np.asarray(result.pop(name), dtype=np.float64)
                 if operand.requires_grad:
                     # a parameter sums its arrivals in place, in arrival order
                     operand.grad += pg
@@ -122,7 +125,7 @@ class Tensor:
 
 def _tracked(t: Tensor) -> bool:
     """Whether a gradient for `t` is kept: a leaf to fill or a node to pass on."""
-    return t.requires_grad or bool(t._edges)
+    return t.requires_grad or bool(t._operands)
 
 
 # a context variable, not a global: a no_grad() block in one thread or
@@ -145,34 +148,23 @@ def recording() -> bool:
     return _tracking.get()
 
 
-def fused(data, operands: Dict[str, Tensor],
-          backward: Callable[[np.ndarray, frozenset], Dict[str, np.ndarray]]
-          ) -> Tensor:
+def fused(data, operands: Dict[str, Tensor], backward: Backward) -> Tensor:
     """A node over named operands whose gradients come from one shared pass.
 
-    The node records an edge to each tracked operand, in the operands'
-    order, and none under ``no_grad()``. `backward(g, wanted)` gets the
-    output gradient and the names of the operands it has edges to, and
-    returns a dict of gradients by operand name that holds every wanted
-    one; the others are dropped, so a backward may skip a costly gradient
-    nobody wants and return the cheap ones regardless. It runs the first
-    time the walk takes one of the node's edges; each edge then takes its
-    own gradient out of the result, so a later walk runs it again.
+    The node records its tracked operands, in the operands' order, and
+    nothing under ``no_grad()``; with no tracked operand it holds no
+    backward either. `backward(g, wanted)` gets the output gradient and the
+    names of the tracked operands, and returns a dict of gradients by
+    operand name that holds every wanted one; it may skip a costly gradient
+    nobody wants and return the cheap ones regardless, which go unused.
+    ``Tensor.backward`` runs it once per walk.
     """
     if not _tracking.get():
         return Tensor(data)
-    wanted = frozenset(name for name, t in operands.items() if _tracked(t))
-    grads: Dict[str, np.ndarray] = {}
-
-    def take(name, g):
-        if not grads:
-            result = backward(g, wanted)
-            grads.update((n, result[n]) for n in wanted)
-        return grads.pop(name)
-
-    return Tensor(data, edges=[(t, functools.partial(take, name))
-                               for name, t in operands.items()
-                               if name in wanted])
+    out = Tensor(data)
+    out._operands = {name: t for name, t in operands.items() if _tracked(t)}
+    out._backward = backward if out._operands else None
+    return out
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

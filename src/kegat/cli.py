@@ -94,14 +94,7 @@ def link(kb_path, input_path, max_ngram):
     """Emit entity spans found in each input line."""
     _check_options(max_ngram=max_ngram)
     graph = kgstore.load_graph(kb_path)
-    for lineno, line in enumerate(kgstore.text_lines(input_path), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DataFormatError(
-                f"{input_path}:{lineno}: invalid JSON: {exc}") from None
+    for lineno, rec in kgstore.jsonl_records(input_path):
         if not isinstance(rec, dict) or not isinstance(rec.get("text"), str):
             raise DataFormatError(
                 f"{input_path}:{lineno}: expected an object with a "
@@ -302,6 +295,15 @@ def _load_model(checkpoint_path, subtask: str) -> KegatModel:
                      for rel, pattern in meta["templates"].items()}
         kb_path, kb_sha256, vectors = meta["kb"], meta["kb_sha256"], meta["vectors"]
         vectors_sha256 = meta["vectors_sha256"]
+        # a path that is not a string could name a file descriptor, stdin too
+        for key in ("kb", "kb_sha256"):
+            if not isinstance(meta[key], str):
+                raise TypeError(f"{key!r} is {meta[key]!r}, not a string")
+        if not (isinstance(vectors, str) and isinstance(vectors_sha256, str)
+                or vectors is None and vectors_sha256 is None):
+            raise TypeError(f"'vectors' {vectors!r} and 'vectors_sha256' "
+                            f"{vectors_sha256!r} are not two strings or two "
+                            f"nulls")
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
             DataFormatError) as exc:
         raise NumericError(f"{checkpoint_path}: malformed model description "

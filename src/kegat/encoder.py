@@ -60,10 +60,6 @@ class EncoderParams:
     n_heads: int
 
     @property
-    def dim(self) -> int:
-        return self.tok_emb.shape[1]
-
-    @property
     def vocab_size(self) -> int:
         return self.tok_emb.shape[0]
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DataFormatError
-from .kgstore import Edge, KnowledgeGraph, load_graph, neighbors, text_lines
+from .kgstore import Edge, KnowledgeGraph, jsonl_records, load_graph, neighbors
 from .kemb import Template, default_templates, realize_triple
 from .linker import STOPWORDS, tokenize
 from .vocab import CLS, SEP, Vocab
@@ -94,16 +94,8 @@ def load_comve(path, subtask: str) -> List[ComveInstance]:
     """Load instances from canonical JSONL; malformed rows name their line."""
     if subtask not in SUBTASKS:
         raise DataFormatError(f"unknown subtask {subtask!r}")
-    instances: List[ComveInstance] = []
-    for lineno, line in enumerate(text_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DataFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-        instances.append(_instance_from_record(rec, subtask, f"{path}:{lineno}"))
-    return instances
+    return [_instance_from_record(rec, subtask, f"{path}:{lineno}")
+            for lineno, rec in jsonl_records(path)]
 
 
 def comve_jsonl(instances: Sequence[ComveInstance]) -> str:

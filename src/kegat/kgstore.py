@@ -103,6 +103,19 @@ def text_lines(path):
             raise DataFormatError(f"{path}: not a UTF-8 text file") from None
 
 
+def jsonl_records(path):
+    """(line number, record) for each non-blank line of JSONL file `path`;
+    a line that is not JSON is a data error naming it."""
+    for lineno, line in enumerate(text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            yield lineno, json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise DataFormatError(
+                f"{path}:{lineno}: invalid JSON: {exc}") from None
+
+
 def json_object(path, noun: str) -> dict:
     """The JSON object in UTF-8 file `path`; a file that is not JSON, or
     holds another value, is a data error that calls the file `noun`."""

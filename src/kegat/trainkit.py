@@ -2,7 +2,7 @@
 
 Everything is float64 and seeded, so a training run is bitwise reproducible
 and checkpoint files round-trip byte-exactly. The store keeps all values in
-one flat vector and all gradients in another; zeroing, the finite-gradient
+one flat vector and all gradients in another; zeroing, the gradient
 check and Adam run over contiguous runs of trainable parameters, and Adam
 walks each run in cache-sized blocks.
 
@@ -148,19 +148,27 @@ def compute_gradients(loss: Tensor, store: ParamStore) -> None:
 
     Frozen parameters are constants in the loss graph, so ``backward`` never
     reaches them, and their buffers, zeroed when they were frozen, stay zero.
-    The finiteness check runs once per run; only when one fails does it look
-    parameter by parameter, to name the first bad one.
+    Each run's squared norm must be finite, the rule `load_concept_table`
+    applies to vectors: that catches NaN and inf, and a gradient whose square
+    would overflow Adam's second moment. Only when a run fails does the check
+    add up the trainable parameters' squared norms in name order, to name
+    the first parameter at which the sum stops being finite.
     """
     if not np.isfinite(loss.data):
         raise NumericError("non-finite loss")
     store.zero_grad()
     loss.backward()
     grads = store.flat()[1]
-    if all(np.isfinite(grads[run]).all() for run in store.runs()):
-        return
-    for name, p in store.items():
-        if p.requires_grad and not np.isfinite(p.grad).all():
-            raise GradientError(f"non-finite gradient in parameter {name!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if all(np.isfinite(grads[run] @ grads[run]) for run in store.runs()):
+            return
+        total = 0.0
+        for name, p in store.items():
+            if p.requires_grad:
+                total += p.grad.ravel() @ p.grad.ravel()
+                if not np.isfinite(total):
+                    break
+    raise GradientError(f"non-finite gradient norm at parameter {name!r}")
 
 
 # adam_step walks a run in blocks of this many floats: the block's values,

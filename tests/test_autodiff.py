@@ -126,7 +126,7 @@ def test_concat_and_softmax_grads():
 @pytest.mark.parametrize("axis", [0, 1, -1])
 def test_concat_gradients_are_slices_of_the_output_gradient(axis):
     """Each tracked operand gets the bytes of its slice of the output's
-    gradient, a constant one gets no edge, and a tensor given twice sums
+    gradient, a constant one is not recorded, and a tensor given twice sums
     both of its slices."""
     rng = np.random.default_rng(6)
     sizes = (2, 1, 4)
@@ -136,7 +136,7 @@ def test_concat_gradients_are_slices_of_the_output_gradient(axis):
     out = ad.concat([a, b, c], axis=axis)
     np.testing.assert_array_equal(
         out.data, np.concatenate([a.data, b.data, c.data], axis=axis))
-    assert [operand for operand, _ in out._edges] == [a, c]
+    assert list(out._operands.values()) == [a, c]
     w = rng.normal(size=out.shape)
     C.weighted_sum(out, w).backward()
     ends = np.cumsum(sizes)
@@ -209,6 +209,36 @@ def test_shared_subexpression_accumulation():
     np.testing.assert_allclose(x.grad, expected, rtol=1e-6)
 
 
+def test_fused_node_runs_its_backward_once_per_walk():
+    """A node records its tracked operands by name, in operand order, and its
+    backward runs once per walk, with `wanted` their names, however many
+    consumers the node has; a gradient for a constant goes unused, and a
+    node over constants alone holds no backward."""
+    rng = np.random.default_rng(8)
+    a, b, c = (Tensor(rng.normal(size=3), requires_grad=True) for _ in "abc")
+    const = Tensor(rng.normal(size=3))
+    calls = []
+
+    def backward(g, wanted):
+        calls.append(frozenset(wanted))
+        return {name: g * scale for name, scale in
+                (("a", 1.0), ("k", 9.0), ("b", 2.0), ("c", 4.0))}
+
+    out = ad.fused(a.data + const.data + b.data + c.data,
+                   {"a": a, "k": const, "b": b, "c": c}, backward)
+    assert list(out._operands.items()) == [("a", a), ("b", b), ("c", c)]
+    for walk in (1, 2):
+        C.add(C.sum(out), C.sum(C.mul(out, 2.0))).backward()   # two consumers
+        assert calls == [frozenset("abc")] * walk
+        for t, scale in ((a, 1.0), (b, 2.0), (c, 4.0)):
+            np.testing.assert_array_equal(t.grad, np.full(3, 3.0 * scale * walk))
+    constant = ad.fused(const.data * 2.0, {"k": const}, backward)
+    assert constant._backward is None and not constant._operands
+    with ad.no_grad():
+        untracked = ad.fused(a.data * 2.0, {"a": a}, backward)
+    assert untracked._backward is None and not untracked._operands
+
+
 def test_backward_requires_scalar():
     with pytest.raises(ValueError):
         Tensor(np.zeros(3), requires_grad=True).backward()
@@ -277,13 +307,13 @@ _CONSTANT_OPERAND_CASES = {
 
 
 def test_backward_skips_constant_operands():
-    """Each node records one edge, to its tracked input, and none to a
+    """Each node records one operand, its tracked input, and not the
     constant; the live gradient is bit-equal to that of the same expression
     with the constant tracked."""
     for case, (live0, const0, op) in _CONSTANT_OPERAND_CASES.items():
         live, const = Tensor(live0, requires_grad=True), Tensor(const0)
         out = op(live, const)
-        recorded = [operand for operand, _ in out._edges]
+        recorded = list(out._operands.values())
         assert len(recorded) == 1 and recorded[0] is not const, case
         assert ad._tracked(recorded[0]) and not ad._tracked(const), case
         C.sum(out).backward()
@@ -333,6 +363,6 @@ def test_constant_inputs_record_nothing():
     live = Tensor(np.array([3.0, 4.0]), requires_grad=True)
     assert not ad._tracked(C.sum(C.tanh(C.mul(frozen, 2.0))))
     mixed = C.mul(frozen, live)
-    assert [operand for operand, _ in mixed._edges] == [live]
+    assert list(mixed._operands.values()) == [live]
     C.sum(mixed).backward()
     np.testing.assert_array_equal(live.grad, frozen.data)

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from kegat import harness, kgstore, trainkit
+from kegat import cli, harness, kgstore, trainkit
 from kegat.cli import main
 from kegat.kgstore import fingerprint, load_graph, save_graph
 from kegat.model import ModelConfig
@@ -453,6 +453,37 @@ def test_vectors_at_node_dim_with_overflowing_norms_exit_2(runner, tmp_path,
         f"dim 32: its squared norm exceeds the float64 range\n")
     assert calls == []
     assert not (tmp_path / "m.log.jsonl").exists()
+
+
+def test_train_on_gradients_whose_squares_overflow_aborts_with_exit_3(
+        runner, tmp_path):
+    """Vectors of node dim with every component 1e150 load (squared norms
+    3.2e301), and on this benchmark the gradients they drive stay finite
+    but square past the float64 range: training aborts with exit 3 and no
+    warning, not on through Adam."""
+    bench = tmp_path / "bench"
+    runner.invoke(main, ["synth", "--seed", "7", "--out-dir", str(bench),
+                         "--sizes", "8,8,8", "--n-concepts", "80",
+                         "--n-edges", "160"], catch_exceptions=False)
+    lines = (bench / "concepts.vec").read_text().splitlines()
+    vectors = tmp_path / "large.vec"
+    vectors.write_text("".join(f"{line.split()[0]}{' 1e150' * 32}\n"
+                               for line in lines[1:]), encoding="utf-8")
+    config = tmp_path / "cfg.json"
+    config.write_text('{"epochs_phase1": 1, "epochs_phase2": 1}',
+                      encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, [
+            "train", "--subtask", "a", "--config", str(config),
+            "--kb", str(bench / "kb.tsv"), "--vectors", str(vectors),
+            "--train-data", str(bench / "train.jsonl"),
+            "--dev-data", str(bench / "dev.jsonl"),
+            "--output", str(tmp_path / "m.ckpt")])
+    assert result.exit_code == 3, result.output
+    assert json.loads(result.stdout)["aborted"]
+    log = (tmp_path / "m.log.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(log[-1])["event"] == "aborted: numeric failure"
 
 
 def test_train_without_epochs_reports_initial_dev_accuracy(runner, tmp_path):
@@ -1282,6 +1313,54 @@ def test_malformed_input_exits_with_message(runner, tmp_path, request, make,
         lines = lines[-1:]
     (line,) = lines
     assert line.startswith(prefix) and fragment in line
+
+
+def _with_vocab(tokens):
+    return lambda meta: {"vocab": tokens(meta["vocab"])}
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda meta: {"kb": None}, "TypeError: 'kb' is None, not a string"),
+    (lambda meta: {"kb": ["x"]}, "TypeError: 'kb' is ['x'], not a string"),
+    (lambda meta: {"kb": 7}, "TypeError: 'kb' is 7, not a string"),
+    (lambda meta: {"kb": 0}, "TypeError: 'kb' is 0, not a string"),
+    (lambda meta: {"kb_sha256": 7}, "TypeError: 'kb_sha256' is 7, not a"),
+    (lambda meta: {"vectors": 7}, "TypeError: 'vectors' 7 and"),
+    (lambda meta: {"vectors": 0}, "TypeError: 'vectors' 0 and"),
+    (lambda meta: {"vectors": None}, "'vectors' None and 'vectors_sha256' '"),
+    (lambda meta: {"vectors_sha256": None}, "and 'vectors_sha256' None are"),
+    (lambda meta: {"subtask": "c"}, "ValueError: unknown subtask 'c'"),
+    (_with_vocab(lambda tokens: tokens[1:]),
+     "first four vocab entries must be the reserved tokens"),
+    (_with_vocab(lambda tokens: tokens + tokens[-1:]),
+     "duplicate token in vocab"),
+], ids=["kb-null", "kb-list", "kb-7", "kb-0", "kb-sha256-7", "vectors-7",
+        "vectors-0", "vectors-null-sha256-string", "vectors-string-sha256-null",
+        "unknown-subtask", "vocab-without-reserved-prefix",
+        "vocab-duplicate-token"])
+def test_malformed_model_description_exits_3_before_opening_a_file(
+        runner, trained_once, tmp_path, monkeypatch, edit, fragment):
+    """A model description whose KB or vectors entry is not a path string
+    (an integer would open a file descriptor, 0 stdin), whose subtask is
+    unknown or whose vocab is malformed exits 3 with one line, reading no
+    KB, vectors or standard input."""
+    bench, ckpt, _ = trained_once
+    meta = read_model_meta(ckpt)
+    meta.update(edit(meta))
+    save_checkpoint(tmp_path / "m.ckpt", ParamStore(), model_meta=meta)
+    calls = []
+    for module, name in ((kgstore, "load_graph"), (cli, "_file_sha256"),
+                         (cli.gatmod, "load_concept_table")):
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
+    result = runner.invoke(main, ["eval", "--checkpoint",
+                                  str(tmp_path / "m.ckpt"), "--data",
+                                  str(bench / "dev.jsonl"), "--subtask", "a"])
+    assert result.exit_code == 3, result.output
+    (line,) = result.output.splitlines()
+    assert line.startswith(f"numeric failure: {tmp_path / 'm.ckpt'}: "
+                           "malformed model description (")
+    assert fragment in line
+    assert calls == []   # so `open` never saw the KB or vectors entry
 
 
 # -- fuzzing the CLI ----------------------------------------------------------

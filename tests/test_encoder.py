@@ -396,20 +396,20 @@ def test_sublayer_node_gradients_match_differences(kind, rows, rate):
 
 @pytest.mark.parametrize("kind", ["attention", "ffn"])
 def test_sublayer_node_records_edges_only_when_tracking(kind):
-    """A node records one edge per tracked operand, none under no_grad(), and
+    """A node records each tracked operand, none under no_grad(), and
     a frozen operand's absence changes no live gradient byte."""
     h0, lp = _node_inputs(seed=4)
     names = _NODE_PARAMS[kind]
     with ad.no_grad():
         out = _run_node(kind, Tensor(h0, requires_grad=True), lp, None, 0.4)
-    assert not out._edges and not ad._tracked(out)
+    assert not out._operands and not ad._tracked(out)
     frozen = names[1::2]
     for name in frozen:
         getattr(lp, name).requires_grad = False
     h = Tensor(h0)   # a constant input
     out = _run_node(kind, h, lp, None, 0.4)
     live = [getattr(lp, n) for n in names if n not in frozen]
-    assert [operand for operand, _ in out._edges] == live
+    assert list(out._operands.values()) == live
     C.sum(out).backward()
     got = {n: getattr(lp, n).grad.copy() for n in names if n not in frozen}
     _, twin = _node_inputs(seed=4)
@@ -479,7 +479,7 @@ _GLUE_CASES = [(kind, frozen) for kind in _GLUE
 def test_glue_nodes_match_composed_reference(kind, frozen):
     """The embedding, pooler and LM-projection nodes give the composed
     ops' output bytes and every tracked operand their gradient bytes, and
-    record edges to the tracked operands only."""
+    record the tracked operands only."""
     results = []
     for run in _GLUE[kind]:
         p, args, operands = _glue_inputs(kind, seed=11)
@@ -488,7 +488,7 @@ def test_glue_nodes_match_composed_reference(kind, frozen):
         out = run(*args, p)
         live = [t for t in operands.values() if t.requires_grad]
         if run is _GLUE[kind][0]:
-            assert [operand for operand, _ in out._edges] == live
+            assert list(out._operands.values()) == live
         w = np.random.default_rng(12).normal(size=out.shape)
         C.mul(C.weighted_sum(out, w), 0.37).backward()
         results.append([out.data] + [t.grad for t in live])

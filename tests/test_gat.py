@@ -571,14 +571,14 @@ def test_fuse_and_gate_gradients_match_differences():
 @pytest.mark.parametrize("tracked", [True, False])
 def test_pool_node_matches_composed_reference(sizes, tracked):
     """The pooling node gives the composed ops' value bytes and its input
-    the same gradient bytes, with empty segments, and records no edge from
+    the same gradient bytes, with empty segments, and records no operand for
     an untracked input."""
     results = []
     for pool in (pool_subgraph, _reference_pool):
         rng = np.random.default_rng(len(sizes))
         h = Tensor(rng.normal(size=(5, 3)), requires_grad=tracked)
         out = pool(h, sizes, 3)
-        assert len(out._edges) == tracked
+        assert len(out._operands) == tracked
         C.mul(C.weighted_sum(out, rng.normal(size=out.shape)), 0.37).backward()
         results.append([out.data, h.grad])
     (got, got_grad), (want, want_grad) = results

@@ -2,6 +2,7 @@
 
 import contextlib
 import tempfile
+import warnings
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -242,6 +243,24 @@ def test_gradient_error_names_the_first_nonfinite_parameter():
         with pytest.raises(GradientError, match="'a'"):
             compute_gradients(C.add(C.mul(C.mul(b, 1e308), 1e308),
                                     C.mul(C.mul(a, 1e308), 1e308)), store)
+
+
+def test_gradient_error_on_a_squared_norm_beyond_float64():
+    """A finite gradient whose square overflows is an error too, named at
+    the parameter where the squared norms, summed in name order, stop being
+    finite; the check raises no floating-point warning."""
+    store = ParamStore()
+    a = store.add("a", np.array([0.0]))
+    b = store.add("b", np.array([0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        compute_gradients(C.add(C.mul(a, 1e154), C.sum(C.mul(b, 1e153))),
+                          store)   # squared norms 1e308 and 2e306: finite
+        # 'a' alone overflows; 'a' and 'b' overflow only together
+        for grads, name in (((1e155, 0.0), "'a'"), ((1.2e154, 5e153), "'b'")):
+            with pytest.raises(GradientError, match=name):
+                compute_gradients(C.add(C.mul(a, grads[0]),
+                                        C.sum(C.mul(b, grads[1]))), store)
 
 
 def test_checkpoint_round_trip_byte_identical(tmp_path):
