@@ -186,18 +186,24 @@ def masked_softmax_data(x: np.ndarray, mask: Optional[np.ndarray] = None,
     have at least one visible entry."""
     if mask is None:
         out = x - x.max(axis=axis, keepdims=True)
+        np.exp(out, out=out)
     else:
         mask = np.asarray(mask, dtype=bool)
-        out = np.where(mask, x, -np.inf)
-        if out.shape != x.shape:
+        top = np.where(mask, x, -np.inf)
+        if top.shape != x.shape:
             raise ValueError(f"mask {mask.shape} does not broadcast to {x.shape}")
         # broadcasting only repeats mask values along its missing or size-1
         # axes, so the un-broadcast mask answers the same question
         visible = mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape)
         if not visible.any(axis=axis).all():
             raise AssertionError("softmax slice with no visible entries")
-        out -= out.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
+        top = top.max(axis=axis, keepdims=True)
+        # a masked entry is shifted to exactly 0, not to -inf, on which
+        # numpy's exp takes a slow path; the mask then zeroes its exp of 1
+        out = np.where(mask, x, top)
+        out -= top
+        np.exp(out, out=out)
+        out *= mask
     out /= out.sum(axis=axis, keepdims=True)
     return out
 

@@ -295,7 +295,8 @@ def _load_model(checkpoint_path, subtask: str) -> KegatModel:
                      for rel, pattern in meta["templates"].items()}
         kb_path, kb_sha256, vectors = meta["kb"], meta["kb_sha256"], meta["vectors"]
         vectors_sha256 = meta["vectors_sha256"]
-        # a path that is not a string could name a file descriptor, stdin too
+        # a path that is not a string could name a file descriptor, stdin
+        # too; one with a NUL byte names no file
         for key in ("kb", "kb_sha256"):
             if not isinstance(meta[key], str):
                 raise TypeError(f"{key!r} is {meta[key]!r}, not a string")
@@ -304,6 +305,9 @@ def _load_model(checkpoint_path, subtask: str) -> KegatModel:
             raise TypeError(f"'vectors' {vectors!r} and 'vectors_sha256' "
                             f"{vectors_sha256!r} are not two strings or two "
                             f"nulls")
+        for key, path in (("kb", kb_path), ("vectors", vectors)):
+            if path is not None and "\0" in path:
+                raise ValueError(f"{key!r} {path!r} holds a NUL byte")
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
             DataFormatError) as exc:
         raise NumericError(f"{checkpoint_path}: malformed model description "

@@ -6,8 +6,9 @@ positions index a learned position table, which handles the repeated position
 values produced by parallel injected branches. A padded batch of sequences
 runs as one pass: position-wise ops on its (B·T, d) rows, attention on
 (B, H, T, d_h) stacks. A pass that reads only the pooled [CLS] states runs
-the last layer's queries, layer norms and FFN on two rows per sequence, with
-keys and values from all T. Every step is an autodiff node whose
+each layer's queries, layer norms and FFN on the rows those states reach:
+two rows per sequence in the last layer, and in an earlier one the rows the
+next layer's query rows see, with keys and values from all T. Every step is an autodiff node whose
 written-out backward pass keeps only what it reads: the token plus
 soft-position embedding, each layer's attention sublayer and FFN sublayer,
 the [CLS] pooler, and the LM projection of the rows the reconstruction
@@ -244,15 +245,18 @@ def encode(E: Tensor, visibility: np.ndarray, params: EncoderParams,
     `visibility` is (T, T) for one sequence or (B, T, T) for a padded batch;
     `E` holds its B·T position rows. Every op but attention runs on rows.
 
-    With `pooled_only` and T > 2, the last layer runs its queries, residuals,
-    layer norms and FFN on each sequence's first two rows only, with keys and
-    values from all T rows, and `hidden` is None. Earlier layers run in full,
-    since every row feeds the next layer's keys and values. The pooled bytes
-    equal a full pass's. Two rows, not one: numpy sends a one-row matmul to
-    BLAS gemv, which sums in another order than gemm, whereas gemm's rows do
-    not depend on how many rows it is given (OpenBLAS 0.3.31, Haswell
-    kernel). Dropout draws depend on the layer's shapes, so a pass with
-    dropout that must match a full pass's draws keeps `pooled_only` off.
+    With `pooled_only` and T > 2, each layer runs its queries, residuals,
+    layer norms and FFN only on the rows the pooled state reaches (see
+    `_read_rows`), and `hidden` is None. Keys and values still come from
+    all T rows: a layer's output is scattered back into the (B·T, d) layout,
+    zeros at the rows it skipped. No row a later layer reads sees those
+    rows, so their keys get probability exactly 0 there, gemm adds 0·v
+    exactly, and the pooled bytes equal a full pass's. The last layer keeps two rows, not
+    one: numpy sends a one-row matmul to BLAS gemv, which sums in another
+    order than gemm, whereas gemm's rows do not depend on how many rows it
+    is given (OpenBLAS 0.3.31, Haswell kernel). Dropout draws depend on the
+    layers' shapes, so a pass with dropout that must match a full pass's
+    draws keeps `pooled_only` off.
     """
     vis = np.asarray(visibility, dtype=bool)
     T = vis.shape[-1]
@@ -260,18 +264,56 @@ def encode(E: Tensor, visibility: np.ndarray, params: EncoderParams,
     assert E.shape[0] == vis.shape[0] * T
     assert vis.diagonal(axis1=1, axis2=2).all(), \
         "diagonal of the visibility matrix must be true"
+    n_layers = len(params.layers)
+    plan = (_read_rows(vis, n_layers) if pooled_only and T > 2
+            else [None] * n_layers)
+    seqs = np.arange(vis.shape[0])[:, None]
     h, stride = E, T   # stride: the rows of `h` per sequence
-    for n, lp in enumerate(params.layers):
-        rows, x_vis = None, vis
-        if pooled_only and T > 2 and n == len(params.layers) - 1:
-            starts = np.arange(0, h.shape[0], T)
-            rows = (starts[:, None] + np.arange(2)).ravel()
-            x_vis, stride = vis[:, :2], 2
+    for n, (lp, order) in enumerate(zip(params.layers, plan)):
+        rows, x_vis, stride = None, vis, T
+        if order is not None:
+            rows = (seqs * T + order).ravel()
+            x_vis, stride = vis[seqs, order], order.shape[1]
         h = _attention_sublayer(h, x_vis, lp, params.n_heads, rows,
                                 dropout_rate, dropout_rng)
         h = _ffn_sublayer(h, lp, dropout_rate, dropout_rng)
+        if rows is not None and n < n_layers - 1:
+            h = _scatter_rows(h, rows, E.shape[0])
     return EncoderOutput(hidden=h if stride == T else None,
                          pooled=_pool(h, stride, params))
+
+
+def _read_rows(vis: np.ndarray, n_layers: int) -> List[Optional[np.ndarray]]:
+    """Per layer, the rows of each sequence that a pooled-only pass runs its
+    queries on: a (B, Tq) array of row offsets, or None for all T rows.
+
+    The last layer reads each sequence's first two rows, the [CLS] row and
+    one more. An earlier layer reads the rows that the next layer's query
+    rows see, `need_n = (need_{n+1}[:, :, None] & vis).any(axis=1)`; the
+    diagonal puts the next layer's query rows among them. Each sequence's
+    set, in row order, is padded to the batch's largest with rows that
+    sequence does not read, also in row order.
+    """
+    B, T, _ = vis.shape
+    need = np.zeros((B, T), dtype=bool)
+    need[:, :2] = True
+    plan = []
+    for n in range(n_layers):
+        if n:
+            need = (need[:, :, None] & vis).any(axis=1)
+        width = need.sum(axis=1).max()
+        if width == T:   # so does every earlier layer
+            return [None] * (n_layers - n) + plan[::-1]
+        plan.append(np.argsort(~need, axis=1, kind="stable")[:, :width])
+    return plan[::-1]
+
+
+def _scatter_rows(h: Tensor, rows: np.ndarray, n_rows: int) -> Tensor:
+    """`h`'s rows placed at rows `rows` of an (n_rows, d) array of zeros, as
+    one autodiff node whose backward gathers them back."""
+    out = np.zeros((n_rows, h.shape[1]))
+    out[rows] = h.data
+    return ad.fused(out, {"h": h}, lambda g, wanted: {"h": g[rows]})
 
 
 def _pool(h: Tensor, stride: int, params: EncoderParams) -> Tensor:

@@ -9,8 +9,9 @@ block-diagonal graph, and fusion, gate and head on B·A rows. The training
 loss is the batch mean and optionally adds the token-reconstruction
 objective under learnable uncertainty weights; only the loss computes it, so
 prediction runs the encoder, graph and head alone, without recording a
-graph, and reads only the pooled [CLS] states, which lets the encoder's last
-layer run on two rows per sequence. While only the head trains
+graph, and reads only the pooled [CLS] states, which lets each encoder layer
+run only on the rows those states reach: two per sequence in the last layer.
+While only the head trains
 (`frozen_trunk`), the trunk runs once per instance and the loss and
 predictions reuse its output. A training run keeps each instance's
 prepared features (`keeping_features`); outside one, nothing is kept.
@@ -281,9 +282,9 @@ class KegatModel:
         """One padded pass over every option of `instances`: the encoder over
         their (B·A, T) sequences, the GAT over one block-diagonal graph of
         their subgraphs, and fusion, gate and head on the B·A option rows.
-        With `pooled_only`, the encoder's last layer runs on each sequence's
-        first two rows and `hidden` may be None (see `encoder.encode`); the
-        probabilities and representations keep their bytes."""
+        With `pooled_only`, each encoder layer runs only on the rows the
+        pooled states reach and `hidden` may be None (see `encoder.encode`);
+        the probabilities and representations keep their bytes."""
         c = self.config
         n_options = _option_count(instances)
         feats = [f for inst in instances for f in self._features(inst)]

@@ -157,9 +157,10 @@ def compute_gradients(loss: Tensor, store: ParamStore) -> None:
     if not np.isfinite(loss.data):
         raise NumericError("non-finite loss")
     store.zero_grad()
-    loss.backward()
-    grads = store.flat()[1]
+    # a node's backward may overflow too: the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
+        loss.backward()
+        grads = store.flat()[1]
         if all(np.isfinite(grads[run] @ grads[run]) for run in store.runs()):
             return
         total = 0.0

@@ -455,16 +455,13 @@ def test_vectors_at_node_dim_with_overflowing_norms_exit_2(runner, tmp_path,
     assert not (tmp_path / "m.log.jsonl").exists()
 
 
-def test_train_on_gradients_whose_squares_overflow_aborts_with_exit_3(
-        runner, tmp_path):
-    """Vectors of node dim with every component 1e150 load (squared norms
-    3.2e301), and on this benchmark the gradients they drive stay finite
-    but square past the float64 range: training aborts with exit 3 and no
-    warning, not on through Adam."""
+def _train_on_1e150_vectors(runner, tmp_path, synth_args):
+    """`train` with default settings and one epoch per phase on a synth
+    benchmark, with every concept vector 32 components of 1e150 (squared
+    norms 3.2e301, which load), run with RuntimeWarnings as errors."""
     bench = tmp_path / "bench"
-    runner.invoke(main, ["synth", "--seed", "7", "--out-dir", str(bench),
-                         "--sizes", "8,8,8", "--n-concepts", "80",
-                         "--n-edges", "160"], catch_exceptions=False)
+    runner.invoke(main, ["synth", "--out-dir", str(bench), *synth_args],
+                  catch_exceptions=False)
     lines = (bench / "concepts.vec").read_text().splitlines()
     vectors = tmp_path / "large.vec"
     vectors.write_text("".join(f"{line.split()[0]}{' 1e150' * 32}\n"
@@ -484,6 +481,26 @@ def test_train_on_gradients_whose_squares_overflow_aborts_with_exit_3(
     assert json.loads(result.stdout)["aborted"]
     log = (tmp_path / "m.log.jsonl").read_text(encoding="utf-8").splitlines()
     assert json.loads(log[-1])["event"] == "aborted: numeric failure"
+
+
+def test_train_on_gradients_whose_squares_overflow_aborts_with_exit_3(
+        runner, tmp_path):
+    """On this benchmark the gradients that 1e150 vectors drive stay finite
+    but square past the float64 range: training aborts with exit 3 and no
+    warning, not on through Adam."""
+    _train_on_1e150_vectors(runner, tmp_path, [
+        "--seed", "7", "--sizes", "8,8,8", "--n-concepts", "80",
+        "--n-edges", "160"])
+
+
+def test_train_whose_node_backward_overflows_aborts_with_exit_3(
+        runner, tmp_path):
+    """On this benchmark a node's backward (the GAT layer's) overflows on
+    1e150 vectors: the gradient check reports it, so training aborts with
+    exit 3 and no warning."""
+    _train_on_1e150_vectors(runner, tmp_path, [
+        "--seed", "3", "--sizes", "8,4,4", "--n-concepts", "60",
+        "--n-edges", "120"])
 
 
 def test_train_without_epochs_reports_initial_dev_accuracy(runner, tmp_path):
@@ -1361,6 +1378,30 @@ def test_malformed_model_description_exits_3_before_opening_a_file(
                            "malformed model description (")
     assert fragment in line
     assert calls == []   # so `open` never saw the KB or vectors entry
+
+
+@pytest.mark.parametrize("key", ["kb", "vectors"])
+@pytest.mark.parametrize("command", ["eval", "predict", "ensemble"])
+def test_model_description_path_with_nul_byte_exits_3(
+        runner, trained_once, tmp_path, command, key):
+    """A KB or vectors path holding a NUL byte names no file: each command
+    that loads a model exits 3 with one line and no traceback (ensemble
+    after loading a good model first)."""
+    bench, ckpt, _ = trained_once
+    meta = read_model_meta(ckpt)
+    meta[key] = "a\u0000b"
+    bad = tmp_path / "m.ckpt"
+    save_checkpoint(bad, ParamStore(), model_meta=meta)
+    models = (["--checkpoints", f"{ckpt},{bad}"] if command == "ensemble"
+              else ["--checkpoint", str(bad)])
+    result = runner.invoke(main, [command, *models, "--data",
+                                  str(bench / "dev.jsonl"), "--subtask", "a"])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 3, result.output
+    assert result.stderr == (
+        f"numeric failure: {bad}: malformed model description (ValueError: "
+        f"{key!r} 'a\\x00b' holds a NUL byte)\n")
+    assert "Traceback" not in result.output
 
 
 # -- fuzzing the CLI ----------------------------------------------------------

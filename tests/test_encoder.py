@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kegat import autodiff as ad
 from kegat import encoder as enc
+from kegat import kemb
 from kegat.autodiff import Tensor
 from kegat.encoder import (EncoderOutput, EncoderParams, LayerParams, embed,
                            encode, lm_logits)
-from kegat.kemb import InjectedSequence, pad_batch
+from kegat.kemb import Branch, InjectedSequence, InjectedTree, pad_batch
+from kegat.vocab import PAD, Vocab
 
 import composed as C
 from conftest import check_operand_grads, numeric_grad
@@ -200,6 +203,91 @@ def test_pooled_only_pass_keeps_the_pooled_bytes(n_layers, T, n_seqs):
     assert (pooled.hidden is None) == (T > 2)
 
 
+_WORDS = [f"w{i}" for i in range(6)]
+_VOCAB = Vocab.build(_WORDS)
+
+
+def _kbert_batch(trees):
+    """K-BERT-shaped sequences (`kemb.flatten`'s visibility) of `trees`,
+    each a trunk and (anchor, tokens) branches, padded to one batch."""
+    seqs = [kemb.flatten(InjectedTree(
+        tuple(trunk), tuple(Branch(a, tuple(toks), 1.0) for a, toks in br)),
+        _VOCAB, max_len=64) for trunk, br in trees]
+    return pad_batch(seqs, _VOCAB.lookup(PAD))
+
+
+@st.composite
+def _kbert_trees(draw):
+    """1-4 trees: a trunk of 1-8 words, and up to 4 branches of 1-3 words
+    at random anchors, 0 and 1 weighted up as the rows the pooled state
+    reads first."""
+    trees = []
+    for _ in range(draw(st.integers(1, 4))):
+        trunk = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=8))
+        anchor = st.sampled_from([0, 1]) | st.integers(0, 7)
+        branches = draw(st.lists(st.tuples(
+            anchor.map(lambda a: min(a, len(trunk) - 1)),
+            st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3)),
+            max_size=4))
+        trees.append((trunk, branches))
+    return trees
+
+
+@given(trees=_kbert_trees(), n_layers=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=80, deadline=None)
+def test_pooled_only_pass_keeps_the_pooled_bytes_on_kbert_trees(
+        trees, n_layers, seed):
+    """On K-BERT-shaped batches of unequal lengths, running each layer on
+    the rows the pooled state reaches changes no byte of the pooled
+    states."""
+    batch = _kbert_batch(trees)
+    p = _params(V=len(_VOCAB), d=16, n_layers=n_layers, n_heads=4, seed=seed)
+    with ad.no_grad():
+        E = embed(batch, p)
+        full = encode(E, batch.visibility, p)
+        pooled = encode(E, batch.visibility, p, pooled_only=True)
+    assert pooled.pooled.data.tobytes() == full.pooled.data.tobytes()
+
+
+# rows 0-9: [CLS], its branch (2 rows), w0, w1, w1's branch, w2, w2's branch
+# (3 rows); and a trunk of 3 rows without branches, padded to 10
+_SPY_TREES = [(["[CLS]", "w0", "w1", "w2"],
+               [(0, ["w3", "w4"]), (2, ["w5"]), (3, ["w0", "w1", "w2"])]),
+              (["[CLS]", "w0", "w1"], [])]
+
+
+@pytest.mark.parametrize("n_layers,rows", [
+    (1, [2]),            # the last layer: rows 0 and 1 of each sequence
+    (2, [6, 2]),         # rows 0 and 1 see the trunk and [CLS]'s branch
+    (3, [10, 6, 2]),     # the trunk sees every branch
+])
+def test_pooled_only_layers_run_on_the_rows_the_pooled_state_reaches(
+        monkeypatch, n_layers, rows):
+    """Each layer's FFN receives, per sequence, the rows the next layer's
+    query rows see, padded to the batch's largest set: the first sequence
+    needs 6 of its 10 rows under the last layer, the second 3."""
+    batch = _kbert_batch(_SPY_TREES)
+    assert batch.visibility.shape == (2, 10, 10)
+    p = _params(V=len(_VOCAB), d=16, n_layers=n_layers, n_heads=4)
+    seen = []
+    ffn = enc._ffn_sublayer
+
+    def spy(h, *args):
+        seen.append(h.shape[0])
+        return ffn(h, *args)
+
+    monkeypatch.setattr(enc, "_ffn_sublayer", spy)
+    with ad.no_grad():
+        E = embed(batch, p)
+        full = encode(E, batch.visibility, p)
+        assert seen == [20] * n_layers
+        seen.clear()
+        pooled = encode(E, batch.visibility, p, pooled_only=True)
+    assert seen == [2 * r for r in rows]
+    assert pooled.pooled.data.tobytes() == full.pooled.data.tobytes()
+
+
 # -- the fused sublayer nodes against the composed-op layer they replace -----
 
 def _reference_layer_norm(x, gain, bias):
@@ -252,17 +340,47 @@ def _reference_attention(xq, xkv, visibility, lp, n_heads):
     return C.add(C.matmul(merged, lp.wo), lp.bo)
 
 
+def _reference_read_rows(vis, n_layers):
+    """Per layer, each sequence's query rows in a pooled-only pass, written
+    out per sequence: the last layer reads rows 0 and 1, an earlier layer
+    every row that a row read by the next layer sees. Each sequence's set,
+    in row order, is padded to the largest with its unread rows in order;
+    None where every set holds all T rows."""
+    B, T, _ = vis.shape
+    reads = [{0, 1}] * B
+    plan = []
+    for _ in range(n_layers):
+        width = max(len(r) for r in reads)
+        plan.append(None if width == T else np.array(
+            [sorted(r) + sorted(set(range(T)) - r)[:width - len(r)]
+             for r in reads]))
+        reads = [{int(j) for i in r for j in np.flatnonzero(vis[b, i])}
+                 for b, r in enumerate(reads)]
+    return plan[::-1]
+
+
+def _reference_scatter(t, rows, n_rows):
+    """`t`'s rows placed at rows `rows` of zeros; the backward gathers."""
+    out = np.zeros((n_rows, t.shape[1]))
+    out[rows] = t.data
+    return C.unary(out, t, lambda g: g[rows])
+
+
 def _reference_encode(E, vis, params, rate=0.0, rng=None, pooled_only=False):
     """The encoder as composed autodiff ops, one graph node per op."""
     T = vis.shape[-1]
     vis = vis.reshape(-1, T, T)
+    n_layers = len(params.layers)
+    plan = (_reference_read_rows(vis, n_layers) if pooled_only and T > 2
+            else [None] * n_layers)
     h, stride = E, T
-    for n, lp in enumerate(params.layers):
-        x, x_vis = h, vis
-        if pooled_only and T > 2 and n == len(params.layers) - 1:
-            starts = np.arange(0, h.shape[0], T)
-            x = C.getitem(h, (starts[:, None] + np.arange(2)).ravel())
-            x_vis, stride = vis[:, :2], 2
+    for n, (lp, order) in enumerate(zip(params.layers, plan)):
+        x, x_vis, stride = h, vis, T
+        if order is not None:
+            rows = np.concatenate([b * T + o for b, o in enumerate(order)])
+            x = C.getitem(h, rows)
+            x_vis = np.stack([v[o] for v, o in zip(vis, order)])
+            stride = order.shape[1]
         att = _reference_dropout(
             _reference_attention(x, h, x_vis, lp, params.n_heads), rate, rng)
         h = _reference_layer_norm(C.add(x, att), lp.ln1_g, lp.ln1_b)
@@ -270,6 +388,8 @@ def _reference_encode(E, vis, params, rate=0.0, rng=None, pooled_only=False):
                              lp.ffn_w2), lp.ffn_b2)
         h = _reference_layer_norm(C.add(h, _reference_dropout(ffn, rate, rng)),
                                   lp.ln2_g, lp.ln2_b)
+        if order is not None and n < n_layers - 1:
+            h = _reference_scatter(h, rows, E.shape[0])
     return EncoderOutput(hidden=h if stride == T else None,
                          pooled=_reference_pool(h, stride, params))
 
