@@ -6,10 +6,8 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,18 +28,18 @@ _IN_FILE = click.Path(exists=True, dir_okay=False)
 _OUT_FILE = click.Path(dir_okay=False)
 
 
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _ExitCodes(click.Group):
+    """Every command under it exits 2 on a DataFormatError, 3 on a NumericError."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except DataFormatError as exc:
             click.echo(f"data error: {exc}", err=True)
-            sys.exit(2)
+            ctx.exit(2)
         except NumericError as exc:
             click.echo(f"numeric failure: {exc}", err=True)
-            sys.exit(3)
-    return wrapper
+            ctx.exit(3)
 
 
 def _check_options(**values) -> None:
@@ -52,7 +50,7 @@ def _check_options(**values) -> None:
         raise click.UsageError(str(exc)) from None
 
 
-@click.group()
+@click.group(cls=_ExitCodes)
 def main():
     """Knowledge-enhanced graph attention pipeline."""
 
@@ -68,7 +66,6 @@ def kb():
 @click.option("--input", "input_path", required=True, type=_IN_FILE)
 @click.option("--blocklist", "blocklist_path", type=_IN_FILE)
 @click.option("--output", "output_path", required=True, type=_OUT_FILE)
-@_handle_errors
 def kb_ingest(input_path, blocklist_path, output_path):
     """Load a TSV edge list, apply the relation blocklist, write it as TSV."""
     kgstore.make_parent(output_path)
@@ -89,7 +86,6 @@ def kb_ingest(input_path, blocklist_path, output_path):
 @click.option("--input", "input_path", required=True, type=_IN_FILE,
               help="JSONL with an 'id' and 'text' field per line.")
 @click.option("--max-ngram", default=_DEFAULTS.max_ngram, show_default=True)
-@_handle_errors
 def link(kb_path, input_path, max_ngram):
     """Emit entity spans found in each input line."""
     _check_options(max_ngram=max_ngram)
@@ -123,7 +119,6 @@ def preprocess():
 @click.option("--per-entity-limit", default=_DEFAULTS.per_entity_limit,
               show_default=True)
 @click.option("--max-ngram", default=_DEFAULTS.max_ngram, show_default=True)
-@_handle_errors
 def preprocess_inject(kb_path, templates_path, input_path, subtask, max_len,
                       per_entity_limit, max_ngram):
     """Show knowledge-injected sequences for inspection."""
@@ -156,7 +151,6 @@ def preprocess_inject(kb_path, templates_path, input_path, subtask, max_len,
 @click.option("--subtask", type=click.Choice(["a", "b"]), default="a", show_default=True)
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--output", "output_path", required=True, type=_OUT_FILE)
-@_handle_errors
 def augment(kb_path, templates_path, count, subtask, seed, output_path):
     """Generate template-realized instances from the KB."""
     kgstore.make_parent(output_path)
@@ -176,7 +170,6 @@ def augment(kb_path, templates_path, count, subtask, seed, output_path):
 @click.option("--n-concepts", default=500, show_default=True)
 @click.option("--n-edges", default=1000, show_default=True)
 @click.option("--subtask", type=click.Choice(["a", "b"]), default="a", show_default=True)
-@_handle_errors
 def synth(seed, out_dir, sizes, n_concepts, n_edges, subtask):
     """Generate the synthetic toy benchmark."""
     # synth reads no file, so a graph it cannot draw from is a bad option value
@@ -226,7 +219,6 @@ def _load_split(path, subtask: str) -> list:
 @click.option("--no-kemb", is_flag=True, help="Disable knowledge injection.")
 @click.option("--no-kegat", is_flag=True, help="Disable graph reasoning.")
 @click.option("--no-lm-loss", is_flag=True, help="Disable the reconstruction loss.")
-@_handle_errors
 def train(subtask, config_path, kb_path, vectors_path, templates_path,
           train_data, dev_data, output_path, no_kemb, no_kegat, no_lm_loss):
     """Two-phase training with dev-accuracy model selection."""
@@ -253,11 +245,12 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
     templates = kemb.load_templates(templates_path)
     vocab = harness.build_vocab(graph, templates, train_set + dev_set)
     # sizes have no upper bound in the config: numpy rejects a shape beyond
-    # its dimension limit, or an array too large for memory
+    # its dimension limit, or an array too large for memory, and a size too
+    # large for a float overflows a matrix's init scale
     try:
         model = KegatModel(config, vocab, graph,
                            _concept_table(config, vectors_path), templates)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         raise DataFormatError(
             f"{config_path}: cannot build the model ({exc})") from None
     result = trainkit.two_phase_train(model, train_set, dev_set, schedule,
@@ -278,7 +271,7 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
                            "aborted": result.aborted,
                            "checkpoint": str(out)}))
     if result.aborted:
-        sys.exit(3)
+        raise NumericError(f"{out}: training diverged; saved its best state")
 
 
 def _load_model(checkpoint_path, subtask: str) -> KegatModel:
@@ -321,14 +314,18 @@ def _load_model(checkpoint_path, subtask: str) -> KegatModel:
                 and _file_sha256(vectors) != vectors_sha256):
             raise DataFormatError(
                 f"{vectors}: vectors file changed since the model was trained")
-        table = _concept_table(config, vectors)
     except (FileNotFoundError, IsADirectoryError) as exc:
         raise DataFormatError(
             f"{exc.filename}: missing; the model was trained with it") from None
     if kgstore.fingerprint(graph) != kb_sha256:
         raise DataFormatError(
             f"{kb_path}: knowledge base changed since the model was trained")
-    model = KegatModel(config, vocab, graph, table, templates)
+    try:   # sizes numpy cannot build, which `train` rejects too
+        model = KegatModel(config, vocab, graph,
+                           _concept_table(config, vectors), templates)
+    except (ValueError, MemoryError, OverflowError) as exc:
+        raise NumericError(f"{checkpoint_path}: malformed model description "
+                           f"(cannot build the model: {exc})") from None
     trainkit.load_checkpoint(checkpoint_path, model.store)
     return model
 
@@ -337,7 +334,6 @@ def _load_model(checkpoint_path, subtask: str) -> KegatModel:
 @click.option("--checkpoint", required=True, type=_IN_FILE)
 @click.option("--data", "data_path", required=True, type=_IN_FILE)
 @click.option("--subtask", type=click.Choice(["a", "b"]), required=True)
-@_handle_errors
 def eval_cmd(checkpoint, data_path, subtask):
     """Accuracy of a trained checkpoint on a dataset."""
     instances = _load_split(data_path, subtask)
@@ -352,7 +348,6 @@ def eval_cmd(checkpoint, data_path, subtask):
 @click.option("--data", "data_path", required=True, type=_IN_FILE)
 @click.option("--subtask", type=click.Choice(["a", "b"]), required=True)
 @click.option("--output", "output_path", type=_OUT_FILE)
-@_handle_errors
 def predict(checkpoint, data_path, subtask, output_path):
     """Per-instance probabilities and predictions."""
     if output_path:
@@ -384,7 +379,6 @@ def _checkpoint_paths(ctx, param, value) -> list:
               help="Comma-separated checkpoint paths.")
 @click.option("--data", "data_path", required=True, type=_IN_FILE)
 @click.option("--subtask", type=click.Choice(["a", "b"]), required=True)
-@_handle_errors
 def ensemble(checkpoints, data_path, subtask):
     """Probability-averaged ensemble accuracy."""
     instances = _load_split(data_path, subtask)

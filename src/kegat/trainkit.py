@@ -292,35 +292,26 @@ def read_model_meta(path) -> dict:
 
 def load_checkpoint(path, store: ParamStore) -> dict:
     """Restore parameters in place; return any stored rng state and best
-    metric. Parameters the checkpoint holds beyond the store's are skipped."""
+    metric. The checkpoint must list the store's names and shapes in name
+    order, equal as JSON text: a 2.0 or true dimension is not a 2 or a 1."""
+    own = [json.dumps([name, list(p.data.shape)]) for name, p in store.items()]
     with open(path, "rb") as fh:
         header, body = _read_header(fh, path)
-        spans: Dict[str, Tuple[int, Tuple[int, ...]]] = {}   # name: offset, shape
-        offset = 0
-        try:
-            for name, shape in header["params"]:
-                if not (isinstance(name, str) and isinstance(shape, list) and all(
-                        type(dim) is int and dim >= 0 for dim in shape)):
-                    raise TypeError
-                spans[name] = offset, tuple(shape)
-                offset += math.prod(shape)
-        except (KeyError, TypeError, ValueError):
-            raise NumericError(f"{path}: malformed parameter list") from None
-        need = 8 * offset
+        params = header.get("params")
+        listed = [json.dumps(entry) for entry in
+                  (params if isinstance(params, list) else [params])]
+        for got, want in zip(listed + ["nothing"], own + ["nothing"]):
+            if got != want:   # an extra, missing or mis-shaped parameter
+                raise NumericError(f"{path}: the checkpoint lists {got} where "
+                                   f"the model has {want}")
+        need = 8 * sum(p.data.size for _, p in store.items())
         if body != need:
             state = "truncated" if body < need else "too long"
             raise NumericError(f"{path}: checkpoint {state}: its body holds "
                                f"{body} bytes, its parameters need {need}")
-        body_start = fh.tell()
-        for name, p in store.items():
-            if name not in spans:
-                raise NumericError(f"{path}: missing parameter {name!r}")
-            start, shape = spans[name]
-            if shape != p.data.shape:
-                raise NumericError(f"{path}: shape mismatch for {name!r}")
-            fh.seek(body_start + 8 * start)
+        for _, p in store.items():
             p.data[...] = np.frombuffer(fh.read(8 * p.data.size),
-                                        dtype="<f8").reshape(shape)
+                                        dtype="<f8").reshape(p.data.shape)
     meta = {}
     if "rng_state" in header:
         meta["rng_state"] = header["rng_state"]
@@ -428,18 +419,20 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
                     order = order_rng.permutation(len(train_data))
                     epoch_loss = 0.0
                     step = 0
+                    # the finite-loss and gradient checks report an overflow
                     try:
-                        for start in range(0, len(order), schedule.batch_size):
-                            stop = start + schedule.batch_size
-                            batch = [train_data[i] for i in order[start:stop]]
-                            drop_rng = np.random.default_rng(
-                                (seed * 7_368_787 + phase_idx * 65537
-                                 + epoch * 8191 + step) % (2 ** 63))
-                            total = model.loss(batch, dropout_rng=drop_rng)
-                            compute_gradients(total, store)
-                            adam_step(store, opt)
-                            epoch_loss += float(total.data) * len(batch)
-                            step += 1
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            for start in range(0, len(order), schedule.batch_size):
+                                stop = start + schedule.batch_size
+                                batch = [train_data[i] for i in order[start:stop]]
+                                drop_rng = np.random.default_rng(
+                                    (seed * 7_368_787 + phase_idx * 65537
+                                     + epoch * 8191 + step) % (2 ** 63))
+                                total = model.loss(batch, dropout_rng=drop_rng)
+                                compute_gradients(total, store)
+                                adam_step(store, opt)
+                                epoch_loss += float(total.data) * len(batch)
+                                step += 1
                     except NumericError:
                         log.append({"phase": phase_idx, "epoch": epoch,
                                     "event": "aborted: numeric failure"})

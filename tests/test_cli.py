@@ -7,6 +7,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kegat import cli, harness, kgstore, trainkit
 from kegat.cli import main
+from kegat.errors import DataFormatError, NumericError
 from kegat.kgstore import fingerprint, load_graph, save_graph
 from kegat.model import ModelConfig
 from kegat.trainkit import (ParamStore, Schedule, load_checkpoint,
@@ -116,6 +118,24 @@ def test_kb_ingest_output_loads_back_and_reingests_byte_identical(lines,
 def test_usage_error_exits_1(runner):
     result = runner.invoke(main, ["kb", "ingest"])   # missing required options
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("group, prefix", [(main, []), (cli.kb, ["kb"])],
+                         ids=["main", "kb"])
+def test_group_maps_errors_to_exit_codes(runner, monkeypatch, group, prefix):
+    """A command registered on `main`, or on a group under it, exits 2 on a
+    DataFormatError and 3 on a NumericError with one stderr line, though it
+    handles neither itself."""
+    @click.command()
+    @click.argument("kind")
+    def fail(kind):
+        raise {"data": DataFormatError, "numeric": NumericError}[kind]("bad")
+    monkeypatch.setitem(group.commands, "fail", fail)
+    for kind, code, line in [("data", 2, "data error: bad"),
+                             ("numeric", 3, "numeric failure: bad")]:
+        result = runner.invoke(main, [*prefix, "fail", kind])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert (result.exit_code, result.stderr) == (code, line + "\n")
 
 
 def test_link_emits_spans(runner, tmp_path):
@@ -511,7 +531,8 @@ def test_train_without_epochs_reports_initial_dev_accuracy(runner, tmp_path):
     reported = json.loads(result.output)["best_dev_accuracy"]
     assert 0.0 <= reported <= 1.0
     ckpt = args[args.index("--output") + 1]
-    assert load_checkpoint(ckpt, ParamStore())["best_metric"] == reported
+    assert (load_checkpoint(ckpt, cli._load_model(ckpt, "a").store)
+            ["best_metric"] == reported)
 
 
 def test_train_ablation_flags_reach_the_checkpoint(runner, tmp_path):
@@ -529,14 +550,19 @@ def test_train_abort_before_dev_evaluation_reports_restored_accuracy(
     args, _ = _train_config(tmp_path, json.dumps(
         {**TINY_TRAIN_CFG, "lr_phase1": 1e300, "epochs_phase1": 1,
          "epochs_phase2": 0}))
-    result = runner.invoke(main, args)
+    # the finite-loss check reports the overflow, with no RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, args)
     assert result.exit_code == 3, result.output
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("numeric failure: ") and "diverged" in line
     payload = json.loads(result.stdout)
     assert payload["aborted"]
     assert 0.0 <= payload["best_dev_accuracy"] <= 1.0
     ckpt = args[args.index("--output") + 1]
-    assert (load_checkpoint(ckpt, ParamStore())["best_metric"]
-            == payload["best_dev_accuracy"])
+    assert (load_checkpoint(ckpt, cli._load_model(ckpt, "a").store)
+            ["best_metric"] == payload["best_dev_accuracy"])
 
 
 def test_eval_on_words_outside_training_vocabulary(runner, trained, tmp_path):
@@ -754,7 +780,7 @@ def _shape_disagrees_with_body(tmp_path, request):
         raw[at:at + 16] = b'["head/b2", [2]]'
         return raw
     return (_eval_corrupted(request, corrupt),
-            "checkpoint truncated: its body holds")
+            'lists ["head/b2", [2]] where the model has ["head/b2", [1]]')
 
 
 def _kb_edited(tmp_path, request):
@@ -949,6 +975,13 @@ def _config_head_hidden_beyond_memory(tmp_path, request):
     return args, f"{config}: cannot build the model (Unable to allocate"
 
 
+def _config_gate_hidden_overflows_float(tmp_path, request):
+    args, config = _train_config(   # its init scale 2 / (fan_in + fan_out)
+        tmp_path, '{"gate_hidden": 1%s, "epochs_phase1": 1, '
+                  '"epochs_phase2": 0}' % ("0" * 400))
+    return args, f"{config}: cannot build the model (int too large to convert"
+
+
 def _config_schedule_key_misspelled(tmp_path, request):
     args, config = _train_config(tmp_path, '{"batch-size": 0}')
     return args, f"{config}: unknown key 'batch-size'"
@@ -1066,14 +1099,41 @@ def _model_record_max_len_above_positions(tmp_path, request):
             "max_len 99 exceeds max_positions 64")
 
 
-def _model_record_dropout_overflows_float(tmp_path, request):
+def _eval_model_config(request, key, value):
+    """`eval` of a checkpoint whose model description sets config `key` to
+    `value`."""
     bench, ckpt, _ = request.getfixturevalue("trained")
     meta = read_model_meta(ckpt)
-    meta["config"]["dropout"] = 10 ** 400
+    meta["config"][key] = value
     save_checkpoint(ckpt, ParamStore(), model_meta=meta)
-    return (["eval", "--checkpoint", str(ckpt), "--data",
-             str(bench / "dev.jsonl"), "--subtask", "a"],
+    return ["eval", "--checkpoint", str(ckpt), "--data",
+            str(bench / "dev.jsonl"), "--subtask", "a"]
+
+
+def _model_record_dropout_overflows_float(tmp_path, request):
+    return (_eval_model_config(request, "dropout", 10 ** 400),
             "OverflowError: int too large to convert to float")
+
+
+def _model_record_dim_beyond_numpy(tmp_path, request):
+    return (_eval_model_config(request, "dim", 10 ** 400),
+            "cannot build the model: Maximum allowed dimension exceeded")
+
+
+def _model_record_head_hidden_beyond_memory(tmp_path, request):
+    return (_eval_model_config(request, "head_hidden", 10 ** 12),
+            "cannot build the model: Unable to allocate")
+
+
+def _model_record_node_dim_beyond_memory(tmp_path, request):
+    # the vectors' projection to node_dim is built with the model
+    return (_eval_model_config(request, "node_dim", 10 ** 12),
+            "cannot build the model: Unable to allocate")
+
+
+def _model_record_gate_hidden_overflows_float(tmp_path, request):
+    return (_eval_model_config(request, "gate_hidden", 10 ** 400),
+            "cannot build the model: int too large to convert to float")
 
 
 def _config_max_len_above_positions(tmp_path, request):
@@ -1256,6 +1316,7 @@ def _vectors_now_directory(tmp_path, request):
     (_config_dim_not_integer, 2, "data error: "),
     (_config_dim_beyond_numpy, 2, "data error: "),
     (_config_head_hidden_beyond_memory, 2, "data error: "),
+    (_config_gate_hidden_overflows_float, 2, "data error: "),
     (_config_flag_not_bool, 2, "data error: "),
     (_config_flag_key, 2, "data error: "),
     (_config_schedule_key_misspelled, 2, "data error: "),
@@ -1268,6 +1329,10 @@ def _vectors_now_directory(tmp_path, request):
     (_model_record_without_subtask, 3, "numeric failure: "),
     (_model_record_max_len_above_positions, 3, "numeric failure: "),
     (_model_record_dropout_overflows_float, 3, "numeric failure: "),
+    (_model_record_dim_beyond_numpy, 3, "numeric failure: "),
+    (_model_record_head_hidden_beyond_memory, 3, "numeric failure: "),
+    (_model_record_node_dim_beyond_memory, 3, "numeric failure: "),
+    (_model_record_gate_hidden_overflows_float, 3, "numeric failure: "),
     (_config_max_len_above_positions, 2, "data error: "),
     (_model_record_max_len_below_trunk, 3, "numeric failure: "),
     (_config_max_len_below_trunk, 2, "data error: "),
@@ -1301,7 +1366,8 @@ def _vectors_now_directory(tmp_path, request):
         "config-lr-infinite", "config-lr-overflows-float",
         "config-adam-eps-infinite",
         "config-dim-not-integer", "config-dim-beyond-numpy",
-        "config-head-hidden-beyond-memory", "config-flag-not-bool",
+        "config-head-hidden-beyond-memory",
+        "config-gate-hidden-overflows-float", "config-flag-not-bool",
         "config-flag-key",
         "config-schedule-key-misspelled", "config-model-key-misspelled",
         "train-data-empty", "dev-data-empty", "eval-data-empty",
@@ -1309,6 +1375,10 @@ def _vectors_now_directory(tmp_path, request):
         "model-record-without-subtask",
         "model-record-max-len-above-positions",
         "model-record-dropout-overflows-float",
+        "model-record-dim-beyond-numpy",
+        "model-record-head-hidden-beyond-memory",
+        "model-record-node-dim-beyond-memory",
+        "model-record-gate-hidden-overflows-float",
         "config-max-len-above-positions",
         "model-record-max-len-below-trunk", "config-max-len-below-trunk",
         "eval-subtask-mismatch",
@@ -1465,6 +1535,71 @@ def test_train_fuzzed_config_trains_or_exits_2(trained_once):
             _assert_one_line_exit_2(result)
         else:
             assert json.loads(result.stdout)["checkpoint"] == str(out)
+    run()
+
+
+def _nested(depth):
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# values in place of a model-description entry; sizes are small or too large
+# to allocate, never in between, where a build can run for minutes
+_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4),
+    st.sampled_from([10 ** 12, 10 ** 400, 1e308]),
+    st.text(max_size=3).map(lambda text: text + "\0"),
+    st.lists(st.integers(-1, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 2), max_size=2),
+    st.integers(2, 300).map(_nested))
+# a model builds each layer's parameters in turn, so 10**12 layers never end
+_LAYER_COUNTS = ("n_layers", "gat_layers")
+
+
+def test_fuzzed_model_description_exits_0_2_or_3(trained_once, monkeypatch):
+    """A checkpoint whose model description has one or two entries, or
+    config entries, replaced: `eval`, `predict` and `ensemble` exit 0, 2 or
+    3, with one stderr line when they fail, no traceback, and never open a
+    file descriptor, standard input among them."""
+    bench, ckpt, _ = trained_once
+    meta, store = read_model_meta(ckpt), cli._load_model(ckpt, "a").store
+    bad = bench.parent / "fuzz-description.ckpt"
+    real_open = open
+
+    def open_path(file, *args, **kwargs):
+        assert not isinstance(file, int), f"opened file descriptor {file}"
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr("builtins.open", open_path)
+    entries = (st.sampled_from([(key,) for key in meta])
+               | st.sampled_from([("config", key) for key in meta["config"]]))
+    edits = entries.flatmap(lambda entry: st.tuples(
+        st.just(entry), st.integers(-2, 4) if entry[-1] in _LAYER_COUNTS
+        else _ODD_VALUES))
+    commands = {"eval": ["--checkpoint", str(bad)],
+                "predict": ["--checkpoint", str(bad)],
+                "ensemble": ["--checkpoints", f"{ckpt},{bad}"]}
+
+    @given(st.lists(edits, min_size=1, max_size=2),
+           st.sampled_from(sorted(commands)))
+    @settings(max_examples=100, deadline=None)
+    def run(edits, command):
+        edited = json.loads(json.dumps(meta))
+        for entry, value in edits:
+            owner = edited if len(entry) == 1 else edited["config"]
+            if isinstance(owner, dict):   # "config" itself may be replaced
+                owner[entry[-1]] = value
+        save_checkpoint(bad, store, model_meta=edited)
+        result = CliRunner().invoke(main, [
+            command, *commands[command], "--data", str(bench / "dev.jsonl"),
+            "--subtask", "a"])
+        assert result.exit_code in (0, 2, 3), result.output
+        if result.exit_code:
+            assert isinstance(result.exception, SystemExit), result.exception
+            (line,) = result.stderr.splitlines()
+            assert line.startswith(("data error: ", "numeric failure: "))
+        assert "Traceback" not in result.output
     run()
 
 
