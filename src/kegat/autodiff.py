@@ -48,22 +48,21 @@ def _as_array(x) -> np.ndarray:
 # a node's backward: the output's gradient and the wanted operand names in,
 # a gradient per operand name out
 Backward = Callable[[np.ndarray, Collection[str]], Dict[str, np.ndarray]]
+# a module's parameters by the names its nodes give their operands
+Params = Dict[str, "Tensor"]
 
 
 class Tensor:
     """A numpy array plus gradient buffer and the node that made it."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_operands", "_backward",
-                 "name")
+    __slots__ = ("data", "grad", "requires_grad", "_operands", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 name: Optional[str] = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self.requires_grad = requires_grad
         self._operands: Dict[str, Tensor] = {}
         self._backward: Optional[Backward] = None
-        self.name = name
 
     # -- basic introspection -------------------------------------------------
 
@@ -72,8 +71,7 @@ class Tensor:
         return self.data.shape
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     def zero_grad(self) -> None:
         if self.grad is not None:

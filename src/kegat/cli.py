@@ -277,7 +277,7 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
 def _load_model(checkpoint_path, subtask: str) -> KegatModel:
     """Rebuild a model trained for `subtask` from its checkpoint, reading the
     KB and vectors at the absolute paths recorded when it was trained."""
-    meta = trainkit.read_model_meta(checkpoint_path)
+    meta, listed = trainkit.read_model_header(checkpoint_path)
     try:
         config = ModelConfig(**meta["config"])
         trained_for = meta["subtask"]
@@ -301,6 +301,15 @@ def _load_model(checkpoint_path, subtask: str) -> KegatModel:
         for key, path in (("kb", kb_path), ("vectors", vectors)):
             if path is not None and "\0" in path:
                 raise ValueError(f"{key!r} {path!r} holds a NUL byte")
+        # each layer the build makes lists a parameter, so a layer count
+        # above the header's list fails the load: reject it before a build
+        # that takes time and memory per layer
+        n_listed = len(listed) if isinstance(listed, list) else 0
+        for key in (("n_layers", "gat_layers") if config.use_kegat
+                    else ("n_layers",)):
+            if getattr(config, key) > n_listed:
+                raise ValueError(f"{key} {getattr(config, key)} exceeds the "
+                                 f"{n_listed} parameters the checkpoint lists")
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError,
             DataFormatError) as exc:
         raise NumericError(f"{checkpoint_path}: malformed model description "

@@ -7,7 +7,10 @@ plus self-loops), refined by multi-head attention layers and mean-pooled into
 a single vector that is fused with the sequence encoder's pooled state. A
 batch's subgraphs run as one block-diagonal graph. A layer, with its heads
 stacked, is one autodiff node, and so are the fusion MLP and the gate; their
-written-out backward passes replay the composed ops' arithmetic.
+written-out backward passes replay the composed ops' arithmetic. Each takes
+its parameters as a name -> tensor dict keyed by its node's operand names,
+the model's store names under "gat/l<n>/" (a list, one per layer), "fuse/"
+and "gate/".
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Params, Tensor
 from .errors import DataFormatError
 from .kgstore import KnowledgeGraph, neighbors, text_lines
 from .linker import TokenSpan, extract_entities
@@ -104,26 +107,6 @@ def init_node_embeddings(sub: Subgraph, table: Dict[str, np.ndarray],
     return out
 
 
-@dataclass
-class GatParams:
-    w: List[Tensor]   # per layer: H x d_g x d_g, one node transform per head
-    a: List[Tensor]   # per layer: H x 2*d_g, one attention vector per head
-
-
-@dataclass
-class FuseParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
-@dataclass
-class GateParams:
-    w1: Tensor   # d_all x hidden
-    w2: Tensor   # hidden x d_all
-
-
 def _attention(hd: np.ndarray, adjacency: np.ndarray, w: np.ndarray,
                a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every head's transformed states wh = hd @ w (H, n, d_g), the mask of
@@ -140,19 +123,20 @@ def _attention(hd: np.ndarray, adjacency: np.ndarray, w: np.ndarray,
 
 
 def attention_coeffs(h: Tensor, sub: Subgraph, layer: int,
-                     params: GatParams) -> Tensor:
+                     params: Sequence[Params]) -> Tensor:
     """Each head's attention rows alpha_ij over each node's neighbors
     (self-loop included), stacked to (H, n, n), as a constant."""
-    return Tensor(_attention(h.data, sub.adjacency, params.w[layer].data,
-                             params.a[layer].data)[2])
+    return Tensor(_attention(h.data, sub.adjacency, params[layer]["w"].data,
+                             params[layer]["a"].data)[2])
 
 
-def gat_layer(h: Tensor, sub: Subgraph, params: GatParams, layer: int) -> Tensor:
+def gat_layer(h: Tensor, sub: Subgraph, params: Sequence[Params],
+              layer: int) -> Tensor:
     """One refinement step, mean over heads of attention-weighted sums and
     ELU, as one autodiff node. The backward replays the composed ops'
     arithmetic and sums wh's gradients in the order the autodiff walk summed
     them: aggregation plus source score, then destination score."""
-    w, a = params.w[layer], params.a[layer]
+    w, a = params[layer]["w"], params[layer]["a"]
     H, dg = a.shape[0], a.shape[1] // 2
     wh, pos, alpha = _attention(h.data, sub.adjacency, w.data, a.data)
     out = ad.elu_data((alpha @ wh).sum(axis=0) * (1.0 / H))
@@ -176,9 +160,10 @@ def gat_layer(h: Tensor, sub: Subgraph, params: GatParams, layer: int) -> Tensor
     return ad.fused(out, {"h": h, "w": w, "a": a}, backward)
 
 
-def run_gat(node_init: np.ndarray, sub: Subgraph, params: GatParams) -> Tensor:
+def run_gat(node_init: np.ndarray, sub: Subgraph,
+            params: Sequence[Params]) -> Tensor:
     h = Tensor(node_init)
-    for layer in range(len(params.w)):
+    for layer in range(len(params)):
         h = gat_layer(h, sub, params, layer)
     return h
 
@@ -215,25 +200,25 @@ def pool_subgraph(h: Optional[Tensor], sizes: Sequence[int],
                     lambda g, wanted: {"h": weights.T @ g})
 
 
-def fuse(e_base: Tensor, e_gnn: Tensor, params: FuseParams) -> Tensor:
+def fuse(e_base: Tensor, e_gnn: Tensor, params: Params) -> Tensor:
     """One-hidden-layer ELU MLP over the concatenated representations, one
     row per option, as one autodiff node."""
+    w1, b1, w2, b2 = (params[n].data for n in ("w1", "b1", "w2", "b2"))
     x = np.concatenate([e_base.data, e_gnn.data], axis=-1)
-    e = ad.elu_data(x @ params.w1.data + params.b1.data)
+    e = ad.elu_data(x @ w1 + b1)
 
     def backward(g, wanted):
-        gz = ad.elu_grad(e, g @ params.w2.data.T)
-        gx = np.split(gz @ params.w1.data.T, [e_base.shape[1]], axis=1)
+        gz = ad.elu_grad(e, g @ w2.T)
+        gx = np.split(gz @ w1.T, [e_base.shape[1]], axis=1)
         return {"e_base": gx[0], "e_gnn": gx[1],
                 "w1": x.T @ gz, "b1": gz.sum(axis=0),
                 "w2": e.T @ g, "b2": g.sum(axis=0)}
 
-    return ad.fused(e @ params.w2.data + params.b2.data,
-                    {"e_base": e_base, "e_gnn": e_gnn, **vars(params)},
+    return ad.fused(e @ w2 + b2, {"e_base": e_base, "e_gnn": e_gnn, **params},
                     backward)
 
 
-def self_refine(e_all: Tensor, params: GateParams) -> Tensor:
+def self_refine(e_all: Tensor, params: Params) -> Tensor:
     """Dimension-wise attention gate over the last axis, as one autodiff node.
 
     Scores pass through a tanh bottleneck; softmax weights are rescaled by the
@@ -241,19 +226,20 @@ def self_refine(e_all: Tensor, params: GateParams) -> Tensor:
     """
     dim = float(e_all.shape[-1])
     x = e_all.data
-    t = np.tanh(x @ params.w1.data)
-    soft = ad.masked_softmax_data(t @ params.w2.data, None, axis=-1)
+    w1, w2 = params["w1"].data, params["w2"].data
+    t = np.tanh(x @ w1)
+    soft = ad.masked_softmax_data(t @ w2, None, axis=-1)
     gate = soft * dim
     out = ad.elu_data(gate * x)
 
     def backward(g, wanted):
         gp = ad.elu_grad(out, g)
         gs = ad.softmax_grad(soft, gp * x * dim)
-        gu = (gs @ params.w2.data.T) * (1.0 - t ** 2)
-        return {"e_all": gp * gate + gu @ params.w1.data.T,
+        gu = (gs @ w2.T) * (1.0 - t ** 2)
+        return {"e_all": gp * gate + gu @ w1.T,
                 "w1": x.T @ gu, "w2": t.T @ gs}
 
-    return ad.fused(out, {"e_all": e_all, **vars(params)}, backward)
+    return ad.fused(out, {"e_all": e_all, **params}, backward)
 
 
 def load_concept_table(path, dim: int, seed: int = 0) -> Dict[str, np.ndarray]:

@@ -1,59 +1,45 @@
-"""Option scoring, losses, uncertainty weighting, and ensemble averaging."""
+"""Option scoring, losses, uncertainty weighting, and ensemble averaging.
+
+The head and the combined loss take their parameters as name -> tensor
+dicts keyed by their nodes' operand names, the model's store names under
+"head/" and "loss/".
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Params, Tensor
 
 PROB_FLOOR = 1e-12
 
 
-@dataclass
-class HeadParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor   # hidden -> 1
-    b2: Tensor
-
-
-@dataclass
-class LossParams:
-    """Learnable log-variances s_i = log sigma_i^2 of the two objectives."""
-    s1: Tensor
-    s2: Tensor
-
-    def sigma(self, i: int) -> float:
-        s = self.s1 if i == 1 else self.s2
-        return float(np.exp(0.5 * s.data))
-
-
-def predict(reprs: Tensor, params: HeadParams, n_options: int) -> Tensor:
+def predict(reprs: Tensor, params: Params, n_options: int) -> Tensor:
     """Score the (n_instances·A, repr_dim) option rows, instance-major, with
     one ELU MLP, and take a softmax over each instance's A = `n_options`:
     the (n_instances, A) option probabilities, as one autodiff node whose
     backward replays the composed ops' arithmetic."""
     if n_options < 2:
         raise ValueError("predict needs at least 2 options")
+    w1, b1, w2, b2 = (params[n].data for n in ("w1", "b1", "w2", "b2"))
     x = reprs.data
-    hidden = ad.elu_data(x @ params.w1.data + params.b1.data)
-    raw = hidden @ params.w2.data + params.b2.data
+    hidden = ad.elu_data(x @ w1 + b1)
+    raw = hidden @ w2 + b2
     probs = ad.masked_softmax_data(raw.reshape(-1, n_options), None, axis=-1)
 
     def backward(g, wanted):
         graw = ad.softmax_grad(probs, g).reshape(raw.shape)
-        gz = ad.elu_grad(hidden, graw @ params.w2.data.T)
+        gz = ad.elu_grad(hidden, graw @ w2.T)
         grads = {"w1": x.T @ gz, "b1": gz.sum(axis=0),
                  "w2": hidden.T @ graw, "b2": graw.sum(axis=0)}
         if "reprs" in wanted:
-            grads["reprs"] = gz @ params.w1.data.T
+            grads["reprs"] = gz @ w1.T
         return grads
 
-    return ad.fused(probs, {"reprs": reprs, **vars(params)}, backward)
+    return ad.fused(probs, {"reprs": reprs, **params}, backward)
 
 
 def classification_loss(probs: Tensor, labels: Sequence[int]) -> Tensor:
@@ -104,14 +90,15 @@ def lm_loss(logits: Tensor, token_ids: Sequence[int],
     return ad.fused(-logp[idx].sum() * inv_n, {"logits": logits}, backward)
 
 
-def combined_loss(l1: Tensor, l2: Tensor, params: LossParams) -> Tensor:
+def combined_loss(l1: Tensor, l2: Tensor, params: Params) -> Tensor:
     """Uncertainty-weighted sum: l1/(2*s1^2) + l2/(2*s2^2) + log(s1*s2).
 
     With s_i = log sigma_i^2 this is 0.5*exp(-s1)*l1 + 0.5*exp(-s2)*l2
     + (s1+s2)/2; learning s keeps the sigmas positive by construction. One
-    autodiff node over the four scalars.
+    autodiff node over the four scalars; `params` holds the learnable
+    log-variances s1 and s2.
     """
-    s1, s2 = params.s1.data, params.s2.data
+    s1, s2 = params["s1"].data, params["s2"].data
     e1, e2 = np.exp(-s1), np.exp(-s2)
 
     def backward(g, wanted):
@@ -121,8 +108,7 @@ def combined_loss(l1: Tensor, l2: Tensor, params: LossParams) -> Tensor:
                 "s2": h + -((h * l2.data) * e2)}
 
     return ad.fused((e1 * l1.data + e2 * l2.data + s1 + s2) * 0.5,
-                    {"l1": l1, "l2": l2, "s1": params.s1, "s2": params.s2},
-                    backward)
+                    {"l1": l1, "l2": l2, **params}, backward)
 
 
 def ensemble_average(prob_vectors: List[np.ndarray]) -> np.ndarray:

@@ -150,79 +150,70 @@ class KegatModel:
         return self.store.add(name, np.full(size, value))
 
     def _init_params(self, rng: np.random.Generator) -> None:
+        """Add every parameter to the store, then read each module's back
+        from it by name."""
         c = self.config
         d, V = c.dim, len(self.vocab)
-        layers = []
-        tok = self.store.add("enc/tok_emb", rng.normal(0.0, 0.1, size=(V, d)))
-        pos = self.store.add("enc/pos_emb",
-                             rng.normal(0.0, 0.1, size=(c.max_positions, d)))
+        self.store.add("enc/tok_emb", rng.normal(0.0, 0.1, size=(V, d)))
+        self.store.add("enc/pos_emb",
+                       rng.normal(0.0, 0.1, size=(c.max_positions, d)))
         for n in range(c.n_layers):
             p = f"enc/l{n}/"
-            layers.append(enc.LayerParams(
-                wq=self._mat(rng, p + "wq", d, d), bq=self._vec(p + "bq", d),
-                wk=self._mat(rng, p + "wk", d, d), bk=self._vec(p + "bk", d),
-                wv=self._mat(rng, p + "wv", d, d), bv=self._vec(p + "bv", d),
-                wo=self._mat(rng, p + "wo", d, d), bo=self._vec(p + "bo", d),
-                ln1_g=self._vec(p + "ln1_g", d, 1.0),
-                ln1_b=self._vec(p + "ln1_b", d),
-                ffn_w1=self._mat(rng, p + "ffn_w1", d, c.ffn_mult * d),
-                ffn_b1=self._vec(p + "ffn_b1", c.ffn_mult * d),
-                ffn_w2=self._mat(rng, p + "ffn_w2", c.ffn_mult * d, d),
-                ffn_b2=self._vec(p + "ffn_b2", d),
-                ln2_g=self._vec(p + "ln2_g", d, 1.0),
-                ln2_b=self._vec(p + "ln2_b", d),
-            ))
-        pooler_w = self._mat(rng, "enc/pooler_w", d, d)
-        pooler_b = self._vec("enc/pooler_b", d)
-        lm_w = lm_b = None
+            for x in "qkvo":
+                self._mat(rng, p + "w" + x, d, d)
+                self._vec(p + "b" + x, d)
+            self._vec(p + "ln1_g", d, 1.0)
+            self._vec(p + "ln1_b", d)
+            self._mat(rng, p + "ffn_w1", d, c.ffn_mult * d)
+            self._vec(p + "ffn_b1", c.ffn_mult * d)
+            self._mat(rng, p + "ffn_w2", c.ffn_mult * d, d)
+            self._vec(p + "ffn_b2", d)
+            self._vec(p + "ln2_g", d, 1.0)
+            self._vec(p + "ln2_b", d)
+        self._mat(rng, "enc/pooler_w", d, d)
+        self._vec("enc/pooler_b", d)
         if c.use_lm:
-            lm_w, lm_b = self._mat(rng, "enc/lm_w", d, V), self._vec("enc/lm_b", V)
+            self._mat(rng, "enc/lm_w", d, V)
+            self._vec("enc/lm_b", V)
         else:   # an unused draw, so every later parameter gets the full model's values
             rng.standard_normal((d, V))
-        self.enc_params = enc.EncoderParams(
-            tok_emb=tok, pos_emb=pos, layers=layers, pooler_w=pooler_w,
-            pooler_b=pooler_b, lm_w=lm_w, lm_b=lm_b, n_heads=c.n_heads)
+        gat_layers = c.gat_layers if c.use_kegat else 0
         if c.use_kegat:
-            dg = c.node_dim
-            H, L = c.gat_heads, c.gat_layers
-            w = [self._mat(rng, f"gat/l{l}/w", dg, dg, H) for l in range(L)]
-            a = [self.store.add(f"gat/l{l}/a",
-                                rng.normal(0.0, 0.3, size=(H, 2 * dg)))
-                 for l in range(L)]
-            self.gat_params = gatmod.GatParams(w=w, a=a)
-            self.fuse_params = gatmod.FuseParams(
-                w1=self._mat(rng, "fuse/w1", c.dim + dg, c.fuse_hidden),
-                b1=self._vec("fuse/b1", c.fuse_hidden),
-                w2=self._mat(rng, "fuse/w2", c.fuse_hidden, c.fuse_dim),
-                b2=self._vec("fuse/b2", c.fuse_dim))
+            dg, H = c.node_dim, c.gat_heads
+            for l in range(gat_layers):
+                self._mat(rng, f"gat/l{l}/w", dg, dg, H)
+            for l in range(gat_layers):
+                self.store.add(f"gat/l{l}/a",
+                               rng.normal(0.0, 0.3, size=(H, 2 * dg)))
+            w1 = self._mat(rng, "fuse/w1", c.dim + dg, c.fuse_hidden)
+            self._vec("fuse/b1", c.fuse_hidden)
+            w2 = self._mat(rng, "fuse/w2", c.fuse_hidden, c.fuse_dim)
+            self._vec("fuse/b2", c.fuse_dim)
             # Variance-matched skip: seed the fuse MLP with an identity block
             # that carries the pooled graph summary through to the head at a
             # scale comparable to the text pooler output. Without it the graph
             # signal enters the head an order of magnitude smaller than the
             # text features and the head never picks it up.
             k = min(dg, c.fuse_hidden, c.fuse_dim)
-            self.fuse_params.w1.data *= 0.1
-            self.fuse_params.w1.data[c.dim:c.dim + k, :k] = np.eye(k)
-            self.fuse_params.w2.data *= 0.1
-            self.fuse_params.w2.data[:k, :k] = c.fuse_skip_gain * np.eye(k)
-            self.gate_params = gatmod.GateParams(
-                w1=self._mat(rng, "gate/w1", c.fuse_dim, c.gate_hidden),
-                w2=self._mat(rng, "gate/w2", c.gate_hidden, c.fuse_dim))
-        else:
-            self.gat_params = None
-            self.fuse_params = None
-            self.gate_params = None
-        self.head_params = headmod.HeadParams(
-            w1=self._mat(rng, "head/w1", c.repr_dim, c.head_hidden),
-            b1=self._vec("head/b1", c.head_hidden),
-            w2=self._mat(rng, "head/w2", c.head_hidden, 1),
-            b2=self._vec("head/b2", 1))
+            w1.data *= 0.1
+            w1.data[c.dim:c.dim + k, :k] = np.eye(k)
+            w2.data *= 0.1
+            w2.data[:k, :k] = c.fuse_skip_gain * np.eye(k)
+            self._mat(rng, "gate/w1", c.fuse_dim, c.gate_hidden)
+            self._mat(rng, "gate/w2", c.gate_hidden, c.fuse_dim)
+        self._mat(rng, "head/w1", c.repr_dim, c.head_hidden)
+        self._vec("head/b1", c.head_hidden)
+        self._mat(rng, "head/w2", c.head_hidden, 1)
+        self._vec("head/b2", 1)
         if c.use_lm:
-            self.loss_params = headmod.LossParams(
-                s1=self.store.add("loss/s1", np.zeros(())),
-                s2=self.store.add("loss/s2", np.zeros(())))
-        else:
-            self.loss_params = None
+            self.store.add("loss/s1", np.zeros(()))
+            self.store.add("loss/s2", np.zeros(()))
+        under = self.store.under
+        self.enc_params = under("enc/")
+        self.layer_params = [under(f"enc/l{n}/") for n in range(c.n_layers)]
+        self.gat_params = [under(f"gat/l{l}/") for l in range(gat_layers)]
+        self.fuse_params, self.gate_params = under("fuse/"), under("gate/")
+        self.head_params, self.loss_params = under("head/"), under("loss/")
 
     def head_param_names(self) -> set:
         return {n for n in self.store.names() if n.startswith("head/")}
@@ -290,7 +281,7 @@ class KegatModel:
         feats = [f for inst in instances for f in self._features(inst)]
         batch = kemb.pad_batch([f.seq for f in feats], self.vocab.lookup(PAD))
         out = enc.encode(enc.embed(batch, self.enc_params), batch.visibility,
-                         self.enc_params,
+                         self.enc_params, self.layer_params, c.n_heads,
                          dropout_rate=c.dropout if dropout_rng is not None else 0.0,
                          dropout_rng=dropout_rng, pooled_only=pooled_only)
         reprs = out.pooled

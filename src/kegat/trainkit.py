@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Params, Tensor
 from .errors import GradientError, NumericError
 from .kgstore import atomic_write
 
@@ -59,10 +59,16 @@ class ParamStore:
             raise ValueError(f"duplicate parameter name {name!r}")
         if self._values is not None:
             raise ValueError(f"cannot add {name!r}: the store is packed")
-        t = Tensor(np.asarray(values, dtype=np.float64), requires_grad=True,
-                   name=name)
+        t = Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
         self._params[name] = t
         return t
+
+    def under(self, prefix: str) -> Params:
+        """The parameters named `prefix` plus a name without "/", keyed by
+        that name, in the order they were added."""
+        n = len(prefix)
+        return {name[n:]: t for name, t in self._params.items()
+                if name.startswith(prefix) and "/" not in name[n:]}
 
     def flat(self) -> Tuple[np.ndarray, np.ndarray]:
         """The flat value and gradient vectors; the first call packs them."""
@@ -281,13 +287,14 @@ def _read_header(fh, path) -> Tuple[dict, int]:
     return header, size - _PREFIX - length
 
 
-def read_model_meta(path) -> dict:
-    """The JSON model description `save_checkpoint` stored in `path`."""
+def read_model_header(path) -> Tuple[object, object]:
+    """The JSON model description `save_checkpoint` stored in `path`, and
+    the header's parameter list as stored, unchecked."""
     with open(path, "rb") as fh:
         header, _ = _read_header(fh, path)
     if "model" not in header:
         raise NumericError(f"{path}: no model description")
-    return header["model"]
+    return header["model"], header.get("params")
 
 
 def load_checkpoint(path, store: ParamStore) -> dict:

@@ -237,15 +237,16 @@ def test_mask_locality_is_exact():
     ok = True
     for trial in range(20):
         T = int(rng.integers(3, 8))
-        p = encoder_params(V=12, d=8, n_layers=1, seed=trial)
+        p, layers = encoder_params(V=12, d=8, n_layers=1, seed=trial)
         vis = np.ones((T, T), dtype=bool)
         i, j = rng.choice(T, size=2, replace=False)
         vis[i, j] = vis[j, i] = False
         tokens = list(rng.integers(0, 12, size=T))
-        base = enc.encode(enc.embed(_seq(tokens), p), vis, p).hidden.data
+        base = enc.encode(enc.embed(_seq(tokens), p), vis, p, layers,
+                          2).hidden.data
         E2 = enc.embed(_seq(tokens), p)
         E2.data[j] += rng.normal(0, 5.0, size=8)
-        pert = enc.encode(E2, vis, p).hidden.data
+        pert = enc.encode(E2, vis, p, layers, 2).hidden.data
         if not (base[i] == pert[i]).all():
             ok = False
             break
@@ -276,12 +277,13 @@ def test_all_normalizations_sum_to_one(monkeypatch):
 
     for case in range(400):     # encoder attention rows
         T = int(rng.integers(2, 6))
-        p = encoder_params(V=10, d=8, n_layers=1, seed=case)
+        p, layers = encoder_params(V=10, d=8, n_layers=1, seed=case)
         vis = np.ones((T, T), dtype=bool)
         if T > 2:
             i, j = rng.choice(T, size=2, replace=False)
             vis[i, j] = vis[j, i] = False
-        enc.encode(enc.embed(_seq(list(rng.integers(0, 10, size=T))), p), vis, p)
+        enc.encode(enc.embed(_seq(list(rng.integers(0, 10, size=T))), p), vis,
+                   p, layers, 2)
     for case in range(300):     # GAT attention rows
         n = int(rng.integers(2, 6))
         adj = np.eye(n, dtype=bool)
@@ -296,10 +298,10 @@ def test_all_normalizations_sum_to_one(monkeypatch):
     for case in range(300):     # option probability vectors
         n_opt = int(rng.integers(2, 4))
         d = 5
-        hp = headmod.HeadParams(w1=Tensor(rng.normal(size=(d, 3))),
-                                b1=Tensor(rng.normal(size=3)),
-                                w2=Tensor(rng.normal(size=(3, 1))),
-                                b2=Tensor(rng.normal(size=1)))
+        hp = {"w1": Tensor(rng.normal(size=(d, 3))),
+              "b1": Tensor(rng.normal(size=3)),
+              "w2": Tensor(rng.normal(size=(3, 1))),
+              "b2": Tensor(rng.normal(size=1))}
         probs = headmod.predict(
             Tensor(np.stack([rng.normal(size=d) * 3 for _ in range(n_opt)])),
             hp, n_opt)
@@ -316,7 +318,7 @@ def test_uncertainty_weight_stationary_point():
     l1 = 0.49
 
     def f(sigma):
-        lp = headmod.LossParams(s1=Tensor(np.log(sigma ** 2)), s2=Tensor(0.0))
+        lp = {"s1": Tensor(np.log(sigma ** 2)), "s2": Tensor(0.0)}
         return float(headmod.combined_loss(Tensor(l1), Tensor(1.0), lp).data)
 
     res = minimize_scalar(f, bounds=(0.05, 5.0), method="bounded",
@@ -384,7 +386,7 @@ def test_analytic_loss_values():
     two = headmod.classification_loss(Tensor(np.array([[0.5, 0.5]])), [0]).data
     three = headmod.classification_loss(Tensor(np.full((1, 3), 1 / 3)),
                                         [1]).data
-    lp = headmod.LossParams(s1=Tensor(0.0), s2=Tensor(0.0))
+    lp = {"s1": Tensor(0.0), "s2": Tensor(0.0)}
     combined = headmod.combined_loss(Tensor(1.0), Tensor(1.0), lp).data
     ok = (abs(two - np.log(2)) <= 1e-9 and abs(three - np.log(3)) <= 1e-9
           and abs(combined - 1.0) <= 1e-12)

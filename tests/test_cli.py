@@ -17,9 +17,10 @@ from kegat import cli, harness, kgstore, trainkit
 from kegat.cli import main
 from kegat.errors import DataFormatError, NumericError
 from kegat.kgstore import fingerprint, load_graph, save_graph
-from kegat.model import ModelConfig
+from kegat.model import KegatModel, ModelConfig
 from kegat.trainkit import (ParamStore, Schedule, load_checkpoint,
-                            read_model_meta, save_checkpoint)
+                            read_model_header, save_checkpoint)
+from kegat.vocab import Vocab
 
 from conftest import SUGAR_KB_ROWS, write_kb
 
@@ -540,7 +541,7 @@ def test_train_ablation_flags_reach_the_checkpoint(runner, tmp_path):
         {**TINY_TRAIN_CFG, "epochs_phase1": 0, "epochs_phase2": 0}))
     result = runner.invoke(main, args + ["--no-kemb", "--no-lm-loss"])
     assert result.exit_code == 0, result.output
-    config = read_model_meta(args[args.index("--output") + 1])["config"]
+    config = read_model_header(args[args.index("--output") + 1])[0]["config"]
     assert (config["use_kemb"], config["use_kegat"], config["use_lm"]) == (
         False, True, False)
 
@@ -1101,11 +1102,11 @@ def _model_record_max_len_above_positions(tmp_path, request):
 
 def _eval_model_config(request, key, value):
     """`eval` of a checkpoint whose model description sets config `key` to
-    `value`."""
+    `value`, beside the trained model's parameters."""
     bench, ckpt, _ = request.getfixturevalue("trained")
-    meta = read_model_meta(ckpt)
+    meta, store = read_model_header(ckpt)[0], cli._load_model(ckpt, "a").store
     meta["config"][key] = value
-    save_checkpoint(ckpt, ParamStore(), model_meta=meta)
+    save_checkpoint(ckpt, store, model_meta=meta)
     return ["eval", "--checkpoint", str(ckpt), "--data",
             str(bench / "dev.jsonl"), "--subtask", "a"]
 
@@ -1134,6 +1135,20 @@ def _model_record_node_dim_beyond_memory(tmp_path, request):
 def _model_record_gate_hidden_overflows_float(tmp_path, request):
     return (_eval_model_config(request, "gate_hidden", 10 ** 400),
             "cannot build the model: int too large to convert to float")
+
+
+# a build takes time and memory per layer, so these fail before it: the
+# tiny model's checkpoint lists 36 parameters
+def _model_record_a_million_layers(tmp_path, request):
+    return (_eval_model_config(request, "n_layers", 10 ** 6),
+            "ValueError: n_layers 1000000 exceeds the 36 parameters the "
+            "checkpoint lists")
+
+
+def _model_record_a_million_gat_layers(tmp_path, request):
+    return (_eval_model_config(request, "gat_layers", 10 ** 6),
+            "ValueError: gat_layers 1000000 exceeds the 36 parameters the "
+            "checkpoint lists")
 
 
 def _config_max_len_above_positions(tmp_path, request):
@@ -1333,6 +1348,8 @@ def _vectors_now_directory(tmp_path, request):
     (_model_record_head_hidden_beyond_memory, 3, "numeric failure: "),
     (_model_record_node_dim_beyond_memory, 3, "numeric failure: "),
     (_model_record_gate_hidden_overflows_float, 3, "numeric failure: "),
+    (_model_record_a_million_layers, 3, "numeric failure: "),
+    (_model_record_a_million_gat_layers, 3, "numeric failure: "),
     (_config_max_len_above_positions, 2, "data error: "),
     (_model_record_max_len_below_trunk, 3, "numeric failure: "),
     (_config_max_len_below_trunk, 2, "data error: "),
@@ -1379,6 +1396,7 @@ def _vectors_now_directory(tmp_path, request):
         "model-record-head-hidden-beyond-memory",
         "model-record-node-dim-beyond-memory",
         "model-record-gate-hidden-overflows-float",
+        "model-record-a-million-layers", "model-record-a-million-gat-layers",
         "config-max-len-above-positions",
         "model-record-max-len-below-trunk", "config-max-len-below-trunk",
         "eval-subtask-mismatch",
@@ -1432,7 +1450,7 @@ def test_malformed_model_description_exits_3_before_opening_a_file(
     unknown or whose vocab is malformed exits 3 with one line, reading no
     KB, vectors or standard input."""
     bench, ckpt, _ = trained_once
-    meta = read_model_meta(ckpt)
+    meta = read_model_header(ckpt)[0]
     meta.update(edit(meta))
     save_checkpoint(tmp_path / "m.ckpt", ParamStore(), model_meta=meta)
     calls = []
@@ -1450,6 +1468,23 @@ def test_malformed_model_description_exits_3_before_opening_a_file(
     assert calls == []   # so `open` never saw the KB or vectors entry
 
 
+def test_model_without_graph_reasoning_loads_with_any_gat_layers(
+        runner, trained_once, tmp_path):
+    """A model without graph reasoning builds no GAT layer, so its
+    description may carry a `gat_layers` beyond the checkpoint's parameter
+    list: `eval` runs."""
+    bench, ckpt, _ = trained_once
+    meta = read_model_header(ckpt)[0]
+    meta["config"].update(use_kegat=False, gat_layers=10 ** 6)
+    model = KegatModel(ModelConfig(**meta["config"]), Vocab(meta["vocab"]),
+                       load_graph(meta["kb"]))
+    save_checkpoint(tmp_path / "m.ckpt", model.store, model_meta=meta)
+    result = runner.invoke(main, ["eval", "--checkpoint",
+                                  str(tmp_path / "m.ckpt"), "--data",
+                                  str(bench / "dev.jsonl"), "--subtask", "a"])
+    assert result.exit_code == 0, result.output
+
+
 @pytest.mark.parametrize("key", ["kb", "vectors"])
 @pytest.mark.parametrize("command", ["eval", "predict", "ensemble"])
 def test_model_description_path_with_nul_byte_exits_3(
@@ -1458,7 +1493,7 @@ def test_model_description_path_with_nul_byte_exits_3(
     that loads a model exits 3 with one line and no traceback (ensemble
     after loading a good model first)."""
     bench, ckpt, _ = trained_once
-    meta = read_model_meta(ckpt)
+    meta = read_model_header(ckpt)[0]
     meta[key] = "a\u0000b"
     bad = tmp_path / "m.ckpt"
     save_checkpoint(bad, ParamStore(), model_meta=meta)
@@ -1554,7 +1589,8 @@ _ODD_VALUES = st.one_of(
     st.lists(st.integers(-1, 2), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(-1, 2), max_size=2),
     st.integers(2, 300).map(_nested))
-# a model builds each layer's parameters in turn, so 10**12 layers never end
+# counts up to 10**6 too: a layer count above the checkpoint's parameter list
+# fails before the model builds a layer
 _LAYER_COUNTS = ("n_layers", "gat_layers")
 
 
@@ -1564,7 +1600,7 @@ def test_fuzzed_model_description_exits_0_2_or_3(trained_once, monkeypatch):
     3, with one stderr line when they fail, no traceback, and never open a
     file descriptor, standard input among them."""
     bench, ckpt, _ = trained_once
-    meta, store = read_model_meta(ckpt), cli._load_model(ckpt, "a").store
+    meta, store = read_model_header(ckpt)[0], cli._load_model(ckpt, "a").store
     bad = bench.parent / "fuzz-description.ckpt"
     real_open = open
 
@@ -1575,8 +1611,8 @@ def test_fuzzed_model_description_exits_0_2_or_3(trained_once, monkeypatch):
     entries = (st.sampled_from([(key,) for key in meta])
                | st.sampled_from([("config", key) for key in meta["config"]]))
     edits = entries.flatmap(lambda entry: st.tuples(
-        st.just(entry), st.integers(-2, 4) if entry[-1] in _LAYER_COUNTS
-        else _ODD_VALUES))
+        st.just(entry), st.integers(-2, 10 ** 6) | _ODD_VALUES
+        if entry[-1] in _LAYER_COUNTS else _ODD_VALUES))
     commands = {"eval": ["--checkpoint", str(bad)],
                 "predict": ["--checkpoint", str(bad)],
                 "ensemble": ["--checkpoints", f"{ckpt},{bad}"]}

@@ -8,8 +8,7 @@ from kegat import autodiff as ad
 from kegat import encoder as enc
 from kegat import kemb
 from kegat.autodiff import Tensor
-from kegat.encoder import (EncoderOutput, EncoderParams, LayerParams, embed,
-                           encode, lm_logits)
+from kegat.encoder import EncoderOutput, embed, encode, lm_logits
 from kegat.kemb import Branch, InjectedSequence, InjectedTree, pad_batch
 from kegat.vocab import PAD, Vocab
 
@@ -28,7 +27,9 @@ def _seq(tokens, soft_pos=None, visibility=None):
                             trunk_mask=tuple([True] * n))
 
 
-def _params(V=10, d=8, n_layers=1, n_heads=2, p_max=16, seed=0):
+def _params(V=10, d=8, n_layers=1, p_max=16, seed=0):
+    """The embedding, pooler and LM parameters, and each layer's, keyed as
+    the model's store keys them under "enc/" and "enc/l<n>/"."""
     rng = np.random.default_rng(seed)
 
     def mat(fi, fo):
@@ -38,47 +39,46 @@ def _params(V=10, d=8, n_layers=1, n_heads=2, p_max=16, seed=0):
     def vec(n, v=0.0):
         return Tensor(np.full(n, v), requires_grad=True)
 
-    layers = [LayerParams(
-        wq=mat(d, d), bq=vec(d), wk=mat(d, d), bk=vec(d),
-        wv=mat(d, d), bv=vec(d), wo=mat(d, d), bo=vec(d),
-        ln1_g=vec(d, 1.0), ln1_b=vec(d),
-        ffn_w1=mat(d, 4 * d), ffn_b1=vec(4 * d),
-        ffn_w2=mat(4 * d, d), ffn_b2=vec(d),
-        ln2_g=vec(d, 1.0), ln2_b=vec(d)) for _ in range(n_layers)]
-    return EncoderParams(tok_emb=Tensor(rng.normal(0, 0.1, (V, d)),
-                                        requires_grad=True),
-                         pos_emb=Tensor(rng.normal(0, 0.1, (p_max, d)),
-                                        requires_grad=True),
-                         layers=layers, pooler_w=mat(d, d), pooler_b=vec(d),
-                         lm_w=mat(d, V), lm_b=vec(V), n_heads=n_heads)
+    layers = [{
+        "wq": mat(d, d), "bq": vec(d), "wk": mat(d, d), "bk": vec(d),
+        "wv": mat(d, d), "bv": vec(d), "wo": mat(d, d), "bo": vec(d),
+        "ln1_g": vec(d, 1.0), "ln1_b": vec(d),
+        "ffn_w1": mat(d, 4 * d), "ffn_b1": vec(4 * d),
+        "ffn_w2": mat(4 * d, d), "ffn_b2": vec(d),
+        "ln2_g": vec(d, 1.0), "ln2_b": vec(d)} for _ in range(n_layers)]
+    return {"tok_emb": Tensor(rng.normal(0, 0.1, (V, d)), requires_grad=True),
+            "pos_emb": Tensor(rng.normal(0, 0.1, (p_max, d)),
+                              requires_grad=True),
+            "pooler_w": mat(d, d), "pooler_b": vec(d),
+            "lm_w": mat(d, V), "lm_b": vec(V)}, layers
 
 
 def test_embed_zero_tables_give_zero():
-    p = _params()
-    p.tok_emb.data[...] = 0.0
-    p.pos_emb.data[...] = 0.0
+    p, _ = _params()
+    p["tok_emb"].data[...] = 0.0
+    p["pos_emb"].data[...] = 0.0
     out = embed(_seq([1, 2, 3]), p)
     np.testing.assert_array_equal(out.data, np.zeros((3, 8)))
 
 
 def test_embed_one_hot_selects_rows():
-    p = _params(V=8, d=8)
-    p.tok_emb.data[...] = np.eye(8)
-    p.pos_emb.data[...] = 0.0
+    p, _ = _params(V=8, d=8)
+    p["tok_emb"].data[...] = np.eye(8)
+    p["pos_emb"].data[...] = 0.0
     out = embed(_seq([3, 0, 5]), p)
     np.testing.assert_array_equal(out.data, np.eye(8)[[3, 0, 5]])
 
 
 def test_embed_trunk_only_matches_ordinary_positions():
-    p = _params()
+    p, _ = _params()
     tokens = [4, 2, 7, 1]
     out = embed(_seq(tokens), p)
-    reference = p.tok_emb.data[tokens] + p.pos_emb.data[np.arange(4)]
+    reference = p["tok_emb"].data[tokens] + p["pos_emb"].data[np.arange(4)]
     np.testing.assert_array_equal(out.data, reference)
 
 
 def test_embed_soft_position_overflow_errors():
-    p = _params(p_max=4)
+    p, _ = _params(p_max=4)
     with pytest.raises(ValueError, match="soft position"):
         embed(_seq([1, 2], soft_pos=[0, 9]), p)
     with pytest.raises(ValueError, match="vocabulary"):
@@ -86,72 +86,73 @@ def test_embed_soft_position_overflow_errors():
 
 
 def test_encode_all_true_mask_equals_unmasked():
-    p = _params()
+    p, layers = _params()
     E = embed(_seq([1, 2, 3, 4]), p)
-    with_mask = encode(E, np.ones((4, 4), dtype=bool), p)
-    no_mask = encode(E, np.ones((4, 4), dtype=bool), p)
+    with_mask = encode(E, np.ones((4, 4), dtype=bool), p, layers, 2)
+    no_mask = encode(E, np.ones((4, 4), dtype=bool), p, layers, 2)
     np.testing.assert_array_equal(with_mask.hidden.data, no_mask.hidden.data)
 
 
 def test_encode_single_token():
-    p = _params()
-    out = encode(embed(_seq([5]), p), np.ones((1, 1), dtype=bool), p)
+    p, layers = _params()
+    out = encode(embed(_seq([5]), p), np.ones((1, 1), dtype=bool), p,
+                 layers, 2)
     assert out.hidden.shape == (1, 8)
     assert out.pooled.shape == (1, 8)   # one pooled row per sequence
     assert np.isfinite(out.hidden.data).all()
 
 
 def test_encode_rejects_false_diagonal():
-    p = _params()
+    p, layers = _params()
     vis = np.ones((3, 3), dtype=bool)
     vis[1, 1] = False
     with pytest.raises(AssertionError):
-        encode(embed(_seq([1, 2, 3]), p), vis, p)
+        encode(embed(_seq([1, 2, 3]), p), vis, p, layers, 2)
 
 
 def test_mask_locality_single_layer():
     """Perturbing a position invisible to i leaves layer output at i exact."""
-    p = _params(n_layers=1)
+    p, layers = _params(n_layers=1)
     vis = np.ones((4, 4), dtype=bool)
     vis[0, 3] = vis[3, 0] = False     # 3 invisible to 0
     tokens = [1, 2, 3, 4]
-    base = encode(embed(_seq(tokens), p), vis, p).hidden.data.copy()
+    base = encode(embed(_seq(tokens), p), vis, p, layers, 2).hidden.data.copy()
     E2 = embed(_seq(tokens), p)
     E2.data[3] += 10.0                 # perturb the invisible position
-    pert = encode(E2, vis, p).hidden.data
+    pert = encode(E2, vis, p, layers, 2).hidden.data
     np.testing.assert_array_equal(base[0], pert[0])
     assert not np.allclose(base[3], pert[3])
 
 
 def test_encode_deterministic():
-    p = _params()
+    p, layers = _params()
     seq = _seq([1, 2, 3])
-    a = encode(embed(seq, p), seq.visibility, p)
-    b = encode(embed(seq, p), seq.visibility, p)
+    a = encode(embed(seq, p), seq.visibility, p, layers, 2)
+    b = encode(embed(seq, p), seq.visibility, p, layers, 2)
     np.testing.assert_array_equal(a.hidden.data, b.hidden.data)
     np.testing.assert_array_equal(a.pooled.data, b.pooled.data)
 
 
 def test_pooled_is_tanh_bounded():
-    p = _params()
+    p, layers = _params()
     seq = _seq([1, 2, 3])
-    out = encode(embed(seq, p), seq.visibility, p)
+    out = encode(embed(seq, p), seq.visibility, p, layers, 2)
     assert (np.abs(out.pooled.data) <= 1.0).all()
 
 
 def test_lm_logits_zero_projection():
-    p = _params()
-    p.lm_w.data[...] = 0.0
-    p.lm_b.data[...] = 0.0
+    p, _ = _params()
+    p["lm_w"].data[...] = 0.0
+    p["lm_b"].data[...] = 0.0
     H = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
     np.testing.assert_array_equal(lm_logits(H, np.arange(5), p).data,
                                   np.zeros((5, 10)))
 
 
 def test_lm_logits_scores_own_token_highest():
-    p = _params(V=8, d=8)
-    p.lm_w.data[...] = np.eye(8)
-    p.lm_b.data[...] = 0.0
+    p, _ = _params(V=8, d=8)
+    p["lm_w"].data[...] = np.eye(8)
+    p["lm_b"].data[...] = 0.0
     H = Tensor(np.eye(8)[[7, 2, 0, 5]])
     out = lm_logits(H, np.array([1, 3]), p).data
     assert out[0].argmax() == 2 and out[1].argmax() == 5
@@ -159,16 +160,16 @@ def test_lm_logits_scores_own_token_highest():
 
 
 def test_padded_batch_rows_match_each_sequence_alone():
-    p = _params(n_layers=2)
+    p, layers = _params(n_layers=2)
     vis = np.ones((4, 4), dtype=bool)
     vis[0, 3] = vis[3, 0] = False
     seqs = [_seq([1, 2, 3, 4], soft_pos=[0, 1, 1, 2], visibility=vis),
             _seq([5, 6]), _seq([7, 8, 9])]
     batch = pad_batch(seqs, pad_id=0)
-    out = encode(embed(batch, p), batch.visibility, p)
+    out = encode(embed(batch, p), batch.visibility, p, layers, 2)
     assert out.hidden.shape == (12, 8) and out.pooled.shape == (3, 8)
     for b, seq in enumerate(seqs):
-        alone = encode(embed(seq, p), seq.visibility, p)
+        alone = encode(embed(seq, p), seq.visibility, p, layers, 2)
         n = len(seq)
         np.testing.assert_allclose(out.hidden.data[4 * b:4 * b + n],
                                    alone.hidden.data, rtol=0, atol=1e-12)
@@ -193,11 +194,11 @@ def _padded_batch(T, n_seqs, seed):
 def test_pooled_only_pass_keeps_the_pooled_bytes(n_layers, T, n_seqs):
     """Running the last layer on two rows per sequence changes no byte of
     the pooled states; `hidden` is dropped only when rows were left out."""
-    p = _params(d=16, n_layers=n_layers, n_heads=4, seed=T)
+    p, layers = _params(d=16, n_layers=n_layers, seed=T)
     batch = _padded_batch(T, n_seqs, seed=10 * T + n_seqs)
     E = embed(batch, p)
-    full = encode(E, batch.visibility, p)
-    pooled = encode(E, batch.visibility, p, pooled_only=True)
+    full = encode(E, batch.visibility, p, layers, 4)
+    pooled = encode(E, batch.visibility, p, layers, 4, pooled_only=True)
     assert pooled.pooled.data.tobytes() == full.pooled.data.tobytes()
     assert full.hidden is not None
     assert (pooled.hidden is None) == (T > 2)
@@ -242,11 +243,11 @@ def test_pooled_only_pass_keeps_the_pooled_bytes_on_kbert_trees(
     the rows the pooled state reaches changes no byte of the pooled
     states."""
     batch = _kbert_batch(trees)
-    p = _params(V=len(_VOCAB), d=16, n_layers=n_layers, n_heads=4, seed=seed)
+    p, layers = _params(V=len(_VOCAB), d=16, n_layers=n_layers, seed=seed)
     with ad.no_grad():
         E = embed(batch, p)
-        full = encode(E, batch.visibility, p)
-        pooled = encode(E, batch.visibility, p, pooled_only=True)
+        full = encode(E, batch.visibility, p, layers, 4)
+        pooled = encode(E, batch.visibility, p, layers, 4, pooled_only=True)
     assert pooled.pooled.data.tobytes() == full.pooled.data.tobytes()
 
 
@@ -269,7 +270,7 @@ def test_pooled_only_layers_run_on_the_rows_the_pooled_state_reaches(
     needs 6 of its 10 rows under the last layer, the second 3."""
     batch = _kbert_batch(_SPY_TREES)
     assert batch.visibility.shape == (2, 10, 10)
-    p = _params(V=len(_VOCAB), d=16, n_layers=n_layers, n_heads=4)
+    p, layers = _params(V=len(_VOCAB), d=16, n_layers=n_layers)
     seen = []
     ffn = enc._ffn_sublayer
 
@@ -280,10 +281,10 @@ def test_pooled_only_layers_run_on_the_rows_the_pooled_state_reaches(
     monkeypatch.setattr(enc, "_ffn_sublayer", spy)
     with ad.no_grad():
         E = embed(batch, p)
-        full = encode(E, batch.visibility, p)
+        full = encode(E, batch.visibility, p, layers, 4)
         assert seen == [20] * n_layers
         seen.clear()
-        pooled = encode(E, batch.visibility, p, pooled_only=True)
+        pooled = encode(E, batch.visibility, p, layers, 4, pooled_only=True)
     assert seen == [2 * r for r in rows]
     assert pooled.pooled.data.tobytes() == full.pooled.data.tobytes()
 
@@ -331,13 +332,14 @@ def _reference_attention(xq, xkv, visibility, lp, n_heads):
         return C.transpose(C.reshape(C.add(C.matmul(x, w), b),
                                      B, rows, n_heads, dh), 0, 2, 1, 3)
 
-    q = heads(xq, lp.wq, lp.bq, Tq)
-    k, v = heads(xkv, lp.wk, lp.bk, T), heads(xkv, lp.wv, lp.bv, T)
+    q = heads(xq, lp["wq"], lp["bq"], Tq)
+    k = heads(xkv, lp["wk"], lp["bk"], T)
+    v = heads(xkv, lp["wv"], lp["bv"], T)
     att = C.masked_softmax(
         C.mul(C.matmul(q, C.transpose(k, 0, 1, 3, 2)), scale),
         visibility[:, None], axis=-1)
     merged = C.reshape(C.transpose(C.matmul(att, v), 0, 2, 1, 3), B * Tq, d)
-    return C.add(C.matmul(merged, lp.wo), lp.bo)
+    return C.add(C.matmul(merged, lp["wo"]), lp["bo"])
 
 
 def _reference_read_rows(vis, n_layers):
@@ -366,15 +368,16 @@ def _reference_scatter(t, rows, n_rows):
     return C.unary(out, t, lambda g: g[rows])
 
 
-def _reference_encode(E, vis, params, rate=0.0, rng=None, pooled_only=False):
+def _reference_encode(E, vis, params, layers, n_heads, rate=0.0, rng=None,
+                      pooled_only=False):
     """The encoder as composed autodiff ops, one graph node per op."""
     T = vis.shape[-1]
     vis = vis.reshape(-1, T, T)
-    n_layers = len(params.layers)
+    n_layers = len(layers)
     plan = (_reference_read_rows(vis, n_layers) if pooled_only and T > 2
             else [None] * n_layers)
     h, stride = E, T
-    for n, (lp, order) in enumerate(zip(params.layers, plan)):
+    for n, (lp, order) in enumerate(zip(layers, plan)):
         x, x_vis, stride = h, vis, T
         if order is not None:
             rows = np.concatenate([b * T + o for b, o in enumerate(order)])
@@ -382,23 +385,23 @@ def _reference_encode(E, vis, params, rate=0.0, rng=None, pooled_only=False):
             x_vis = np.stack([v[o] for v, o in zip(vis, order)])
             stride = order.shape[1]
         att = _reference_dropout(
-            _reference_attention(x, h, x_vis, lp, params.n_heads), rate, rng)
-        h = _reference_layer_norm(C.add(x, att), lp.ln1_g, lp.ln1_b)
-        ffn = C.add(C.matmul(C.elu(C.add(C.matmul(h, lp.ffn_w1), lp.ffn_b1)),
-                             lp.ffn_w2), lp.ffn_b2)
+            _reference_attention(x, h, x_vis, lp, n_heads), rate, rng)
+        h = _reference_layer_norm(C.add(x, att), lp["ln1_g"], lp["ln1_b"])
+        ffn = C.add(C.matmul(C.elu(C.add(C.matmul(h, lp["ffn_w1"]),
+                                         lp["ffn_b1"])), lp["ffn_w2"]),
+                    lp["ffn_b2"])
         h = _reference_layer_norm(C.add(h, _reference_dropout(ffn, rate, rng)),
-                                  lp.ln2_g, lp.ln2_b)
+                                  lp["ln2_g"], lp["ln2_b"])
         if order is not None and n < n_layers - 1:
             h = _reference_scatter(h, rows, E.shape[0])
     return EncoderOutput(hidden=h if stride == T else None,
                          pooled=_reference_pool(h, stride, params))
 
 
-def _all_params(p):
-    named = {"tok_emb": p.tok_emb, "pos_emb": p.pos_emb,
-             "pooler_w": p.pooler_w, "pooler_b": p.pooler_b}
-    for n, lp in enumerate(p.layers):
-        named.update({f"l{n}/{k}": t for k, t in vars(lp).items()})
+def _all_params(p, layers):
+    named = {k: p[k] for k in ("tok_emb", "pos_emb", "pooler_w", "pooler_b")}
+    for n, lp in enumerate(layers):
+        named.update({f"l{n}/{k}": t for k, t in lp.items()})
     return named
 
 
@@ -420,15 +423,16 @@ def test_fused_layers_match_composed_reference(n_layers, T, rate, frozen,
     batch = _padded_batch(T, 3, seed=T)
     results = []
     for run in (_reference_encode, encode):
-        p = _params(d=16, n_layers=n_layers, n_heads=4, seed=T)
-        named = _all_params(p)
+        p, layers = _params(d=16, n_layers=n_layers, seed=T)
+        named = _all_params(p, layers)
         for name in _FROZEN if frozen else ():
             if name in named:
                 named[name].requires_grad = False
         E = embed(batch, p)
         if not frozen:   # also the gradient reaching the encoder's input
             E = Tensor(E.data, requires_grad=True)
-        out = run(E, batch.visibility, p, rate, np.random.default_rng(7),
+        out = run(E, batch.visibility, p, layers, 4, rate,
+                  np.random.default_rng(7),
                   pooled_only=pooled_only)
         w_rng = np.random.default_rng(T + 100)
         loss = C.weighted_sum(out.pooled, w_rng.normal(size=out.pooled.shape))
@@ -454,9 +458,8 @@ def test_fused_layers_match_composed_reference(n_layers, T, rate, frozen,
 
 def _node_inputs(seed, rows_total=6, d=8):
     rng = np.random.default_rng(seed)
-    p = _params(d=d, n_layers=1, n_heads=2, seed=seed)
-    lp = p.layers[0]
-    for t in vars(lp).values():   # nonzero biases and off-unit gains
+    _, (lp,) = _params(d=d, n_layers=1, seed=seed)
+    for t in lp.values():   # nonzero biases and off-unit gains
         t.data += rng.normal(0.0, 0.3, size=t.shape)
     return rng.normal(size=(rows_total, d)), lp
 
@@ -500,7 +503,7 @@ def test_sublayer_node_gradients_match_differences(kind, rows, rate):
     expected = numeric_grad(lambda x: float(loss_of(Tensor(x), lp).data), h0)
     np.testing.assert_allclose(h.grad, expected, rtol=1e-6, atol=1e-8)
     for name in _NODE_PARAMS[kind]:
-        t = getattr(lp, name)
+        t = lp[name]
         base = t.data.copy()
 
         def at(values):
@@ -525,34 +528,34 @@ def test_sublayer_node_records_edges_only_when_tracking(kind):
     assert not out._operands and not ad._tracked(out)
     frozen = names[1::2]
     for name in frozen:
-        getattr(lp, name).requires_grad = False
+        lp[name].requires_grad = False
     h = Tensor(h0)   # a constant input
     out = _run_node(kind, h, lp, None, 0.4)
-    live = [getattr(lp, n) for n in names if n not in frozen]
+    live = [lp[n] for n in names if n not in frozen]
     assert list(out._operands.values()) == live
     C.sum(out).backward()
-    got = {n: getattr(lp, n).grad.copy() for n in names if n not in frozen}
+    got = {n: lp[n].grad.copy() for n in names if n not in frozen}
     _, twin = _node_inputs(seed=4)
     C.sum(_run_node(kind, Tensor(h0, requires_grad=True), twin, None, 0.4)
           ).backward()
     for name, g in got.items():
-        assert g.tobytes() == getattr(twin, name).grad.tobytes(), name
+        assert g.tobytes() == twin[name].grad.tobytes(), name
 
 
 # -- the glue nodes against the composed ops they replace -------------------
 
 def _reference_embed(seq, params):
-    return C.add(C.getitem(params.tok_emb, np.ravel(seq.tokens)),
-                 C.getitem(params.pos_emb, np.ravel(seq.soft_pos)))
+    return C.add(C.getitem(params["tok_emb"], np.ravel(seq.tokens)),
+                 C.getitem(params["pos_emb"], np.ravel(seq.soft_pos)))
 
 
 def _reference_pool(h, stride, params):
     return C.tanh(C.add(C.matmul(C.getitem(h, np.s_[::stride]),
-                                 params.pooler_w), params.pooler_b))
+                                 params["pooler_w"]), params["pooler_b"]))
 
 
 def _reference_lm_logits(H, rows, params):
-    return C.add(C.matmul(C.getitem(H, rows), params.lm_w), params.lm_b)
+    return C.add(C.matmul(C.getitem(H, rows), params["lm_w"]), params["lm_b"])
 
 
 # repeated token ids and soft positions (parallel branches share them), and
@@ -567,19 +570,21 @@ def _glue_inputs(kind, seed):
     the embedding of `_GLUE_BATCH`, the pooler at stride 3 (every row of
     T = 3 sequences) or 2 (a pooled-only pass), and the LM projection of
     `_LM_ROWS`."""
-    p = _params(V=6, d=8, p_max=5, seed=seed)
+    p, _ = _params(V=6, d=8, p_max=5, seed=seed)
     rng = np.random.default_rng(seed + 50)
-    for t in (p.pooler_b, p.lm_b):
+    for t in (p["pooler_b"], p["lm_b"]):
         t.data += rng.normal(0.0, 0.3, size=t.shape)
     if kind == "embed":
-        return p, (_GLUE_BATCH,), {"tok_emb": p.tok_emb, "pos_emb": p.pos_emb}
+        return p, (_GLUE_BATCH,), {"tok_emb": p["tok_emb"],
+                                   "pos_emb": p["pos_emb"]}
     if kind == "lm_logits":
         H = Tensor(rng.normal(size=(7, 8)), requires_grad=True)
-        return p, (H, _LM_ROWS), {"H": H, "lm_w": p.lm_w, "lm_b": p.lm_b}
+        return p, (H, _LM_ROWS), {"H": H, "lm_w": p["lm_w"],
+                                  "lm_b": p["lm_b"]}
     stride = 2 if kind == "pool, stride 2" else 3
     h = Tensor(rng.normal(size=(3 * stride, 8)), requires_grad=True)
-    return p, (h, stride), {"h": h, "pooler_w": p.pooler_w,
-                            "pooler_b": p.pooler_b}
+    return p, (h, stride), {"h": h, "pooler_w": p["pooler_w"],
+                            "pooler_b": p["pooler_b"]}
 
 
 _GLUE = {"embed": (embed, _reference_embed),

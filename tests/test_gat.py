@@ -10,11 +10,10 @@ from kegat import autodiff as ad
 from kegat.autodiff import Tensor
 from kegat.errors import DataFormatError
 from kegat.kgstore import Edge, load_graph
-from kegat.gat import (LEAKY_SLOPE, FuseParams, GatParams, GateParams,
-                       Subgraph, attention_coeffs, block_diagonal,
-                       build_subgraph, fuse, gat_layer, init_node_embeddings,
-                       load_concept_table, pool_subgraph, run_gat, self_refine,
-                       weighted_sample)
+from kegat.gat import (LEAKY_SLOPE, Subgraph, attention_coeffs,
+                       block_diagonal, build_subgraph, fuse, gat_layer,
+                       init_node_embeddings, load_concept_table, pool_subgraph,
+                       run_gat, self_refine, weighted_sample)
 
 import composed as C
 from conftest import check_operand_grads, numeric_grad, write_kb
@@ -28,12 +27,17 @@ def _subgraph(n, adjacency=None):
 
 
 def _gat_params(dg, layers=1, heads=1, seed=0):
+    """Each layer's node transforms "w" and attention vectors "a"."""
     rng = np.random.default_rng(seed)
     w = [Tensor(rng.normal(0, 0.4, (heads, dg, dg)), requires_grad=True)
          for _ in range(layers)]
     a = [Tensor(rng.normal(0, 0.4, (heads, 2 * dg)), requires_grad=True)
          for _ in range(layers)]
-    return GatParams(w=w, a=a)
+    return _layers(w, a)
+
+
+def _layers(w, a):
+    return [{"w": wl, "a": al} for wl, al in zip(w, a)]
 
 
 # -- sampling -----------------------------------------------------------------
@@ -176,8 +180,8 @@ def test_alpha_identical_states_split_evenly():
 
 def test_alpha_scalar_hand_computation():
     # d_g = 1, W = [[1]], a = (1, 1): score_ij = LeakyReLU(h_i + h_j)
-    params = GatParams(w=[Tensor(np.array([[[1.0]]]))],
-                       a=[Tensor(np.array([[1.0, 1.0]]))])
+    params = [{"w": Tensor(np.array([[[1.0]]])),
+               "a": Tensor(np.array([[1.0, 1.0]]))}]
     h = Tensor(np.array([[1.0], [2.0]]))
     alpha = attention_coeffs(h, _subgraph(2), 0, params).data[0]
     scores = np.array([[2.0, 3.0], [3.0, 4.0]])
@@ -203,15 +207,15 @@ def test_isolated_node_layer_is_elu_of_transform():
     params = _gat_params(3)
     h = Tensor(np.array([[0.5, -1.0, 2.0]]))
     out = gat_layer(h, _subgraph(1), params, 0)
-    z = h.data @ params.w[0].data[0]
+    z = h.data @ params[0]["w"].data[0]
     np.testing.assert_allclose(out.data,
                                np.where(z > 0, z, np.expm1(z)), atol=1e-12)
 
 
 def test_two_node_line_graph_closed_form():
     # d_g = 1, W = [[1]], a = (0, 0): uniform attention over both nodes.
-    params = GatParams(w=[Tensor(np.array([[[1.0]]]))],
-                       a=[Tensor(np.array([[0.0, 0.0]]))])
+    params = [{"w": Tensor(np.array([[[1.0]]])),
+               "a": Tensor(np.array([[0.0, 0.0]]))}]
     h = Tensor(np.array([[1.0], [3.0]]))
     out = gat_layer(h, _subgraph(2), params, 0)
     np.testing.assert_allclose(out.data, [[2.0], [2.0]], atol=1e-12)
@@ -244,7 +248,7 @@ def test_two_head_layer_is_elu_of_head_mean():
     adj = _random_adjacency(rng, 5)
     h = rng.normal(size=(5, 3))
     heads = []
-    for w, a in zip(params.w[0].data, params.a[0].data):
+    for w, a in zip(params[0]["w"].data, params[0]["a"].data):
         wh = h @ w
         s = (wh @ a[:3])[:, None] + (wh @ a[3:])[None, :]
         s = np.where(s > 0, s, 0.2 * s)
@@ -268,7 +272,7 @@ def test_run_gat_gradients_two_layers_two_heads():
                                     readout).data)
 
     C.weighted_sum(run_gat(init, sub, params), readout).backward()
-    for t in params.w + params.a:
+    for t in (t for lp in params for t in lp.values()):
         x0 = t.data.copy()
 
         def f(x):
@@ -346,8 +350,8 @@ def test_block_diagonal_union_runs_each_subgraph_alone():
 def test_fuse_gate_and_concat_on_rows_match_each_row_alone():
     rng = np.random.default_rng(12)
     fuse_p = _fuse_params(3, 2, 4, 4, seed=13)
-    gate_p = GateParams(w1=Tensor(rng.normal(size=(4, 2))),
-                        w2=Tensor(rng.normal(size=(2, 4))))
+    gate_p = {"w1": Tensor(rng.normal(size=(4, 2))),
+              "w2": Tensor(rng.normal(size=(2, 4)))}
     base, gnn = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
     rows = ad.concat([self_refine(fuse(Tensor(base), Tensor(gnn), fuse_p),
                                   gate_p), Tensor(base)], axis=-1).data
@@ -361,9 +365,8 @@ def test_fuse_gate_and_concat_on_rows_match_each_row_alone():
 
 
 def test_zero_layer_gat_pool_is_mean_of_init():
-    params = GatParams(w=[], a=[])
     init = np.random.default_rng(0).normal(size=(4, 3))
-    h = run_gat(init, _subgraph(4), params)
+    h = run_gat(init, _subgraph(4), [])
     np.testing.assert_allclose(pool_subgraph(h, [4], 3).data[0],
                                init.mean(axis=0))
 
@@ -372,17 +375,17 @@ def test_zero_layer_gat_pool_is_mean_of_init():
 
 def _fuse_params(db, dg, hidden, out, seed=0):
     rng = np.random.default_rng(seed)
-    return FuseParams(w1=Tensor(rng.normal(0, 0.3, (db + dg, hidden))),
-                      b1=Tensor(np.zeros(hidden)),
-                      w2=Tensor(rng.normal(0, 0.3, (hidden, out))),
-                      b2=Tensor(np.zeros(out)))
+    return {"w1": Tensor(rng.normal(0, 0.3, (db + dg, hidden))),
+            "b1": Tensor(np.zeros(hidden)),
+            "w2": Tensor(rng.normal(0, 0.3, (hidden, out))),
+            "b2": Tensor(np.zeros(out))}
 
 
 def test_fuse_zero_weights_gives_bias():
     p = _fuse_params(3, 2, 4, 3)
-    p.w1.data[...] = 0.0
-    p.w2.data[...] = 0.0
-    p.b2.data[...] = np.array([1.0, 2.0, 3.0])
+    p["w1"].data[...] = 0.0
+    p["w2"].data[...] = 0.0
+    p["b2"].data[...] = np.array([1.0, 2.0, 3.0])
     out = fuse(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 2))), p)
     np.testing.assert_allclose(out.data, [[1.0, 2.0, 3.0]])
 
@@ -401,7 +404,7 @@ def test_fuse_gradient_wrt_e_gnn():
 
 
 def test_self_refine_uniform_scores_is_elu_identity():
-    p = GateParams(w1=Tensor(np.zeros((4, 2))), w2=Tensor(np.zeros((2, 4))))
+    p = {"w1": Tensor(np.zeros((4, 2))), "w2": Tensor(np.zeros((2, 4)))}
     x = np.array([[0.5, -0.5, 2.0, -2.0]])
     out = self_refine(Tensor(x), p)
     np.testing.assert_allclose(out.data, np.where(x > 0, x, np.expm1(x)),
@@ -412,10 +415,10 @@ def test_self_refine_gate_weights_sum_to_dim():
     rng = np.random.default_rng(7)
     for _ in range(25):
         dim = int(rng.integers(2, 9))
-        p = GateParams(w1=Tensor(rng.normal(size=(dim, 3))),
-                       w2=Tensor(rng.normal(size=(3, dim))))
+        p = {"w1": Tensor(rng.normal(size=(dim, 3))),
+             "w2": Tensor(rng.normal(size=(3, dim)))}
         e = Tensor(rng.normal(size=(1, dim)))
-        scores = np.tanh(e.data @ p.w1.data) @ p.w2.data
+        scores = np.tanh(e.data @ p["w1"].data) @ p["w2"].data
         gate = np.exp(scores - scores.max())
         gate = gate / gate.sum() * dim
         assert abs(gate.sum() - dim) < 1e-9
@@ -438,8 +441,8 @@ def test_concat_final_order_and_dims():
 
 def test_empty_subgraph_chain_is_finite():
     fuse_p = _fuse_params(3, 2, 4, 4, seed=8)
-    gate_p = GateParams(w1=Tensor(np.random.default_rng(9).normal(size=(4, 2))),
-                        w2=Tensor(np.random.default_rng(10).normal(size=(2, 4))))
+    gate_p = {"w1": Tensor(np.random.default_rng(9).normal(size=(4, 2))),
+              "w2": Tensor(np.random.default_rng(10).normal(size=(2, 4)))}
     e_gnn = pool_subgraph(None, [0], 2)
     e_all = fuse(Tensor(np.ones((1, 3))), e_gnn, fuse_p)
     final = ad.concat([self_refine(e_all, gate_p), Tensor(np.ones((1, 3)))],
@@ -452,9 +455,9 @@ def test_empty_subgraph_chain_is_finite():
 def _reference_gat_layer(h, sub, params, layer):
     """The composed-op layer: stacked head transforms, leaky-ReLU scores, a
     masked softmax over the adjacency, aggregation, head mean and ELU."""
-    a = params.a[layer]
+    a = params[layer]["a"]
     dg = a.shape[1] // 2
-    wh = C.matmul(h, params.w[layer])
+    wh = C.matmul(h, params[layer]["w"])
     scores = C.add(C.matmul(wh, C.getitem(a, np.s_[:, :dg, None])),
                    C.transpose(C.matmul(wh, C.getitem(a, np.s_[:, dg:, None])),
                                0, 2, 1))
@@ -476,14 +479,18 @@ def _reference_pool(h, sizes, node_dim):
 
 def _reference_fuse(e_base, e_gnn, params):
     x = ad.concat([e_base, e_gnn], axis=-1)
-    return C.add(C.matmul(C.elu(C.add(C.matmul(x, params.w1), params.b1)),
-                          params.w2), params.b2)
+    hidden = C.elu(C.add(C.matmul(x, params["w1"]), params["b1"]))
+    return C.add(C.matmul(hidden, params["w2"]), params["b2"])
 
 
 def _reference_self_refine(e_all, params):
-    scores = C.matmul(C.tanh(C.matmul(e_all, params.w1)), params.w2)
+    scores = C.matmul(C.tanh(C.matmul(e_all, params["w1"])), params["w2"])
     gate = C.mul(C.masked_softmax(scores), float(e_all.shape[-1]))
     return C.elu(C.mul(gate, e_all))
+
+
+# the fusion MLP's and the gate's parameter names, in the model's add order
+_FUSE, _GATE = ("w1", "b1", "w2", "b2"), ("w1", "w2")
 
 
 def _leaves(rng, *shapes):
@@ -501,19 +508,19 @@ def _graph_side(nodes, kind, heads, frozen, h_tracked):
     n = 1 if kind == "one node" else 5
     adj = (np.eye(n, dtype=bool) if kind == "isolated"
            else _random_adjacency(rng, n))
-    params = GatParams(w=_leaves(rng, (heads, 3, 3), (heads, 3, 3)),
-                       a=_leaves(rng, (heads, 6), (heads, 6)))
+    w = _leaves(rng, (heads, 3, 3), (heads, 3, 3))
+    a = _leaves(rng, (heads, 6), (heads, 6))
+    params = _layers(w, a)
     if kind == "zero scores":   # every leaky-ReLU input exactly 0
-        for a in params.a:
-            a.data[...] = 0.0
-    fuse_p = FuseParams(*_leaves(rng, (7, 5), (5,), (5, 4), (4,)))
-    gate_p = GateParams(*_leaves(rng, (4, 2), (2, 4)))
+        for t in a:
+            t.data[...] = 0.0
+    fuse_p = dict(zip(_FUSE, _leaves(rng, (7, 5), (5,), (5, 4), (4,))))
+    gate_p = dict(zip(_GATE, _leaves(rng, (4, 2), (2, 4))))
     h0 = Tensor(rng.normal(size=(n, 3)), requires_grad=h_tracked)
     e_base = _leaves(rng, (2, 4))[0]
-    leaves = [h0, e_base, *params.w, *params.a, *vars(fuse_p).values(),
-              *vars(gate_p).values()]
-    for t in {"w": params.w, "a": params.a,
-              "mlp": [fuse_p.w1, fuse_p.b2, gate_p.w2]}.get(frozen, []):
+    leaves = [h0, e_base, *w, *a, *fuse_p.values(), *gate_p.values()]
+    mlp = [fuse_p["w1"], fuse_p["b2"], gate_p["w2"]]
+    for t in {"w": w, "a": a, "mlp": mlp}.get(frozen, []):
         t.requires_grad = False
     sub = _subgraph(n, adj)
     h1 = layer(h0, sub, params, 0)
@@ -555,16 +562,16 @@ def test_fuse_and_gate_gradients_match_differences():
     rng = np.random.default_rng(23)
     e_base, e_gnn, *weights = _leaves(rng, (2, 3), (2, 2), (5, 4), (4,),
                                       (4, 3), (3,))
-    fuse_p = FuseParams(*weights)
+    fuse_p = dict(zip(_FUSE, weights))
     e_all, *weights = _leaves(rng, (2, 3), (3, 2), (2, 3))
-    gate_p = GateParams(*weights)
+    gate_p = dict(zip(_GATE, weights))
     readout = Tensor(rng.normal(size=(2, 3)))
     check_operand_grads(
         lambda: C.weighted_sum(fuse(e_base, e_gnn, fuse_p), readout),
-        {"e_base": e_base, "e_gnn": e_gnn, **vars(fuse_p)})
+        {"e_base": e_base, "e_gnn": e_gnn, **fuse_p})
     check_operand_grads(
         lambda: C.weighted_sum(self_refine(e_all, gate_p), readout),
-        {"e_all": e_all, **vars(gate_p)})
+        {"e_all": e_all, **gate_p})
 
 
 @pytest.mark.parametrize("sizes", [[3, 2], [2, 0, 3], [0, 5], [5]])

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kegat.autodiff import Tensor
-from kegat.head import (PROB_FLOOR, HeadParams, LossParams,
-                        classification_loss, combined_loss, ensemble_average,
-                        lm_loss, predict)
+from kegat.head import (PROB_FLOOR, classification_loss, combined_loss,
+                        ensemble_average, lm_loss, predict)
 
 import composed as C
 from conftest import check_operand_grads, numeric_grad
@@ -15,21 +14,28 @@ from conftest import check_operand_grads, numeric_grad
 
 def _head_params(d, hidden=3, seed=0):
     rng = np.random.default_rng(seed)
-    return HeadParams(w1=Tensor(rng.normal(0, 0.4, (d, hidden))),
-                      b1=Tensor(np.zeros(hidden)),
-                      w2=Tensor(rng.normal(0, 0.4, (hidden, 1))),
-                      b2=Tensor(np.zeros(1)))
+    return {"w1": Tensor(rng.normal(0, 0.4, (d, hidden))),
+            "b1": Tensor(np.zeros(hidden)),
+            "w2": Tensor(rng.normal(0, 0.4, (hidden, 1))),
+            "b2": Tensor(np.zeros(1))}
 
 
 def _loss_params(s1=0.0, s2=0.0):
-    return LossParams(s1=Tensor(np.asarray(float(s1)), requires_grad=True),
-                      s2=Tensor(np.asarray(float(s2)), requires_grad=True))
+    """The learnable log-variances s_i = log sigma_i^2 of the two
+    objectives."""
+    return {"s1": Tensor(np.asarray(float(s1)), requires_grad=True),
+            "s2": Tensor(np.asarray(float(s2)), requires_grad=True)}
+
+
+def _sigma(lp, i):
+    """sigma_i = exp(s_i / 2), from the log-variance s_i = log sigma_i^2."""
+    return float(np.exp(0.5 * lp[f"s{i}"].data))
 
 
 def test_predict_tie_breaks_to_lowest_index():
     p = _head_params(2)
-    p.w1.data[...] = 0.0    # all options score b2 = 0 -> exact tie
-    p.w2.data[...] = 0.0
+    p["w1"].data[...] = 0.0    # all options score b2 = 0 -> exact tie
+    p["w2"].data[...] = 0.0
     probs = predict(Tensor(np.array([np.ones(2), np.zeros(2)])), p, 2).data
     np.testing.assert_allclose(probs, [[0.5, 0.5]])
     assert np.argmax(probs, axis=-1).tolist() == [0]
@@ -37,9 +43,9 @@ def test_predict_tie_breaks_to_lowest_index():
 
 def test_predict_dominant_option():
     p = _head_params(1, hidden=1)
-    p.w1.data[...] = 1.0
-    p.b1.data[...] = 0.0
-    p.w2.data[...] = 1.0
+    p["w1"].data[...] = 1.0
+    p["b1"].data[...] = 0.0
+    p["w2"].data[...] = 1.0
     probs = predict(Tensor(np.array([[0.0], [10.0], [0.0]])), p, 3).data
     assert np.argmax(probs, axis=-1).tolist() == [1]
     assert probs[0, 1] > 0.9999
@@ -48,9 +54,9 @@ def test_predict_dominant_option():
 
 def test_predict_scores_each_row_of_options():
     p = _head_params(1, hidden=1)
-    p.w1.data[...] = 1.0
-    p.b1.data[...] = 0.0
-    p.w2.data[...] = 1.0
+    p["w1"].data[...] = 1.0
+    p["b1"].data[...] = 0.0
+    p["w2"].data[...] = 1.0
     reprs = Tensor(np.array([[0.0], [10.0], [3.0], [0.0]]))
     probs = predict(reprs, p, 2).data
     assert np.argmax(probs, axis=-1).tolist() == [1, 0]
@@ -69,7 +75,7 @@ def test_predict_shift_invariance():
     reprs = Tensor(np.array([np.random.default_rng(i).normal(size=3)
                              for i in range(3)]))
     base = predict(reprs, p, 3).data
-    p.b2.data[...] += 17.0   # constant added to every option's score
+    p["b2"].data[...] += 17.0   # constant added to every option's score
     shifted = predict(reprs, p, 3).data
     np.testing.assert_allclose(base, shifted, atol=1e-12)
 
@@ -158,7 +164,7 @@ def test_combined_loss_gradient_matches_finite_differences():
                                    _loss_params(*s)).data)
 
     g = numeric_grad(f, s0)
-    np.testing.assert_allclose([float(lp.s1.grad), float(lp.s2.grad)], g,
+    np.testing.assert_allclose([float(lp["s1"].grad), float(lp["s2"].grad)], g,
                                rtol=1e-6)
 
 
@@ -175,8 +181,8 @@ def test_combined_loss_sigma_derivative_formula():
 
 def test_sigma_accessor():
     lp = _loss_params(np.log(0.49), 0.0)
-    np.testing.assert_allclose(lp.sigma(1), 0.7, atol=1e-12)
-    np.testing.assert_allclose(lp.sigma(2), 1.0, atol=1e-12)
+    np.testing.assert_allclose(_sigma(lp, 1), 0.7, atol=1e-12)
+    np.testing.assert_allclose(_sigma(lp, 2), 1.0, atol=1e-12)
 
 
 def test_ensemble_average():
@@ -247,9 +253,9 @@ def _reference_lm(logits, tokens, n_instances):
 
 
 def _reference_combined(l1, l2, params):
-    return C.mul(C.add(C.add(C.add(C.mul(_exp(_neg(params.s1)), l1),
-                                   C.mul(_exp(_neg(params.s2)), l2)),
-                             params.s1), params.s2), 0.5)
+    s1, s2 = params["s1"], params["s2"]
+    return C.mul(C.add(C.add(C.add(C.mul(_exp(_neg(s1)), l1),
+                                   C.mul(_exp(_neg(s2)), l2)), s1), s2), 0.5)
 
 
 # the probability at each row's label: none floored, some floored (0, below
@@ -281,9 +287,8 @@ def _run_losses(loss_fns, kind, root, g, seed, n_instances):
     probs = Tensor(probs0, requires_grad=True)
     logits = Tensor(logits0, requires_grad=True)
     s = np.random.default_rng(seed + 1).normal(size=2)
-    params = LossParams(
-        s1=Tensor(s[0], requires_grad=root == "combined"),
-        s2=Tensor(s[1], requires_grad=root == "combined"))
+    params = {"s1": Tensor(s[0], requires_grad=root == "combined"),
+              "s2": Tensor(s[1], requires_grad=root == "combined")}
     l2 = classify(probs, labels)
     l1 = None
     if root == "combined":
@@ -293,7 +298,7 @@ def _run_losses(loss_fns, kind, root, g, seed, n_instances):
     out = l2 if l1 is None else combine(l1, l2, params)
     C.mul(out, g).backward()
     values = [t.data for t in (l1, l2, out) if t is not None]
-    grads = [t.grad for t in (probs, logits, params.s1, params.s2)
+    grads = [t.grad for t in (probs, logits, *params.values())
              if t.requires_grad]
     return values + grads
 
@@ -352,10 +357,11 @@ def test_combined_node_gradient_matches_differences():
 
     def f(x):
         return float(combined_loss(Tensor(x[0]), Tensor(x[1]),
-                                   LossParams(Tensor(x[2]), Tensor(x[3]))).data)
+                                   {"s1": Tensor(x[2]),
+                                    "s2": Tensor(x[3])}).data)
 
     ts = [Tensor(v, requires_grad=True) for v in x0]
-    combined_loss(ts[0], ts[1], LossParams(ts[2], ts[3])).backward()
+    combined_loss(ts[0], ts[1], {"s1": ts[2], "s2": ts[3]}).backward()
     np.testing.assert_allclose([float(t.grad) for t in ts],
                                numeric_grad(f, x0), rtol=1e-6)
 
@@ -363,8 +369,8 @@ def test_combined_node_gradient_matches_differences():
 # -- the fused head node against the composed ops it replaces ----------------
 
 def _reference_predict(reprs, params, n_options):
-    hidden = C.elu(C.add(C.matmul(reprs, params.w1), params.b1))
-    raw = C.reshape(C.add(C.matmul(hidden, params.w2), params.b2), -1,
+    hidden = C.elu(C.add(C.matmul(reprs, params["w1"]), params["b1"]))
+    raw = C.reshape(C.add(C.matmul(hidden, params["w2"]), params["b2"]), -1,
                     n_options)
     return C.masked_softmax(raw)
 
@@ -372,9 +378,9 @@ def _reference_predict(reprs, params, n_options):
 def _head_inputs(rng, n_rows, d, hidden=3):
     """Tracked option rows and head weights."""
     reprs = Tensor(rng.normal(size=(n_rows, d)), requires_grad=True)
-    return reprs, HeadParams(*(
+    return reprs, dict(zip(("w1", "b1", "w2", "b2"), (
         Tensor(rng.normal(0.0, 0.5, s), requires_grad=True)
-        for s in ((d, hidden), (hidden,), (hidden, 1), (1,))))
+        for s in ((d, hidden), (hidden,), (hidden, 1), (1,)))))
 
 
 @pytest.mark.parametrize("n_options", [2, 3])
@@ -388,7 +394,7 @@ def test_predict_node_matches_composed_reference(n_options, frozen):
     for fn in (predict, _reference_predict):
         rng = np.random.default_rng(n_options)
         reprs, params = _head_inputs(rng, 4 * n_options, 5)
-        operands = {"reprs": reprs, **vars(params)}
+        operands = {"reprs": reprs, **params}
         for name in frozen:
             operands[name].requires_grad = False
         probs = fn(reprs, params, n_options)
@@ -408,4 +414,4 @@ def test_predict_node_gradient_matches_differences():
     readout = Tensor(rng.normal(size=(2, 3)))
     check_operand_grads(
         lambda: C.weighted_sum(predict(reprs, params, 3), readout),
-        {"reprs": reprs, **vars(params)})
+        {"reprs": reprs, **params})

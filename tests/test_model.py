@@ -215,9 +215,34 @@ def test_model_without_lm_loss_has_no_lm_head(bench):
     names = [n for n in full.store.names() if not n.startswith("loss/")]
     assert no_lm.store.names() == [n for n in names if not n.startswith("enc/lm_")]
     assert len(names) - len(no_lm.store.names()) == 2
-    assert no_lm.enc_params.lm_w is None and no_lm.enc_params.lm_b is None
+    assert "lm_w" not in no_lm.enc_params and "lm_b" not in no_lm.enc_params
     for name, p in no_lm.store.items():
         np.testing.assert_array_equal(p.data, full.store[name].data, err_msg=name)
+
+
+@pytest.mark.parametrize("flags", [
+    {}, {"use_lm": False},
+    {"use_kemb": False, "use_kegat": False, "use_lm": False}],
+    ids=["full", "no-lm", "baseline"])
+def test_module_parameter_dicts_hold_the_store_once(bench, flags):
+    """The dicts the modules read their parameters from hold exactly the
+    store's tensors, each one once, under its store name less the module's
+    prefix."""
+    config = dataclasses.replace(CONFIG, n_layers=2, gat_layers=2, **flags)
+    model = _model(bench, bench.train, config)
+    by_prefix = {"enc/": model.enc_params, "fuse/": model.fuse_params,
+                 "gate/": model.gate_params, "head/": model.head_params,
+                 "loss/": model.loss_params}
+    for n, params in enumerate(model.layer_params):
+        by_prefix[f"enc/l{n}/"] = params
+    for n, params in enumerate(model.gat_params):
+        by_prefix[f"gat/l{n}/"] = params
+    held = [(prefix + name, t) for prefix, params in by_prefix.items()
+            for name, t in params.items()]
+    assert sorted(name for name, _ in held) == model.store.names()
+    assert all(t is model.store[name] for name, t in held)
+    assert len(model.layer_params) == 2
+    assert len(model.gat_params) == (2 if config.use_kegat else 0)
 
 
 # -- one padded pass per batch ------------------------------------------------
@@ -336,7 +361,7 @@ def test_lm_term_sums_trunk_tokens_of_every_option(bench):
     want = 0.0
     for k, f in enumerate(feats):
         h = fw.hidden.data[k * T:k * T + len(f.seq)]
-        z = h @ p.lm_w.data + p.lm_b.data
+        z = h @ p["lm_w"].data + p["lm_b"].data
         logp = z - z.max(axis=1, keepdims=True)
         logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
         want -= sum(logp[i, tok] for i, (tok, trunk) in

@@ -19,7 +19,8 @@ from kegat.kemb import default_templates
 from kegat.model import KegatModel, ModelConfig
 from kegat.trainkit import (OptimizerState, ParamStore, Schedule,
                             adam_step, compute_gradients, load_checkpoint,
-                            read_model_meta, save_checkpoint, two_phase_train)
+                            read_model_header, save_checkpoint,
+                            two_phase_train)
 
 import composed as C
 
@@ -49,6 +50,20 @@ def test_param_store_rejects_duplicates():
     store.add("w", np.zeros(2))
     with pytest.raises(ValueError):
         store.add("w", np.zeros(2))
+
+
+def test_under_holds_direct_children_in_add_order():
+    """`under` keys each parameter named prefix + a name without "/" by
+    that name, in add order, not name order; a deeper name is left out."""
+    store = ParamStore()
+    for name in ("enc/tok_emb", "enc/l0/wq", "enc/pos_emb", "head/w1",
+                 "enc/l0/bq", "encoder/x"):
+        store.add(name, np.zeros(1))
+    enc = store.under("enc/")
+    assert list(enc) == ["tok_emb", "pos_emb"]
+    assert enc["tok_emb"] is store["enc/tok_emb"]
+    assert list(store.under("enc/l0/")) == ["wq", "bq"]
+    assert store.under("gat/") == {}
 
 
 def test_snapshot_restore_round_trip():
@@ -282,7 +297,8 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     np.testing.assert_array_equal(store2["b/w"].data, store["b/w"].data)
     assert meta["best_metric"] == 0.75
     assert meta["rng_state"] == np.random.default_rng(42).bit_generator.state
-    assert read_model_meta(p1) == MODEL_META
+    assert read_model_header(p1) == (MODEL_META,
+                                     [["a/s", []], ["b/w", [3, 2]]])
     save_checkpoint(p2, store2, rng=np.random.default_rng(42),
                     best_metric=0.75, model_meta=MODEL_META)
     assert p1.read_bytes() == p2.read_bytes()
@@ -317,7 +333,7 @@ def test_checkpoint_errors(tmp_path):
         with pytest.raises(NumericError, match=re.escape(message)):
             load_checkpoint(p, store)
     with pytest.raises(NumericError, match="no model description"):
-        read_model_meta(p)
+        read_model_header(p)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"NOPE")
     with pytest.raises(NumericError, match="magic"):
@@ -338,7 +354,7 @@ def test_checkpoint_errors(tmp_path):
             load_checkpoint(bad, _store(w=shape))
     _write_checkpoint(bad, b'{"model": ' + b"[" * 100_000)   # nested too deeply
     with pytest.raises(NumericError, match="malformed checkpoint header"):
-        read_model_meta(bad)
+        read_model_header(bad)
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
@@ -400,7 +416,7 @@ def test_corrupted_checkpoint_raises_only_numeric_error(cut, flips):
         path = Path(tmp) / "c.ckpt"
         path.write_bytes(bytes(raw[:cut]))
         for read in (lambda: load_checkpoint(path, store),
-                     lambda: read_model_meta(path)):
+                     lambda: read_model_header(path)):
             try:
                 read()
             except NumericError:
