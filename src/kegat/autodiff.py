@@ -218,11 +218,10 @@ def elu_data(x: np.ndarray) -> np.ndarray:
     Without a branch: expm1 runs on min(x, 0), so a large input cannot
     overflow, and max(expm1(min(x, 0)), x) is x exactly where x > 0. On a
     tie numpy's max returns its second operand, so -0.0 stays -0.0; NaN
-    propagates.
+    propagates. expm1 and max write into min's result, never into `x`.
     """
-    out = np.expm1(np.minimum(x, 0.0))
-    np.maximum(out, x, out=out)
-    return out
+    out = np.minimum(x, 0.0)
+    return np.maximum(np.expm1(out, out=out), x, out=out)
 
 
 def elu_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:

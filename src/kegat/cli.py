@@ -258,7 +258,7 @@ def train(subtask, config_path, kb_path, vectors_path, templates_path,
     # everything eval needs to rebuild this model, beside its parameters
     model_meta = {
         "config": config.as_dict(), "subtask": subtask, "vocab": vocab.tokens,
-        "templates": {rel: " ".join(t.pattern) for rel, t in templates.items()},
+        "templates": {rel: " ".join(t) for rel, t in templates.items()},
         "kb": str(Path(kb_path).resolve()), "kb_sha256": kgstore.fingerprint(graph),
         "vectors": str(Path(vectors_path).resolve()) if vectors_path else None,
         "vectors_sha256": _file_sha256(vectors_path) if vectors_path else None}
@@ -284,8 +284,7 @@ def _load_model(checkpoint_path, subtask: str) -> KegatModel:
         if trained_for not in harness.SUBTASKS:
             raise ValueError(f"unknown subtask {trained_for!r}")
         vocab = Vocab(meta["vocab"])
-        templates = {rel: kemb.Template(rel, tuple(pattern.split()))
-                     for rel, pattern in meta["templates"].items()}
+        templates = kemb.parse_templates(meta["templates"], "'templates'")
         kb_path, kb_sha256, vectors = meta["kb"], meta["kb_sha256"], meta["vectors"]
         vectors_sha256 = meta["vectors_sha256"]
         # a path that is not a string could name a file descriptor, stdin

@@ -171,7 +171,9 @@ def _ffn_sublayer(h: Tensor, lp: Params, rate: float,
     """LN2(h + dropout(elu(h @ w1 + b1) @ w2 + b2)) as one autodiff node,
     whose backward replays the composed ops' arithmetic."""
     hd = h.data
-    e = ad.elu_data(hd @ lp["ffn_w1"].data + lp["ffn_b1"].data)
+    z = hd @ lp["ffn_w1"].data
+    z += lp["ffn_b1"].data
+    e = ad.elu_data(z)
     f = e @ lp["ffn_w2"].data + lp["ffn_b2"].data
     if not ad.recording():   # no backward will read it
         e = None

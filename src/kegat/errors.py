@@ -7,7 +7,3 @@ class DataFormatError(Exception):
 
 class NumericError(Exception):
     """Numeric failure such as NaN/Inf during training (exit code 3)."""
-
-
-class GradientError(NumericError):
-    """Non-finite gradient, names the offending parameter."""

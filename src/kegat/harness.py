@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .kgstore import Edge, KnowledgeGraph, jsonl_records, load_graph, neighbors
-from .kemb import Template, default_templates, realize_triple
+from .kemb import Template, default_templates, realize_triple, template_words
 from .linker import STOPWORDS, tokenize
 from .vocab import CLS, SEP, Vocab
 
@@ -258,11 +258,10 @@ def synth_benchmark(seed: int, out_dir,
     made_dir = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     templates = default_templates()
-    template_words = {tok for t in templates.values() for tok in t.pattern
-                      if not tok.startswith("{")}
     rng = np.random.default_rng([seed, 100])
 
-    words = _word_pool(rng, max(360, n_concepts), template_words | set(STOPWORDS))
+    words = _word_pool(rng, max(360, n_concepts),
+                       template_words(templates) | set(STOPWORDS))
     concepts: List[str] = []
     seen = set()
     while len(concepts) < n_concepts:
@@ -359,8 +358,7 @@ def build_vocab(graph: KnowledgeGraph, templates: Dict[str, Template],
     tokens = set()
     for c in graph.concepts:
         tokens.update(c.split("_"))
-    for t in templates.values():
-        tokens.update(tok for tok in t.pattern if not tok.startswith("{"))
+    tokens.update(template_words(templates))
     for inst in instances:
         for opt in convert(inst):
             tokens.update(opt)

@@ -1,21 +1,24 @@
 """Knowledge-injected tree inputs.
 
 Linked entities pull their strongest KB edges in as natural-language branches
-attached to the entity token. `flatten` lays a tree out in one walk: each
-trunk token is followed by its branches, strongest first. Trunk token p keeps
-soft position p, and a branch anchored at p numbers its tokens p+1, p+2, ...,
-so parallel branches repeat positions. The visibility matrix keeps injected
-text local: trunk tokens see each other, a branch token sees its own branch,
-and a trunk token and the branches anchored at it see each other. Nothing
-else is visible. `pad_batch` stacks sequences for one encoder pass, padding
-with positions that see only themselves.
+attached to the entity token. A template is a relation's token tuple, parsed
+by `parse_templates`; a relation without one uses `FALLBACK_TEMPLATE`, whose
+words `template_words` lists too, so no template word maps to `[UNK]`.
+`flatten` lays a tree out in one walk: each trunk token is followed by its
+branches, strongest first. Trunk token p keeps soft position p, and a branch
+anchored at p numbers its tokens p+1, p+2, ..., so parallel branches repeat
+positions. The visibility matrix keeps injected text local: trunk tokens see
+each other, a branch token sees its own branch, and a trunk token and the
+branches anchored at it see each other. Nothing else is visible. `pad_batch`
+stacks sequences for one encoder pass, padding with positions that see only
+themselves.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,7 +32,8 @@ logger = logging.getLogger(__name__)
 HEAD_SLOT = "{head}"
 TAIL_SLOT = "{tail}"
 
-FALLBACK_PATTERN = "{head} is related to {tail}"
+Template = Tuple[str, ...]
+FALLBACK_TEMPLATE: Template = (HEAD_SLOT, "is", "related", "to", TAIL_SLOT)
 
 DEFAULT_TEMPLATE_PATTERNS: Dict[str, str] = {
     "/r/UsedFor": "{head} is used to {tail}",
@@ -58,25 +62,26 @@ DEFAULT_TEMPLATE_PATTERNS: Dict[str, str] = {
 MIN_TRUNK_LEN = 8
 
 
-@dataclass(frozen=True)
-class Template:
-    relation: str
-    pattern: Tuple[str, ...]
-
-    def __post_init__(self):
-        if self.pattern.count(HEAD_SLOT) != 1 or self.pattern.count(TAIL_SLOT) != 1:
+def parse_templates(patterns: Dict[str, str], where: str) -> Dict[str, Template]:
+    """The templates of a map relation -> pattern string. A pattern must be a
+    string holding {head} and {tail} once each, else a DataFormatError names
+    `where`, the map's source, and the relation."""
+    templates = {}
+    for rel, pat in patterns.items():
+        if not isinstance(pat, str):
+            raise DataFormatError(f"{where}: template for {rel!r} must be a "
+                                  f"string, got {type(pat).__name__}")
+        tokens = tuple(pat.split())
+        if tokens.count(HEAD_SLOT) != 1 or tokens.count(TAIL_SLOT) != 1:
             raise DataFormatError(
-                f"template for {self.relation!r} must contain each of "
+                f"{where}: template for {rel!r} must contain each of "
                 f"{HEAD_SLOT} and {TAIL_SLOT} exactly once")
-
-
-def _parse_pattern(relation: str, pattern: str) -> Template:
-    return Template(relation, tuple(pattern.split()))
+        templates[rel] = tokens
+    return templates
 
 
 def default_templates() -> Dict[str, Template]:
-    return {rel: _parse_pattern(rel, pat)
-            for rel, pat in DEFAULT_TEMPLATE_PATTERNS.items()}
+    return parse_templates(DEFAULT_TEMPLATE_PATTERNS, "default templates")
 
 
 def load_templates(path=None) -> Dict[str, Template]:
@@ -84,13 +89,13 @@ def load_templates(path=None) -> Dict[str, Template]:
     without a path, the default templates."""
     if path is None:
         return default_templates()
-    raw = json_object(path, "template file")
-    for rel, pat in raw.items():
-        if not isinstance(pat, str):
-            raise DataFormatError(
-                f"{path}: template for {rel!r} must be a string, "
-                f"got {type(pat).__name__}")
-    return {rel: _parse_pattern(rel, pat) for rel, pat in raw.items()}
+    return parse_templates(json_object(path, "template file"), str(path))
+
+
+def template_words(templates: Dict[str, Template]) -> Set[str]:
+    """Every word `realize_triple` can emit besides concept surfaces: the
+    templates' words and the fallback's."""
+    return set().union(FALLBACK_TEMPLATE, *templates.values()) - {HEAD_SLOT, TAIL_SLOT}
 
 
 def realize_triple(edge: Edge, templates: Dict[str, Template]) -> List[str]:
@@ -98,9 +103,9 @@ def realize_triple(edge: Edge, templates: Dict[str, Template]) -> List[str]:
     template = templates.get(edge.relation)
     if template is None:
         logger.info("no template for relation %s; using fallback", edge.relation)
-        template = _parse_pattern(edge.relation, FALLBACK_PATTERN)
+        template = FALLBACK_TEMPLATE
     out: List[str] = []
-    for tok in template.pattern:
+    for tok in template:
         if tok == HEAD_SLOT:
             out.extend(edge.head.split("_"))
         elif tok == TAIL_SLOT:

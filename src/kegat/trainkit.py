@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .autodiff import Params, Tensor
-from .errors import GradientError, NumericError
+from .errors import NumericError
 from .kgstore import atomic_write
 
 MAGIC = b"KGCK"
@@ -175,7 +175,7 @@ def compute_gradients(loss: Tensor, store: ParamStore) -> None:
                 total += p.grad.ravel() @ p.grad.ravel()
                 if not np.isfinite(total):
                     break
-    raise GradientError(f"non-finite gradient norm at parameter {name!r}")
+    raise NumericError(f"non-finite gradient norm at parameter {name!r}")
 
 
 # adam_step walks a run in blocks of this many floats: the block's values,
@@ -374,7 +374,6 @@ class Schedule:
 @dataclass
 class TrainResult:
     best_metric: float
-    best_snapshot: np.ndarray   # the store's flat value vector
     log: List[dict]
     aborted: bool = False
 
@@ -390,7 +389,7 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
     """Head-only training at a high rate, then full fine-tuning at a low rate.
 
     The best dev-accuracy snapshot of phase 1 is restored before phase 2, and
-    the best snapshot overall is returned. Each step is one `model.loss`
+    the best snapshot overall at the end. Each step is one `model.loss`
     call on the whole batch, which returns the batch-mean loss. Phase 1
     runs inside `model.frozen_trunk()`, which freezes all but the head and
     unfreezes every parameter on exit. The whole run keeps each instance's
@@ -457,4 +456,4 @@ def two_phase_train(model, train_data: Sequence, dev_data: Sequence,
         # no dev evaluation ran: the restored model is the best
         if best_metric < 0.0:
             best_metric = _accuracy(model, dev_data)
-    return TrainResult(best_metric, best_snapshot, log, aborted)
+    return TrainResult(best_metric, log, aborted)

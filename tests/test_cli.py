@@ -315,6 +315,33 @@ def trained(tmp_path):
     return _train_tiny(tmp_path)
 
 
+def test_train_with_one_template_writes_a_model_eval_loads(runner, tmp_path):
+    """`train --templates` with a file holding only /r/IsA stores that one
+    template and a vocabulary with the fallback template's words; `eval`
+    and `predict` load the model."""
+    bench = tmp_path / "bench"
+    runner.invoke(main, ["synth", "--seed", "3", "--out-dir", str(bench),
+                         "--sizes", "8,4,4", "--n-concepts", "60",
+                         "--n-edges", "120"], catch_exceptions=False)
+    (tmp_path / "cfg.json").write_text(json.dumps(TINY_TRAIN_CFG),
+                                       encoding="utf-8")
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"/r/IsA": "{head} is a {tail}"}),
+                   encoding="utf-8")
+    result = runner.invoke(main, _tiny_train_args(tmp_path)
+                           + ["--templates", str(one)])
+    assert result.exit_code == 0, result.output
+    ckpt = tmp_path / "run" / "model.ckpt"
+    meta = read_model_header(ckpt)[0]
+    assert meta["templates"] == {"/r/IsA": "{head} is a {tail}"}
+    assert {"related", "to"} <= set(meta["vocab"])
+    for command in ("eval", "predict"):
+        result = runner.invoke(main, [command, "--checkpoint", str(ckpt),
+                                      "--data", str(bench / "dev.jsonl"),
+                                      "--subtask", "a"])
+        assert result.exit_code == 0, result.output
+
+
 def test_train_writes_only_checkpoint_and_log(trained, tmp_path):
     bench, ckpt, result = trained
     payload = json.loads(result.output)
@@ -839,6 +866,19 @@ def _template_not_string(tmp_path, request):
             "'/r/IsA' must be a string")
 
 
+def _template_missing_slot(tmp_path, request):
+    return (_inject_templates(tmp_path, json.dumps({"/r/IsA": "{head} is"})),
+            f"{tmp_path / 'templates.json'}: template for '/r/IsA' must "
+            f"contain each of {{head}} and {{tail}} exactly once")
+
+
+def _template_repeated_slot(tmp_path, request):
+    return (_inject_templates(tmp_path, json.dumps(
+        {"/r/IsA": "{head} is {head} {tail}"})),
+            f"{tmp_path / 'templates.json'}: template for '/r/IsA' must "
+            f"contain each of {{head}} and {{tail}} exactly once")
+
+
 def _templates_not_json(tmp_path, request):
     return _inject_templates(tmp_path, "{not json"), "templates.json"
 
@@ -1300,6 +1340,8 @@ def _vectors_now_directory(tmp_path, request):
     (_inf_weight, 2, "data error: "),
     (_binary_kb, 2, "data error: "),
     (_template_not_string, 2, "data error: "),
+    (_template_missing_slot, 2, "data error: "),
+    (_template_repeated_slot, 2, "data error: "),
     (_templates_not_json, 2, "data error: "),
     (_kb_as_checkpoint, 3, "numeric failure: "),
     (_header_not_utf8, 3, "numeric failure: "),
@@ -1370,7 +1412,8 @@ def _vectors_now_directory(tmp_path, request):
 ], ids=["link-no-text", "link-not-json", "checkpoint-as-kb",
         "truncated-checkpoint", "header-length-past-eof", "v2-checkpoint",
         "nan-weight", "inf-weight",
-        "binary-kb", "template-not-string", "templates-not-json",
+        "binary-kb", "template-not-string", "template-missing-slot",
+        "template-repeated-slot", "templates-not-json",
         "kb-as-checkpoint", "header-not-utf8", "shape-disagrees-with-body",
         "header-not-object", "kb-edited", "kb-deleted", "comve-not-utf8",
         "comve-not-object", "comve-label-not-integer",
@@ -1424,6 +1467,14 @@ def _with_vocab(tokens):
     return lambda meta: {"vocab": tokens(meta["vocab"])}
 
 
+def _with_template(pattern):
+    return lambda meta: {"templates": {**meta["templates"], "/r/IsA": pattern}}
+
+
+_TEMPLATE_SLOTS = ("DataFormatError: 'templates': template for '/r/IsA' must "
+                   "contain each of {head} and {tail} exactly once")
+
+
 @pytest.mark.parametrize("edit, fragment", [
     (lambda meta: {"kb": None}, "TypeError: 'kb' is None, not a string"),
     (lambda meta: {"kb": ["x"]}, "TypeError: 'kb' is ['x'], not a string"),
@@ -1439,16 +1490,22 @@ def _with_vocab(tokens):
      "first four vocab entries must be the reserved tokens"),
     (_with_vocab(lambda tokens: tokens + tokens[-1:]),
      "duplicate token in vocab"),
+    (_with_template("{head} is"), _TEMPLATE_SLOTS),
+    (_with_template("{head} {tail} of {tail}"), _TEMPLATE_SLOTS),
+    (_with_template(["{head}", "{tail}"]),
+     "DataFormatError: 'templates': template for '/r/IsA' must be a string, "
+     "got list"),
 ], ids=["kb-null", "kb-list", "kb-7", "kb-0", "kb-sha256-7", "vectors-7",
         "vectors-0", "vectors-null-sha256-string", "vectors-string-sha256-null",
         "unknown-subtask", "vocab-without-reserved-prefix",
-        "vocab-duplicate-token"])
+        "vocab-duplicate-token", "template-missing-slot",
+        "template-repeated-slot", "template-not-string"])
 def test_malformed_model_description_exits_3_before_opening_a_file(
         runner, trained_once, tmp_path, monkeypatch, edit, fragment):
     """A model description whose KB or vectors entry is not a path string
     (an integer would open a file descriptor, 0 stdin), whose subtask is
-    unknown or whose vocab is malformed exits 3 with one line, reading no
-    KB, vectors or standard input."""
+    unknown, or whose vocab or a template is malformed exits 3 with one
+    line, reading no KB, vectors or standard input."""
     bench, ckpt, _ = trained_once
     meta = read_model_header(ckpt)[0]
     meta.update(edit(meta))

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kegat.errors import DataFormatError
+from kegat.harness import ComveInstance, build_vocab
 from kegat.kgstore import Edge, load_graph
-from kegat.kemb import (HEAD_SLOT, TAIL_SLOT, Branch, InjectedTree, Template,
-                        build_tree, default_templates, flatten, load_templates,
-                        pad_batch, realize_triple)
+from kegat.kemb import (HEAD_SLOT, TAIL_SLOT, Branch, InjectedTree, build_tree,
+                        default_templates, flatten, load_templates, pad_batch,
+                        parse_templates, realize_triple, template_words)
 from kegat.linker import extract_entities
-from kegat.vocab import Vocab
+from kegat.vocab import UNK, Vocab
 
 from conftest import write_kb
 
@@ -67,11 +68,45 @@ def test_realization_never_emits_slot_markers():
         assert HEAD_SLOT not in out and TAIL_SLOT not in out
 
 
-def test_template_requires_each_slot_once():
-    with pytest.raises(DataFormatError):
-        Template("/r/X", ("{head}", "is"))
-    with pytest.raises(DataFormatError):
-        Template("/r/X", ("{head}", "{tail}", "{tail}"))
+def test_parse_templates_requires_a_string_with_each_slot_once():
+    assert parse_templates({"/r/X": " {tail}  of {head} "}, "src") == \
+        {"/r/X": ("{tail}", "of", "{head}")}
+    slots = "must contain each of {head} and {tail} exactly once"
+    for pattern, fault in (("{head} is", slots),
+                           ("{head} {tail} {tail}", slots),
+                           (5, "must be a string, got int")):
+        with pytest.raises(DataFormatError) as exc:
+            parse_templates({"/r/X": pattern}, "src")
+        assert str(exc.value) == f"src: template for '/r/X' {fault}"
+
+
+def test_template_words_hold_the_fallback_words():
+    assert template_words({}) == {"is", "related", "to"}
+    assert template_words({"/r/IsA": ("{head}", "is", "a", "{tail}")}) == \
+        {"is", "a", "related", "to"}
+    assert template_words(default_templates()) == {
+        tok for pat in default_templates().values() for tok in pat
+        if tok not in (HEAD_SLOT, TAIL_SLOT)}
+
+
+def test_custom_templates_vocab_covers_fallback_branches(tmp_path, sugar_graph):
+    """With a templates file that lacks /r/UsedFor, the sugar edge is
+    realized with the fallback template, and the vocabulary `build_vocab`
+    makes from the file holds its words: the flattened tree has no [UNK]."""
+    p = tmp_path / "one.json"
+    p.write_text(json.dumps({"/r/IsA": "{head} is a {tail}"}), encoding="utf-8")
+    templates = load_templates(p)
+    inst = ComveInstance("x", "a", 1, ("he put sugar in his coffee",
+                                       "he put coffee in his sugar"))
+    vocab = build_vocab(sugar_graph, templates, [inst])
+    assert vocab.lookup("related") != vocab.lookup(UNK)
+    assert vocab.lookup("to") != vocab.lookup(UNK)
+    tokens = GOLDEN["trunk"]
+    tree = build_tree(tokens, extract_entities(tokens, sugar_graph),
+                      sugar_graph, 2, templates)
+    assert "sugar is related to sweetening coffee" in \
+        [" ".join(b.tokens) for b in tree.branches]
+    assert vocab.lookup(UNK) not in flatten(tree, vocab, 128).tokens
 
 
 def test_load_templates(tmp_path):
